@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .colored_states import all_states, alpha, build_upsilon, colored_state_sum, s_minus
+from .colored_states import all_states, alpha, build_upsilon
 from .diagram import (
     LinkDiagram, MalformedPDError, all_a_state, all_b_state, apply_state,
     is_a_adequate, is_adequate, is_alternating, is_b_adequate, parse_pd,
@@ -62,9 +62,10 @@ def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
         try:
             payload = json.loads(text)
             rows = payload["pd"]
+            loops = int(payload.get("loops", 0))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedPDError(f"bad JSON diagram: {exc}") from exc
-        return LinkDiagram(rows, free_loops=int(payload.get("loops", 0)),
+        return LinkDiagram(rows, free_loops=loops,
                            name=str(payload.get("name", default_name)))
     d = parse_pd(text)
     return LinkDiagram(d.crossings, free_loops=d.free_loops, name=default_name)
@@ -181,16 +182,17 @@ def _cmd_states(args) -> int:
     if n == 1:
         # classical Kauffman states: weight A^(a-b) * delta^circles
         delta = loop_value()
+        total = LaurentPolynomial.zero()
         for bits in range(2 ** k):
             state = tuple("A" if bits & (1 << i) else "B" for i in range(k))
             a_count = sum(1 for s in state if s == "A")
             circles = apply_state(diagram, state).circle_count
             weight = (LaurentPolynomial.monomial(1, 2 * a_count - k)
                       * delta ** circles)
+            total = total + weight
             rows.append({"state": "".join(state), "circles": circles,
                          "weight": _poly_json(weight), "text": str(weight)})
         rows.sort(key=lambda r: r["state"])
-        total = colored_state_sum(diagram, 1, max_width=args.max_width)
     else:
         total_rf = RationalFunction.zero()
         for s in sorted(all_states(diagram, n), key=lambda s: s.signs):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, union_find
 from .laurent import (
     LaurentPolynomial,
     RationalFunction,
@@ -33,6 +33,7 @@ from .skein_eval import (
     CrossingNode,
     DecoratedDiagram,
     ResourceLimitError,
+    _crossing_grid,
     evaluate_rational,
     projector_node,
 )
@@ -188,23 +189,11 @@ def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagra
             continue
         base = len(nodes)
         nodes.extend(CrossingNode() for _ in range(m * m))
-
-        def grid(u, o):
-            return base + (u - 1) * m + (o - 1)
-
-        for u in range(1, m + 1):
-            for o in range(1, m):
-                pairing[(grid(u, o), 2)] = (grid(u, o + 1), 0)
-        for o in range(1, m + 1):
-            for u in range(1, m):
-                pairing[(grid(u, o), 1)] = (grid(u + 1, o), 3)
+        stub = _crossing_grid(pairing, base, m)
         # boundary of the residual cable onto the remaining stubs
-        for u in range(1, m + 1):
-            pairing[arc_side[(ci, 0, pat.stub_of_grid(0, u))]] = (grid(u, 1), 0)
-            pairing[arc_side[(ci, 2, pat.stub_of_grid(2, m + 1 - u))]] = (grid(u, m), 2)
-        for o in range(1, m + 1):
-            pairing[arc_side[(ci, 3, pat.stub_of_grid(3, m + 1 - o))]] = (grid(1, o), 3)
-            pairing[arc_side[(ci, 1, pat.stub_of_grid(1, o))]] = (grid(m, o), 1)
+        for slot in range(4):
+            for idx in range(1, m + 1):
+                pairing[arc_side[(ci, slot, pat.stub_of_grid(slot, idx))]] = stub(slot, idx)
     return DecoratedDiagram(nodes, pairing, free_loops=0)
 
 
@@ -281,35 +270,12 @@ def _bar_circles(S: DecoratedDiagram):
     """Circles of the diagram with every box replaced by parallel strands.
     Returns (circle count, strand->circle map) where strands are keyed by
     (node index, bottom position)."""
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for ni, nd in enumerate(S.nodes):
-        for p in range(nd.port_count):
-            parent[(ni, p)] = (ni, p)
-    for a, b in S.pairing.items():
-        union(a, b)
-    for ni, nd in enumerate(S.nodes):
-        half = nd.port_count // 2
-        for p in range(half):
-            union((ni, p), (ni, top_point(p, half)))
-    roots = {find(x) for x in parent}
-    strand_circle = {}
-    for ni, nd in enumerate(S.nodes):
-        half = nd.port_count // 2
-        for p in range(half):
-            strand_circle[(ni, p)] = find((ni, p))
-    return len(roots) + S.free_loops, strand_circle
+    ports = [(ni, p) for ni, nd in enumerate(S.nodes) for p in range(nd.port_count)]
+    strands = [((ni, p), (ni, top_point(p, nd.port_count // 2)))
+               for ni, nd in enumerate(S.nodes) for p in range(nd.port_count // 2)]
+    root = union_find(ports, itertools.chain(S.pairing.items(), strands))
+    strand_circle = {bottom: root[bottom] for bottom, _ in strands}
+    return len(set(root.values())) + S.free_loops, strand_circle
 
 
 def D_degree(S: DecoratedDiagram) -> int:

@@ -23,6 +23,24 @@ class MalformedPDError(ValueError):
     pass
 
 
+def union_find(elements: Iterable[Hashable], joins) -> dict:
+    """Map each element to the root of its class in the partition
+    generated by the pairs in `joins`."""
+    parent = {x: x for x in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}
+
+
 def _canonical_crossing(t: tuple) -> tuple:
     r = (t[2], t[3], t[0], t[1])
     return min(t, r)
@@ -40,11 +58,17 @@ class LinkDiagram:
     def __init__(self, crossings: Iterable[Sequence[Hashable]], free_loops: int = 0,
                  name: str = ""):
         rows = []
-        for t in crossings:
-            t = tuple(t)
-            if len(t) != 4:
-                raise MalformedPDError(f"crossing needs 4 arcs, got {t!r}")
-            rows.append(_canonical_crossing(t))
+        try:
+            for t in crossings:
+                t = tuple(t)
+                if len(t) != 4:
+                    raise MalformedPDError(f"crossing needs 4 arcs, got {t!r}")
+                for arc in t:
+                    hash(arc)
+                rows.append(_canonical_crossing(t))
+        except TypeError as exc:
+            raise MalformedPDError(
+                f"crossings must be rows of 4 hashable arc labels: {exc}") from exc
         if free_loops < 0:
             raise MalformedPDError("negative loop count")
         self.crossings = tuple(rows)
@@ -74,22 +98,11 @@ class LinkDiagram:
     def components(self) -> list[frozenset]:
         """Partition of the arcs into link components (strand-following:
         a strand entering a crossing leaves at the opposite position)."""
-        parent = {a: a for a in self.arcs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in self.crossings:
-            for pos in (0, 1):
-                ra, rb = find(t[pos]), find(t[pos + 2])
-                if ra != rb:
-                    parent[ra] = rb
+        root = union_find(self.arcs, ((t[pos], t[pos + 2])
+                                      for t in self.crossings for pos in (0, 1)))
         groups: dict = {}
-        for a in self.arcs:
-            groups.setdefault(find(a), set()).add(a)
+        for a, r in root.items():
+            groups.setdefault(r, set()).add(a)
         return [frozenset(g) for g in sorted(groups.values(), key=lambda g: sorted(map(repr, g)))]
 
     @property
@@ -182,40 +195,19 @@ def apply_state(diagram: LinkDiagram, state: Sequence[str]) -> StateGraph:
     """
     _check_state(diagram, state)
     k = diagram.crossing_count
-    parent = list(range(4 * k))
+    smoothing = [A_JOINS if s == "A" else B_JOINS for s in state]
+    joins = [(4 * c1 + p1, 4 * c2 + p2)
+             for (c1, p1), (c2, p2) in map(diagram.arc_slots, diagram.arcs)]
+    joins += [(4 * ci + a, 4 * ci + b)
+              for ci, pairs in enumerate(smoothing) for a, b in pairs]
+    root = union_find(range(4 * k), joins)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for arc in diagram.arcs:
-        (c1, p1), (c2, p2) = diagram.arc_slots(arc)
-        union(4 * c1 + p1, 4 * c2 + p2)
-    joins_per_crossing = []
-    for ci, s in enumerate(state):
-        joins = A_JOINS if s == "A" else B_JOINS
-        joins_per_crossing.append(joins)
-        for a, b in joins:
-            union(4 * ci + a, 4 * ci + b)
-
-    roots: dict[int, int] = {}
-    for x in range(4 * k):
-        r = find(x)
-        if r not in roots:
-            roots[r] = len(roots)
-    circle_count = len(roots) + diagram.free_loops
-    edges = []
-    for ci, joins in enumerate(joins_per_crossing):
-        (a, b), (c, d) = joins
-        edges.append((roots[find(4 * ci + a)], roots[find(4 * ci + c)]))
-    return StateGraph(circle_count=circle_count, edges=tuple(edges))
+    circles: dict[int, int] = {}
+    for r in root.values():
+        circles.setdefault(r, len(circles))
+    edges = tuple((circles[root[4 * ci + a]], circles[root[4 * ci + c]])
+                  for ci, ((a, _), (c, _)) in enumerate(smoothing))
+    return StateGraph(circle_count=len(circles) + diagram.free_loops, edges=edges)
 
 
 def circle_count(diagram: LinkDiagram, state: Sequence[str]) -> int:

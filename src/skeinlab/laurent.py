@@ -16,6 +16,7 @@ The module also owns the quantum scalars of the trade:
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Mapping
 
@@ -544,73 +545,35 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # quantum scalars
 
-class QuantumScalarTable:
-    """Memo table for Delta_n, [n k]_A and C_{n,k}.
-
-    Values are computed once from their defining recursions and cached.
-    The table is safe to replicate across worker processes; recomputation
-    is deterministic and exact.
-    """
-
-    def __init__(self):
-        self._delta: dict[int, LaurentPolynomial] = {}
-        self._binom: dict[tuple[int, int], LaurentPolynomial] = {}
-        self._expansion: dict[tuple[int, int], LaurentPolynomial] = {}
-
-    def delta(self, n: int) -> LaurentPolynomial:
-        """Bracket value Delta_n of the unknot colored n (Delta_0 = 1)."""
-        if n < -1:
-            raise ValueError("delta defined for n >= -1")
-        if n == -1:
-            return ZERO
-        got = self._delta.get(n)
-        if got is not None:
-            return got
-        if n == 0:
-            val = ONE
-        elif n == 1:
-            val = loop_value()
-        else:
-            val = loop_value() * self.delta(n - 1) - self.delta(n - 2)
-        self._delta[n] = val
-        return val
-
-    def binomial(self, n: int, k: int) -> LaurentPolynomial:
-        """Quantum binomial [n k]_A from the two-term exponent recursion."""
-        if k < 0 or k > n:
-            return ZERO
-        if k == 0 or k == n:
-            return ONE
-        got = self._binom.get((n, k))
-        if got is not None:
-            return got
-        val = self.binomial(n - 1, k).shift(2 * k) + self.binomial(n - 1, k - 1).shift(2 * k - 2 * n)
-        self._binom[(n, k)] = val
-        return val
-
-    def expansion_coefficient(self, n: int, k: int) -> LaurentPolynomial:
-        """C_{n,k} = A^{n(n-2k)} [n k]_A, the weight of the k-th crossingless
-        term in the expansion of a crossing of two n-cables."""
-        if not 0 <= k <= n:
-            raise ValueError(f"expansion coefficient needs 0 <= k <= n, got ({n}, {k})")
-        got = self._expansion.get((n, k))
-        if got is not None:
-            return got
-        val = self.binomial(n, k).shift(n * (n - 2 * k))
-        self._expansion[(n, k)] = val
-        return val
-
-
-SCALARS = QuantumScalarTable()
-
-
+@functools.cache
 def quantum_dimension(n: int) -> LaurentPolynomial:
-    return SCALARS.delta(n)
+    """Bracket value Delta_n of the unknot colored n (Delta_0 = 1)."""
+    if n < -1:
+        raise ValueError("delta defined for n >= -1")
+    if n == -1:
+        return ZERO
+    if n == 0:
+        return ONE
+    if n == 1:
+        return loop_value()
+    return loop_value() * quantum_dimension(n - 1) - quantum_dimension(n - 2)
 
 
+@functools.cache
 def quantum_binomial(n: int, k: int) -> LaurentPolynomial:
-    return SCALARS.binomial(n, k)
+    """Quantum binomial [n k]_A from the two-term exponent recursion."""
+    if k < 0 or k > n:
+        return ZERO
+    if k == 0 or k == n:
+        return ONE
+    return (quantum_binomial(n - 1, k).shift(2 * k)
+            + quantum_binomial(n - 1, k - 1).shift(2 * k - 2 * n))
 
 
+@functools.cache
 def crossing_expansion_coefficient(n: int, k: int) -> LaurentPolynomial:
-    return SCALARS.expansion_coefficient(n, k)
+    """C_{n,k} = A^{n(n-2k)} [n k]_A, the weight of the k-th crossingless
+    term in the expansion of a crossing of two n-cables."""
+    if not 0 <= k <= n:
+        raise ValueError(f"expansion coefficient needs 0 <= k <= n, got ({n}, {k})")
+    return quantum_binomial(n, k).shift(n * (n - 2 * k))

@@ -16,11 +16,11 @@ and merges equal matchings.  Only the strands meeting the node are
 touched, so the cost per term is linear in the node's port count.
 
 Peak width (dangling wire-ends) controls the cost.  Node order comes
-from a MorsePlan: exact subset minimization for small networks, a width
-greedy otherwise, or a builder-supplied order for cables.
+from a MorsePlan built by a width greedy.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -142,13 +142,11 @@ class DecoratedDiagram:
     """Nodes plus a closed wiring: every port is paired with exactly one
     other port (never itself)."""
 
-    __slots__ = ("nodes", "pairing", "free_loops", "suggested_order")
+    __slots__ = ("nodes", "pairing", "free_loops")
 
-    def __init__(self, nodes, pairing: dict, free_loops: int = 0,
-                 suggested_order=None):
+    def __init__(self, nodes, pairing: dict, free_loops: int = 0):
         self.nodes = tuple(nodes)
         self.free_loops = free_loops
-        self.suggested_order = tuple(suggested_order) if suggested_order else None
         full: dict[Port, Port] = {}
         for a, b in pairing.items():
             full[a] = b
@@ -166,9 +164,6 @@ class DecoratedDiagram:
             if full[b] != a:
                 raise ValueError("wiring is not an involution")
         self.pairing = full
-        if self.suggested_order is not None:
-            if sorted(self.suggested_order) != list(range(len(self.nodes))):
-                raise ValueError("suggested order must visit every node once")
 
     @property
     def node_count(self) -> int:
@@ -202,7 +197,6 @@ class MorsePlan:
     """An attachment order together with its width profile."""
     events: tuple
     peak_width: int
-    free_loops: int
 
     @property
     def order(self) -> tuple:
@@ -233,53 +227,7 @@ def _events_for_order(dd: DecoratedDiagram, order) -> MorsePlan:
         peak = max(peak, width)
         processed[ni] = True
         events.append(NodeEvent(ni, closes, opens, width))
-    return MorsePlan(tuple(events), peak, dd.free_loops)
-
-
-def _order_exact(dd: DecoratedDiagram) -> list:
-    """Subset DP minimizing peak width; exponential in the node count."""
-    n = dd.node_count
-    # neighbor port counts: cross[v][u] = wires between v and u
-    cross = [dict() for _ in range(n)]
-    loops_out = [0] * n
-    for ni, node in enumerate(dd.nodes):
-        for pi in range(node.port_count):
-            qn, _ = dd.pairing[(ni, pi)]
-            if qn != ni:
-                cross[ni][qn] = cross[ni].get(qn, 0) + 1
-                loops_out[ni] += 1
-    full = (1 << n) - 1
-    best = {0: 0}
-    choice = {}
-    width_of = {0: 0}
-    # widths are cheap to maintain incrementally
-    for subset in range(1, full + 1):
-        v = (subset & -subset).bit_length() - 1
-        prev = subset & ~(1 << v)
-        # width(subset) from width(prev): v's wires flip roles
-        into = sum(c for u, c in cross[v].items() if prev >> u & 1)
-        w = width_of[prev] + (loops_out[v] - into) - into
-        width_of[subset] = w
-        bestv = None
-        for v in range(n):
-            if not subset >> v & 1:
-                continue
-            p = subset & ~(1 << v)
-            if p not in best:
-                continue
-            cand = max(best[p], width_of[subset])
-            if bestv is None or cand < bestv:
-                bestv = cand
-                choice[subset] = v
-        best[subset] = bestv
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s &= ~(1 << v)
-    order.reverse()
-    return order
+    return MorsePlan(tuple(events), peak)
 
 
 def _order_greedy(dd: DecoratedDiagram) -> list:
@@ -317,29 +265,19 @@ def _order_greedy(dd: DecoratedDiagram) -> list:
     return order
 
 
-DP_NODE_LIMIT = 13
-
-
 def morse_decompose(dd: DecoratedDiagram) -> MorsePlan:
-    """Choose an attachment order: exact subset minimization for small
-    networks, otherwise the narrowest of the width greedy and the
-    builder's suggestion."""
-    if dd.node_count <= DP_NODE_LIMIT:
-        return _events_for_order(dd, _order_exact(dd))
-    plans = [_events_for_order(dd, _order_greedy(dd))]
-    if dd.suggested_order is not None:
-        plans.append(_events_for_order(dd, dd.suggested_order))
-    return min(plans, key=lambda p: p.peak_width)
+    """Choose an attachment order with the width greedy."""
+    return _events_for_order(dd, _order_greedy(dd))
 
 
 # ---------------------------------------------------------------------------
 # the sweep
 
 
-def _delta_powers(k: int, table=[{0: 1}]):
-    while len(table) <= k:
-        table.append(term_mul(table[-1], _DELTA.terms))
-    return table
+@functools.cache
+def _delta_power(k: int) -> dict:
+    """delta^k as a term dict; shared, so callers must not mutate it."""
+    return (_DELTA ** k).terms
 
 
 def evaluate(dd: DecoratedDiagram, plan: MorsePlan | None = None,
@@ -422,7 +360,7 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
                 else:
                     piece = term_mul(coeff, local_coeff)
                 if cycles:
-                    piece = term_mul(piece, _delta_powers(cycles)[cycles])
+                    piece = term_mul(piece, _delta_power(cycles))
                 slot = new_terms.get(new_key)
                 if slot is None:
                     new_terms[new_key] = piece
@@ -442,7 +380,7 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
             raise AssertionError("sweep finished with dangling wires")
         total = term_add(total, coeff)
     if dd.free_loops:
-        total = term_mul(total, _delta_powers(dd.free_loops)[dd.free_loops])
+        total = term_mul(total, _delta_power(dd.free_loops))
     return LaurentPolynomial(total), denominator
 
 
@@ -537,25 +475,37 @@ def bracket_bruteforce(link: LinkDiagram) -> LaurentPolynomial:
         graph = apply_state(link, state)
         exponent = sum(1 if s == "A" else -1 for s in state)
         circles = graph.circle_count  # free loops are already counted
-        contribution = term_shift(_delta_powers(circles)[circles], exponent)
+        contribution = term_shift(_delta_power(circles), exponent)
         total = term_add(total, contribution)
     return LaurentPolynomial(total)
 
 
-def _grid_index(block: int, m: int, u: int, o: int) -> int:
-    return block * m * m + (u - 1) * m + (o - 1)
+def _crossing_grid(pairing: dict, base: int, m: int):
+    """Wire the m x m grid of crossing nodes base..base+m*m-1 into
+    `pairing`, node (u, o) at base + (u-1)*m + (o-1): under-strand u runs
+    bottom (slot 0) to top (slot 2), over-strand o left (slot 3) to right
+    (slot 1).  Returns stub(slot, idx), the grid port of the boundary stub
+    with counterclockwise index idx (1..m) at that slot."""
+    def node(u, o):
+        return base + (u - 1) * m + (o - 1)
 
+    for u in range(1, m + 1):
+        for o in range(1, m):
+            pairing[(node(u, o), 2)] = (node(u, o + 1), 0)
+    for o in range(1, m + 1):
+        for u in range(1, m):
+            pairing[(node(u, o), 1)] = (node(u + 1, o), 3)
 
-def _stub_port(block: int, slot: int, idx: int, m: int) -> Port:
-    """Engine port of the cable stub with counterclockwise index idx
-    (1..m) at the given slot of original crossing `block`."""
-    if slot == 0:
-        return (_grid_index(block, m, idx, 1), 0)
-    if slot == 1:
-        return (_grid_index(block, m, m, idx), 1)
-    if slot == 2:
-        return (_grid_index(block, m, m + 1 - idx, m), 2)
-    return (_grid_index(block, m, 1, m + 1 - idx), 3)
+    def stub(slot: int, idx: int) -> Port:
+        if slot == 0:
+            return (node(idx, 1), 0)
+        if slot == 1:
+            return (node(m, idx), 1)
+        if slot == 2:
+            return (node(m + 1 - idx, m), 2)
+        return (node(1, m + 1 - idx), 3)
+
+    return stub
 
 
 def cable_ports(link: LinkDiagram, m: int):
@@ -570,18 +520,12 @@ def cable_ports(link: LinkDiagram, m: int):
         raise ValueError("cable width must be >= 1")
     k = link.crossing_count
     pairing: dict[Port, Port] = {}
-    for block in range(k):
-        for u in range(1, m + 1):
-            for o in range(1, m):
-                pairing[(_grid_index(block, m, u, o), 2)] = (_grid_index(block, m, u, o + 1), 0)
-        for o in range(1, m + 1):
-            for u in range(1, m):
-                pairing[(_grid_index(block, m, u, o), 1)] = (_grid_index(block, m, u + 1, o), 3)
+    stubs = [_crossing_grid(pairing, block * m * m, m) for block in range(k)]
     band_ends = {}
     for arc in link.arcs:
         (c1, p1), (c2, p2) = link.arc_slots(arc)
         for i in range(1, m + 1):
-            band_ends[(arc, i)] = (_stub_port(c1, p1, i, m), _stub_port(c2, p2, m + 1 - i, m))
+            band_ends[(arc, i)] = (stubs[c1](p1, i), stubs[c2](p2, m + 1 - i))
     return k * m * m, pairing, band_ends
 
 

@@ -167,23 +167,27 @@ def head_prefix(link: LinkDiagram, n_max: int,
 # theorem-level checks
 
 
+def _bstate_value(link: LinkDiagram, n: int,
+                  max_width: int | None) -> RationalFunction:
+    """alpha(s-) * <Y(s-)>, the all-B colored state's term of J~_n."""
+    s = s_minus(link, n)
+    value = evaluate_rational(build_upsilon(link, n, s), max_width=max_width)
+    return value * alpha(link, n, s)
+
+
 def verify_theorem_1(link: LinkDiagram, n: int,
                      max_width: int | None = None) -> bool:
     """The n-colored B-state carries the lowest 4n coefficients of J~_n."""
-    s = s_minus(link, n)
-    value = evaluate_rational(build_upsilon(link, n, s), max_width=max_width)
-    value = value * alpha(link, n, s)
-    return doteq(colored_jones(link, n, max_width=max_width), value, 4 * n)
+    return doteq(colored_jones(link, n, max_width=max_width),
+                 _bstate_value(link, n, max_width), 4 * n)
 
 
 def verify_theorem_2(link: LinkDiagram, n: int,
                      max_width: int | None = None) -> bool:
     """The (n+1)-colored B-state already matches J~_n on its lowest 4n
     coefficients."""
-    s = s_minus(link, n + 1)
-    value = evaluate_rational(build_upsilon(link, n + 1, s),
-                              max_width=max_width)
-    return doteq(value, colored_jones(link, n, max_width=max_width), 4 * n)
+    return doteq(_bstate_value(link, n + 1, max_width),
+                 colored_jones(link, n, max_width=max_width), 4 * n)
 
 
 def verify_corollary(link: LinkDiagram, n: int,
@@ -285,10 +289,7 @@ def stability_report(link: LinkDiagram, n_max: int,
     def bstate_value(n):
         if n not in bstate:
             t0 = time.perf_counter()
-            s = s_minus(link, n)
-            raw = evaluate_rational(build_upsilon(link, n, s),
-                                    max_width=max_width)
-            bstate[n] = raw * alpha(link, n, s)
+            bstate[n] = _bstate_value(link, n, max_width)
             clocks[current_color] = clocks.get(current_color, 0.0) + (
                 time.perf_counter() - t0)
         return bstate[n]

@@ -93,6 +93,18 @@ def test_file_inputs(tmp_path, capsys):
     assert code == EXIT_INPUT and "cannot read" in err
 
 
+@pytest.mark.parametrize("text", ['{"pd": [1,2,3,4]}', '{"pd": 5}',
+                                  '{"pd": [[[1],2,3,4]]}',
+                                  '{"pd": [], "loops": null}'])
+def test_malformed_json_diagram_exits_2(tmp_path, capsys, text):
+    # rows that are not iterable, labels that are not hashable, and a
+    # loop count that is not a number
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "bracket", "--file", str(bad))
+    assert code == EXIT_INPUT and "error" in err
+
+
 # ---------------------------------------------------------------------------
 # cjones
 

@@ -204,16 +204,6 @@ class TestWiring:
         with pytest.raises(ValueError):
             CouponNode(4, [(((0, 1),), {0: 1})])
 
-    def test_suggested_order_checked(self):
-        d = parse_pd(HOPF)
-        pairing = {}
-        for arc in d.arcs:
-            (c1, p1), (c2, p2) = d.arc_slots(arc)
-            pairing[(c1, p1)] = (c2, p2)
-        with pytest.raises(ValueError):
-            DecoratedDiagram([CrossingNode(), CrossingNode()], pairing,
-                             suggested_order=[0, 0])
-
 
 class TestCabledEvaluation:
     def test_plain_cable_matches_link_cable(self):

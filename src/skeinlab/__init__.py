@@ -86,6 +86,7 @@ from .tails import (
     doteq,
     head_prefix,
     stability_report,
+    tail_and_head,
     tail_prefix,
     verify_corollary,
     verify_theorem_1,
@@ -121,7 +122,8 @@ __all__ = [
     "s_minus", "s_plus", "smoothing_coefficients", "verify_degree_lemmas",
     "CoefficientPrefix", "StabilityReport", "TailStabilityError",
     "aligned_coefficients", "doteq", "head_prefix", "stability_report",
-    "tail_prefix", "verify_corollary", "verify_theorem_1", "verify_theorem_2",
+    "tail_and_head", "tail_prefix", "verify_corollary", "verify_theorem_1",
+    "verify_theorem_2",
     "Fixture", "FixtureValidationError", "determinant", "fixture",
     "fixture_names", "load_fixtures",
     "__version__",

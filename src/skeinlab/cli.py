@@ -26,7 +26,7 @@ from .diagram import (
 from .fixtures import fixture, fixture_names, load_fixtures
 from .laurent import LaurentPolynomial, RationalFunction, loop_value
 from .skein_eval import ResourceLimitError, bracket, colored_jones, evaluate_rational
-from .tails import TailStabilityError, head_prefix, stability_report, tail_prefix
+from .tails import TailStabilityError, stability_report, tail_and_head
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -62,9 +62,12 @@ def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
         try:
             payload = json.loads(text)
             rows = payload["pd"]
-            loops = int(payload.get("loops", 0))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedPDError(f"bad JSON diagram: {exc}") from exc
+        loops = payload.get("loops", 0)
+        if type(loops) is not int:  # bool is an int subclass; refuse it too
+            raise MalformedPDError(
+                f"bad JSON diagram: loops must be an integer, got {loops!r}")
         return LinkDiagram(rows, free_loops=loops,
                            name=str(payload.get("name", default_name)))
     d = parse_pd(text)
@@ -234,8 +237,7 @@ def _cmd_states(args) -> int:
 def _cmd_tail(args) -> int:
     diagram = _load_input(args)
     name = diagram.name or "input"
-    tail = tail_prefix(diagram, args.nmax, max_width=args.max_width)
-    head = head_prefix(diagram, args.nmax, max_width=args.max_width)
+    tail, head = tail_and_head(diagram, args.nmax, max_width=args.max_width)
     if args.format == "json":
         _emit(_to_json({"link": name, "nMax": args.nmax,
                         "tail": tail.to_dict(), "head": head.to_dict()}))

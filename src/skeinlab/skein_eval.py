@@ -8,12 +8,20 @@ resolves every node into its matchings and glues, producing the bracket
 value in Z[A, A^-1] after one exact division by the accumulated coupon
 denominator.
 
-The sweep visits nodes one at a time.  Its running state is a bag of
-terms, each a perfect matching on the currently dangling wire-ends with
-an integer Laurent coefficient; attaching a node splices its chords into
-the affected strands, closes loops into powers of delta = -A^2 - A^-2,
-and merges equal matchings.  Only the strands meeting the node are
-touched, so the cost per term is linear in the node's port count.
+The sweep visits nodes one at a time.  Its running state is the
+frontier, the ordered list of dangling ports, and a bag of terms: a
+perfect matching on the frontier, keyed as a tuple of ints whose entry
+at each slot is the slot of its partner, with an integer Laurent
+coefficient.  Attaching a node sorts its ports once into internal,
+closing (already on the frontier) and fresh (opening a new slot) ones,
+and renumbers the slots that stay open.  How a term splices depends only
+on the partners of the closing slots, so the event groups its terms by
+that signature and traces the splice once per signature and local
+matching -- the new pairs, and the closed loops worth powers of
+delta = -A^2 - A^-2 -- dropping it after the group.  Each term then costs
+one relabel of its kept slots plus a few patched entries, and its
+coefficient times the local coefficient and the loop factor is added
+straight into the destination term.
 
 Peak width (dangling wire-ends) controls the cost.  Node order comes
 from a MorsePlan built by a width greedy.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -321,53 +330,64 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
 
     processed = [False] * dd.node_count
     denominator = ONE
-    # term bag: canonical matching key -> integer Laurent coefficient dict
+    frontier: list = []  # the dangling ports; a port's index is its slot
+    # term bag: partner-slot tuple -> integer Laurent coefficient dict
     terms: dict[tuple, dict] = {(): {0: 1}}
 
-    for event in plan.events:
+    for index, event in enumerate(plan.events):
         ni = event.node
         node = dd.nodes[ni]
-        nports = node.port_count
         denominator = denominator * node.denominator
-
-        # port classification is shared by every term
-        # ('i', local) internal wire / ('o', None) into the swept region
-        # ('n', port) fresh wire out to an untouched node
-        pclass = []
-        for pi in range(nports):
-            qn, qp = dd.pairing[(ni, pi)]
-            if qn == ni:
-                pclass.append(("i", qp))
-            elif processed[qn]:
-                pclass.append(("o", None))
+        step = _EventStep(dd, ni, frontier, processed)
+        closing_of = _slot_getter(step.closing)
+        kept_of = _slot_getter(step.kept)
+        relabel = step.relabel.__getitem__
+        pad = step.pad
+        # terms grouped by the partners of the closing slots, so that each
+        # signature's splice is worked out once and dropped after its group
+        groups: dict = {}
+        for item in terms.items():
+            signature = closing_of(item[0])
+            group = groups.get(signature)
+            if group is None:
+                groups[signature] = [item]
             else:
-                pclass.append(("n", (qn, qp)))
+                group.append(item)
+        del terms  # the groups hold every term now; free the old table early
 
-        local_terms = node.local_terms()
         new_terms: dict[tuple, dict] = {}
-        for key, coeff in terms.items():
-            M = {}
-            for a, b in key:
-                M[a] = b
-                M[b] = a
-            for local_map, local_coeff in local_terms:
-                new_key, cycles = _attach(ni, nports, local_map, pclass, M)
-                if len(local_coeff) == 1:
-                    [(e, c)] = local_coeff.items()
-                    piece = term_shift(coeff, e)
-                    if c != 1:
-                        piece = {k: c * v for k, v in piece.items()}
-                else:
-                    piece = term_mul(coeff, local_coeff)
-                if cycles:
-                    piece = term_mul(piece, _delta_power(cycles))
-                slot = new_terms.get(new_key)
-                if slot is None:
-                    new_terms[new_key] = piece
-                else:
-                    new_terms[new_key] = term_add(slot, piece)
-        terms = {k: v for k, v in new_terms.items() if v}
+        for signature, group in groups.items():
+            rows = step.splices(signature)
+            for key, coeff in group:
+                base = [*map(relabel, kept_of(key)), *pad]
+                # every row rewrites the same end slots, so base is reused
+                for partners, factor in rows:
+                    for slot, partner in partners.items():
+                        base[slot] = partner
+                    new_key = tuple(base)
+                    dest = new_terms.get(new_key)
+                    if dest is None:
+                        new_terms[new_key] = dest = {}
+                    get = dest.get
+                    for e, c in factor:
+                        for x, v in coeff.items():
+                            x += e
+                            dest[x] = get(x, 0) + c * v
+        del groups  # release the old coefficients before compacting
+
+        terms = {}
+        for key, coeff in new_terms.items():
+            if 0 in coeff.values():
+                coeff = {x: v for x, v in coeff.items() if v}
+                if not coeff:
+                    continue
+            terms[key] = coeff
+        frontier = step.frontier
         processed[ni] = True
+        if len(frontier) != event.width_after:
+            raise ValueError(
+                f"plan event {index} (node {ni}) claims width "
+                f"{event.width_after}, the sweep has {len(frontier)}")
         if max_terms is not None and len(terms) > max_terms:
             raise ResourceLimitError(
                 f"{len(terms)} live matchings exceeds the cap of {max_terms}")
@@ -378,78 +398,132 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
     for key, coeff in terms.items():
         if key:
             raise AssertionError("sweep finished with dangling wires")
-        total = term_add(total, coeff)
+        total = coeff
     if dd.free_loops:
         total = term_mul(total, _delta_power(dd.free_loops))
     return LaurentPolynomial(total), denominator
 
 
-def _attach(ni: int, nports: int, local_map: dict, pclass: list, M: dict):
-    """Splice one local matching into the strand state M (mutated copy
-    semantics: M is consumed).  Returns (new matching key, closed loops)."""
-    M = dict(M)
-    visited = [False] * nports
-    new_pairs = []
-    cycles = 0
+def _slot_getter(slots: list):
+    """key -> tuple of key[s] for s in slots."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    if slots:
+        [s] = slots
+        return lambda key: (key[s],)
+    return lambda key: ()
 
-    def exit_port(q):
-        # leave local port q through its external side
-        kind, val = pclass[q]
-        if kind == "i":
-            return ("l", val)
-        if kind == "n":
-            return ("t", val)
-        other = M.pop((ni, q))
-        del M[other]
-        if other[0] == ni:
-            # the strand loops straight back into this node
-            return ("l", other[1])
-        return ("t", other)
 
+class _EventStep:
+    """The tables of one NodeEvent, shared by every term.
+
+    The node's ports fall into three classes: internal (wired to another
+    port of the node), closing (wired into the swept region, so on the
+    frontier at a closing slot) and fresh (wired to a node not yet swept,
+    so opening a new slot).  The slots that stay open keep their order and
+    are renumbered 0..len(kept)-1; fresh ports follow in port order.
+    """
+
+    __slots__ = ("local_terms", "closing", "kept", "relabel", "pad",
+                 "frontier", "_back", "_end", "_closing_port", "_factors")
+
+    def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
+                 processed: list):
+        node = dd.nodes[ni]
+        nports = node.port_count
+        slot_of = {port: s for s, port in enumerate(frontier)}
+        # the outside wire of port p re-enters the node at _back[p], or
+        # else ends at the new slot _end[p] (closing ports: per signature)
+        self._back: list = [None] * nports
+        self._end: list = [None] * nports
+        self._closing_port: dict = {}
+        self.closing = []
+        fresh = []
+        for pi in range(nports):
+            qn, qp = dd.pairing[(ni, pi)]
+            if qn == ni:
+                self._back[pi] = qp
+            elif processed[qn]:
+                s = slot_of[(ni, pi)]
+                self.closing.append(s)
+                self._closing_port[s] = pi
+            else:
+                fresh.append((pi, (qn, qp)))
+        self.kept = [s for s in range(len(frontier))
+                     if s not in self._closing_port]
+        # closing slots map to -1; the splice rewrites every entry that
+        # held one, and the fresh slots (pad)
+        self.relabel = [-1] * len(frontier)
+        for new, s in enumerate(self.kept):
+            self.relabel[s] = new
+        self.frontier = [frontier[s] for s in self.kept]
+        for pi, port in fresh:
+            self._end[pi] = len(self.frontier)
+            self.frontier.append(port)
+        self.pad = (-1,) * len(fresh)
+        self.local_terms = node.local_terms()
+        self._factors: dict = {}
+
+    def splices(self, signature: tuple) -> list:
+        """One row (partners, factor) per local matching of the node, for a
+        term whose closing slots have the given partners: partners maps
+        each new slot where a spliced strand ends to the slot of its other
+        end, and factor holds the (exponent, coefficient) items of local
+        coefficient * delta^loops."""
+        back = list(self._back)
+        end = list(self._end)
+        for s, partner in zip(self.closing, signature):
+            pi = self._closing_port[s]
+            if partner in self._closing_port:
+                back[pi] = self._closing_port[partner]
+            else:
+                end[pi] = self.relabel[partner]
+        rows = []
+        for li, (local_map, local_coeff) in enumerate(self.local_terms):
+            partners, loops = _splice(local_map, back, end)
+            factor = self._factors.get((li, loops))
+            if factor is None:
+                factor = self._factors[(li, loops)] = (
+                    term_mul(local_coeff, _delta_power(loops)).items()
+                    if loops else local_coeff.items())
+            rows.append((partners, factor))
+        return rows
+
+
+def _splice(local_map, back: list, end: list):
+    """Glue one local matching to the node's outside wires.  Returns
+    {slot: partner slot} over the ends of the strands that now end on the
+    frontier, and the number of closed loops."""
+    nports = len(back)
+    seen = [False] * nports
+    partner = {}
     for p0 in range(nports):
-        if visited[p0]:
+        if seen[p0] or back[p0] is not None:
             continue
-        # direction one: through the node's chord at p0
-        closed = False
-        ends = []
-        cur = p0
+        # p0's outside is a strand end: follow chords to the other end
+        p = p0
         while True:
-            visited[cur] = True
-            q = local_map[cur]
-            visited[q] = True
-            kind, val = exit_port(q)
-            if kind == "t":
-                ends.append(val)
+            seen[p] = True
+            q = local_map[p]
+            seen[q] = True
+            p = back[q]
+            if p is None:
                 break
-            if val == p0:
-                closed = True
-                break
-            cur = val
-        if closed:
-            cycles += 1
+        a, b = end[p0], end[q]
+        partner[a] = b
+        partner[b] = a
+    loops = 0
+    for p0 in range(nports):
+        if seen[p0]:
             continue
-        # direction two: out of p0's external side
-        kind, val = exit_port(p0)
-        if kind == "t":
-            ends.append(val)
-        else:
-            cur = val
-            while True:
-                visited[cur] = True
-                q = local_map[cur]
-                visited[q] = True
-                kind, val = exit_port(q)
-                if kind == "t":
-                    ends.append(val)
-                    break
-                cur = val
-        new_pairs.append((ends[0], ends[1]) if ends[0] <= ends[1] else (ends[1], ends[0]))
-
-    for a, b in M.items():
-        if a < b:
-            new_pairs.append((a, b))
-    new_pairs.sort()
-    return tuple(new_pairs), cycles
+        loops += 1
+        p = p0
+        while not seen[p]:
+            seen[p] = True
+            q = local_map[p]
+            seen[q] = True
+            p = back[q]
+    return partner, loops
 
 
 # ---------------------------------------------------------------------------

@@ -140,27 +140,48 @@ def _certified_tail(name: str, values, end: str = "lowest") -> CoefficientPrefix
                              certified)
 
 
-def tail_prefix(link: LinkDiagram, n_max: int,
-                max_width: int | None = None) -> CoefficientPrefix:
-    """Stable low-end coefficients: compute J~_1..J~_{n_max}, check every
-    consecutive window, return the aligned lowest coefficients of the last
-    with certified length 4(n_max - 1)."""
+def _jtilde_values(link: LinkDiagram, n_max: int,
+                   max_width: int | None) -> list:
+    """J~_1..J~_{n_max}, the input of both certificates."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 to certify anything")
     if not is_alternating(link):
         raise ValueError("tail stability is established for alternating "
                          "diagrams; this one is not alternating")
-    values = [colored_jones(link, n, max_width=max_width)
-              for n in range(1, n_max + 1)]
-    return _certified_tail(_display_name(link), values)
+    return [colored_jones(link, n, max_width=max_width)
+            for n in range(1, n_max + 1)]
+
+
+def _certified_head(link: LinkDiagram, values) -> CoefficientPrefix:
+    """The head of `link` is the tail of its mirror diagram, whose J~_n is
+    J~_n(link) under A -> A^-1, so the mirrored values certify it."""
+    p = _certified_tail(_display_name(mirror(link)),
+                        [v.mirror() for v in values])
+    return CoefficientPrefix(f"{_display_name(link)} color {len(values)}",
+                             "highest", p.coefficients, p.certified)
+
+
+def tail_prefix(link: LinkDiagram, n_max: int,
+                max_width: int | None = None) -> CoefficientPrefix:
+    """Stable low-end coefficients: compute J~_1..J~_{n_max}, check every
+    consecutive window, return the aligned lowest coefficients of the last
+    with certified length 4(n_max - 1)."""
+    return _certified_tail(_display_name(link),
+                           _jtilde_values(link, n_max, max_width))
 
 
 def head_prefix(link: LinkDiagram, n_max: int,
                 max_width: int | None = None) -> CoefficientPrefix:
     """Stable high-end coefficients, read off the mirror diagram."""
-    p = tail_prefix(mirror(link), n_max, max_width=max_width)
-    return CoefficientPrefix(f"{_display_name(link)} color {n_max}",
-                             "highest", p.coefficients, p.certified)
+    return _certified_head(link, _jtilde_values(link, n_max, max_width))
+
+
+def tail_and_head(link: LinkDiagram, n_max: int,
+                  max_width: int | None = None) -> tuple:
+    """(tail_prefix, head_prefix) from one computation of each J~_n."""
+    values = _jtilde_values(link, n_max, max_width)
+    return (_certified_tail(_display_name(link), values),
+            _certified_head(link, values))
 
 
 # ---------------------------------------------------------------------------

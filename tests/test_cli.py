@@ -95,10 +95,13 @@ def test_file_inputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ['{"pd": [1,2,3,4]}', '{"pd": 5}',
                                   '{"pd": [[[1],2,3,4]]}',
-                                  '{"pd": [], "loops": null}'])
+                                  '{"pd": [], "loops": null}',
+                                  '{"pd": [], "loops": 2.7}',
+                                  '{"pd": [], "loops": true}',
+                                  '{"pd": [], "loops": "2"}'])
 def test_malformed_json_diagram_exits_2(tmp_path, capsys, text):
     # rows that are not iterable, labels that are not hashable, and a
-    # loop count that is not a number
+    # loop count that is not a JSON integer
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     code, _, err = run(capsys, "bracket", "--file", str(bad))

@@ -1,5 +1,6 @@
 """Engine tests: the sweeping evaluator against independent state sums,
 plan invariance, cabling, and colored evaluation anchors."""
+import dataclasses
 import itertools
 import random
 
@@ -11,8 +12,10 @@ from skeinlab.skein_eval import (
     CouponNode,
     CrossingNode,
     DecoratedDiagram,
+    MorsePlan,
     ResourceLimitError,
     _events_for_order,
+    _sweep,
     bracket,
     bracket_bruteforce,
     cabled_diagram,
@@ -46,6 +49,35 @@ def random_link(k, seed):
         rows[s1[0]][s1[1]] = arc
         rows[s2[0]][s2[1]] = arc
     return LinkDiagram(rows)
+
+
+def braid_closure(word, strands):
+    """PD of the closure of a braid word (+i for sigma_i, -i for its
+    inverse) on strands running upward; each crossing lists its arcs
+    counterclockwise from the incoming under-strand."""
+    label = list(range(strands))
+    fresh = strands
+    rows = []
+    for g in word:
+        i = abs(g) - 1
+        bl, br = label[i], label[i + 1]
+        tl, tr = fresh, fresh + 1
+        fresh += 2
+        rows.append((bl, br, tr, tl) if g > 0 else (br, tr, tl, bl))
+        label[i], label[i + 1] = tl, tr
+    close = {end: start for start, end in enumerate(label)}
+    return LinkDiagram([[close.get(x, x) for x in row] for row in rows])
+
+
+def random_braid_closure(k, seed):
+    """A closure of a random k-letter braid on 2-4 strands that uses
+    every generator, so no strand is left as a crossing-free loop."""
+    rng = random.Random(f"braid:{k}:{seed}")
+    strands = rng.randint(2, min(4, k + 1))
+    word = list(range(1, strands))
+    word += [rng.randrange(1, strands) for _ in range(k - len(word))]
+    rng.shuffle(word)
+    return braid_closure([g if rng.random() < 0.5 else -g for g in word], strands)
 
 
 def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
@@ -110,10 +142,24 @@ class TestBracket:
             assert bracket(d) == bracket_bruteforce(d)
 
     def test_engine_matches_bruteforce_on_random_diagrams(self):
-        for seed in range(40):
-            k = 2 + seed % 5
+        for seed in range(45):
+            k = 2 + seed % 9
             d = random_link(k, seed)
             assert bracket(d, max_width=99) == bracket_bruteforce(d), f"seed {seed}"
+
+    def test_engine_matches_bruteforce_on_braid_closures(self):
+        for seed in range(30):
+            k = 1 + seed % 10
+            d = random_braid_closure(k, seed)
+            assert bracket(d, max_width=99) == bracket_bruteforce(d), f"seed {seed}"
+
+    def test_braid_closure_convention(self):
+        # sigma_1^3 closes to a trefoil, sigma_1 sigma_2^-1 sigma_1 sigma_2^-1
+        # to the amphichiral figure-eight
+        trefoil = bracket(parse_pd(TREFOIL))
+        assert bracket(braid_closure([1, 1, 1], 2)) in (trefoil, trefoil.mirror())
+        fig8 = bracket(braid_closure([1, -2, 1, -2], 3))
+        assert fig8 == bracket(parse_pd(FIG8))
 
     def test_bruteforce_counts_free_loops_once(self):
         assert bracket_bruteforce(LinkDiagram([])) == LaurentPolynomial.one()
@@ -182,6 +228,39 @@ class TestPlans:
         with pytest.raises(ResourceLimitError):
             evaluate(dd, max_width=2)
 
+    def test_live_matching_cap(self):
+        # the sweep stops once the live matchings of an event pass the
+        # cap; at the run's own peak it finishes with the uncapped value
+        dd = cabled_diagram(parse_pd(FIG8), 2)
+        expect = evaluate(dd)
+        cap = 0
+        while True:
+            try:
+                value, den = _sweep(dd, max_terms=cap)
+            except ResourceLimitError as exc:
+                assert f"exceeds the cap of {cap}" in str(exc)
+                cap += 1
+                continue
+            break
+        assert cap > 4
+        assert value == expect and den == LaurentPolynomial.one()
+        assert evaluate(dd, max_terms=cap) == expect
+        with pytest.raises(ResourceLimitError, match="live matchings"):
+            evaluate(dd, max_terms=cap - 1)
+
+    def test_frontier_must_match_plan_widths(self):
+        dd = from_link(parse_pd(FIG8))
+        plan = morse_decompose(dd)
+        events = list(plan.events)
+        events[1] = dataclasses.replace(events[1],
+                                        width_after=events[1].width_after + 2)
+        with pytest.raises(ValueError, match="claims width"):
+            evaluate(dd, plan=MorsePlan(tuple(events), plan.peak_width))
+        # a plan that understates every width cannot slip past the cap
+        flat = tuple(dataclasses.replace(e, width_after=0) for e in plan.events)
+        with pytest.raises(ValueError, match="event 0"):
+            evaluate(dd, plan=MorsePlan(flat, 0), max_width=0)
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "2")
         with pytest.raises(ResourceLimitError):
@@ -229,6 +308,23 @@ class TestCabledEvaluation:
         d = parse_pd(TREFOIL)
         with pytest.raises(ValueError):
             cabled_diagram(d, 2, box_arcs=[1, 1])
+
+
+class TestCouponOracle:
+    def test_random_plain_coupon_cables_match_state_sum(self):
+        # 2-cables of random diagrams with plain-matching coupons on random
+        # arcs, against the union-find state sum
+        rng = random.Random(11)
+        for trial in range(12):
+            if trial % 2:
+                d = random_braid_closure(1 + trial % 3, trial)
+            else:
+                d = random_link(1 + trial % 3, trial)
+            arcs = sorted(d.arcs, key=repr)
+            boxed = rng.sample(arcs, rng.randint(1, len(arcs)))
+            coupon = rng.choice([identity_coupon(2), cup_coupon()])
+            dd = cabled_diagram(d, 2, boxed, coupon=coupon)
+            assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
 
 
 def identity_coupon(m):
@@ -302,6 +398,19 @@ class TestColoredJones:
         total = total + scale * two_coupon_sum(cup_coupon(), identity_coupon(2))
         total = total + two_coupon_sum(cup_coupon(), cup_coupon())
         assert scale * scale * colored_jones(d, 2) == total
+
+    def test_frozen_color_four(self):
+        # J~_4 as computed before the slot-indexed sweep
+        trefoil = {-72: 1, -64: -1, -60: -1, -56: -1, -44: 1, -40: 1, -36: 1,
+                   -32: 1, -28: 1, -12: -1, -8: -1, -4: -1, 0: -1, 4: -1,
+                   8: -1, 12: -1, 32: 1, 36: 1, 40: 1, 44: 1, 48: 1, 52: 1,
+                   56: 1, 60: 1, 64: 1}
+        fig8 = {-88: 1, -80: -1, -76: -1, -72: -1, -68: 1, -64: 1, -60: 1,
+                -52: -1, -48: 1, -44: 1, -36: -1, -32: -1, -8: 1, -4: 1, 0: 1,
+                4: 1, 8: 1, 32: -1, 36: -1, 44: 1, 48: 1, 52: -1, 60: 1, 64: 1,
+                68: 1, 72: -1, 76: -1, 80: -1, 88: 1}
+        assert colored_jones(parse_pd(TREFOIL), 4) == lp(trefoil)
+        assert colored_jones(parse_pd(FIG8), 4) == lp(fig8)
 
     def test_figure_eight_colored_amphichirality(self):
         d = parse_pd(FIG8)

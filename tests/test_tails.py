@@ -1,11 +1,13 @@
 """Window comparisons, certified tail prefixes, and the stability suite."""
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab.diagram import parse_pd
+from skeinlab.diagram import mirror, parse_pd
+from skeinlab.fixtures import fixture, fixture_names
 from skeinlab.laurent import (
     LaurentPolynomial,
     ONE,
@@ -22,6 +24,7 @@ from skeinlab.tails import (
     doteq,
     head_prefix,
     stability_report,
+    tail_and_head,
     tail_prefix,
     verify_corollary,
     verify_theorem_1,
@@ -205,6 +208,19 @@ def test_head_prefix_mirrors():
 
     unknot = parse_pd("O")
     assert head_prefix(unknot, 3).coefficients == tail_prefix(unknot, 3).coefficients
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_head_from_mirrored_values_matches_mirror_diagram_route(name):
+    # the head is certified from J~ of the diagram itself, mirrored; the
+    # mirror diagram's own tail is the independent route to the same vector
+    d = fixture(name).diagram
+    tail, head = tail_and_head(d, 3)
+    via_mirror = tail_prefix(mirror(d), 3)
+    assert head == dataclasses.replace(via_mirror, source=f"{d.name} color 3",
+                                       end="highest")
+    assert head_prefix(d, 3) == head
+    assert tail == tail_prefix(d, 3)
 
 
 # ---------------------------------------------------------------------------

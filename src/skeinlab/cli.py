@@ -297,6 +297,8 @@ def _strip_seconds(report: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     jobs_spec = []
     if args.pd is not None or args.file is not None:
         if args.names:

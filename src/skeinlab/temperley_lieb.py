@@ -7,23 +7,39 @@ non-crossing perfect matching of the 2n points; there are Catalan(n) of
 them.  Elements are finite sums with coefficients in Q(A); closed loops
 formed while stacking evaluate to delta = -A^2 - A^-2 each.
 
+Arithmetic runs over Z[A, A^-1].  An element's cleared form is
+(q, {matching: numerator}) with q the lcm of its coefficient denominators
+and x = (1/q) * sum num_m * m; _cleared works it out once per element
+and is the only code here that clears denominators.  Products, traces
+and Wenzl's step combine integer numerators over the product of the
+operands' q, and each output coefficient is reduced to a canonical
+RationalFunction once, at the end -- never once per pair of terms.
+Elements do not change after construction (`terms` is read-only), so the
+remembered cleared form cannot go stale.
+
 The n-th Jones-Wenzl projector is built by the two-box recursion
     f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
 with f(0) empty and f(1) a single strand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .laurent import (
     LaurentPolynomial,
+    ONE,
     RationalFunction,
     divide_exact,
     laurent_lcm,
     loop_value,
     quantum_dimension,
+    term_add,
+    term_mul,
+    term_neg,
 )
+
+_DELTA = loop_value().terms  # term dict of one closed loop; never mutated
 
 
 def top_point(position: int, n: int) -> int:
@@ -125,20 +141,26 @@ def _coerce_scalar(c) -> RationalFunction:
 
 
 class TLElement:
-    """A Q(A)-linear combination of TL_n basis diagrams."""
+    """A Q(A)-linear combination of TL_n basis diagrams; immutable."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms", "_cleared")
 
     def __init__(self, n: int, terms: Mapping[PlanarMatching, RationalFunction] | None = None):
         self.n = n
-        self.terms: dict[PlanarMatching, RationalFunction] = {}
+        self._terms: dict[PlanarMatching, RationalFunction] = {}
+        self._cleared = None
         if terms:
             for m, c in terms.items():
                 if m.n != n:
                     raise ValueError("strand count mismatch")
                 c = _coerce_scalar(c)
                 if not c.is_zero():
-                    self.terms[m] = c
+                    self._terms[m] = c
+
+    @property
+    def terms(self) -> Mapping[PlanarMatching, RationalFunction]:
+        """Read-only view of the nonzero coefficients."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def basis(cls, m: PlanarMatching) -> "TLElement":
@@ -161,8 +183,8 @@ class TLElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("strand count mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             s = out.get(m, RationalFunction.zero()) + c
             if s.is_zero():
                 out.pop(m, None)
@@ -174,13 +196,13 @@ class TLElement:
         return self + (-other)
 
     def __neg__(self) -> "TLElement":
-        return TLElement(self.n, {m: -c for m, c in self.terms.items()})
+        return TLElement(self.n, {m: -c for m, c in self._terms.items()})
 
     def scale(self, c) -> "TLElement":
         c = _coerce_scalar(c)
         if c.is_zero():
             return TLElement.zero(self.n)
-        return TLElement(self.n, {m: ci * c for m, ci in self.terms.items()})
+        return TLElement(self.n, {m: ci * c for m, ci in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPolynomial, RationalFunction)):
@@ -195,18 +217,54 @@ class TLElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other):
         if not isinstance(other, TLElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._terms == other._terms
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return f"TLElement(TL_{self.n}, 0)"
-        bits = [f"({c}) {m.to_parens()}" for m, c in sorted(self.terms.items(), key=lambda t: t[0].pairs)]
+        bits = [f"({c}) {m.to_parens()}" for m, c in sorted(self._terms.items(), key=lambda t: t[0].pairs)]
         return f"TLElement(TL_{self.n}, " + " + ".join(bits) + ")"
+
+
+def _cleared(x: TLElement) -> tuple[LaurentPolynomial, dict[PlanarMatching, dict]]:
+    """x as (q, {matching: integer numerator term-dict}) with q the lcm of
+    its coefficient denominators and x = (1/q) * sum num_m * m.
+
+    Worked out once per element and kept on it; callers must not mutate
+    the numerators.
+    """
+    got = x._cleared
+    if got is None:
+        q = ONE
+        for den in {c.den for c in x._terms.values()}:
+            q = laurent_lcm(q, den)
+        cofactor = {}
+        nums = {}
+        for m, c in x._terms.items():
+            k = cofactor.get(c.den)
+            if k is None:
+                k = cofactor[c.den] = divide_exact(q, c.den)
+            nums[m] = (c.num * k).terms
+        got = x._cleared = (q, nums)
+    return got
+
+
+def _reduced(n: int, q: LaurentPolynomial, nums: Mapping[PlanarMatching, dict]) -> TLElement:
+    """(1/q) * sum num_m * m, with one canonical RationalFunction per
+    nonzero numerator."""
+    return TLElement(n, {m: RationalFunction(LaurentPolynomial(num), q)
+                         for m, num in nums.items() if num})
+
+
+def _add_into(out: dict, m: PlanarMatching, num: dict) -> None:
+    """out[m] += num on numerator term-dicts; never mutates num."""
+    s = out.get(m)
+    out[m] = num if s is None else term_add(s, num)
 
 
 def _stack_pair(a: PlanarMatching, b: PlanarMatching) -> tuple[PlanarMatching, int]:
@@ -261,50 +319,49 @@ def _stack_pair(a: PlanarMatching, b: PlanarMatching) -> tuple[PlanarMatching, i
     return PlanarMatching(n, chords), loops
 
 
+def _product(nx: Mapping[PlanarMatching, dict], ny: Mapping[PlanarMatching, dict]) -> dict:
+    """Numerators of x*y over q_x*q_y, from the numerators of x and y."""
+    delta_powers = [{0: 1}]
+    out: dict[PlanarMatching, dict] = {}
+    for mx, cx in nx.items():
+        for my, cy in ny.items():
+            m, loops = _stack_pair(mx, my)
+            while loops >= len(delta_powers):
+                delta_powers.append(term_mul(delta_powers[-1], _DELTA))
+            _add_into(out, m, term_mul(term_mul(cx, cy), delta_powers[loops]))
+    return out
+
+
 def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     """Product in TL_n: stack y atop x, delta per closed loop."""
     if x.n != y.n:
         raise ValueError("strand count mismatch")
-    d = RationalFunction.from_laurent(loop_value())
-    out: dict[PlanarMatching, RationalFunction] = {}
-    dpow: list[RationalFunction] = [RationalFunction.one()]
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            m, loops = _stack_pair(mx, my)
-            while loops >= len(dpow):
-                dpow.append(dpow[-1] * d)
-            c = cx * cy * dpow[loops]
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return TLElement(x.n, out)
+    qx, nx = _cleared(x)
+    qy, ny = _cleared(y)
+    return _reduced(x.n, qx * qy, _product(nx, ny))
+
+
+def _juxtapose(mx: PlanarMatching, my: PlanarMatching) -> PlanarMatching:
+    """mx on the left of my, as one matching on mx.n + my.n strands."""
+    n, k = mx.n, my.n
+    total = n + k
+
+    def left(pt):
+        return pt if pt < n else top_point(top_point(pt, n), total)
+
+    def right(pt):
+        return n + pt if pt < k else top_point(n + top_point(pt, k), total)
+
+    return PlanarMatching(total, [(left(a), left(b)) for a, b in mx.pairs]
+                          + [(right(a), right(b)) for a, b in my.pairs])
 
 
 def tl_tensor(x: TLElement, y: TLElement) -> TLElement:
     """Horizontal juxtaposition: x on the left, y on the right."""
-    n, m = x.n, y.n
-    total = n + m
-
-    def remap_x(pt):
-        return pt if pt < n else top_point(top_point(pt, n), total)
-
-    def remap_y(pt):
-        return n + pt if pt < m else top_point(n + top_point(pt, m), total)
-
-    out: dict[PlanarMatching, RationalFunction] = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            chords = [(remap_x(a), remap_x(b)) for a, b in mx.pairs]
-            chords += [(remap_y(a), remap_y(b)) for a, b in my.pairs]
-            mm = PlanarMatching(total, chords)
-            c = cx * cy
-            s = out.get(mm)
-            s = c if s is None else s + c
-            out[mm] = s
-    return TLElement(total, out)
+    qx, nx = _cleared(x)
+    qy, ny = _cleared(y)
+    return _reduced(x.n + y.n, qx * qy, {_juxtapose(mx, my): term_mul(cx, cy)
+                                         for mx, cx in nx.items() for my, cy in ny.items()})
 
 
 def _close_last(m: PlanarMatching) -> tuple[PlanarMatching, int]:
@@ -332,22 +389,14 @@ def partial_trace(x: TLElement, count: int = 1) -> TLElement:
     """Close the rightmost `count` strands around the side."""
     if not 0 <= count <= x.n:
         raise ValueError("cannot close more strands than exist")
-    d = RationalFunction.from_laurent(loop_value())
-    cur = x
+    q, nums = _cleared(x)
     for _ in range(count):
-        out: dict[PlanarMatching, RationalFunction] = {}
-        for m, c in cur.terms.items():
+        out: dict[PlanarMatching, dict] = {}
+        for m, num in nums.items():
             mm, loops = _close_last(m)
-            if loops:
-                c = c * d
-            s = out.get(mm)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mm, None)
-            else:
-                out[mm] = s
-        cur = TLElement(cur.n - 1, out)
-    return cur
+            _add_into(out, mm, term_mul(num, _DELTA) if loops else num)
+        nums = out
+    return _reduced(x.n - count, q, nums)
 
 
 def closure(x: TLElement) -> RationalFunction:
@@ -376,19 +425,22 @@ def jones_wenzl(n: int) -> TLElement:
     elif n == 1:
         val = TLElement.identity(1)
     else:
-        prev = tl_tensor(jones_wenzl(n - 1), TLElement.identity(1))
-        ratio = RationalFunction(quantum_dimension(n - 2), quantum_dimension(n - 1))
-        e = TLElement.generator(n, n - 1)
-        val = prev - ratio * (prev * e * prev)
+        # With prev = f(n-1)x1 = (1/q) P and prev.e.prev = (1/q^2) S:
+        # f(n) = (Delta_{n-1} q P - Delta_{n-2} S) / (Delta_{n-1} q^2).
+        q, nums = _cleared(jones_wenzl(n - 1))
+        strand = identity_matching(1)
+        prev = {_juxtapose(m, strand): num for m, num in nums.items()}
+        e = {cup_cap_matching(n, n - 1): {0: 1}}
+        sandwich = _product(_product(prev, e), prev)
+        big, small = quantum_dimension(n - 1), quantum_dimension(n - 2)
+        scale = (big * q).terms
+        out = {m: term_mul(scale, num) for m, num in prev.items()}
+        minus_small = term_neg(small.terms)
+        for m, num in sandwich.items():
+            _add_into(out, m, term_mul(minus_small, num))
+        val = _reduced(n, big * q * q, out)
     _JW_CACHE[n] = val
     return val
-
-
-def absorption_check(m: int, n: int) -> bool:
-    """(f(n) x id_m) . f(m+n) == f(m+n)."""
-    big = jones_wenzl(m + n)
-    left = tl_tensor(jones_wenzl(n), TLElement.identity(m))
-    return left * big == big
 
 
 def cleared_projector(n: int) -> tuple[LaurentPolynomial, list[tuple[dict, PlanarMatching]]]:
@@ -398,12 +450,5 @@ def cleared_projector(n: int) -> tuple[LaurentPolynomial, list[tuple[dict, Plana
     Used by the sweep evaluator so closed diagrams can be computed entirely
     over Z[A, A^-1] with one checked exact division at the end.
     """
-    f = jones_wenzl(n)
-    q = LaurentPolynomial.one()
-    for c in f.terms.values():
-        q = laurent_lcm(q, c.den)
-    out = []
-    for m, c in sorted(f.terms.items(), key=lambda t: t[0].pairs):
-        num = c.num * divide_exact(q, c.den)
-        out.append((num.terms, m))
-    return q, out
+    q, nums = _cleared(jones_wenzl(n))
+    return q, [(dict(num), m) for m, num in sorted(nums.items(), key=lambda t: t[0].pairs)]

@@ -250,6 +250,14 @@ def test_verify_alias_lookup_and_unknown_name(capsys):
     assert code == EXIT_INPUT and "no fixture named" in err
 
 
+@pytest.mark.parametrize("jobs", ["-3", "0"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "trefoil", "--nmax", "1", "--jobs", jobs)
+    assert code == EXIT_INPUT
+    assert "error: --jobs must be >= 1" in err
+    assert out == ""
+
+
 def test_verify_json_is_deterministic_and_parallel_safe(capsys):
     args = ("verify", "trefoil", "hopf", "--nmax", "1", "--format", "json")
     _, first, _ = run(capsys, *args, "--jobs", "1")

@@ -1,5 +1,6 @@
 """Tests for the Temperley-Lieb layer: diagram composition, the generator
 relations, and the Jones-Wenzl projector family."""
+import hashlib
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinlab.laurent import (
     A,
+    ONE,
     LaurentPolynomial,
     RationalFunction,
     loop_value,
@@ -15,7 +17,7 @@ from skeinlab.laurent import (
 from skeinlab.temperley_lieb import (
     PlanarMatching,
     TLElement,
-    absorption_check,
+    _close_last,
     cleared_projector,
     closure,
     cup_cap_matching,
@@ -75,15 +77,130 @@ def stack_oracle(a: PlanarMatching, b: PlanarMatching):
     return PlanarMatching(n, chords), len(interior_roots)
 
 
+def tl_multiply_oracle(x: TLElement, y: TLElement) -> TLElement:
+    """Stack y atop x with every coefficient a reduced RationalFunction,
+    pair by pair, the stacking taken from stack_oracle."""
+    d = RationalFunction.from_laurent(DELTA)
+    out = {}
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
+            m, loops = stack_oracle(mx, my)
+            c = cx * cy
+            for _ in range(loops):
+                c = c * d
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return TLElement(x.n, out)
+
+
+def partial_trace_oracle(x: TLElement, count: int) -> TLElement:
+    """Close the rightmost strands one at a time, term by term in Q(A)."""
+    d = RationalFunction.from_laurent(DELTA)
+    cur = x
+    for _ in range(count):
+        out = {}
+        for m, c in cur.terms.items():
+            mm, loops = _close_last(m)
+            if loops:
+                c = c * d
+            s = out.get(mm)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(mm, None)
+            else:
+                out[mm] = s
+        cur = TLElement(cur.n - 1, out)
+    return cur
+
+
+def absorption_check(m: int, n: int) -> bool:
+    """(f(n) x id_m) . f(m+n) == f(m+n)."""
+    big = jones_wenzl(m + n)
+    left = tl_tensor(jones_wenzl(n), TLElement.identity(m))
+    return left * big == big
+
+
 def rf(p) -> RationalFunction:
     return RationalFunction.from_laurent(p) if isinstance(p, LaurentPolynomial) else RationalFunction(p)
 
 
 matchings_by_n = {n: enumerate_matchings(n) for n in range(6)}
 
+# Frozen values from the Q(A) recursion that reduced every coefficient
+# after every pair of terms: f(4) as {pairs: (numerator, denominator)},
+# and cleared_projector(5) as its denominator plus a SHA-256 of
+# repr([(pairs, sorted numerator items)]) over its sorted rows.
+FROZEN_F4 = {
+    ((0, 1), (2, 3), (4, 5), (6, 7)):
+        ({4: 1, 8: 2, 12: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
+    ((0, 1), (2, 3), (4, 7), (5, 6)):
+        ({6: 1, 10: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
+    ((0, 1), (2, 5), (3, 4), (6, 7)):
+        ({2: 1, 6: 1, 10: 1}, {0: 1, 4: 1, 8: 1, 12: 1}),
+    ((0, 1), (2, 7), (3, 4), (5, 6)):
+        ({4: 1}, {0: 1, 8: 1}),
+    ((0, 1), (2, 7), (3, 6), (4, 5)):
+        ({6: 1}, {0: 1, 4: 1, 8: 1, 12: 1}),
+    ((0, 3), (1, 2), (4, 5), (6, 7)):
+        ({6: 1, 10: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
+    ((0, 3), (1, 2), (4, 7), (5, 6)):
+        ({8: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
+    ((0, 5), (1, 2), (3, 4), (6, 7)):
+        ({4: 1}, {0: 1, 8: 1}),
+    ((0, 5), (1, 4), (2, 3), (6, 7)):
+        ({6: 1}, {0: 1, 4: 1, 8: 1, 12: 1}),
+    ((0, 7), (1, 2), (3, 4), (5, 6)):
+        ({2: 1, 6: 1}, {0: 1, 8: 1}),
+    ((0, 7), (1, 2), (3, 6), (4, 5)):
+        ({4: 1}, {0: 1, 8: 1}),
+    ((0, 7), (1, 4), (2, 3), (5, 6)):
+        ({4: 1}, {0: 1, 8: 1}),
+    ((0, 7), (1, 6), (2, 3), (4, 5)):
+        ({2: 1, 6: 1, 10: 1}, {0: 1, 4: 1, 8: 1, 12: 1}),
+    ((0, 7), (1, 6), (2, 5), (3, 4)):
+        ({0: 1}, {0: 1}),
+}
+FROZEN_F5_DENOMINATOR = {0: 1, 4: 1, 8: 2, 12: 2, 16: 2, 20: 1, 24: 1}
+FROZEN_F5_ROWS_SHA256 = "a418773cfc8dc134003708667ec0e288f3065669ed445920a3ae0d87d4e5edab"
+
 
 def matching_strategy(n):
     return st.sampled_from(matchings_by_n[n])
+
+
+def coefficient_strategy():
+    """A small Laurent numerator over a product of up to two quantum
+    integers Delta_k, k <= 4 (Delta_0 = 1 keeps some coefficients Laurent)."""
+    numerator = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3).filter(bool),
+                                min_size=1, max_size=3)
+    factors = st.lists(st.integers(0, 4), max_size=2)
+    return st.builds(
+        lambda num, ks: RationalFunction(
+            LaurentPolynomial(num), math.prod((quantum_dimension(k) for k in ks), start=ONE)),
+        numerator, factors)
+
+
+def element_strategy(n, matchings=None, min_size=0):
+    return st.dictionaries(st.sampled_from(matchings or matchings_by_n[n]), coefficient_strategy(),
+                           min_size=min_size, max_size=5).map(lambda terms: TLElement(n, terms))
+
+
+def product_pair_strategy(n):
+    """Two random TL_n elements; or x without an identity term against
+    c f(n) + y', where every x.(c f(n)) term cancels in the sum."""
+    random_pair = st.tuples(element_strategy(n), element_strategy(n))
+    if n < 2:
+        return random_pair
+    capped = [m for m in matchings_by_n[n] if m != identity_matching(n)]
+    cancelling = st.tuples(
+        element_strategy(n, capped, min_size=1),
+        st.tuples(coefficient_strategy(), element_strategy(n)).map(
+            lambda t: jones_wenzl(n).scale(t[0]) + t[1]))
+    return st.one_of(random_pair, cancelling)
 
 
 class TestPlanarMatching:
@@ -171,6 +288,48 @@ class TestStacking:
             tl_multiply(TLElement.identity(2), TLElement.identity(3))
 
 
+class TestClearedArithmetic:
+    """Products, traces and tensors work over one common denominator;
+    the oracles reduce every coefficient after every pair of terms."""
+
+    @given(st.integers(1, 4).flatmap(product_pair_strategy))
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_qa_oracle(self, pair):
+        x, y = pair
+        assert tl_multiply(x, y) == tl_multiply_oracle(x, y)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(element_strategy(n), st.integers(0, n))))
+    @settings(max_examples=100, deadline=None)
+    def test_trace_matches_qa_oracle(self, case):
+        x, count = case
+        assert partial_trace(x, count) == partial_trace_oracle(x, count)
+
+    @given(st.tuples(st.integers(0, 3).flatmap(element_strategy),
+                     st.integers(0, 3).flatmap(element_strategy)))
+    @settings(max_examples=60, deadline=None)
+    def test_tensor_matches_qa_oracle(self, pair):
+        x, y = pair
+        expect = TLElement.zero(x.n + y.n)
+        for mx, cx in x.terms.items():
+            for my, cy in y.terms.items():
+                expect = expect + tl_tensor(TLElement.basis(mx), TLElement.basis(my)).scale(cx * cy)
+        assert tl_tensor(x, y) == expect
+
+    def test_products_with_f_cancel_to_zero(self):
+        for n in range(2, 5):
+            f = jones_wenzl(n)
+            x = TLElement(n, {m: RationalFunction(A**k, quantum_dimension(k % 5))
+                              for k, m in enumerate(matchings_by_n[n]) if m != identity_matching(n)})
+            assert tl_multiply(x, f.scale(RationalFunction(A, quantum_dimension(3)))).is_zero()
+            assert tl_multiply_oracle(x, f).is_zero()
+
+    def test_closure_matches_qa_oracle(self):
+        x = TLElement(3, {m: RationalFunction(A**k + 1, quantum_dimension(k % 4 + 1))
+                          for k, m in enumerate(matchings_by_n[3])})
+        [(_, expect)] = partial_trace_oracle(x, 3).terms.items()
+        assert closure(x) == expect
+
+
 class TestTensor:
     def test_identities_concatenate(self):
         assert tl_tensor(TLElement.identity(2), TLElement.identity(3)) == TLElement.identity(5)
@@ -254,6 +413,24 @@ class TestJonesWenzl:
         with pytest.raises(ValueError):
             jones_wenzl(-1)
 
+    def test_terms_are_read_only(self):
+        # cached projectors are shared by every caller
+        f = jones_wenzl(3)
+        before = dict(f.terms)
+        m = identity_matching(3)
+        with pytest.raises(TypeError):
+            f.terms[m] = RationalFunction(2)
+        with pytest.raises(TypeError):
+            del f.terms[m]
+        assert jones_wenzl(3) == TLElement(3, before)
+        assert f.terms == before and len(f.terms) == len(before) == catalan(3)
+        assert f.terms.get(m) == RationalFunction.one()
+        assert dict(f.terms.items()) == before
+
+    def test_frozen_f4(self):
+        f = jones_wenzl(4)
+        assert {m.pairs: (c.num.terms, c.den.terms) for m, c in f.terms.items()} == FROZEN_F4
+
 
 class TestClearedProjector:
     def test_reconstructs_projector(self):
@@ -264,6 +441,12 @@ class TestClearedProjector:
             for num_terms, m in rows:
                 num = LaurentPolynomial(num_terms)
                 assert RationalFunction(num, q) == f.terms[m]
+
+    def test_frozen_f5(self):
+        q, rows = cleared_projector(5)
+        assert q.terms == FROZEN_F5_DENOMINATOR
+        text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F5_ROWS_SHA256
 
     def test_denominator_is_unit_free(self):
         # the common denominator actually divides out: Q . f(n) is integral

@@ -27,7 +27,6 @@ from .diagram import (
     all_a_state,
     all_b_state,
     apply_state,
-    cable,
     circle_count,
     is_a_adequate,
     is_adequate,
@@ -108,7 +107,7 @@ __all__ = [
     "crossing_expansion_coefficient", "divide_exact", "loop_value",
     "quantum_binomial", "quantum_dimension",
     "LinkDiagram", "MalformedPDError", "StateGraph", "all_a_state",
-    "all_b_state", "apply_state", "cable", "circle_count", "is_a_adequate",
+    "all_b_state", "apply_state", "circle_count", "is_a_adequate",
     "is_adequate", "is_alternating", "is_b_adequate", "mirror", "parse_pd",
     "PlanarMatching", "TLElement", "closure", "jones_wenzl", "partial_trace",
     "tl_multiply", "tl_tensor",

@@ -17,10 +17,11 @@ closing (already on the frontier) and fresh (opening a new slot) ones,
 and renumbers the slots that stay open.  How a term splices depends only
 on the partners of the closing slots, so the event groups its terms by
 that signature and traces the splice once per signature and local
-matching -- the new pairs, and the closed loops worth powers of
-delta = -A^2 - A^-2 -- dropping it after the group.  Each term then costs
-one relabel of its kept slots plus a few patched entries, and its
-coefficient times the local coefficient and the loop factor is added
+matching with temperley_lieb.glue, the strand tracer that TL stacking
+and partial trace use too -- the new pairs, and the closed loops worth
+powers of delta = -A^2 - A^-2 -- dropping it after the group.  Each term
+then costs one relabel of its kept slots plus a few patched entries, and
+its coefficient times the local coefficient and the loop factor is added
 straight into the destination term.
 
 Peak width (dangling wire-ends) controls the cost.  Node order comes
@@ -46,7 +47,7 @@ from .laurent import (
     term_mul,
     term_shift,
 )
-from .temperley_lieb import cleared_projector, top_point
+from .temperley_lieb import PlanarMatching, cleared_projector, glue, top_point
 
 DEFAULT_MAX_WIDTH = 24
 _ENV_MAX_WIDTH = "SKEINLAB_MAX_WIDTH"
@@ -59,15 +60,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def resolve_max_width(max_width: int | None = None) -> int:
-    if max_width is not None:
-        return max_width
-    env = os.environ.get(_ENV_MAX_WIDTH)
-    if env:
+    if max_width is None:
+        env = os.environ.get(_ENV_MAX_WIDTH)
+        if not env:
+            return DEFAULT_MAX_WIDTH
         try:
-            return int(env)
+            max_width = int(env)
         except ValueError:
             raise ValueError(f"{_ENV_MAX_WIDTH} must be an integer, got {env!r}")
-    return DEFAULT_MAX_WIDTH
+    if max_width < 0:
+        raise ValueError(f"the width cap must be >= 0, got {max_width}")
+    return max_width
 
 
 class CrossingNode:
@@ -77,12 +80,12 @@ class CrossingNode:
     port_count = 4
     denominator = ONE
 
-    # local matchings as port->port maps, with monomial exponents
-    _A_MAP = {1: 2, 2: 1, 3: 0, 0: 3}
-    _B_MAP = {0: 1, 1: 0, 2: 3, 3: 2}
+    # the A- and B-smoothings as partner tables, with monomial coefficients
+    _TERMS = ((PlanarMatching(2, A_JOINS).partner, {1: 1}),
+              (PlanarMatching(2, B_JOINS).partner, {-1: 1}))
 
     def local_terms(self):
-        return ((self._A_MAP, {1: 1}), (self._B_MAP, {-1: 1}))
+        return self._TERMS
 
     def __repr__(self):
         return "CrossingNode()"
@@ -94,28 +97,23 @@ class CouponNode:
     common denominator.
 
     Ports use the circle convention of PlanarMatching: 0..n-1 across the
-    bottom, then n..2n-1 across the top right to left.
+    bottom, then n..2n-1 across the top right to left.  Each term is held
+    as the partner table of its PlanarMatching.
     """
 
     __slots__ = ("port_count", "denominator", "_terms", "label")
 
     def __init__(self, points: int, terms, denominator: LaurentPolynomial = ONE,
                  label: str = ""):
+        if points % 2:
+            raise ValueError(f"a coupon has an even number of points, got {points}")
         self.port_count = points
         self.denominator = denominator
         self.label = label
-        resolved = []
-        for pairs, coeff in terms:
-            pmap: dict[int, int] = {}
-            for a, b in pairs:
-                pmap[a] = b
-                pmap[b] = a
-            if len(pmap) != points:
-                raise ValueError("coupon matching must cover all points")
-            if isinstance(coeff, LaurentPolynomial):
-                coeff = coeff.terms
-            resolved.append((pmap, dict(coeff)))
-        self._terms = tuple(resolved)
+        self._terms = tuple(
+            (PlanarMatching(points // 2, pairs).partner,
+             dict(coeff.terms if isinstance(coeff, LaurentPolynomial) else coeff))
+            for pairs, coeff in terms)
 
     def local_terms(self):
         return self._terms
@@ -137,11 +135,6 @@ def projector_node(n: int) -> CouponNode:
         node = CouponNode(2 * n, terms, q, label=f"f({n})")
         _PROJECTOR_CACHE[n] = node
     return node
-
-
-def matching_coupon(points: int, pairs, label: str = "") -> CouponNode:
-    """A single fixed matching with coefficient 1."""
-    return CouponNode(points, [(tuple(pairs), {0: 1})], ONE, label=label)
 
 
 Port = tuple  # (node_index, port_index)
@@ -480,7 +473,7 @@ class _EventStep:
                 end[pi] = self.relabel[partner]
         rows = []
         for li, (local_map, local_coeff) in enumerate(self.local_terms):
-            partners, loops = _splice(local_map, back, end)
+            partners, loops = glue(local_map, back, end)
             factor = self._factors.get((li, loops))
             if factor is None:
                 factor = self._factors[(li, loops)] = (
@@ -488,42 +481,6 @@ class _EventStep:
                     if loops else local_coeff.items())
             rows.append((partners, factor))
         return rows
-
-
-def _splice(local_map, back: list, end: list):
-    """Glue one local matching to the node's outside wires.  Returns
-    {slot: partner slot} over the ends of the strands that now end on the
-    frontier, and the number of closed loops."""
-    nports = len(back)
-    seen = [False] * nports
-    partner = {}
-    for p0 in range(nports):
-        if seen[p0] or back[p0] is not None:
-            continue
-        # p0's outside is a strand end: follow chords to the other end
-        p = p0
-        while True:
-            seen[p] = True
-            q = local_map[p]
-            seen[q] = True
-            p = back[q]
-            if p is None:
-                break
-        a, b = end[p0], end[q]
-        partner[a] = b
-        partner[b] = a
-    loops = 0
-    for p0 in range(nports):
-        if seen[p0]:
-            continue
-        loops += 1
-        p = p0
-        while not seen[p]:
-            seen[p] = True
-            q = local_map[p]
-            seen[q] = True
-            p = back[q]
-    return partner, loops
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ non-crossing perfect matching of the 2n points; there are Catalan(n) of
 them.  Elements are finite sums with coefficients in Q(A); closed loops
 formed while stacking evaluate to delta = -A^2 - A^-2 each.
 
+glue is the package's one strand tracer: it joins a matching to its
+outside wires, follows every strand and counts the closed loops.
+Stacking, the partial trace and the sweep's splice in skein_eval only
+build its wire tables and call it.
+
 Arithmetic runs over Z[A, A^-1].  An element's cleared form is
 (q, {matching: numerator}) with q the lcm of its coefficient denominators
 and x = (1/q) * sum num_m * m; _cleared works it out once per element
@@ -48,35 +53,32 @@ def top_point(position: int, n: int) -> int:
 
 
 class PlanarMatching:
-    """A non-crossing perfect matching of 2n circle points."""
+    """A non-crossing perfect matching of 2n circle points; partner[p] is
+    the point that p is joined to."""
 
-    __slots__ = ("n", "pairs", "_partner")
+    __slots__ = ("n", "pairs", "partner")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
-        partner: dict[int, int] = {}
+        size = 2 * n
+        partner = [-1] * size
         for a, b in pairs:
-            if a == b or not (0 <= a < 2 * n and 0 <= b < 2 * n):
-                raise ValueError(f"bad chord ({a}, {b}) on {2 * n} points")
-            if a in partner or b in partner:
+            if a == b or not (0 <= a < size and 0 <= b < size):
+                raise ValueError(f"bad chord ({a}, {b}) on {size} points")
+            if partner[a] >= 0 or partner[b] >= 0:
                 raise ValueError("point matched twice")
             partner[a] = b
             partner[b] = a
-        if len(partner) != 2 * n:
+        if n < 0 or -1 in partner:
             raise ValueError("matching must cover all points")
         stack: list[int] = []
-        for i in range(2 * n):
-            j = partner[i]
+        for i, j in enumerate(partner):
             if j > i:
                 stack.append(i)
-            else:
-                if not stack or stack.pop() != j:
-                    raise ValueError("chords cross")
+            elif not stack or stack.pop() != j:
+                raise ValueError("chords cross")
         self.n = n
-        self._partner = partner
-        self.pairs = tuple(sorted((min(a, b), max(a, b)) for a, b in partner.items() if a < b))
-
-    def partner(self, point: int) -> int:
-        return self._partner[point]
+        self.partner = tuple(partner)
+        self.pairs = tuple((i, j) for i, j in enumerate(partner) if i < j)
 
     def __eq__(self, other):
         if not isinstance(other, PlanarMatching):
@@ -91,7 +93,7 @@ class PlanarMatching:
 
     def to_parens(self) -> str:
         """Balanced-parenthesis rendering in circle order."""
-        return "".join("(" if self._partner[i] > i else ")" for i in range(2 * self.n))
+        return "".join("(" if j > i else ")" for i, j in enumerate(self.partner))
 
     def __repr__(self):
         return f"PlanarMatching({self.n}, {self.to_parens()})"
@@ -267,55 +269,64 @@ def _add_into(out: dict, m: PlanarMatching, num: dict) -> None:
     out[m] = num if s is None else term_add(s, num)
 
 
+def glue(local_map, back: list, end: list) -> tuple[dict, int]:
+    """Glue a matching to its outside wires and follow every strand.
+
+    local_map[p] is the point joined to p inside.  The outside wire of p
+    re-enters at point back[p], or, where back[p] is None, ends at the
+    label end[p].  Returns {label: label at the other end of its strand}
+    over the labels where strands end, and the number of closed loops.
+    """
+    npoints = len(back)
+    seen = [False] * npoints
+    partner = {}
+    for p0 in range(npoints):
+        if seen[p0] or back[p0] is not None:
+            continue
+        # p0's outside is a strand end: follow chords to the other end
+        p = p0
+        while True:
+            seen[p] = True
+            q = local_map[p]
+            seen[q] = True
+            p = back[q]
+            if p is None:
+                break
+        a, b = end[p0], end[q]
+        partner[a] = b
+        partner[b] = a
+    loops = 0
+    for p0 in range(npoints):
+        if seen[p0]:
+            continue
+        loops += 1
+        p = p0
+        while not seen[p]:
+            seen[p] = True
+            q = local_map[p]
+            seen[q] = True
+            p = back[q]
+    return partner, loops
+
+
 def _stack_pair(a: PlanarMatching, b: PlanarMatching) -> tuple[PlanarMatching, int]:
     """Glue b on top of a (a's top position p fuses with b's bottom point p);
-    return the resulting matching and the number of closed loops formed."""
+    return the resulting matching and the number of closed loops formed.
+    a's bottoms keep their labels 0..n-1 and b's tops theirs, n..2n-1."""
     n = a.n
-    crossed: set[int] = set()  # interface positions met by boundary strands
-
-    def walk(side: str, pt: int) -> int:
-        # Follow a strand from one composite boundary point to the other.
-        # Composite labels: a's bottoms keep 0..n-1, b's tops keep n..2n-1.
-        while True:
-            if side == "a":
-                nxt = a.partner(pt)
-                if nxt < n:
-                    return nxt
-                p = top_point(nxt, n)
-                crossed.add(p)
-                side, pt = "b", p
-            else:
-                nxt = b.partner(pt)
-                if nxt >= n:
-                    return nxt
-                crossed.add(nxt)
-                side, pt = "a", top_point(nxt, n)
-
-    chords: list[tuple[int, int]] = []
-    done: set[int] = set()
-    for side, start in [("a", i) for i in range(n)] + [("b", top_point(p, n)) for p in range(n)]:
-        if start in done:
-            continue
-        end = walk(side, start)
-        done.add(start)
-        done.add(end)
-        chords.append((start, end))
-
-    # whatever never met the boundary closes up into loops
-    loops = 0
+    back = [None] * (2 * n)
+    end = list(range(n)) + [None] * n
     for p in range(n):
-        if p in crossed:
-            continue
-        cur = p
-        while True:
-            crossed.add(cur)
-            up = b.partner(cur)          # bottom-to-bottom chord of b
-            crossed.add(up)
-            down = a.partner(top_point(up, n))  # top-to-top chord of a
-            cur = top_point(down, n)
-            if cur == p:
-                break
-        loops += 1
+        # a's top point at position p runs on through b's bottom point p
+        q = b.partner[p]
+        if q < n:
+            back[top_point(p, n)] = top_point(q, n)
+        else:
+            end[top_point(p, n)] = q
+    partners, loops = glue(a.partner, back, end)
+    chords = [(x, y) for x, y in partners.items() if x < y]
+    # b's top-to-top chords never meet a, so glue does not walk them
+    chords += [(x, y) for x, y in b.pairs if x >= n]
     return PlanarMatching(n, chords), loops
 
 
@@ -369,20 +380,11 @@ def _close_last(m: PlanarMatching) -> tuple[PlanarMatching, int]:
     the side; returns the smaller matching and the loop count (0 or 1)."""
     n = m.n
     b, t = n - 1, top_point(n - 1, n)  # adjacent on the circle
-    loops = 0
-    chords = []
-    if m.partner(b) == t:
-        loops = 1
-        chords = [(a, c) for a, c in m.pairs if a != b]
-    else:
-        pb, pt = m.partner(b), m.partner(t)
-        chords = [(a, c) for a, c in m.pairs if b not in (a, c) and t not in (a, c)]
-        chords.append((pb, pt))
-
-    def relabel(pt_):
-        return pt_ if pt_ < n - 1 else pt_ - 2
-
-    return PlanarMatching(n - 1, [(relabel(a), relabel(c)) for a, c in chords]), loops
+    back = [None] * (2 * n)
+    back[b], back[t] = t, b
+    end = [p if p < b else p - 2 for p in range(2 * n)]
+    partners, loops = glue(m.partner, back, end)
+    return PlanarMatching(n - 1, [(x, y) for x, y in partners.items() if x < y]), loops
 
 
 def partial_trace(x: TLElement, count: int = 1) -> TLElement:

@@ -131,6 +131,21 @@ def test_cjones_resource_cap_exits_3(capsys):
     assert "resource cap" in err
 
 
+def test_negative_width_cap_exits_2(capsys):
+    code, _, err = run(capsys, "bracket", "--pd", "O", "--max-width", "-1")
+    assert code == EXIT_INPUT
+    assert "width cap" in err
+    code, _, _ = run(capsys, "bracket", "--pd", "O", "--max-width", "0")
+    assert code == EXIT_OK
+
+
+def test_negative_width_cap_from_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "-3")
+    code, _, err = run(capsys, "bracket", "--pd", "O")
+    assert code == EXIT_INPUT
+    assert "width cap" in err
+
+
 # ---------------------------------------------------------------------------
 # adequacy
 

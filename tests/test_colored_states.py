@@ -26,7 +26,6 @@ from skeinlab.colored_states import (
 from skeinlab.diagram import (
     LinkDiagram,
     all_b_state,
-    cable,
     circle_count,
     parse_pd,
 )
@@ -46,6 +45,8 @@ from skeinlab.skein_eval import (
     from_link,
     projector_node,
 )
+
+from cable_oracle import cable
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"

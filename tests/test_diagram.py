@@ -13,7 +13,6 @@ from skeinlab.diagram import (
     all_a_state,
     all_b_state,
     apply_state,
-    cable,
     circle_count,
     is_a_adequate,
     is_adequate,
@@ -22,6 +21,8 @@ from skeinlab.diagram import (
     mirror,
     parse_pd,
 )
+
+from cable_oracle import cable
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"

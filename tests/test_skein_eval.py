@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from skeinlab.diagram import LinkDiagram, cable, mirror, parse_pd
+from skeinlab.diagram import LinkDiagram, mirror, parse_pd
 from skeinlab.laurent import A, LaurentPolynomial, loop_value, quantum_dimension
 from skeinlab.skein_eval import (
     CouponNode,
@@ -22,10 +22,11 @@ from skeinlab.skein_eval import (
     colored_jones,
     evaluate,
     from_link,
-    matching_coupon,
     morse_decompose,
     projector_node,
 )
+
+from cable_oracle import cable
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -91,7 +92,7 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
         terms = nd.local_terms()
         assert len(terms) == 1 and terms[0][1] == {0: 1}, "oracle needs plain coupons"
         pmap = terms[0][0]
-        fixed_chords += [((i, a), (i, b)) for a, b in pmap.items() if a < b]
+        fixed_chords += [((i, a), (i, b)) for a, b in enumerate(pmap) if a < b]
     wires = [(a, b) for a, b in dd.pairing.items() if a < b]
 
     total = {}
@@ -283,6 +284,15 @@ class TestWiring:
         with pytest.raises(ValueError):
             CouponNode(4, [(((0, 1),), {0: 1})])
 
+    @pytest.mark.parametrize("points, pairs", [
+        (4, ((0, 5), (1, 2))),   # a point the coupon does not have
+        (4, ((0, 2), (1, 3))),   # crossing chords: not a TL_2 diagram
+        (5, ((0, 1), (2, 3))),   # an odd number of points
+    ])
+    def test_coupon_must_be_a_tl_diagram(self, points, pairs):
+        with pytest.raises(ValueError):
+            CouponNode(points, [(pairs, {0: 1})])
+
 
 class TestCabledEvaluation:
     def test_plain_cable_matches_link_cable(self):
@@ -325,6 +335,11 @@ class TestCouponOracle:
             coupon = rng.choice([identity_coupon(2), cup_coupon()])
             dd = cabled_diagram(d, 2, boxed, coupon=coupon)
             assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
+
+
+def matching_coupon(points: int, pairs, label: str = "") -> CouponNode:
+    """A single fixed matching with coefficient 1."""
+    return CouponNode(points, [(tuple(pairs), {0: 1})], label=label)
 
 
 def identity_coupon(m):

@@ -17,7 +17,6 @@ from skeinlab.laurent import (
 from skeinlab.temperley_lieb import (
     PlanarMatching,
     TLElement,
-    _close_last,
     cleared_projector,
     closure,
     cup_cap_matching,
@@ -37,12 +36,13 @@ def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
-def stack_oracle(a: PlanarMatching, b: PlanarMatching):
-    """Union-find re-derivation of the stacking product, independent of the
-    path-walking in tl_multiply.  Nodes are ('a', pt) and ('b', pt); edges
-    are the chords of each factor plus the interface fusions."""
-    n = a.n
-    parent = {}
+def strands_oracle(n: int, nodes, joins, label: dict):
+    """Union-find re-derivation of a glued diagram, independent of the
+    strand tracer in temperley_lieb.  The classes of `nodes` under the
+    pairs in `joins` are its strands: a class with two nodes in `label`
+    becomes a chord between their labels, one with none a closed loop.
+    Returns the TL_n matching and the loop count."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -50,31 +50,45 @@ def stack_oracle(a: PlanarMatching, b: PlanarMatching):
             x = parent[x]
         return x
 
-    def union(x, y):
+    for x, y in joins:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
 
-    for layer, m in (("a", a), ("b", b)):
-        for pt in range(2 * n):
-            parent[(layer, pt)] = (layer, pt)
-    for x, y in a.pairs:
-        union(("a", x), ("a", y))
-    for x, y in b.pairs:
-        union(("b", x), ("b", y))
-    for p in range(n):
-        union(("a", top_point(p, n)), ("b", p))
-
-    boundary = [("a", i) for i in range(n)] + [("b", top_point(p, n)) for p in range(n)]
     by_root = {}
-    for node in boundary:
-        by_root.setdefault(find(node), []).append(node)
+    for node, pt in label.items():
+        by_root.setdefault(find(node), []).append(pt)
     chords = []
     for members in by_root.values():
         assert len(members) == 2
-        chords.append(tuple(pt for _, pt in members))
+        chords.append(tuple(members))
     interior_roots = {find(node) for node in parent} - set(by_root)
     return PlanarMatching(n, chords), len(interior_roots)
+
+
+def stack_oracle(a: PlanarMatching, b: PlanarMatching):
+    """The stacking product from strands_oracle.  Nodes are ('a', pt) and
+    ('b', pt); edges are the chords of each factor plus the interface
+    fusions."""
+    n = a.n
+    nodes = [(layer, pt) for layer in "ab" for pt in range(2 * n)]
+    joins = [(("a", x), ("a", y)) for x, y in a.pairs]
+    joins += [(("b", x), ("b", y)) for x, y in b.pairs]
+    joins += [(("a", top_point(p, n)), ("b", p)) for p in range(n)]
+    label = {("a", i): i for i in range(n)}
+    label.update({("b", t): t for t in range(n, 2 * n)})
+    return strands_oracle(n, nodes, joins, label)
+
+
+def close_oracle(m: PlanarMatching):
+    """Closing the rightmost strand of m, from strands_oracle: the
+    rightmost bottom and top points are joined around the side, and the
+    other points are renumbered in circle order."""
+    n = m.n
+    closed = (n - 1, top_point(n - 1, n))
+    kept = [pt for pt in range(2 * n) if pt not in closed]
+    label = {pt: i for i, pt in enumerate(kept)}
+    return strands_oracle(n - 1, range(2 * n), [*m.pairs, closed], label)
 
 
 def tl_multiply_oracle(x: TLElement, y: TLElement) -> TLElement:
@@ -104,7 +118,7 @@ def partial_trace_oracle(x: TLElement, count: int) -> TLElement:
     for _ in range(count):
         out = {}
         for m, c in cur.terms.items():
-            mm, loops = _close_last(m)
+            mm, loops = close_oracle(m)
             if loops:
                 c = c * d
             s = out.get(mm)
@@ -350,6 +364,14 @@ class TestTensor:
 
 
 class TestTrace:
+    def test_close_last_matches_union_find_oracle(self):
+        # every basis diagram with n <= 5, one strand closed
+        for n in range(1, 6):
+            for m in matchings_by_n[n]:
+                expect_m, loops = close_oracle(m)
+                expect = TLElement(n - 1, {expect_m: rf(DELTA**loops)})
+                assert partial_trace(TLElement.basis(m), 1) == expect, m
+
     def test_close_identity_strand(self):
         assert partial_trace(TLElement.identity(2), 1) == DELTA * TLElement.identity(1)
 

@@ -24,6 +24,17 @@ then costs one relabel of its kept slots plus a few patched entries, and
 its coefficient times the local coefficient and the loop factor is added
 straight into the destination term.
 
+Turnback pruning.  A Jones-Wenzl box kills every turnback: f(n) e_i = 0.
+Suppose a term joins ports i < j on one side of a box not yet swept.  In
+a planar network the ports i+1..j-1 then close off in a disk, and every
+crossingless matching of that disk turns back into the box, so the term
+is worth exactly 0.  The sweep never builds such a term: each event tags
+the new frontier slots that are same-side ports of one unswept box, and
+drops every splice whose new strand joins two equal tags.  Only coupons
+built with projector=True (projector_node) are pruned; a generic coupon
+never is.  The argument needs a planar network, which colored_jones,
+build_upsilon and cabled_diagram build from any planar PD code.
+
 Peak width (dangling wire-ends) controls the cost.  Node order comes
 from a MorsePlan built by a width greedy.
 """
@@ -79,6 +90,7 @@ class CrossingNode:
     __slots__ = ()
     port_count = 4
     denominator = ONE
+    projector = False
 
     # the A- and B-smoothings as partner tables, with monomial coefficients
     _TERMS = ((PlanarMatching(2, A_JOINS).partner, {1: 1}),
@@ -99,17 +111,22 @@ class CouponNode:
     Ports use the circle convention of PlanarMatching: 0..n-1 across the
     bottom, then n..2n-1 across the top right to left.  Each term is held
     as the partner table of its PlanarMatching.
+
+    `projector` declares that the element kills every turnback (e_i f = 0
+    = f e_i), as a Jones-Wenzl box does; the sweep then drops each term
+    that caps the box before reaching it.  Only projector_node sets it.
     """
 
-    __slots__ = ("port_count", "denominator", "_terms", "label")
+    __slots__ = ("port_count", "denominator", "_terms", "label", "projector")
 
     def __init__(self, points: int, terms, denominator: LaurentPolynomial = ONE,
-                 label: str = ""):
+                 label: str = "", projector: bool = False):
         if points % 2:
             raise ValueError(f"a coupon has an even number of points, got {points}")
         self.port_count = points
         self.denominator = denominator
         self.label = label
+        self.projector = projector
         self._terms = tuple(
             (PlanarMatching(points // 2, pairs).partner,
              dict(coeff.terms if isinstance(coeff, LaurentPolynomial) else coeff))
@@ -132,7 +149,7 @@ def projector_node(n: int) -> CouponNode:
     if node is None:
         q, rows = cleared_projector(n)
         terms = [(m.pairs, coeff) for coeff, m in rows]
-        node = CouponNode(2 * n, terms, q, label=f"f({n})")
+        node = CouponNode(2 * n, terms, q, label=f"f({n})", projector=True)
         _PROJECTOR_CACHE[n] = node
     return node
 
@@ -321,6 +338,11 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
             f"plan needs width {plan.peak_width}, budget is {cap} "
             f"(raise with --max-width or {_ENV_MAX_WIDTH})")
 
+    # half the point count of each projector box, 0 for every other node;
+    # None when there is no box to prune against
+    box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
+    if not any(box_half):
+        box_half = None
     processed = [False] * dd.node_count
     denominator = ONE
     frontier: list = []  # the dangling ports; a port's index is its slot
@@ -331,7 +353,7 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
         ni = event.node
         node = dd.nodes[ni]
         denominator = denominator * node.denominator
-        step = _EventStep(dd, ni, frontier, processed)
+        step = _EventStep(dd, ni, frontier, processed, box_half)
         closing_of = _slot_getter(step.closing)
         kept_of = _slot_getter(step.kept)
         relabel = step.relabel.__getitem__
@@ -351,6 +373,8 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
         new_terms: dict[tuple, dict] = {}
         for signature, group in groups.items():
             rows = step.splices(signature)
+            if not rows:
+                continue
             for key, coeff in group:
                 base = [*map(relabel, kept_of(key)), *pad]
                 # every row rewrites the same end slots, so base is reused
@@ -418,10 +442,11 @@ class _EventStep:
     """
 
     __slots__ = ("local_terms", "closing", "kept", "relabel", "pad",
-                 "frontier", "_back", "_end", "_closing_port", "_factors")
+                 "frontier", "_back", "_end", "_closing_port", "_factors",
+                 "_tags")
 
     def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
-                 processed: list):
+                 processed: list, box_half: list | None):
         node = dd.nodes[ni]
         nports = node.port_count
         slot_of = {port: s for s, port in enumerate(frontier)}
@@ -456,13 +481,28 @@ class _EventStep:
         self.pad = (-1,) * len(fresh)
         self.local_terms = node.local_terms()
         self._factors: dict = {}
+        # every new slot is a port of a node not yet swept; its tag is
+        # 2 * box + side for a port of a projector box, else a negative
+        # number no other slot has.  None when no two slots share a tag,
+        # so that no row can cap a box
+        self._tags = None
+        if box_half is not None:
+            tags = [2 * qn + (qp >= box_half[qn]) if box_half[qn] else -1 - s
+                    for s, (qn, qp) in enumerate(self.frontier)]
+            if len(set(tags)) < len(tags):
+                self._tags = tags
 
     def splices(self, signature: tuple) -> list:
         """One row (partners, factor) per local matching of the node, for a
         term whose closing slots have the given partners: partners maps
         each new slot where a spliced strand ends to the slot of its other
         end, and factor holds the (exponent, coefficient) items of local
-        coefficient * delta^loops."""
+        coefficient * delta^loops.
+
+        A row whose new strand joins two slots with equal tags caps an
+        unswept projector, is worth exactly 0 (see the module docstring)
+        and is left out.  Strands between kept slots were checked when
+        they were made, so only the new ones need the check."""
         back = list(self._back)
         end = list(self._end)
         for s, partner in zip(self.closing, signature):
@@ -471,9 +511,13 @@ class _EventStep:
                 back[pi] = self._closing_port[partner]
             else:
                 end[pi] = self.relabel[partner]
+        tags = self._tags
         rows = []
         for li, (local_map, local_coeff) in enumerate(self.local_terms):
             partners, loops = glue(local_map, back, end)
+            if tags is not None and any(tags[a] == tags[b]
+                                        for a, b in partners.items()):
+                continue
             factor = self._factors.get((li, loops))
             if factor is None:
                 factor = self._factors[(li, loops)] = (
@@ -601,6 +645,7 @@ def colored_jones(link: LinkDiagram, n: int,
     component.  The 0-crossing unknot gives the loop polynomial of f(n)."""
     if n < 0:
         raise ValueError("color must be >= 0")
+    resolve_max_width(max_width)  # reject a bad cap even when no sweep runs
     if n == 0:
         return LaurentPolynomial.one()
     loops_factor = quantum_dimension(n) ** link.free_loops if link.free_loops else ONE

@@ -139,6 +139,19 @@ def test_negative_width_cap_exits_2(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ("cjones", "--pd", "O", "-n", "3"),
+    ("tail", "--pd", "O", "--nmax", "2"),
+])
+def test_negative_width_cap_without_a_sweep_exits_2(capsys, argv):
+    # a crossing-free diagram never reaches the sweep; the cap is still checked
+    code, _, err = run(capsys, *argv, "--max-width", "-1")
+    assert code == EXIT_INPUT
+    assert "width cap" in err
+    code, _, _ = run(capsys, *argv, "--max-width", "0")
+    assert code == EXIT_OK
+
+
 def test_negative_width_cap_from_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "-3")
     code, _, err = run(capsys, "bracket", "--pd", "O")

@@ -1,6 +1,9 @@
 """Colored state machinery: smoothing layouts, state skein elements,
 corner-pattern expansion, and the degree bookkeeping."""
+import hashlib
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -29,6 +32,7 @@ from skeinlab.diagram import (
     circle_count,
     parse_pd,
 )
+from skeinlab.fixtures import fixture
 from skeinlab.laurent import (
     LaurentPolynomial,
     RationalFunction,
@@ -187,6 +191,26 @@ def test_upsilon_rejects_wrong_state_length():
     d = parse_pd(HOPF)
     with pytest.raises(ValueError):
         build_upsilon(d, 2, ColoredState(2, (1,)))
+
+
+UPSILON_DIGESTS = json.loads(
+    (pathlib.Path(__file__).with_name("upsilon_digests.json")).read_text())["digests"]
+
+
+def upsilon_digest(value: RationalFunction) -> str:
+    """SHA-256 of the canonical (numerator, denominator) term lists."""
+    payload = repr((sorted(value.num.terms.items()), sorted(value.den.terms.items())))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(UPSILON_DIGESTS))
+def test_upsilon_b_state_matches_pinned_digest(case):
+    """Y(s-) of every corpus fixture at n = 2..4 and of the trefoil at
+    n = 5, bit for bit as pinned before the sweep pruned turnbacks."""
+    name, n = case.rsplit(":", 1)
+    d = fixture(name).diagram
+    value = evaluate_rational(build_upsilon(d, int(n), s_minus(d, int(n))))
+    assert upsilon_digest(value) == UPSILON_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Engine tests: the sweeping evaluator against independent state sums,
 plan invariance, cabling, and colored evaluation anchors."""
+import collections
 import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeinlab.diagram import LinkDiagram, mirror, parse_pd
-from skeinlab.laurent import A, LaurentPolynomial, loop_value, quantum_dimension
+from skeinlab.colored_states import all_states, build_upsilon
+from skeinlab.diagram import LinkDiagram, mirror, parse_pd, union_find
+from skeinlab.laurent import (
+    A,
+    LaurentPolynomial,
+    RationalFunction,
+    loop_value,
+    quantum_dimension,
+)
 from skeinlab.skein_eval import (
     CouponNode,
     CrossingNode,
@@ -21,10 +31,12 @@ from skeinlab.skein_eval import (
     cabled_diagram,
     colored_jones,
     evaluate,
+    evaluate_rational,
     from_link,
     morse_decompose,
     projector_node,
 )
+from skeinlab.temperley_lieb import enumerate_matchings, identity_matching
 
 from cable_oracle import cable
 
@@ -94,10 +106,19 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
         pmap = terms[0][0]
         fixed_chords += [((i, a), (i, b)) for a, b in enumerate(pmap) if a < b]
     wires = [(a, b) for a, b in dd.pairing.items() if a < b]
+    ports = [(i, p) for i, nd in enumerate(dd.nodes) for p in range(nd.port_count)]
+    # the classes of the fixed part (wires and coupon chords); a state only
+    # merges classes through the joins of its crossings
+    root = union_find(ports, wires + fixed_chords)
+    index = {}
+    cls = {x: index.setdefault(r, len(index)) for x, r in root.items()}
+    joins = {"A": ((1, 2), (3, 0)), "B": ((0, 1), (2, 3))}
+    local = [{s: [(cls[(ci, a)], cls[(ci, b)]) for a, b in js]
+              for s, js in joins.items()} for ci in crossings]
 
-    total = {}
+    counts = collections.Counter()
     for state in itertools.product("AB", repeat=len(crossings)):
-        parent = {}
+        parent = list(range(len(index)))
 
         def find(x):
             while parent[x] != x:
@@ -105,26 +126,42 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
                 x = parent[x]
             return x
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for i, nd in enumerate(dd.nodes):
-            for p in range(nd.port_count):
-                parent[(i, p)] = (i, p)
-        for a, b in wires + fixed_chords:
-            union(a, b)
-        for ci, s in zip(crossings, state):
-            joins = ((1, 2), (3, 0)) if s == "A" else ((0, 1), (2, 3))
-            for a, b in joins:
-                union((ci, a), (ci, b))
-        circles = len({find(x) for x in parent}) + dd.free_loops
-        exponent = sum(1 if s == "A" else -1 for s in state)
-        piece = (DELTA ** circles).terms
-        for e, c in piece.items():
-            total[e + exponent] = total.get(e + exponent, 0) + c
+        merged = 0
+        for table, s in zip(local, state):
+            for a, b in table[s]:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+                    merged += 1
+        circles = len(index) - merged + dd.free_loops
+        counts[circles, state.count("A") - state.count("B")] += 1
+    total = {}
+    for (circles, exponent), count in counts.items():
+        for e, c in (DELTA ** circles).terms.items():
+            total[e + exponent] = total.get(e + exponent, 0) + count * c
     return LaurentPolynomial({e: c for e, c in total.items() if c})
+
+
+def projector_state_sum(dd: DecoratedDiagram) -> RationalFunction:
+    """Expand every coupon into its cleared local terms and sum, over each
+    choice of one term per coupon, the product of the chosen coefficients
+    times the coupon_state_sum of the plain diagram; then divide by the
+    coupon denominators.  Uses no part of the sweep."""
+    boxes = [i for i, nd in enumerate(dd.nodes) if isinstance(nd, CouponNode)]
+    denominator = LaurentPolynomial.one()
+    for i in boxes:
+        denominator = denominator * dd.nodes[i].denominator
+    total = LaurentPolynomial({})
+    for choice in itertools.product(*(dd.nodes[i].local_terms() for i in boxes)):
+        nodes = list(dd.nodes)
+        weight = LaurentPolynomial.one()
+        for i, (pmap, coeff) in zip(boxes, choice):
+            nodes[i] = matching_coupon(
+                len(pmap), [(a, b) for a, b in enumerate(pmap) if a < b])
+            weight = weight * LaurentPolynomial(coeff)
+        plain = DecoratedDiagram(nodes, dd.pairing, free_loops=dd.free_loops)
+        total = total + weight * coupon_state_sum(plain)
+    return RationalFunction(total, denominator)
 
 
 class TestBracket:
@@ -335,6 +372,60 @@ class TestCouponOracle:
             coupon = rng.choice([identity_coupon(2), cup_coupon()])
             dd = cabled_diagram(d, 2, boxed, coupon=coupon)
             assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
+
+
+class TestProjectorOracle:
+    """Projector networks, pruned by the sweep, against projector_state_sum."""
+
+    @pytest.mark.parametrize("pd", [HOPF, TREFOIL, FIG8])
+    def test_every_colored_state_at_color_two(self, pd):
+        d = parse_pd(pd)
+        for s in all_states(d, 2):
+            dd = build_upsilon(d, 2, s)
+            assert evaluate_rational(dd) == projector_state_sum(dd), s.signs
+
+    @pytest.mark.parametrize("pd", [HOPF, "X 1 2 2 1"])
+    def test_two_cable_with_a_box_on_every_arc(self, pd):
+        # several unswept boxes on one component: a strand can run from
+        # one box round to another, or back to the box it left
+        d = parse_pd(pd)
+        dd = cabled_diagram(d, 2, sorted(d.arcs, key=repr))
+        assert evaluate_rational(dd) == projector_state_sum(dd)
+
+    def test_projector_node_is_flagged_and_shared(self):
+        assert projector_node(3).projector and projector_node(3) is projector_node(3)
+        assert not cup_coupon().projector and not CrossingNode().projector
+
+
+# the TL_m diagrams other than the identity: each turns back on both sides
+TURNBACK_MATCHINGS = {
+    m: [pm.pairs for pm in enumerate_matchings(m) if pm != identity_matching(m)]
+    for m in (2, 3)
+}
+
+
+@st.composite
+def turnback_coupon_cables(draw):
+    m = draw(st.sampled_from([2, 3]))
+    strands = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3 if m == 2 else 1))
+    word = draw(st.lists(st.integers(1, strands - 1), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    d = braid_closure([g * e for g, e in zip(word, signs)], strands)
+    arcs = sorted(d.arcs, key=repr)
+    boxed = draw(st.lists(st.sampled_from(arcs), min_size=1, unique=True))
+    # at m = 2 the one such matching is cup_coupon's e_1
+    coupon = matching_coupon(2 * m, draw(st.sampled_from(TURNBACK_MATCHINGS[m])))
+    return cabled_diagram(d, m, boxed, coupon=coupon)
+
+
+class TestGenericCouponsAreNotPruned:
+    @settings(max_examples=40, deadline=None)
+    @given(turnback_coupon_cables())
+    def test_turnback_coupon_cables_match_state_sum(self, dd):
+        # a generic coupon with a turnback is not a projector: a term that
+        # caps it is worth a loop, not 0, so the sweep must keep it
+        assert evaluate(dd, max_width=99) == coupon_state_sum(dd)
 
 
 def matching_coupon(points: int, pairs, label: str = "") -> CouponNode:

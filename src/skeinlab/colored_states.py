@@ -29,7 +29,6 @@ from .laurent import (
     crossing_expansion_coefficient,
 )
 from .skein_eval import (
-    CouponNode,
     CrossingNode,
     DecoratedDiagram,
     ResourceLimitError,
@@ -194,7 +193,7 @@ def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagra
         for slot in range(4):
             for idx in range(1, m + 1):
                 pairing[arc_side[(ci, slot, pat.stub_of_grid(slot, idx))]] = stub(slot, idx)
-    return DecoratedDiagram(nodes, pairing, free_loops=0)
+    return DecoratedDiagram(nodes, pairing)
 
 
 def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
@@ -217,7 +216,7 @@ def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
             a = arc_side[(ci, sl1, pat.stub_of_grid(sl1, j1))]
             b = arc_side[(ci, sl2, pat.stub_of_grid(sl2, j2))]
             pairing[a] = b
-    return DecoratedDiagram(nodes, pairing, free_loops=0)
+    return DecoratedDiagram(nodes, pairing)
 
 
 def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
@@ -275,7 +274,7 @@ def _bar_circles(S: DecoratedDiagram):
                for ni, nd in enumerate(S.nodes) for p in range(nd.port_count // 2)]
     root = union_find(ports, itertools.chain(S.pairing.items(), strands))
     strand_circle = {bottom: root[bottom] for bottom, _ in strands}
-    return len(set(root.values())) + S.free_loops, strand_circle
+    return len(set(root.values())), strand_circle
 
 
 def D_degree(S: DecoratedDiagram) -> int:

@@ -12,7 +12,7 @@ mirror() a genuine involution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 A_JOINS = ((1, 2), (3, 0))
@@ -154,17 +154,12 @@ def parse_pd(text: str, name: str = "") -> LinkDiagram:
 # Kauffman states
 
 # A state assigns "A" or "B" to each crossing, in crossing order.
-KauffmanState = tuple
 
-ALL_A = "A"
-ALL_B = "B"
-
-
-def all_a_state(diagram: LinkDiagram) -> KauffmanState:
+def all_a_state(diagram: LinkDiagram) -> tuple:
     return ("A",) * diagram.crossing_count
 
 
-def all_b_state(diagram: LinkDiagram) -> KauffmanState:
+def all_b_state(diagram: LinkDiagram) -> tuple:
     return ("B",) * diagram.crossing_count
 
 
@@ -232,6 +227,33 @@ def is_b_adequate(diagram: LinkDiagram) -> bool:
 
 def is_adequate(diagram: LinkDiagram) -> bool:
     return is_a_adequate(diagram) and is_b_adequate(diagram)
+
+
+def is_planar(diagram: LinkDiagram) -> bool:
+    """Euler's check on the rotation system of the PD code.  Each face is
+    traced by running along an arc to its other end and turning to the
+    next slot counterclockwise there; the code describes a planar diagram
+    exactly when there are crossings + 2 faces per connected component of
+    the crossing graph."""
+    k = diagram.crossing_count
+    other_end = {}
+    for arc in diagram.arcs:
+        a, b = diagram.arc_slots(arc)
+        other_end[a] = b
+        other_end[b] = a
+    faces = 0
+    seen = set()
+    for start in other_end:
+        if start in seen:
+            continue
+        faces += 1
+        c, p = start
+        while (c, p) not in seen:
+            seen.add((c, p))
+            c, p = other_end[(c, p)]
+            p = (p + 1) % 4
+    root = union_find(range(k), ((a[0], b[0]) for a, b in other_end.items()))
+    return faces == k + 2 * len(set(root.values()))
 
 
 def is_alternating(diagram: LinkDiagram) -> bool:

@@ -25,7 +25,7 @@ from importlib import resources
 
 from .diagram import (
     LinkDiagram, MalformedPDError, all_a_state, all_b_state, apply_state,
-    is_adequate, is_alternating,
+    is_adequate, is_alternating, is_planar,
 )
 
 _DATA = "data/fixtures.json"
@@ -116,6 +116,7 @@ def _load_entry(entry: dict) -> Fixture:
           f"declared {entry['crossings']} crossings, found {diagram.crossing_count}")
     check(diagram.component_count == entry["components"],
           f"declared {entry['components']} component(s), found {diagram.component_count}")
+    check(is_planar(diagram), "not planar")
     check(is_alternating(diagram), "not alternating")
     check(is_adequate(diagram), "not adequate (nugatory or otherwise reducible)")
     a = apply_state(diagram, all_a_state(diagram)).circle_count

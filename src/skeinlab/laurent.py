@@ -60,12 +60,6 @@ def term_shift(p: dict, k: int) -> dict:
     return {e + k: c for e, c in p.items()}
 
 
-def term_scale(p: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    return {e: c * co for e, co in p.items()}
-
-
 def term_neg(p: dict) -> dict:
     return {e: -c for e, c in p.items()}
 

@@ -35,8 +35,9 @@ built with projector=True (projector_node) are pruned; a generic coupon
 never is.  The argument needs a planar network, which colored_jones,
 build_upsilon and cabled_diagram build from any planar PD code.
 
-Peak width (dangling wire-ends) controls the cost.  Node order comes
-from a MorsePlan built by a width greedy.
+Peak width (dangling wire-ends) controls the cost.  A MorsePlan is an
+attachment order, from a width greedy unless the caller gives one, and
+the peak width of that order, which the width cap is checked against.
 """
 from __future__ import annotations
 
@@ -161,11 +162,10 @@ class DecoratedDiagram:
     """Nodes plus a closed wiring: every port is paired with exactly one
     other port (never itself)."""
 
-    __slots__ = ("nodes", "pairing", "free_loops")
+    __slots__ = ("nodes", "pairing")
 
-    def __init__(self, nodes, pairing: dict, free_loops: int = 0):
+    def __init__(self, nodes, pairing: dict):
         self.nodes = tuple(nodes)
-        self.free_loops = free_loops
         full: dict[Port, Port] = {}
         for a, b in pairing.items():
             full[a] = b
@@ -190,13 +190,8 @@ class DecoratedDiagram:
 
 
 def from_link(link: LinkDiagram) -> DecoratedDiagram:
-    """One crossing node per PD crossing, wired along the arcs."""
-    pairing = {}
-    for arc in link.arcs:
-        (c1, p1), (c2, p2) = link.arc_slots(arc)
-        pairing[(c1, p1)] = (c2, p2)
-    nodes = [CrossingNode() for _ in link.crossings]
-    return DecoratedDiagram(nodes, pairing, free_loops=link.free_loops)
+    """The 1-cable: one crossing node per PD crossing, no free loops."""
+    return cabled_diagram(link, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,53 +199,22 @@ def from_link(link: LinkDiagram) -> DecoratedDiagram:
 
 
 @dataclass(frozen=True)
-class NodeEvent:
-    node: int
-    closes: int          # wire-ends glued shut by this attachment
-    opens: int           # fresh dangling wire-ends
-    width_after: int
-
-
-@dataclass(frozen=True)
 class MorsePlan:
-    """An attachment order together with its width profile."""
-    events: tuple
+    """An attachment order and the peak width (dangling wire-ends) it
+    reaches."""
+    order: tuple
     peak_width: int
 
-    @property
-    def order(self) -> tuple:
-        return tuple(e.node for e in self.events)
 
-    def validate(self, dd: DecoratedDiagram) -> None:
-        if sorted(self.order) != list(range(dd.node_count)):
-            raise ValueError("plan must visit every node exactly once")
-
-
-def _events_for_order(dd: DecoratedDiagram, order) -> MorsePlan:
-    events = []
-    width = 0
-    peak = 0
-    processed = [False] * dd.node_count
-    for ni in order:
-        node = dd.nodes[ni]
-        closes = opens = 0
-        for pi in range(node.port_count):
-            qn, _ = dd.pairing[(ni, pi)]
-            if qn == ni:
-                continue
-            if processed[qn]:
-                closes += 1
-            else:
-                opens += 1
-        width += opens - closes
-        peak = max(peak, width)
-        processed[ni] = True
-        events.append(NodeEvent(ni, closes, opens, width))
-    return MorsePlan(tuple(events), peak)
-
-
-def _order_greedy(dd: DecoratedDiagram) -> list:
+def morse_decompose(dd: DecoratedDiagram, order=None) -> MorsePlan:
+    """Walk `order`, which must visit every node once, or else the width
+    greedy's: each step takes the node leaving the fewest dangling ends,
+    then the one with most wires into the swept region, then the lowest."""
     n = dd.node_count
+    if order is not None:
+        order = tuple(order)
+        if sorted(order) != list(range(n)):
+            raise ValueError("plan must visit every node exactly once")
     cross = [dict() for _ in range(n)]
     degree = [0] * n
     for ni, node in enumerate(dd.nodes):
@@ -261,32 +225,28 @@ def _order_greedy(dd: DecoratedDiagram) -> list:
                 degree[ni] += 1
     done = [False] * n
     into = [0] * n  # wires from the processed region into each pending node
-    order = []
-    width = 0
-    for _ in range(n):
-        bestv = None
-        bestkey = None
-        for v in range(n):
-            if done[v]:
-                continue
-            w = width + degree[v] - 2 * into[v]
-            key = (w, -into[v], v)
-            if bestkey is None or key < bestkey:
-                bestkey = key
-                bestv = v
-        v = bestv
+    chosen = []
+    width = peak = 0
+    for step in range(n):
+        if order is not None:
+            v = order[step]
+        else:
+            bestkey = None
+            for u in range(n):
+                if done[u]:
+                    continue
+                key = (width + degree[u] - 2 * into[u], -into[u], u)
+                if bestkey is None or key < bestkey:
+                    bestkey = key
+                    v = u
         done[v] = True
         width += degree[v] - 2 * into[v]
-        order.append(v)
+        peak = max(peak, width)
+        chosen.append(v)
         for u, c in cross[v].items():
             if not done[u]:
                 into[u] += c
-    return order
-
-
-def morse_decompose(dd: DecoratedDiagram) -> MorsePlan:
-    """Choose an attachment order with the width greedy."""
-    return _events_for_order(dd, _order_greedy(dd))
+    return MorsePlan(tuple(chosen), peak)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +259,7 @@ def _delta_power(k: int) -> dict:
     return (_DELTA ** k).terms
 
 
-def evaluate(dd: DecoratedDiagram, plan: MorsePlan | None = None,
+def evaluate(dd: DecoratedDiagram, order=None,
              max_width: int | None = None,
              max_terms: int | None = None) -> LaurentPolynomial:
     """Bracket value of a closed decorated diagram in Z[A, A^-1].
@@ -307,31 +267,29 @@ def evaluate(dd: DecoratedDiagram, plan: MorsePlan | None = None,
     Links and fully cabled diagrams always land in the Laurent ring; a
     partially smoothed projector network need not (closing a strand over
     part of a box leaves quantum integers in the denominator), and then
-    this raises — evaluate_rational is the total version.
+    this raises — evaluate_rational is the total version.  `order` is an
+    attachment order for morse_decompose; by default the greedy picks one.
     """
-    value, denominator = _sweep(dd, plan, max_width, max_terms)
+    value, denominator = _sweep(dd, order, max_width, max_terms)
     if value.is_zero() or denominator == ONE:
         return value
     return divide_exact(value, denominator)
 
 
-def evaluate_rational(dd: DecoratedDiagram, plan: MorsePlan | None = None,
+def evaluate_rational(dd: DecoratedDiagram, order=None,
                       max_width: int | None = None,
                       max_terms: int | None = None) -> RationalFunction:
     """Exact value of a closed decorated diagram in Q(A), reduced."""
-    value, denominator = _sweep(dd, plan, max_width, max_terms)
+    value, denominator = _sweep(dd, order, max_width, max_terms)
     return RationalFunction(value, denominator)
 
 
-def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
+def _sweep(dd: DecoratedDiagram, order=None,
            max_width: int | None = None,
            max_terms: int | None = None):
     """Run the attachment sweep; return (integer Laurent total, accumulated
     coupon denominator) before the final division."""
-    if plan is None:
-        plan = morse_decompose(dd)
-    else:
-        plan.validate(dd)
+    plan = morse_decompose(dd, order)
     cap = resolve_max_width(max_width)
     if plan.peak_width > cap:
         raise ResourceLimitError(
@@ -349,8 +307,7 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
     # term bag: partner-slot tuple -> integer Laurent coefficient dict
     terms: dict[tuple, dict] = {(): {0: 1}}
 
-    for index, event in enumerate(plan.events):
-        ni = event.node
+    for ni in plan.order:
         node = dd.nodes[ni]
         denominator = denominator * node.denominator
         step = _EventStep(dd, ni, frontier, processed, box_half)
@@ -401,10 +358,6 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
             terms[key] = coeff
         frontier = step.frontier
         processed[ni] = True
-        if len(frontier) != event.width_after:
-            raise ValueError(
-                f"plan event {index} (node {ni}) claims width "
-                f"{event.width_after}, the sweep has {len(frontier)}")
         if max_terms is not None and len(terms) > max_terms:
             raise ResourceLimitError(
                 f"{len(terms)} live matchings exceeds the cap of {max_terms}")
@@ -416,8 +369,6 @@ def _sweep(dd: DecoratedDiagram, plan: MorsePlan | None = None,
         if key:
             raise AssertionError("sweep finished with dangling wires")
         total = coeff
-    if dd.free_loops:
-        total = term_mul(total, _delta_power(dd.free_loops))
     return LaurentPolynomial(total), denominator
 
 
@@ -432,7 +383,7 @@ def _slot_getter(slots: list):
 
 
 class _EventStep:
-    """The tables of one NodeEvent, shared by every term.
+    """The tables of one node's attachment, shared by every term.
 
     The node's ports fall into three classes: internal (wired to another
     port of the node), closing (wired into the swept region, so on the
@@ -534,7 +485,8 @@ class _EventStep:
 def bracket(link: LinkDiagram, max_width: int | None = None) -> LaurentPolynomial:
     """Kauffman bracket, normalized so the empty diagram gives 1 and a
     crossing-free circle gives delta."""
-    return evaluate(from_link(link), max_width=max_width)
+    value = evaluate(from_link(link), max_width=max_width)
+    return value * _DELTA ** link.free_loops if link.free_loops else value
 
 
 BRUTE_FORCE_LIMIT = 20
@@ -631,7 +583,7 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=(),
             # top at the same position, continuing to the reversed stub
             pairing[end1] = (bn, i - 1)
             pairing[(bn, top_point(i - 1, m))] = end2
-    return DecoratedDiagram(nodes, pairing, free_loops=0)
+    return DecoratedDiagram(nodes, pairing)
 
 
 def _component_box_arcs(link: LinkDiagram):
@@ -648,10 +600,6 @@ def colored_jones(link: LinkDiagram, n: int,
     resolve_max_width(max_width)  # reject a bad cap even when no sweep runs
     if n == 0:
         return LaurentPolynomial.one()
-    loops_factor = quantum_dimension(n) ** link.free_loops if link.free_loops else ONE
-    if not link.crossings:
-        return loops_factor
     box_arcs = _component_box_arcs(link) if n >= 2 else []
-    dd = cabled_diagram(link, n, box_arcs)
-    value = evaluate(dd, max_width=max_width)
-    return value * loops_factor if link.free_loops else value
+    value = evaluate(cabled_diagram(link, n, box_arcs), max_width=max_width)
+    return value * quantum_dimension(n) ** link.free_loops if link.free_loops else value

@@ -11,16 +11,20 @@ import pytest
 
 import skeinlab
 import skeinlab.cli as cli
-from skeinlab.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from skeinlab.cli import (
+    EXIT_INPUT, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_VERIFY, main,
+)
 from skeinlab.diagram import parse_pd
 from skeinlab.laurent import LaurentPolynomial, quantum_dimension
 from skeinlab.skein_eval import bracket, colored_jones
-from skeinlab.tails import CoefficientPrefix, StabilityReport, TailStabilityError
+from skeinlab.tails import StabilityReport, TailStabilityError
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
 FIG8 = "X 4 2 5 1 / X 8 6 1 5 / X 6 3 7 4 / X 2 7 3 8"
 NONALT = "X 1 4 2 5 / X 3 6 4 1 / X 2 6 3 5"
+# a 4-valent gluing that no diagram in the plane realises
+NONPLANAR = "X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"
 
 
 def run(capsys, *argv):
@@ -48,6 +52,42 @@ def test_bracket_malformed_exits_2(capsys):
     code, _, err = run(capsys, "bracket", "--pd", "X 1 2 3")
     assert code == EXIT_INPUT
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket",), ("cjones", "-n", "3"), ("tail", "--nmax", "2"),
+    ("verify",), ("adequacy",), ("states",),
+])
+def test_non_planar_pd_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--pd", NONPLANAR, *argv[1:])
+    assert code == EXIT_INPUT
+    assert out == "" and "planar" in err
+
+
+def test_non_planar_json_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps({"pd": [[1, 3, 4, 3], [4, 2, 6, 5], [1, 2, 5, 6]]}))
+    code, _, err = run(capsys, "cjones", "--file", str(path), "-n", "3")
+    assert code == EXIT_INPUT and "planar" in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader of stdout is gone before the first write
+    src = str(Path(skeinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skeinlab.cli", "tail", "--pd", TREFOIL,
+             "--nmax", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_bracket_json_round_trips(capsys):

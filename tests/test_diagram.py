@@ -18,6 +18,7 @@ from skeinlab.diagram import (
     is_adequate,
     is_alternating,
     is_b_adequate,
+    is_planar,
     mirror,
     parse_pd,
 )
@@ -147,6 +148,20 @@ class TestPredicates:
         other = parse_pd("X 1 2 2 1")
         assert is_a_adequate(other)
         assert not is_b_adequate(other)
+
+    def test_planarity(self):
+        # the faces of the PD rotation system number crossings + 2 per
+        # connected piece exactly for a diagram drawn in the plane
+        split = TREFOIL + " / X 11 14 12 15 / X 13 16 14 11 / X 15 12 16 13 / O"
+        for text in (TREFOIL, HOPF, FIG8, "X 1 2 2 1", "X 1 1 2 2", split, "", "O"):
+            d = parse_pd(text)
+            assert is_planar(d) and is_planar(mirror(d)), text
+            assert is_planar(cable(d, 2)), text
+        assert not is_planar(parse_pd("X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"))
+        # two crossings joined by four arcs: planar only when the second
+        # lists them in the reverse cyclic order of the first
+        assert not is_planar(LinkDiagram([(1, 2, 3, 4), (1, 3, 2, 4)]))
+        assert is_planar(LinkDiagram([(1, 2, 3, 4), (1, 4, 3, 2)]))
 
     def test_kink_states(self):
         curl = parse_pd("X 1 1 2 2")

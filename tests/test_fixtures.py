@@ -242,6 +242,14 @@ def test_load_entry_rejects_wrong_counts():
         _load_entry(e)
 
 
+def test_load_entry_rejects_non_planar():
+    e = _entry()
+    e["pd"] = [[1, 3, 4, 3], [4, 2, 6, 5], [1, 2, 5, 6]]
+    e["components"] = 2
+    with pytest.raises(FixtureValidationError, match="not planar"):
+        _load_entry(e)
+
+
 def test_load_entry_rejects_non_alternating():
     e = _entry()
     # flip one crossing's strands: rotate the tuple by one position

@@ -1,7 +1,6 @@
 """Engine tests: the sweeping evaluator against independent state sums,
 plan invariance, cabling, and colored evaluation anchors."""
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -22,9 +21,7 @@ from skeinlab.skein_eval import (
     CouponNode,
     CrossingNode,
     DecoratedDiagram,
-    MorsePlan,
     ResourceLimitError,
-    _events_for_order,
     _sweep,
     bracket,
     bracket_bruteforce,
@@ -133,7 +130,7 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
                 if ra != rb:
                     parent[ra] = rb
                     merged += 1
-        circles = len(index) - merged + dd.free_loops
+        circles = len(index) - merged
         counts[circles, state.count("A") - state.count("B")] += 1
     total = {}
     for (circles, exponent), count in counts.items():
@@ -159,7 +156,7 @@ def projector_state_sum(dd: DecoratedDiagram) -> RationalFunction:
             nodes[i] = matching_coupon(
                 len(pmap), [(a, b) for a, b in enumerate(pmap) if a < b])
             weight = weight * LaurentPolynomial(coeff)
-        plain = DecoratedDiagram(nodes, dd.pairing, free_loops=dd.free_loops)
+        plain = DecoratedDiagram(nodes, dd.pairing)
         total = total + weight * coupon_state_sum(plain)
     return RationalFunction(total, denominator)
 
@@ -220,16 +217,33 @@ class TestBracket:
             bracket_bruteforce(random_link(21, 1))
 
 
+def cut_widths(dd: DecoratedDiagram, order) -> list:
+    """The number of wires with exactly one end in each swept prefix of
+    `order`, read straight off the wiring; the oracle for the planner's
+    widths."""
+    wires = [(a[0], b[0]) for a, b in dd.pairing.items() if a < b]
+    swept = set()
+    widths = []
+    for ni in order:
+        swept.add(ni)
+        widths.append(sum((a in swept) != (b in swept) for a, b in wires))
+    return widths
+
+
 class TestPlans:
     def test_trefoil_peak_width(self):
         plan = morse_decompose(from_link(parse_pd(TREFOIL)))
         assert plan.peak_width == 4
 
     def test_widths_close_out(self):
+        # the greedy's peak is the widest cut of its order, and the last
+        # cut, with every node swept, is empty
         for pd in (TREFOIL, HOPF, FIG8):
-            plan = morse_decompose(from_link(parse_pd(pd)))
-            assert plan.events[-1].width_after == 0
-            assert plan.peak_width == max(e.width_after for e in plan.events)
+            dd = from_link(parse_pd(pd))
+            plan = morse_decompose(dd)
+            widths = cut_widths(dd, plan.order)
+            assert widths[-1] == 0
+            assert plan.peak_width == max(widths)
 
     def test_value_is_plan_independent(self):
         d = parse_pd(FIG8)
@@ -239,8 +253,7 @@ class TestPlans:
         for _ in range(6):
             order = list(range(dd.node_count))
             rng.shuffle(order)
-            plan = _events_for_order(dd, order)
-            assert evaluate(dd, plan=plan, max_width=99) == expect
+            assert evaluate(dd, order=order, max_width=99) == expect
 
     def test_cabled_trefoil_with_box_width(self):
         d = parse_pd(TREFOIL)
@@ -248,18 +261,20 @@ class TestPlans:
         plan = morse_decompose(dd)
         assert plan.peak_width == 8
 
-    def test_exact_order_beats_nothing(self):
-        # the subset DP must do at least as well as the identity order
+    def test_greedy_beats_identity_order(self):
+        # the width greedy must do at least as well as the identity order
         dd = from_link(parse_pd(FIG8))
-        dp_peak = morse_decompose(dd).peak_width
-        id_peak = _events_for_order(dd, range(dd.node_count)).peak_width
-        assert dp_peak <= id_peak
+        greedy_peak = morse_decompose(dd).peak_width
+        id_peak = morse_decompose(dd, range(dd.node_count)).peak_width
+        assert greedy_peak <= id_peak
 
     def test_plan_validation(self):
         dd = from_link(parse_pd(HOPF))
-        bad = _events_for_order(dd, [0, 0])
+        for bad in ([0, 0], [0], [0, 1, 2]):
+            with pytest.raises(ValueError, match="exactly once"):
+                morse_decompose(dd, bad)
         with pytest.raises(ValueError):
-            evaluate(dd, plan=bad)
+            evaluate(dd, order=[0, 0])
 
     def test_width_budget(self):
         dd = from_link(parse_pd(TREFOIL))
@@ -286,18 +301,17 @@ class TestPlans:
         with pytest.raises(ResourceLimitError, match="live matchings"):
             evaluate(dd, max_terms=cap - 1)
 
-    def test_frontier_must_match_plan_widths(self):
-        dd = from_link(parse_pd(FIG8))
-        plan = morse_decompose(dd)
-        events = list(plan.events)
-        events[1] = dataclasses.replace(events[1],
-                                        width_after=events[1].width_after + 2)
-        with pytest.raises(ValueError, match="claims width"):
-            evaluate(dd, plan=MorsePlan(tuple(events), plan.peak_width))
-        # a plan that understates every width cannot slip past the cap
-        flat = tuple(dataclasses.replace(e, width_after=0) for e in plan.events)
-        with pytest.raises(ValueError, match="event 0"):
-            evaluate(dd, plan=MorsePlan(flat, 0), max_width=0)
+    def test_width_cap_is_checked_against_the_given_order(self):
+        # a given order is capped at its own peak, not at the greedy's
+        dd = cabled_diagram(parse_pd(TREFOIL), 2)
+        expect = evaluate(dd)
+        order = list(range(dd.node_count))
+        random.Random(3).shuffle(order)
+        peak = morse_decompose(dd, order).peak_width
+        assert peak > morse_decompose(dd).peak_width
+        with pytest.raises(ResourceLimitError, match=f"needs width {peak},"):
+            evaluate(dd, order=order, max_width=peak - 1)
+        assert evaluate(dd, order=order, max_width=peak) == expect
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "2")
@@ -428,6 +442,33 @@ class TestGenericCouponsAreNotPruned:
         assert evaluate(dd, max_width=99) == coupon_state_sum(dd)
 
 
+@st.composite
+def ordered_cables(draw):
+    """A cable of a random braid closure, Jones-Wenzl boxes on none, some
+    or all of its arcs, and a random attachment order of its nodes."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    strands = draw(st.integers(2, 3))
+    k = draw(st.integers(1, {1: 6, 2: 3, 3: 1}[m]))
+    word = draw(st.lists(st.integers(1, strands - 1), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    d = braid_closure([g * e for g, e in zip(word, signs)], strands)
+    boxed = draw(st.lists(st.sampled_from(sorted(d.arcs, key=repr)), unique=True))
+    dd = cabled_diagram(d, m, boxed)
+    return dd, draw(st.permutations(range(dd.node_count)))
+
+
+class TestGivenOrders:
+    @settings(max_examples=40, deadline=None)
+    @given(ordered_cables())
+    def test_peak_is_the_widest_cut_and_the_value_is_order_free(self, case):
+        dd, order = case
+        plan = morse_decompose(dd, order)
+        assert plan.order == tuple(order)
+        assert plan.peak_width == max(cut_widths(dd, order))
+        assert (evaluate_rational(dd, order=order, max_width=99)
+                == evaluate_rational(dd, max_width=99))
+
+
 def matching_coupon(points: int, pairs, label: str = "") -> CouponNode:
     """A single fixed matching with coefficient 1."""
     return CouponNode(points, [(tuple(pairs), {0: 1})], label=label)
@@ -539,7 +580,7 @@ def _two_coupon_diagram(link, arc1, arc2, c1, c2):
         else:
             pairing[end1] = (bn, i - 1)
             pairing[(bn, 4 - 1 - (i - 1))] = end2
-    return DecoratedDiagram(nodes, pairing, free_loops=0)
+    return DecoratedDiagram(nodes, pairing)
 
 
 class TestRationalValues:

@@ -188,11 +188,12 @@ def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagra
             continue
         base = len(nodes)
         nodes.extend(CrossingNode() for _ in range(m * m))
-        stub = _crossing_grid(pairing, base, m)
+        stubs = _crossing_grid(pairing, base, m)
         # boundary of the residual cable onto the remaining stubs
         for slot in range(4):
             for idx in range(1, m + 1):
-                pairing[arc_side[(ci, slot, pat.stub_of_grid(slot, idx))]] = stub(slot, idx)
+                end = arc_side[(ci, slot, pat.stub_of_grid(slot, idx))]
+                pairing[end] = stubs[slot * m + idx - 1]
     return DecoratedDiagram(nodes, pairing)
 
 

@@ -38,6 +38,10 @@ build_upsilon and cabled_diagram build from any planar PD code.
 Peak width (dangling wire-ends) controls the cost.  A MorsePlan is an
 attachment order, from a width greedy unless the caller gives one, and
 the peak width of that order, which the width cap is checked against.
+Among nodes that leave equal width the greedy sweeps projector boxes
+last, since an unswept box prunes every row that caps it; that only
+moves the order, so every value stays exact.  When deferring boxes would
+peak wider than ignoring them, the plan is the order that ignores them.
 """
 from __future__ import annotations
 
@@ -209,7 +213,11 @@ class MorsePlan:
 def morse_decompose(dd: DecoratedDiagram, order=None) -> MorsePlan:
     """Walk `order`, which must visit every node once, or else the width
     greedy's: each step takes the node leaving the fewest dangling ends,
-    then the one with most wires into the swept region, then the lowest."""
+    then a non-projector node before a projector box (an unswept box
+    prunes every row that caps it; the order never changes a value), then
+    the one with most wires into the swept region, then the lowest.  If
+    that walk peaks wider than the walk that ignores boxes, the plan is
+    the latter's order, so deferring boxes never widens a plan."""
     n = dd.node_count
     if order is not None:
         order = tuple(order)
@@ -223,8 +231,22 @@ def morse_decompose(dd: DecoratedDiagram, order=None) -> MorsePlan:
             if qn != ni:
                 cross[ni][qn] = cross[ni].get(qn, 0) + 1
                 degree[ni] += 1
+    boxes = [node.projector for node in dd.nodes]
+    plan = _walk(cross, degree, order, boxes)
+    if order is None and any(boxes):
+        plain = _walk(cross, degree, None, [False] * n)
+        if plain.peak_width < plan.peak_width:
+            return plain
+    return plan
+
+
+def _walk(cross: list, degree: list, order, boxes: list) -> MorsePlan:
+    n = len(degree)
     done = [False] * n
     into = [0] * n  # wires from the processed region into each pending node
+    # twice the width change of taking u, plus 1 if u is a box to defer:
+    # the width after a step differs between candidates only by this
+    rank = [2 * d + b for d, b in zip(degree, boxes)]
     chosen = []
     width = peak = 0
     for step in range(n):
@@ -235,7 +257,7 @@ def morse_decompose(dd: DecoratedDiagram, order=None) -> MorsePlan:
             for u in range(n):
                 if done[u]:
                     continue
-                key = (width + degree[u] - 2 * into[u], -into[u], u)
+                key = (rank[u], -into[u], u)
                 if bestkey is None or key < bestkey:
                     bestkey = key
                     v = u
@@ -246,6 +268,7 @@ def morse_decompose(dd: DecoratedDiagram, order=None) -> MorsePlan:
         for u, c in cross[v].items():
             if not done[u]:
                 into[u] += c
+                rank[u] -= 4 * c
     return MorsePlan(tuple(chosen), peak)
 
 
@@ -507,32 +530,29 @@ def bracket_bruteforce(link: LinkDiagram) -> LaurentPolynomial:
     return LaurentPolynomial(total)
 
 
-def _crossing_grid(pairing: dict, base: int, m: int):
+@functools.cache
+def _grid_template(m: int):
+    """The m x m grid at base 0, node (u, o) at u*m + o counting from 0:
+    its internal wires as (node, port, node, port) rows, its stub table."""
+    wires = [(u * m + o, 2, u * m + o + 1, 0) for u in range(m) for o in range(m - 1)]
+    wires += [(u * m + o, 1, u * m + o + m, 3) for o in range(m) for u in range(m - 1)]
+    last = m * m - 1
+    stubs = [(i * m, 0) for i in range(m)] + [(last - m + 1 + i, 1) for i in range(m)]
+    stubs += [(last - i * m, 2) for i in range(m)] + [(m - 1 - i, 3) for i in range(m)]
+    return tuple(wires), tuple(stubs)
+
+
+def _crossing_grid(pairing: dict, base: int, m: int) -> list:
     """Wire the m x m grid of crossing nodes base..base+m*m-1 into
     `pairing`, node (u, o) at base + (u-1)*m + (o-1): under-strand u runs
     bottom (slot 0) to top (slot 2), over-strand o left (slot 3) to right
-    (slot 1).  Returns stub(slot, idx), the grid port of the boundary stub
-    with counterclockwise index idx (1..m) at that slot."""
-    def node(u, o):
-        return base + (u - 1) * m + (o - 1)
-
-    for u in range(1, m + 1):
-        for o in range(1, m):
-            pairing[(node(u, o), 2)] = (node(u, o + 1), 0)
-    for o in range(1, m + 1):
-        for u in range(1, m):
-            pairing[(node(u, o), 1)] = (node(u + 1, o), 3)
-
-    def stub(slot: int, idx: int) -> Port:
-        if slot == 0:
-            return (node(idx, 1), 0)
-        if slot == 1:
-            return (node(m, idx), 1)
-        if slot == 2:
-            return (node(m + 1 - idx, m), 2)
-        return (node(1, m + 1 - idx), 3)
-
-    return stub
+    (slot 1).  Returns the flat stub table: entry slot*m + idx-1 is the
+    grid port of the boundary stub with counterclockwise index idx (1..m)
+    at that slot."""
+    wires, stubs = _grid_template(m)
+    for a, pa, b, pb in wires:
+        pairing[(base + a, pa)] = (base + b, pb)
+    return [(base + node, slot) for node, slot in stubs]
 
 
 def cable_ports(link: LinkDiagram, m: int):
@@ -551,8 +571,9 @@ def cable_ports(link: LinkDiagram, m: int):
     band_ends = {}
     for arc in link.arcs:
         (c1, p1), (c2, p2) = link.arc_slots(arc)
-        for i in range(1, m + 1):
-            band_ends[(arc, i)] = (stubs[c1](p1, i), stubs[c2](p2, m + 1 - i))
+        first, second = stubs[c1], stubs[c2]
+        for i in range(m):
+            band_ends[(arc, i + 1)] = (first[p1 * m + i], second[p2 * m + m - 1 - i])
     return k * m * m, pairing, band_ends
 
 

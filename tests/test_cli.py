@@ -357,6 +357,18 @@ def test_verify_resource_cap_exits_3(capsys):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("name,width", [("hopf", 8), ("6_2", 12)])
+def test_verify_width_cap_holds_with_deferred_boxes(capsys, name, width):
+    # these Y networks would peak 2 wider if the planner deferred their
+    # projector boxes without checking the plain walk's width
+    code, _, _ = run(capsys, "verify", name, "--nmax", "2", "--jobs", "1",
+                     "--max-width", str(width))
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "verify", name, "--nmax", "2", "--jobs", "1",
+                     "--max-width", str(width - 1))
+    assert code == EXIT_RESOURCE
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     real = cli.stability_report
 

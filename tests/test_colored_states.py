@@ -193,8 +193,8 @@ def test_upsilon_rejects_wrong_state_length():
         build_upsilon(d, 2, ColoredState(2, (1,)))
 
 
-UPSILON_DIGESTS = json.loads(
-    (pathlib.Path(__file__).with_name("upsilon_digests.json")).read_text())["digests"]
+PINNED_DIGESTS = json.loads(
+    (pathlib.Path(__file__).with_name("upsilon_digests.json")).read_text())
 
 
 def upsilon_digest(value: RationalFunction) -> str:
@@ -203,14 +203,37 @@ def upsilon_digest(value: RationalFunction) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(UPSILON_DIGESTS))
+def pinned_case(case: str):
+    name, n = case.rsplit(":", 1)
+    return fixture(name).diagram, int(n)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS["s_minus"]))
 def test_upsilon_b_state_matches_pinned_digest(case):
     """Y(s-) of every corpus fixture at n = 2..4 and of the trefoil at
     n = 5, bit for bit as pinned before the sweep pruned turnbacks."""
-    name, n = case.rsplit(":", 1)
-    d = fixture(name).diagram
-    value = evaluate_rational(build_upsilon(d, int(n), s_minus(d, int(n))))
-    assert upsilon_digest(value) == UPSILON_DIGESTS[case]
+    d, n = pinned_case(case)
+    value = evaluate_rational(build_upsilon(d, n, s_minus(d, n)))
+    assert upsilon_digest(value) == PINNED_DIGESTS["s_minus"][case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS["s_plus"]))
+def test_upsilon_a_state_matches_pinned_digest(case):
+    """Y(s+) of every corpus fixture at n = 2, 3, bit for bit as pinned
+    before the Morse planner deferred projector boxes."""
+    d, n = pinned_case(case)
+    value = evaluate_rational(build_upsilon(d, n, s_plus(d, n)))
+    assert upsilon_digest(value) == PINNED_DIGESTS["s_plus"][case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS["jtilde"]))
+def test_colored_jones_matches_pinned_digest(case):
+    """J~_n of every corpus fixture at n = 2, 3 and of the trefoil,
+    figure-eight and Hopf link at n = 4, bit for bit as pinned before
+    the Morse planner deferred projector boxes."""
+    d, n = pinned_case(case)
+    payload = repr(sorted(colored_jones(d, n).terms.items()))
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_DIGESTS["jtilde"][case]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Engine tests: the sweeping evaluator against independent state sums,
 plan invariance, cabling, and colored evaluation anchors."""
 import collections
+import copy
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from skeinlab.colored_states import all_states, build_upsilon
 from skeinlab.diagram import LinkDiagram, mirror, parse_pd, union_find
+from skeinlab.fixtures import fixture, fixture_names
 from skeinlab.laurent import (
     A,
     LaurentPolynomial,
@@ -22,6 +24,7 @@ from skeinlab.skein_eval import (
     CrossingNode,
     DecoratedDiagram,
     ResourceLimitError,
+    _component_box_arcs,
     _sweep,
     bracket,
     bracket_bruteforce,
@@ -230,6 +233,49 @@ def cut_widths(dd: DecoratedDiagram, order) -> list:
     return widths
 
 
+def without_boxes(dd: DecoratedDiagram) -> DecoratedDiagram:
+    """The same network with every projector flag cleared: the greedy
+    walks it as it walked every network before it deferred boxes."""
+    nodes = []
+    for node in dd.nodes:
+        if node.projector:
+            node = copy.copy(node)
+            node.projector = False
+        nodes.append(node)
+    return DecoratedDiagram(nodes, dd.pairing)
+
+
+def least_live_matching_cap(dd: DecoratedDiagram, order=None) -> int:
+    """The least max_terms at which _sweep finishes, by bisection."""
+    def finishes(cap):
+        try:
+            _sweep(dd, order, max_terms=cap)
+        except ResourceLimitError:
+            return False
+        return True
+
+    low, high = 0, 1  # _sweep fails at low and finishes at high
+    while not finishes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if finishes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def corpus_box_networks():
+    """Every corpus cable and Y network at n = 2, 3."""
+    for name in fixture_names():
+        d = fixture(name).diagram
+        for n in (2, 3):
+            yield f"{name} cable {n}", cabled_diagram(d, n, _component_box_arcs(d))
+            for s in all_states(d, n):
+                yield f"{name} Y {n} {s.signs}", build_upsilon(d, n, s)
+
+
 class TestPlans:
     def test_trefoil_peak_width(self):
         plan = morse_decompose(from_link(parse_pd(TREFOIL)))
@@ -275,6 +321,51 @@ class TestPlans:
                 morse_decompose(dd, bad)
         with pytest.raises(ValueError):
             evaluate(dd, order=[0, 0])
+
+    @pytest.mark.parametrize("case", [
+        "trefoil", "figure-eight", "braid-closure", "figure-eight-2-cable",
+        "trefoil-3-cable-generic-coupon"])
+    def test_projector_free_orders_are_pinned(self, case):
+        # greedy orders pinned before the greedy deferred projector boxes;
+        # a generic coupon is not a box, so it is not deferred
+        build, order = {
+            "trefoil": (lambda: from_link(parse_pd(TREFOIL)), (0, 1, 2)),
+            "figure-eight": (lambda: from_link(parse_pd(FIG8)), (0, 1, 2, 3)),
+            "braid-closure": (
+                lambda: from_link(braid_closure([1, -2, 3, 1, -2, 2, 3, -1], 4)),
+                (0, 7, 3, 1, 2, 6, 4, 5)),
+            "figure-eight-2-cable": (
+                lambda: cabled_diagram(parse_pd(FIG8), 2),
+                (0, 1, 6, 4, 8, 2, 3, 7, 5, 9, 10, 11, 12, 13, 14, 15)),
+            "trefoil-3-cable-generic-coupon": (
+                lambda: cabled_diagram(parse_pd(TREFOIL), 3, [1],
+                                       coupon=identity_coupon(3)),
+                (0, 1, 2, 24, 21, 18, 3, 4, 5, 25, 22, 19, 27, 6, 7, 8, 9, 10,
+                 11, 12, 13, 14, 17, 26, 16, 23, 15, 20)),
+        }[case]
+        assert morse_decompose(build()).order == order
+
+    def test_deferring_boxes_never_widens_a_plan(self):
+        # deferring the boxes of the Hopf Y(s-) at n = 2 would peak at 6,
+        # against 4 for the walk that ignores them
+        moved = 0
+        for label, dd in corpus_box_networks():
+            plan = morse_decompose(dd)
+            plain = morse_decompose(without_boxes(dd))
+            assert plan.peak_width <= plain.peak_width, label
+            moved += plan.order != plain.order
+        assert moved > 0
+
+    def test_deferred_box_lowers_the_live_matching_peak(self):
+        # the trefoil's 3-cable with its f(3) box: 132 live matchings at
+        # the peak when the box is swept as a plain coupon's order would,
+        # 48 when it goes last among equal widths
+        d = parse_pd(TREFOIL)
+        dd = cabled_diagram(d, 3, _component_box_arcs(d))
+        plain = morse_decompose(without_boxes(dd)).order
+        assert morse_decompose(dd).order != plain
+        assert least_live_matching_cap(dd, plain) == 132
+        assert least_live_matching_cap(dd) == 48
 
     def test_width_budget(self):
         dd = from_link(parse_pd(TREFOIL))

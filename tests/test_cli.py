@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -397,6 +402,59 @@ def test_verify_tail_certification_failure_exits_1(capsys, monkeypatch):
                        "--format", "json")
     assert code == EXIT_VERIFY
     assert json.loads(out)["failures"] == [["hopf", "next_jtilde_agrees", 1]]
+
+
+# ---------------------------------------------------------------------------
+# stdout pinned byte for byte
+
+DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+# every subcommand on five small diagrams, then the corpus-level verify runs;
+# the two capped runs pin the order of the report's computations through
+# the message of the first network over the cap
+DIGEST_COMMANDS = [
+    ("bracket",), ("cjones", "-n", "2"), ("tail",), ("verify", "--jobs", "1"),
+    ("adequacy",), ("states",), ("states", "-n", "2"),
+]
+DIGEST_DIAGRAMS = (TREFOIL, HOPF, "O", "", NONALT)
+DIGEST_RUNS = [
+    ("verify", "--nmax", "2", "--jobs", "1"),
+    ("verify", "trefoil", "hopf", "--nmax", "3", "--jobs", "2"),
+    ("verify", "6_1", "--nmax", "2", "--max-width", "4"),
+    ("verify", "6_2", "--nmax", "2", "--max-width", "11"),
+]
+
+
+def digest_argvs() -> list:
+    argvs = [[cmd, "--pd", pd, *rest] for pd in DIGEST_DIAGRAMS
+             for cmd, *rest in DIGEST_COMMANDS]
+    argvs += [list(run) for run in DIGEST_RUNS]
+    return [argv + ["--format", fmt] for argv in argvs
+            for fmt in ("human", "json", "csv")]
+
+
+def stdout_digest(argv) -> dict:
+    """Exit code and SHA-256 of stdout, with the timings masked: the
+    (x.xxs) of verify's human rows and the seconds column of its CSV."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = re.sub(r"\(\d+\.\d\ds\)", "(x.xxs)", out.getvalue())
+    if argv[0] == "verify" and argv[-1] == "csv":
+        text = re.sub(r",[0-9.e+-]+$", ",x", text, flags=re.M)
+    return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+PINNED_STDOUT = json.loads(DIGESTS.read_text())
+
+
+def test_digests_cover_every_invocation():
+    assert sorted(PINNED_STDOUT) == sorted(map(shlex.join, digest_argvs()))
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_matches_pinned_digest(command):
+    assert stdout_digest(shlex.split(command)) == PINNED_STDOUT[command]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 exceeded, 141 (128 + SIGPIPE) the reader closed stdout.  JSON output is
 deterministic (sorted keys, no timing fields); timings appear in the
 human and CSV forms only.
+
+Each `_cmd_*` returns (exit code, JSON payload, CSV text, human lines)
+and prints nothing to stdout; `main` prints the one form that --format
+selects.  `main` also checks the width cap (--max-width, else
+SKEINLAB_MAX_WIDTH) before any command runs, so a bad cap exits 2 even
+where no sweep would read it.
 """
 from __future__ import annotations
 
@@ -27,7 +33,9 @@ from .diagram import (
 )
 from .fixtures import fixture, fixture_names
 from .laurent import LaurentPolynomial, RationalFunction, loop_value
-from .skein_eval import ResourceLimitError, bracket, colored_jones, evaluate_rational
+from .skein_eval import (
+    ResourceLimitError, bracket, colored_jones, evaluate_rational, resolve_max_width,
+)
 from .tails import TailStabilityError, stability_report, tail_and_head
 
 EXIT_OK = 0
@@ -82,26 +90,6 @@ def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
     return LinkDiagram(d.crossings, free_loops=d.free_loops, name=default_name)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _to_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _compact_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
-def _poly_json(poly: LaurentPolynomial) -> dict:
-    return poly.to_json()
-
-
-def _rational_json(value: RationalFunction) -> dict:
-    return {"num": value.num.to_json(), "den": value.den.to_json()}
-
-
 def _csv_rows(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -113,49 +101,37 @@ def _csv_rows(header, rows) -> str:
 # ---------------------------------------------------------------------------
 # bracket / cjones
 
-def _cmd_bracket(args) -> int:
-    diagram = _load_input(args)
-    value = bracket(diagram, max_width=args.max_width)
-    name = diagram.name or "input"
-    if args.format == "json":
-        _emit(_to_json({"name": name, "bracket": _poly_json(value),
-                        "text": str(value)}))
-    elif args.format == "csv":
-        j = _poly_json(value)
-        _emit(_csv_rows(["name", "minDeg", "coeffs"],
-                        [[name, j["minDeg"], " ".join(map(str, j["coeffs"]))]]))
-    else:
-        _emit(str(value))
-        _emit(_compact_json(_poly_json(value)))
-    return EXIT_OK
+def _poly_result(name: str, key: str, value: LaurentPolynomial,
+                 color: dict) -> tuple:
+    """The output of one polynomial; `color` is {} or {"n": n}."""
+    j = value.to_json()
+    row = [name, *color.values(), j["minDeg"], " ".join(map(str, j["coeffs"]))]
+    return (EXIT_OK, {"name": name, **color, key: j, "text": str(value)},
+            _csv_rows(["name", *color, "minDeg", "coeffs"], [row]),
+            [str(value), json.dumps(j, sort_keys=True)])
 
 
-def _cmd_cjones(args) -> int:
+def _cmd_bracket(args) -> tuple:
     diagram = _load_input(args)
-    value = colored_jones(diagram, args.n, max_width=args.max_width)
-    name = diagram.name or "input"
-    if args.format == "json":
-        _emit(_to_json({"name": name, "n": args.n, "jtilde": _poly_json(value),
-                        "text": str(value)}))
-    elif args.format == "csv":
-        j = _poly_json(value)
-        _emit(_csv_rows(["name", "n", "minDeg", "coeffs"],
-                        [[name, args.n, j["minDeg"], " ".join(map(str, j["coeffs"]))]]))
-    else:
-        _emit(str(value))
-        _emit(_compact_json(_poly_json(value)))
-    return EXIT_OK
+    return _poly_result(diagram.name or "input", "bracket",
+                        bracket(diagram, max_width=args.max_width), {})
+
+
+def _cmd_cjones(args) -> tuple:
+    diagram = _load_input(args)
+    return _poly_result(diagram.name or "input", "jtilde",
+                        colored_jones(diagram, args.n, max_width=args.max_width),
+                        {"n": args.n})
 
 
 # ---------------------------------------------------------------------------
 # adequacy
 
-def _cmd_adequacy(args) -> int:
+def _cmd_adequacy(args) -> tuple:
     diagram = _load_input(args)
-    k = diagram.crossing_count
     row = {
         "name": diagram.name or "input",
-        "crossings": k,
+        "crossings": diagram.crossing_count,
         "alternating": is_alternating(diagram),
         "aAdequate": is_a_adequate(diagram),
         "bAdequate": is_b_adequate(diagram),
@@ -163,31 +139,21 @@ def _cmd_adequacy(args) -> int:
         "sA": apply_state(diagram, all_a_state(diagram)).circle_count,
         "sB": apply_state(diagram, all_b_state(diagram)).circle_count,
     }
-    if args.format == "json":
-        _emit(_to_json(row))
-    elif args.format == "csv":
-        header = ["name", "crossings", "alternating", "a_adequate",
-                  "b_adequate", "adequate", "sA", "sB"]
-        _emit(_csv_rows(header, [[row["name"], k, row["alternating"],
-                                  row["aAdequate"], row["bAdequate"],
-                                  row["adequate"], row["sA"], row["sB"]]]))
-    else:
-        for key in ("name", "crossings", "alternating", "aAdequate",
-                    "bAdequate", "adequate", "sA", "sB"):
-            _emit(f"{key:12} {row[key]}")
-    return EXIT_OK
+    header = ["name", "crossings", "alternating", "a_adequate",
+              "b_adequate", "adequate", "sA", "sB"]
+    return (EXIT_OK, row, _csv_rows(header, [list(row.values())]),
+            [f"{key:12} {value}" for key, value in row.items()])
 
 
 # ---------------------------------------------------------------------------
 # states
 
-def _cmd_states(args) -> int:
+def _cmd_states(args) -> tuple:
     diagram = _load_input(args)
     k = diagram.crossing_count
     if 2 ** k > DEFAULT_MAX_STATES:
         raise ResourceLimitError(
             f"2^{k} states exceed the listing cap {DEFAULT_MAX_STATES}")
-    name = diagram.name or "input"
     n = args.n if args.n is not None else 1
     rows = []
     if n == 1:
@@ -202,8 +168,9 @@ def _cmd_states(args) -> int:
                       * delta ** circles)
             total = total + weight
             rows.append({"state": "".join(state), "circles": circles,
-                         "weight": _poly_json(weight), "text": str(weight)})
+                         "weight": weight.to_json(), "text": str(weight)})
         rows.sort(key=lambda r: r["state"])
+        header, middle, prefix = ["state", "circles", "weight"], "circles", ""
     else:
         total_rf = RationalFunction.zero()
         for s in sorted(all_states(diagram, n), key=lambda s: s.signs):
@@ -215,170 +182,118 @@ def _cmd_states(args) -> int:
             rows.append({
                 "state": "".join("+" if x > 0 else "-" for x in s.signs),
                 "alphaExponent": coeff.min_degree(),
-                "value": _rational_json(value),
+                "value": {"num": value.num.to_json(), "den": value.den.to_json()},
                 "text": str(contribution),
             })
         total = total_rf.as_laurent()
-    payload = {"name": name, "n": n, "states": rows,
-               "total": _poly_json(total), "totalText": str(total)}
-    if args.format == "json":
-        _emit(_to_json(payload))
-    elif args.format == "csv":
-        if n == 1:
-            _emit(_csv_rows(["state", "circles", "weight"],
-                            [[r["state"], r["circles"], r["text"]] for r in rows]))
-        else:
-            _emit(_csv_rows(["state", "alpha_exponent", "contribution"],
-                            [[r["state"], r["alphaExponent"], r["text"]] for r in rows]))
-    else:
-        for r in rows:
-            left = r["state"]
-            mid = r["circles"] if n == 1 else f"A^{r['alphaExponent']}"
-            _emit(f"{left}  {mid}  {r['text']}")
-        _emit(f"total: {payload['totalText']}")
-    return EXIT_OK
+        header = ["state", "alpha_exponent", "contribution"]
+        middle, prefix = "alphaExponent", "A^"
+    payload = {"name": diagram.name or "input", "n": n, "states": rows,
+               "total": total.to_json(), "totalText": str(total)}
+    lines = [f"{r['state']}  {prefix}{r[middle]}  {r['text']}" for r in rows]
+    return (EXIT_OK, payload,
+            _csv_rows(header, [[r["state"], r[middle], r["text"]] for r in rows]),
+            lines + [f"total: {total}"])
 
 
 # ---------------------------------------------------------------------------
 # tail
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args) -> tuple:
     diagram = _load_input(args)
-    name = diagram.name or "input"
     tail, head = tail_and_head(diagram, args.nmax, max_width=args.max_width)
-    if args.format == "json":
-        _emit(_to_json({"link": name, "nMax": args.nmax,
-                        "tail": tail.to_dict(), "head": head.to_dict()}))
-    elif args.format == "csv":
-        header = ["source", "end", "certified", "coefficients"]
-        _emit(_csv_rows(header, [
-            [tail.source, tail.end, tail.certified,
-             " ".join(map(str, tail.coefficients))],
-            [head.source, head.end, head.certified,
-             " ".join(map(str, head.coefficients))]]))
-    else:
-        for p in (tail, head):
-            _emit(f"{p.end:8} certified {p.certified:3}  "
-                  f"{list(p.coefficients)}  ({p.source})")
-    return EXIT_OK
+    payload = {"link": diagram.name or "input", "nMax": args.nmax,
+               "tail": tail.to_dict(), "head": head.to_dict()}
+    rows = [[p.source, p.end, p.certified, " ".join(map(str, p.coefficients))]
+            for p in (tail, head)]
+    return (EXIT_OK, payload,
+            _csv_rows(["source", "end", "certified", "coefficients"], rows),
+            [f"{p.end:8} certified {p.certified:3}  "
+             f"{list(p.coefficients)}  ({p.source})" for p in (tail, head)])
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_job(payload: dict) -> dict:
-    """One link's verification; runs in a worker process under --jobs."""
-    if "fixture" in payload:
-        diagram = fixture(payload["fixture"]).diagram
-    else:
-        diagram = LinkDiagram(payload["pd"], free_loops=payload["loops"],
-                              name=payload["name"])
+def _verify_job(job: tuple) -> tuple:
+    """One link's verification; runs in a worker process under --jobs.
+
+    job is (diagram, n_max, max_width); the result is (name, outcome, detail)
+    with outcome "report" (detail: the StabilityReport), "failed" (detail:
+    the failing color and message), "resource" or "skipped" (detail: why)."""
+    diagram, n_max, max_width = job
     name = diagram.name or "input"
     if not is_alternating(diagram):
-        return {"link": name, "skipped": "not alternating"}
+        return name, "skipped", "not alternating"
     try:
-        report = stability_report(diagram, payload["n_max"],
-                                  max_width=payload["max_width"])
+        return name, "report", stability_report(diagram, n_max,
+                                                  max_width=max_width)
     except TailStabilityError as exc:
-        return {"link": name, "ok": False,
-                "failures": [[name, "next_jtilde_agrees", exc.n]],
-                "error": str(exc)}
+        return name, "failed", (exc.n, str(exc))
     except ResourceLimitError as exc:
-        return {"link": name, "resource": str(exc)}
-    failures = []
-    for entry in report.colors:
-        if not entry.bstate_vs_jtilde:
-            failures.append([name, "bstate_vs_jtilde", entry.n])
-        if not entry.next_bstate_vs_jtilde:
-            failures.append([name, "next_bstate_vs_jtilde", entry.n])
-    return {"link": name, "ok": report.ok, "failures": failures,
-            "report": report.to_dict(), "csv": report.to_csv()}
+        return name, "resource", str(exc)
 
 
-def _strip_seconds(report: dict) -> dict:
-    out = dict(report)
-    out["colors"] = [{k: v for k, v in c.items() if k != "seconds"}
-                     for c in report["colors"]]
-    return out
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    jobs_spec = []
+    if args.nmax < 1:
+        raise ValueError("need n_max >= 1")
     if args.pd is not None or args.file is not None:
         if args.names:
             raise MalformedPDError("give fixture names or --pd/--file, not both")
-        d = _load_input(args)
-        jobs_spec.append({"pd": d.crossings, "loops": d.free_loops,
-                          "name": d.name or "input"})
+        diagrams = [_load_input(args)]
     else:
-        names = args.names or list(fixture_names())
-        for name in names:
-            try:
-                jobs_spec.append({"fixture": fixture(name).name})
-            except KeyError as exc:
-                raise MalformedPDError(str(exc)) from exc
-    for spec in jobs_spec:
-        spec["n_max"] = args.nmax
-        spec["max_width"] = args.max_width
+        try:
+            diagrams = [fixture(name).diagram
+                        for name in args.names or fixture_names()]
+        except KeyError as exc:
+            raise MalformedPDError(str(exc)) from exc
+    jobs = [(d, args.nmax, args.max_width) for d in diagrams]
 
     workers = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if workers > 1 and len(jobs_spec) > 1:
-        with multiprocessing.Pool(min(workers, len(jobs_spec))) as pool:
-            results = pool.map(_verify_job, jobs_spec)
+    if workers > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+            results = pool.map(_verify_job, jobs)
     else:
-        results = [_verify_job(spec) for spec in jobs_spec]
+        results = [_verify_job(job) for job in jobs]
 
-    failures = [f for r in results for f in r.get("failures", ())]
-    hit_cap = [r for r in results if "resource" in r]
-    skipped = [r for r in results if "skipped" in r]
-
-    if args.format == "json":
-        payload = {
-            "ok": not failures and not hit_cap,
-            "links": [
-                _strip_seconds(r["report"]) if "report" in r
-                else {k: v for k, v in r.items() if k != "csv"}
-                for r in results
-            ],
-            "failures": failures,
-        }
-        _emit(_to_json(payload))
-    elif args.format == "csv":
-        blocks = [r["csv"] for r in results if "csv" in r]
-        if blocks:
-            header, *_ = blocks[0].splitlines()
-            body = [line for block in blocks for line in block.splitlines()[1:]]
-            _emit("\n".join([header] + body))
-    else:
-        for r in results:
-            if "skipped" in r:
-                _emit(f"{r['link']}: skipped ({r['skipped']})")
-                continue
-            if "resource" in r:
-                _emit(f"{r['link']}: resource cap ({r['resource']})")
-                continue
-            if "report" not in r:
-                _emit(f"{r['link']}: FAIL ({r.get('error', 'no report')})")
-                continue
-            rep = r["report"]
-            for c in rep["colors"]:
-                step = "-" if c["nextJtildeAgrees"] is None else "pass"
-                _emit(f"{rep['link']:14} n={c['n']}  "
-                      f"bstate_vs_jtilde={'pass' if c['bstateVsJtilde'] else 'FAIL'}  "
-                      f"next_bstate_vs_jtilde={'pass' if c['nextBstateVsJtilde'] else 'FAIL'}  "
-                      f"next_jtilde_agrees={step}  ({c['seconds']:.2f}s)")
-            tail = rep["tail"]
-            _emit(f"{rep['link']:14} tail certified {tail['certified']}: "
-                  f"{tail['coefficients']}")
-        _emit("ok" if not failures and not hit_cap else "FAILED")
-
-    for r in skipped:
-        print(f"warning: {r['link']} skipped: {r['skipped']}", file=sys.stderr)
-    if hit_cap:
-        return EXIT_RESOURCE
-    return EXIT_VERIFY if failures else EXIT_OK
+    checks = ("bstate_vs_jtilde", "next_bstate_vs_jtilde")
+    links, failures, lines, csv_rows = [], [], [], []
+    for name, outcome, detail in results:
+        if outcome == "report":
+            links.append(detail.to_dict())
+            header, *body = detail.to_csv().splitlines()
+            csv_rows += body
+            for e in detail.colors:
+                failures += [[name, c, e.n] for c in checks if not getattr(e, c)]
+                marks = "  ".join(f"{c}={'pass' if getattr(e, c) else 'FAIL'}"
+                                  for c in checks)
+                step = "-" if e.next_jtilde_agrees is None else "pass"
+                lines.append(f"{detail.link:14} n={e.n}  {marks}  "
+                             f"next_jtilde_agrees={step}  ({e.seconds:.2f}s)")
+            lines.append(f"{detail.link:14} tail certified "
+                         f"{detail.tail.certified}: {list(detail.tail.coefficients)}")
+        elif outcome == "failed":
+            n, message = detail
+            failed = [[name, "next_jtilde_agrees", n]]
+            failures += failed
+            links.append({"link": name, "ok": False, "failures": failed,
+                          "error": message})
+            lines.append(f"{name}: FAIL ({message})")
+        elif outcome == "resource":
+            links.append({"link": name, "resource": detail})
+            lines.append(f"{name}: resource cap ({detail})")
+        else:
+            links.append({"link": name, "skipped": detail})
+            lines.append(f"{name}: skipped ({detail})")
+            print(f"warning: {name} skipped: {detail}", file=sys.stderr)
+    hit_cap = any(outcome == "resource" for _, outcome, _ in results)
+    ok = not failures and not hit_cap
+    lines.append("ok" if ok else "FAILED")
+    code = EXIT_RESOURCE if hit_cap else EXIT_VERIFY if failures else EXIT_OK
+    return (code, {"ok": ok, "links": links, "failures": failures},
+            "\n".join([header] + csv_rows) + "\n" if csv_rows else "", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +367,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        resolve_max_width(args.max_width)
+        code, payload, csv_text, lines = args.func(args)
+        if args.format == "json":
+            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        elif args.format == "csv":
+            sys.stdout.write(csv_text)
+        else:
+            sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return code
     except BrokenPipeError:

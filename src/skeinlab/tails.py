@@ -226,9 +226,14 @@ def verify_corollary(link: LinkDiagram, n: int,
 class ColorEntry:
     """One color's row of a stability report.
 
-    `next_jtilde_agrees` is the consecutive-color window check; it is None
-    on the top color, where J~ of the next color was not computed.
-    `seconds` counts the computations first performed for this row.
+    `next_jtilde_agrees` is the consecutive-color window check: True below
+    the top color and None on it, where J~ of the next color was not
+    computed.  It is never False in a returned report: each window is
+    compared once, by _certified_tail, which raises TailStabilityError on
+    a failing window before the report exists.  `seconds` is the wall time
+    of the row: the terms it computes (J~_1 and B_1 in row 1, then B_{n+1}
+    and J~_{n+1}) and its comparisons.  It is in the CSV form only; the
+    JSON form (to_dict) is deterministic.
     """
 
     n: int
@@ -249,7 +254,6 @@ class ColorEntry:
             "bstateVsJtilde": self.bstate_vs_jtilde,
             "nextBstateVsJtilde": self.next_bstate_vs_jtilde,
             "nextJtildeAgrees": self.next_jtilde_agrees,
-            "seconds": self.seconds,
         }
 
 
@@ -292,48 +296,36 @@ class StabilityReport:
 
 def stability_report(link: LinkDiagram, n_max: int,
                      max_width: int | None = None) -> StabilityReport:
-    """Run the full window-comparison suite for colors 1..n_max."""
+    """Run the full window-comparison suite for colors 1..n_max.
+
+    Each J~_n and each B-state term is computed once, in the order
+    J~_1, B_1, then B_{n+1} and J~_{n+1} for each color n in turn."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     name = _display_name(link)
-    jt = {}
-    bstate = {}
-    clocks = {}
-
-    def jtilde(n):
-        if n not in jt:
-            t0 = time.perf_counter()
-            jt[n] = colored_jones(link, n, max_width=max_width)
-            clocks[current_color] = clocks.get(current_color, 0.0) + (
-                time.perf_counter() - t0)
-        return jt[n]
-
-    def bstate_value(n):
-        if n not in bstate:
-            t0 = time.perf_counter()
-            bstate[n] = _bstate_value(link, n, max_width)
-            clocks[current_color] = clocks.get(current_color, 0.0) + (
-                time.perf_counter() - t0)
-        return bstate[n]
-
+    start = time.perf_counter()
+    jtilde = {1: colored_jones(link, 1, max_width=max_width)}
+    bstate = {1: _bstate_value(link, 1, max_width)}
     entries = []
-    for current_color in range(1, n_max + 1):
-        p = jtilde(current_color)
-        thm1 = doteq(p, bstate_value(current_color), 4 * current_color)
-        thm2 = doteq(bstate_value(current_color + 1), p, 4 * current_color)
-        step = (doteq(jtilde(current_color + 1), p, 4 * current_color)
-                if current_color < n_max else None)
+    for n in range(1, n_max + 1):
+        p = jtilde[n]
+        thm1 = doteq(p, bstate[n], 4 * n)
+        bstate[n + 1] = _bstate_value(link, n + 1, max_width)
+        thm2 = doteq(bstate[n + 1], p, 4 * n)
+        if n < n_max:
+            jtilde[n + 1] = colored_jones(link, n + 1, max_width=max_width)
         entries.append(ColorEntry(
-            n=current_color,
+            n=n,
             min_degree=p.min_degree(),
             max_degree=p.max_degree(),
             coefficients=sum(1 for c in p.terms.values() if c),
             bstate_vs_jtilde=thm1,
             next_bstate_vs_jtilde=thm2,
-            next_jtilde_agrees=step,
-            seconds=round(clocks.get(current_color, 0.0), 6),
+            next_jtilde_agrees=True if n < n_max else None,
+            seconds=round(time.perf_counter() - start, 6),
         ))
-
-    values = [jt[n] for n in range(1, n_max + 1)]
-    tail = _certified_tail(name, values)
+        start = time.perf_counter()
+    # the one comparison of each consecutive-color window; a failure
+    # raises TailStabilityError before any report exists
+    tail = _certified_tail(name, list(jtilde.values()))
     return StabilityReport(name, tuple(entries), tail)

@@ -204,6 +204,28 @@ def test_negative_width_cap_from_env_exits_2(capsys, monkeypatch):
     assert "width cap" in err
 
 
+@pytest.mark.parametrize("source", [("--max-width", "-1"),
+                                    ("SKEINLAB_MAX_WIDTH", "-3"),
+                                    ("SKEINLAB_MAX_WIDTH", "abc")],
+                         ids=["flag", "env-negative", "env-not-int"])
+@pytest.mark.parametrize("argv", [
+    ("bracket", "--pd", "O"), ("cjones", "--pd", "O", "-n", "2"),
+    ("tail", "--pd", "O", "--nmax", "2"), ("verify", "--pd", NONALT),
+    ("adequacy", "--pd", "O"), ("states", "--pd", "O"),
+], ids=lambda argv: argv[0])
+def test_every_subcommand_rejects_a_bad_width_cap(capsys, monkeypatch, argv, source):
+    # adequacy, classical states and a verify that skips every link run no
+    # sweep, and main checks the cap for them too
+    key, value = source
+    if key.startswith("--"):
+        argv += source
+    else:
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # adequacy
 
@@ -329,6 +351,15 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert code == EXIT_INPUT
     assert "error: --jobs must be >= 1" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("nmax", ["0", "-4"])
+def test_verify_rejects_nmax_below_one(capsys, nmax):
+    # checked before any link runs, so a link that would be skipped
+    # cannot hide it
+    code, out, err = run(capsys, "verify", "--pd", NONALT, "--nmax", nmax)
+    assert code == EXIT_INPUT
+    assert out == "" and "error: need n_max >= 1" in err
 
 
 def test_verify_json_is_deterministic_and_parallel_safe(capsys):

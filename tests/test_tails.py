@@ -14,6 +14,7 @@ from skeinlab.laurent import (
     RationalFunction,
     quantum_dimension,
 )
+from skeinlab import tails
 from skeinlab.skein_eval import colored_jones
 from skeinlab.tails import (
     CoefficientPrefix,
@@ -271,6 +272,26 @@ def test_stability_report_trefoil():
     assert len(rows) == 3
     assert rows[0].startswith("link,n,min_degree")
     assert rows[1].startswith("trefoil,1,")
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_stability_report_does_each_job_once(monkeypatch, n_max):
+    """J~_1..J~_{n_max} and B_1..B_{n_max+1} once each, in the order
+    J~_1, B_1, then B_{n+1}, J~_{n+1} per color; two window comparisons
+    per color and one per consecutive-color window."""
+    calls = []
+    for name, label in (("colored_jones", "J"), ("_bstate_value", "B"),
+                        ("doteq", "doteq")):
+        def counted(*args, _real=getattr(tails, name), _label=label, **kwargs):
+            calls.append(_label if _label == "doteq" else (_label, args[1]))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(tails, name, counted)
+    stability_report(parse_pd(TREFOIL, name="trefoil"), n_max)
+    order = [("J", 1), ("B", 1)]
+    for n in range(1, n_max + 1):
+        order += [("B", n + 1)] + ([("J", n + 1)] if n < n_max else [])
+    assert [c for c in calls if c != "doteq"] == order
+    assert calls.count("doteq") == 3 * n_max - 1
 
 
 def test_stability_report_single_color():

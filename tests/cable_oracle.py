@@ -10,8 +10,12 @@ u (x = u) between rows j and j+1; horiz(o, i) the segment of
 over-strand o (y = o) between columns i and i+1.  Boundary stubs carry
 counterclockwise indices within each slot; gluing a band between two
 slots reverses the index (i pairs with m+1-i).
+
+counted_matchings replays a sweep and counts its matchings, the measure
+that the box placement of colored_jones predicts.
 """
 from skeinlab.diagram import LinkDiagram
+from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
 
 
 def _stub_index(slot: int, m: int, *, x: int = 0, y: int = 0) -> int:
@@ -63,3 +67,33 @@ def cable(diagram: LinkDiagram, m: int) -> LinkDiagram:
         free_loops=diagram.free_loops * m,
         name=f"cable({diagram.name or '?'},{m})",
     )
+
+
+def counted_matchings(dd) -> int:
+    """The sum, over the events of the plan the sweep runs on `dd`, of the
+    matchings in its term bag: the cost that sweep time follows.
+
+    Keys only: it replays skein_eval's events and pruning without the
+    coefficient arithmetic, so a matching whose coefficient cancels to 0
+    still counts here (an upper bound on the live matchings, equal to them
+    when nothing cancels)."""
+    box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
+    processed = [False] * dd.node_count
+    frontier: list = []
+    keys = {()}
+    total = 0
+    for ni in morse_decompose(dd).order:
+        step = _EventStep(dd, ni, frontier, processed, box_half if any(box_half) else None)
+        closing_of, kept_of = _slot_getter(step.closing), _slot_getter(step.kept)
+        new_keys = set()
+        for key in keys:
+            base = [step.relabel[s] for s in kept_of(key)] + list(step.pad)
+            for partners, _ in step.splices(closing_of(key)):
+                for slot, partner in partners.items():
+                    base[slot] = partner
+                new_keys.add(tuple(base))
+        keys = new_keys
+        frontier = step.frontier
+        processed[ni] = True
+        total += len(keys)
+    return total

@@ -176,6 +176,23 @@ def test_cjones_resource_cap_exits_3(capsys):
     assert "resource cap" in err
 
 
+# a 4-strand braid closure with two kinks: its J~_2 cable peaks at width 8
+# with the box on arc 4 and at 10 with it on any other arc
+NARROW_ARC = "X 2 5 4 1 / X 5 7 6 4 / X 0 0 6 9 / X 3 3 10 7 / X 1 9 10 2"
+
+
+def test_cjones_cap_names_the_narrowest_box_arc(capsys):
+    code, _, err = run(capsys, "cjones", "--pd", NARROW_ARC, "-n", "2",
+                       "--max-width", "7")
+    assert code == EXIT_RESOURCE
+    assert "plan needs width 8, budget is 7" in err
+    code, out, _ = run(capsys, "cjones", "--pd", NARROW_ARC, "-n", "2",
+                       "--max-width", "8", "--format", "json")
+    assert code == EXIT_OK
+    assert LaurentPolynomial.from_json(json.loads(out)["jtilde"]) == colored_jones(
+        parse_pd(NARROW_ARC), 2)
+
+
 def test_negative_width_cap_exits_2(capsys):
     code, _, err = run(capsys, "bracket", "--pd", "O", "--max-width", "-1")
     assert code == EXIT_INPUT

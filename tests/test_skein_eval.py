@@ -24,10 +24,14 @@ from skeinlab.skein_eval import (
     CrossingNode,
     DecoratedDiagram,
     ResourceLimitError,
-    _component_box_arcs,
+    _adjacency,
+    _boxed_adjacency,
+    _matching_count,
     _sweep,
+    _walk,
     bracket,
     bracket_bruteforce,
+    cable_ports,
     cabled_diagram,
     colored_jones,
     evaluate,
@@ -38,7 +42,7 @@ from skeinlab.skein_eval import (
 )
 from skeinlab.temperley_lieb import enumerate_matchings, identity_matching
 
-from cable_oracle import cable
+from cable_oracle import cable, counted_matchings
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -266,12 +270,18 @@ def least_live_matching_cap(dd: DecoratedDiagram, order=None) -> int:
     return high
 
 
+def default_box_arcs(d: LinkDiagram) -> list:
+    """The first arc (by repr) of each component: the placement that
+    colored_jones walks first, and keeps when no other predicts less."""
+    return [min(comp, key=repr) for comp in d.components()]
+
+
 def corpus_box_networks():
     """Every corpus cable and Y network at n = 2, 3."""
     for name in fixture_names():
         d = fixture(name).diagram
         for n in (2, 3):
-            yield f"{name} cable {n}", cabled_diagram(d, n, _component_box_arcs(d))
+            yield f"{name} cable {n}", cabled_diagram(d, n, default_box_arcs(d))
             for s in all_states(d, n):
                 yield f"{name} Y {n} {s.signs}", build_upsilon(d, n, s)
 
@@ -361,7 +371,7 @@ class TestPlans:
         # the peak when the box is swept as a plain coupon's order would,
         # 48 when it goes last among equal widths
         d = parse_pd(TREFOIL)
-        dd = cabled_diagram(d, 3, _component_box_arcs(d))
+        dd = cabled_diagram(d, 3, default_box_arcs(d))
         plain = morse_decompose(without_boxes(dd)).order
         assert morse_decompose(dd).order != plain
         assert least_live_matching_cap(dd, plain) == 132
@@ -411,6 +421,197 @@ class TestPlans:
         monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "junk")
         with pytest.raises(ValueError):
             bracket(parse_pd(TREFOIL))
+
+
+def placements(d: LinkDiagram):
+    """Every choice of one box arc per component."""
+    return itertools.product(*[sorted(c, key=repr) for c in d.components()])
+
+
+def predicted_matchings(dd: DecoratedDiagram) -> int:
+    """The planner's prediction of the matchings along the plan the sweep
+    runs on dd: _walk's prediction with the box sides read off the wiring."""
+    cross, degree = _adjacency(dd.node_count,
+                               ((p, q) for p, q in dd.pairing.items() if p < q))
+    sides: dict = {}
+    for b, node in enumerate(dd.nodes):
+        if node.projector:
+            half = node.port_count // 2
+            for p in range(node.port_count):
+                u, _ = dd.pairing[(b, p)]
+                sides.setdefault(u, []).append((b, int(p < half), int(p >= half)))
+    boxes = [node.projector for node in dd.nodes]
+    return _walk(cross, degree, morse_decompose(dd).order, boxes, sides)[2]
+
+
+KNOTS = [name for name in fixture_names()
+         if len(fixture(name).diagram.components()) == 1]
+
+# one-component braid closures whose J~_2 cable peaks at one width with
+# the box on a single arc and wider with it on any other: (word, strands,
+# that arc, its peak, every other arc's peak)
+NARROW_ARC_BRAIDS = [([-2, -2, -1, -3, -2], 4, 4, 8, 10),
+                     ([2, -2, -2, -2, -1, 2], 3, 0, 8, 12)]
+
+
+class TestBoxPlacement:
+    """colored_jones puts each component's box on the arc whose plan has
+    the fewest predicted matchings, within the width cap."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_value_does_not_depend_on_the_box_arc(self, name):
+        d = fixture(name).diagram
+        for n in (2, 3) if name in ("trefoil", "figure_eight", "5_2") else (2,):
+            expect = colored_jones(d, n)
+            for arcs in placements(d):
+                assert evaluate(cabled_diagram(d, n, arcs)) == expect, (n, arcs)
+
+    def test_figure_eight_at_color_four_is_pinned(self):
+        # of the 8 arcs the default carries the most matchings, and the
+        # chosen one (arc 3) the fewest
+        d = fixture("figure_eight").diagram
+        default = cabled_diagram(d, 4, default_box_arcs(d))
+        chosen = cabled_diagram(d, 4, None)
+        assert counted_matchings(default) == 54056
+        assert counted_matchings(chosen) == 12164
+        assert predicted_matchings(default) == 55763
+        assert predicted_matchings(chosen) == 12990
+        assert chosen.pairing == cabled_diagram(d, 4, [3]).pairing
+
+    @pytest.mark.parametrize("name", KNOTS)
+    def test_chosen_arc_counts_no_more_than_the_default(self, name):
+        # the walks that stop early never cost the least prediction, so the
+        # choice is the argmin over every arc
+        d = fixture(name).diagram
+        chosen = cabled_diagram(d, 3, None)
+        default = cabled_diagram(d, 3, default_box_arcs(d))
+        least = min(predicted_matchings(cabled_diagram(d, 3, arcs))
+                    for arcs in placements(d))
+        assert predicted_matchings(chosen) == least
+        assert counted_matchings(chosen) <= counted_matchings(default)
+        if predicted_matchings(default) == least:
+            assert chosen.pairing == default.pairing
+
+    @pytest.mark.parametrize("d,n", [(fixture("hopf").diagram, 2),
+                                     (fixture("hopf").diagram, 3),
+                                     (braid_closure([2, -1, -1, -1, 1], 3), 2)])
+    def test_link_components_are_placed_one_at_a_time(self, d, n):
+        # the first component's best arc with the second box on its first
+        # arc, then the second's best with the first fixed there; on the
+        # braid closure both boxes move
+        first, second = [sorted(c, key=repr) for c in d.components()]
+
+        def cost(arcs):
+            return predicted_matchings(cabled_diagram(d, n, arcs))
+
+        a = min(first, key=lambda x: cost([x, second[0]]))
+        b = min(second, key=lambda y: cost([a, y]))
+        assert cabled_diagram(d, n, None).pairing == cabled_diagram(d, n, [a, b]).pairing
+
+    def test_ties_go_to_the_earlier_arc(self):
+        # the trefoil's J~_2 predicts 59 matchings on arcs 4 and 5, the least
+        d = fixture("trefoil").diagram
+        predicted = {a: predicted_matchings(cabled_diagram(d, 2, [a])) for a in d.arcs}
+        assert sorted(a for a in d.arcs if predicted[a] == 59) == [4, 5]
+        assert min(predicted.values()) == 59
+        assert cabled_diagram(d, 2, None).pairing == cabled_diagram(d, 2, [4]).pairing
+
+    def test_shared_adjacency_matches_the_built_network(self):
+        # the candidates patch one shared adjacency; each patch must be the
+        # adjacency of the network cabled_diagram builds for that placement
+        links = [fixture(name).diagram for name in fixture_names()]
+        links += [braid_closure(word, strands)
+                  for word, strands, *_ in NARROW_ARC_BRAIDS]
+        for d in links:
+            for n in (2, 3):
+                n_grid, pairing, band_ends = cable_ports(d, n)
+                cross, degree = _adjacency(
+                    n_grid + len(d.components()),
+                    itertools.chain(pairing.items(), band_ends.values()))
+                for arcs in placements(d):
+                    placed = [[(band_ends[(arc, i)][0][0], band_ends[(arc, i)][1][0])
+                               for i in range(1, n + 1)] for arc in arcs]
+                    rows, deg, sides = _boxed_adjacency(cross, degree, n_grid, n, placed)
+                    dd = cabled_diagram(d, n, arcs)
+                    assert (rows, deg) == _adjacency(
+                        dd.node_count, ((p, q) for p, q in dd.pairing.items() if p < q))
+                    expect: dict = {}
+                    for b in range(n_grid, dd.node_count):
+                        for p in range(2 * n):
+                            u, _ = dd.pairing[(b, p)]
+                            expect.setdefault(u, []).append((b, int(p < n), int(p >= n)))
+                    assert ({u: sorted(e) for u, e in sides.items()}
+                            == {u: sorted(e) for u, e in expect.items()})
+
+    def test_plain_walks_are_the_fallback(self, monkeypatch):
+        # were every box-deferring walk too wide, the plain walk of a
+        # placement would be swept, as morse_decompose falls back to it
+        def deferring_walks_too_wide(cross, degree, order, boxes, *args):
+            walked = _walk(cross, degree, order, boxes, *args)
+            if walked is not None and any(boxes):
+                walked = (walked[0], walked[1] + 100, walked[2])
+            return walked
+
+        monkeypatch.setattr("skeinlab.skein_eval._walk", deferring_walks_too_wide)
+        d = fixture("figure_eight").diagram
+        dd = cabled_diagram(d, 3, None)
+        assert dd.plan.peak_width == 12
+        plain = morse_decompose(without_boxes(dd)).order
+        assert dd.plan.order == plain
+        assert evaluate(dd) == colored_jones(d, 3)
+
+    def test_matching_count_matches_enumeration(self):
+        for width in range(0, 11, 2):
+            for blocks in [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (3, 3),
+                           (2, 2, 2)]:
+                if sum(blocks) > width:
+                    continue
+                label = [b for b, size in enumerate(blocks) for _ in range(size)]
+                label += [-1 - i for i in range(width - len(label))]
+                expect = sum(all(label[a] != label[b] for a, b in pm.pairs)
+                             for pm in enumerate_matchings(width // 2))
+                assert _matching_count(width, blocks) == expect, (width, blocks)
+
+    @pytest.mark.parametrize("word,strands,arc,narrow,wide", NARROW_ARC_BRAIDS)
+    def test_no_candidate_wider_than_the_cap_is_chosen(self, word, strands, arc,
+                                                       narrow, wide):
+        d = braid_closure(word, strands)
+        assert {a: morse_decompose(cabled_diagram(d, 2, [a])).peak_width
+                for a in d.arcs} == {a: narrow if a == arc else wide for a in d.arcs}
+        expect = colored_jones(d, 2)
+        for cap in range(narrow, wide + 2):
+            dd = cabled_diagram(d, 2, None, max_width=cap)
+            assert dd.plan.peak_width <= cap
+            if cap < wide:
+                assert dd.pairing == cabled_diagram(d, 2, [arc]).pairing
+            assert colored_jones(d, 2, max_width=cap) == expect
+
+    @pytest.mark.parametrize("word,strands,arc,narrow,wide", NARROW_ARC_BRAIDS)
+    def test_a_cap_below_every_candidate_names_the_narrowest(self, word, strands,
+                                                             arc, narrow, wide):
+        d = braid_closure(word, strands)
+        with pytest.raises(ResourceLimitError,
+                           match=f"needs width {narrow}, budget is {narrow - 1} "):
+            colored_jones(d, 2, max_width=narrow - 1)
+
+    def test_plain_walk_stops_once_it_cannot_be_narrower(self):
+        # the Hopf Y(s-) at n = 2 peaks at 6 deferring its boxes and at 4
+        # ignoring them; a 2-cable of the trefoil peaks at 8 either way
+        d = parse_pd(HOPF)
+        upsilon = build_upsilon(d, 2, min(all_states(d, 2), key=lambda s: s.signs))
+        for dd, deferring, plain in ((upsilon, 6, 4),
+                                     (cabled_diagram(parse_pd(TREFOIL), 2, [1]), 8, 8)):
+            cross, degree = _adjacency(dd.node_count,
+                                       ((p, q) for p, q in dd.pairing.items() if p < q))
+            boxes = [node.projector for node in dd.nodes]
+            assert _walk(cross, degree, None, boxes)[1] == deferring
+            walked = _walk(cross, degree, None, [False] * dd.node_count)
+            assert walked[1] == plain
+            for cap in range(plain - 2, plain + 2):
+                stopped = _walk(cross, degree, None, [False] * dd.node_count,
+                                max_width=cap)
+                assert stopped == (walked if cap >= plain else None)
+            assert morse_decompose(dd).peak_width == min(deferring, plain)
 
 
 class TestWiring:

@@ -84,10 +84,15 @@ def smoothing_coefficients(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial
             LaurentPolynomial.monomial(1, -(2 * n - 1)))
 
 
+def _check_state(link: LinkDiagram, n: int, s: ColoredState):
+    if s.n != n or s.crossing_count != link.crossing_count:
+        raise ValueError(f"expected a color-{n} state of {link.crossing_count} "
+                         f"crossings, got color {s.n} with {s.crossing_count}")
+
+
 def alpha(link: LinkDiagram, n: int, s: ColoredState) -> LaurentPolynomial:
     """The state weight A^((2n-1) sum s(i))."""
-    if s.crossing_count != link.crossing_count:
-        raise ValueError("state length must equal the crossing count")
+    _check_state(link, n, s)
     return LaurentPolynomial.monomial(1, (2 * n - 1) * sum(s.signs))
 
 
@@ -121,11 +126,10 @@ def _pattern(sign: int, n: int) -> SmoothingPattern:
     return SmoothingPattern(sign, singles, shift)
 
 
-def colored_smoothing_expand(n: int, crossing=None):
+def colored_smoothing_expand(n: int):
     """The color-n Kauffman skein relation at one crossing: two weighted
-    local patterns (coefficient, SmoothingPattern).  The layout is the
-    same at every crossing; `crossing` is accepted for symmetry with the
-    diagram-level builders."""
+    local patterns (coefficient, SmoothingPattern), the same at every
+    crossing."""
     c_plus, c_minus = smoothing_coefficients(n)
     return ((c_plus, _pattern(1, n)), (c_minus, _pattern(-1, n)))
 
@@ -173,10 +177,7 @@ def _arc_boxes(link: LinkDiagram, n: int):
 def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagram:
     """The skein element of a colored state: every crossing smoothed per
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
-    if n < 1:
-        raise ValueError("color must be >= 1")
-    if s.crossing_count != link.crossing_count:
-        raise ValueError("state length must equal the crossing count")
+    _check_state(link, n, s)
     m = n - 1
     nodes, arc_side, pairing = _arc_boxes(link, n)
 
@@ -206,8 +207,7 @@ def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
     m = n - 1
     if len(indices) != link.crossing_count:
         raise ValueError("one corner index per crossing")
-    if s.crossing_count != link.crossing_count:
-        raise ValueError("state length must equal the crossing count")
+    _check_state(link, n, s)
     nodes, arc_side, pairing = _arc_boxes(link, n)
     for ci in range(link.crossing_count):
         pat = _pattern(s.signs[ci], n)

@@ -38,20 +38,21 @@ build_upsilon and cabled_diagram build from any planar PD code.
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is an attachment order, from a width greedy
 unless the caller or the network's builder gives one, and the peak width
-of that order, which the width cap is checked against.  Among nodes that
-leave equal width the greedy sweeps projector boxes last, since an
+of that order, which the width cap is checked against.  The greedy can
+sweep projector boxes last among nodes that leave equal width, since an
 unswept box prunes every row that caps it; that only moves the order, so
-every value stays exact.  When deferring boxes would peak wider than
-ignoring them, the plan is the order that ignores them.
+every value stays exact.
 
 The walk also predicts the live matchings of its order: at each event,
 the crossingless matchings of the frontier that join no two same-side
 ports of an unswept box, counted as if each box side held consecutive
-frontier slots (_matching_count).  colored_jones sweeps each component's
-box on the arc with the least prediction within the width cap: the value
-does not depend on that arc, but the cost does (the figure-eight's J~_4
-cable holds 54,056 matchings in all with the box on the first arc and
-12,164 on the chosen one).
+frontier slots (_matching_count).  Every greedy plan comes from one rule
+(_choose): each network on offer is walked deferring its boxes and
+ignoring them, and the walk with the least prediction within the width
+cap wins.  colored_jones offers one network per arc that could carry
+each component's box: the value does not depend on that arc, but the
+cost does (the figure-eight's J~_4 cable holds 54,056 matchings in all
+with the box on the first arc and 12,164 on the chosen one).
 """
 from __future__ import annotations
 
@@ -176,8 +177,9 @@ Port = tuple  # (node_index, port_index)
 
 class DecoratedDiagram:
     """Nodes plus a closed wiring: every port is paired with exactly one
-    other port (never itself).  `plan` is the MorsePlan the builder made
-    for the network, if it made one."""
+    other port (never itself).  `plan` is the MorsePlan the builder chose
+    for the network, if it chose one among several networks with the same
+    value (cabled_diagram's box arcs); else morse_decompose plans it."""
 
     __slots__ = ("nodes", "pairing", "plan")
 
@@ -224,32 +226,51 @@ class MorsePlan:
     peak_width: int
 
 
-def morse_decompose(dd: DecoratedDiagram, order=None) -> MorsePlan:
+def morse_decompose(dd: DecoratedDiagram, order=None, max_width=None) -> MorsePlan:
     """Walk `order`, which must visit every node once, or else the plan the
-    network's builder made (dd.plan), or else the width greedy's: each step
-    takes the node leaving the fewest dangling ends, then a non-projector
-    node before a projector box (an unswept box prunes every row that caps
-    it; the order never changes a value), then the one with most wires
-    into the swept region, then the lowest.  If that walk peaks wider than
-    the walk that ignores boxes, the plan is the latter's order, so
-    deferring boxes never widens a plan; the latter stops as soon as its
-    running width reaches the former's peak, since it cannot win then."""
+    network's builder made (dd.plan), or else the walk _choose keeps within
+    the width cap `max_width`, the box sides read off the wiring."""
     n = dd.node_count
-    if order is None:
-        if dd.plan is not None:
-            return dd.plan
-    else:
+    if order is None and dd.plan is not None:
+        return dd.plan
+    cross, degree = _adjacency(n, ((p, q) for p, q in dd.pairing.items() if p < q))
+    boxes = [node.projector for node in dd.nodes]
+    if order is not None:
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError("plan must visit every node exactly once")
-    cross, degree = _adjacency(n, ((p, q) for p, q in dd.pairing.items() if p < q))
-    boxes = [node.projector for node in dd.nodes]
-    chosen, peak, _ = _walk(cross, degree, order, boxes)
-    if order is None and any(boxes):
-        plain = _walk(cross, degree, None, [False] * n, max_width=peak - 1)
-        if plain is not None:
-            chosen, peak, _ = plain
-    return MorsePlan(chosen, peak)
+        return MorsePlan(*_walk(cross, degree, order, boxes)[:2])
+    order, peak, *_ = _choose(None, resolve_max_width(max_width), cross, degree,
+                              boxes, _box_sides(dd) if any(boxes) else None)
+    return MorsePlan(order, peak)
+
+
+def _box_sides(dd: DecoratedDiagram) -> dict:
+    """_walk's side table, read off the wiring: one (box, bottom wires, top
+    wires) entry per wire from a node to a projector box."""
+    sides: dict = {}
+    for (b, p), (u, _) in dd.pairing.items():
+        if dd.nodes[b].projector:
+            bottom = int(p < dd.nodes[b].port_count // 2)
+            sides.setdefault(u, []).append((b, bottom, 1 - bottom))
+    return sides
+
+
+def _choose(kept, cap: int, cross: list, degree: list, boxes: list, sides=None,
+            tag=None) -> tuple:
+    """The one rule every greedy plan comes from.  Walk one network twice
+    (see _walk for the arguments), deferring its boxes and ignoring them
+    (once if it has none), and return the walk to keep as (order, peak,
+    prediction, tag): of `kept` (the same, or None) and these walks, the
+    least prediction within the width cap, the earlier on ties, and if
+    none fits, the narrowest, for the sweep's cap check to name.  Once a
+    walk fits, a later one stops as soon as it cannot win."""
+    for flags in (boxes, [False] * len(boxes)) if any(boxes) else (boxes,):
+        limits = (cap, kept[2]) if kept is not None and kept[1] <= cap else ()
+        walked = _walk(cross, degree, None, flags, sides, *limits)
+        if walked and (kept is None or walked[1] <= cap or walked[1] < kept[1]):
+            kept = (*walked, tag)
+    return kept
 
 
 def _adjacency(n: int, wires) -> tuple:
@@ -269,10 +290,12 @@ def _adjacency(n: int, wires) -> tuple:
 
 def _walk(cross: list, degree: list, order, boxes: list, sides=None,
           max_width=math.inf, max_cost=math.inf):
-    """Walk `order`, or else the width greedy's (see morse_decompose), and
-    return (order, peak width, predicted live matchings); or None as soon
-    as the running width passes max_width or the running prediction
-    reaches max_cost.
+    """Walk `order`, or else the width greedy's, and return (order, peak
+    width, predicted live matchings); or None as soon as the running width
+    passes max_width or the running prediction reaches max_cost.  Each
+    greedy step takes the node leaving the fewest dangling ends, then one
+    not flagged in `boxes` before one that is, then the one with most
+    wires into the swept region, then the lowest.
 
     The prediction needs `sides`, which maps each node wired to a
     projector box to its (box, bottom wires, top wires) entries; each
@@ -399,8 +422,8 @@ def _sweep(dd: DecoratedDiagram, order=None,
            max_terms: int | None = None):
     """Run the attachment sweep; return (integer Laurent total, accumulated
     coupon denominator) before the final division."""
-    plan = morse_decompose(dd, order)
     cap = resolve_max_width(max_width)
+    plan = morse_decompose(dd, order, cap)
     if plan.peak_width > cap:
         raise ResourceLimitError(
             f"plan needs width {plan.peak_width}, budget is {cap} "
@@ -708,58 +731,34 @@ def _place_boxes(link: LinkDiagram, m: int, n_grid: int, pairing: dict,
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
-    cost does.  Each placement is a candidate, walked by the box-deferring
-    greedy with its predicted live matchings (_walk).  The first candidate
-    puts every box on the first arc (by repr) of its component; then the
-    components are taken one at a time, each trying its other arcs with
-    the other boxes where the best candidate so far has them, so the walks
-    number the arcs, not their product.  Among the candidates that fit the
-    width cap the least prediction wins, the earlier one on ties; once one
-    fits, a walk stops as soon as it passes the cap or reaches the best
-    prediction.  If none fits, the plain walk of each placement is tried,
-    as morse_decompose falls back to it, and else the narrowest walk is
-    returned for the sweep's cap check to name."""
-    cap = resolve_max_width(max_width)
+    cost does.  Each placement is a network offered to _choose, with the
+    adjacency and box sides patched into the box-free cable's
+    (_boxed_adjacency).  The first puts every box on the first arc (by
+    repr) of its component; then the components are taken one at a time,
+    each trying its other arcs with the other boxes where the kept plan
+    has them, so the walks number the arcs, not their product."""
     comps = [sorted(comp, key=repr) for comp in link.components()]
     cross, degree = _adjacency(n_grid + len(comps),
                                itertools.chain(pairing.items(), band_ends.values()))
     bands: dict = {}  # arc -> (first-end node, second-end node) of each band
     for (arc, _), ((u, _), (v, _)) in band_ends.items():
         bands.setdefault(arc, []).append((u, v))
-    best = narrowest = None  # (prediction, arcs, order, peak)
+    cap = resolve_max_width(max_width)
+    boxes = [False] * n_grid + [True] * len(comps)
 
-    def consider(arcs, boxes) -> bool:
-        nonlocal best, narrowest
+    def offer(kept, arcs) -> tuple:
         rows, deg, sides = _boxed_adjacency(cross, degree, n_grid, m,
                                             [bands[arc] for arc in arcs])
-        if best is None:
-            walked = _walk(rows, deg, None, boxes, sides)
-        else:
-            walked = _walk(rows, deg, None, boxes, sides, cap, best[0])
-        if walked is None:
-            return False
-        order, peak, cost = walked
-        if peak <= cap and (best is None or cost < best[0]):
-            best = (cost, arcs, order, peak)
-            return True
-        if peak > cap and (narrowest is None or peak < narrowest[3]):
-            narrowest = (cost, arcs, order, peak)
-        return False
+        return _choose(kept, cap, rows, deg, boxes, sides, arcs)
 
-    boxes = [False] * n_grid + [True] * len(comps)
     arcs = [comp[0] for comp in comps]
-    tried = [arcs]
-    consider(arcs, boxes)
+    kept = offer(None, arcs)
     for c, comp in enumerate(comps):
         for arc in comp[1:]:
-            trial = arcs[:c] + [arc] + arcs[c + 1:]
-            tried.append(trial)
-            if consider(trial, boxes):
-                arcs = trial
-    if best is None:
-        for arcs in tried:
-            consider(arcs, [False] * len(boxes))
-    _, arcs, order, peak = best or narrowest
+            kept = offer(kept, arcs[:c] + [arc] + arcs[c + 1:])
+            if kept[1] <= cap:
+                arcs = kept[3]
+    order, peak, _, arcs = kept
     return arcs, MorsePlan(order, peak)
 
 

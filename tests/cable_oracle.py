@@ -14,6 +14,8 @@ slots reverses the index (i pairs with m+1-i).
 counted_matchings replays a sweep and counts its matchings, the measure
 that the box placement of colored_jones predicts.
 """
+import math
+
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
 
@@ -69,9 +71,11 @@ def cable(diagram: LinkDiagram, m: int) -> LinkDiagram:
     )
 
 
-def counted_matchings(dd) -> int:
-    """The sum, over the events of the plan the sweep runs on `dd`, of the
-    matchings in its term bag: the cost that sweep time follows.
+def counted_matchings(dd, order=None, limit=math.inf) -> int:
+    """The sum, over the events of `order` (by default the plan the sweep
+    runs on `dd`), of the matchings in its term bag: the cost that sweep
+    time follows.  The replay stops at the first event where the running
+    sum reaches `limit`, and returns that sum.
 
     Keys only: it replays skein_eval's events and pruning without the
     coefficient arithmetic, so a matching whose coefficient cancels to 0
@@ -82,7 +86,7 @@ def counted_matchings(dd) -> int:
     frontier: list = []
     keys = {()}
     total = 0
-    for ni in morse_decompose(dd).order:
+    for ni in morse_decompose(dd).order if order is None else order:
         step = _EventStep(dd, ni, frontier, processed, box_half if any(box_half) else None)
         closing_of, kept_of = _slot_getter(step.closing), _slot_getter(step.kept)
         new_keys = set()
@@ -96,4 +100,6 @@ def counted_matchings(dd) -> int:
         frontier = step.frontier
         processed[ni] = True
         total += len(keys)
+        if total >= limit:
+            break
     return total

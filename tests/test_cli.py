@@ -76,11 +76,16 @@ def test_non_planar_json_file_exits_2(capsys, tmp_path):
     assert code == EXIT_INPUT and "planar" in err
 
 
+def checkout_env(**extra) -> dict:
+    """os.environ plus `extra`, with the package this test session imported
+    first on PYTHONPATH, so that a subprocess runs this checkout's code."""
+    src = str(Path(skeinlab.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the reader of stdout is gone before the first write
-    src = str(Path(skeinlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -88,7 +93,7 @@ def test_closed_stdout_exits_141_without_a_traceback():
             [sys.executable, "-m", "skeinlab.cli", "tail", "--pd", TREFOIL,
              "--nmax", "3"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-            env=env)
+            env=checkout_env())
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_PIPE == 141
@@ -545,11 +550,8 @@ def test_console_script_installed(tmp_path):
         import_name=ep.attr.split(".")[0], attr=ep.attr))
     script.chmod(0o755)
     # Run this checkout's package, wherever the test session imported it from.
-    src = str(Path(skeinlab.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = checkout_env(
+        PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
 
     proc = subprocess.run(
         ["skeinlab", "bracket", "--pd", ""],
@@ -578,7 +580,7 @@ def test_console_script_on_path():
 def test_main_module_help():
     proc = subprocess.run(
         [sys.executable, "-m", "skeinlab.cli", "--help"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=checkout_env())
     assert proc.returncode == 0
     for sub in ("bracket", "cjones", "tail", "verify", "adequacy", "states"):
         assert sub in proc.stdout

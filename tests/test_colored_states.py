@@ -193,6 +193,19 @@ def test_upsilon_rejects_wrong_state_length():
         build_upsilon(d, 2, ColoredState(2, (1,)))
 
 
+@pytest.mark.parametrize("build", [
+    alpha, build_upsilon,
+    lambda d, n, s: lambda_diagram(d, n, s, (n - 1,) * d.crossing_count)])
+def test_a_state_of_another_color_is_rejected(build):
+    # a color-2 state would otherwise build the color-3 weight or network
+    d = parse_pd(TREFOIL)
+    with pytest.raises(ValueError, match="expected a color-3 state of 3 crossings, "
+                                         "got color 2 with 3"):
+        build(d, 3, s_minus(d, 2))
+    with pytest.raises(ValueError, match="got color 2 with 2"):
+        build(d, 2, ColoredState(2, (1, -1)))
+
+
 PINNED_DIGESTS = json.loads(
     (pathlib.Path(__file__).with_name("upsilon_digests.json")).read_text())
 

@@ -3,13 +3,20 @@ plan invariance, cabling, and colored evaluation anchors."""
 import collections
 import copy
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab.colored_states import all_states, build_upsilon
+from skeinlab.colored_states import (
+    ColoredState,
+    all_states,
+    build_upsilon,
+    s_minus,
+    s_plus,
+)
 from skeinlab.diagram import LinkDiagram, mirror, parse_pd, union_find
 from skeinlab.fixtures import fixture, fixture_names
 from skeinlab.laurent import (
@@ -23,8 +30,10 @@ from skeinlab.skein_eval import (
     CouponNode,
     CrossingNode,
     DecoratedDiagram,
+    MorsePlan,
     ResourceLimitError,
     _adjacency,
+    _box_sides,
     _boxed_adjacency,
     _matching_count,
     _sweep,
@@ -39,6 +48,7 @@ from skeinlab.skein_eval import (
     from_link,
     morse_decompose,
     projector_node,
+    resolve_max_width,
 )
 from skeinlab.temperley_lieb import enumerate_matchings, identity_matching
 
@@ -276,14 +286,15 @@ def default_box_arcs(d: LinkDiagram) -> list:
     return [min(comp, key=repr) for comp in d.components()]
 
 
-def corpus_box_networks():
-    """Every corpus cable and Y network at n = 2, 3."""
-    for name in fixture_names():
-        d = fixture(name).diagram
-        for n in (2, 3):
-            yield f"{name} cable {n}", cabled_diagram(d, n, default_box_arcs(d))
-            for s in all_states(d, n):
-                yield f"{name} Y {n} {s.signs}", build_upsilon(d, n, s)
+def walks(dd: DecoratedDiagram, max_width=math.inf) -> tuple:
+    """The two greedy walks the planner compares on dd, deferring its boxes
+    and ignoring them, as (order, peak, prediction), each None if it passes
+    max_width."""
+    cross, degree = _adjacency(dd.node_count,
+                               ((p, q) for p, q in dd.pairing.items() if p < q))
+    boxes = [node.projector for node in dd.nodes]
+    return tuple(_walk(cross, degree, None, flags, _box_sides(dd), max_width)
+                 for flags in (boxes, [False] * dd.node_count))
 
 
 class TestPlans:
@@ -355,16 +366,82 @@ class TestPlans:
         }[case]
         assert morse_decompose(build()).order == order
 
-    def test_deferring_boxes_never_widens_a_plan(self):
-        # deferring the boxes of the Hopf Y(s-) at n = 2 would peak at 6,
-        # against 4 for the walk that ignores them
-        moved = 0
-        for label, dd in corpus_box_networks():
-            plan = morse_decompose(dd)
-            plain = morse_decompose(without_boxes(dd))
-            assert plan.peak_width <= plain.peak_width, label
-            moved += plan.order != plain.order
-        assert moved > 0
+    def test_plan_is_the_walk_with_the_lesser_prediction(self):
+        # on the 48 corpus Y(s+-) networks at n = 2..4 whose two walks
+        # differ, the plan is the one predicting fewer matchings within
+        # the cap (the deferring one on ties), and it counts no more
+        cap = resolve_max_width()
+        differ = 0
+        for name in fixture_names():
+            d = fixture(name).diagram
+            for n, state in itertools.product((2, 3, 4), (s_minus, s_plus)):
+                dd = build_upsilon(d, n, state(d, n))
+                deferring, plain = walks(dd)
+                if deferring[0] == plain[0]:
+                    continue
+                differ += 1
+                fitting = [w for w in (deferring, plain) if w[1] <= cap]
+                chosen = min(fitting, key=lambda w: w[2])
+                other = plain if chosen is deferring else deferring
+                assert morse_decompose(dd) == MorsePlan(*chosen[:2]), (name, n)
+                least = counted_matchings(dd, chosen[0])
+                assert counted_matchings(dd, other[0], least) >= least, (name, n)
+        assert differ == 48
+
+    def test_upsilon_plans_are_pinned(self):
+        # (link, n, counted and predicted matchings of the Y(s-) plan's
+        # walk, then of the other walk): the deferring walk, which wins
+        # now, peaks wider than the plain one, which was the plan while
+        # the narrower walk won; 6_2 at n = 5 still gets the plain walk,
+        # its deferring one peaking at 26 over the cap of 24
+        for name, n, kept, left in (("hopf", 4, (232, 240), (888, 895)),
+                                    ("6_2", 3, (759, 797), (851, 853))):
+            d = fixture(name).diagram
+            dd = build_upsilon(d, n, s_minus(d, n))
+            deferring, plain = walks(dd)
+            assert deferring[1] > plain[1]
+            assert morse_decompose(dd).order == deferring[0]
+            assert (counted_matchings(dd), predicted_matchings(dd)) == kept
+            assert (counted_matchings(dd, plain[0]), plain[2]) == left
+        d = fixture("6_2").diagram
+        dd = build_upsilon(d, 5, s_minus(d, 5))
+        deferring, plain = walks(dd)
+        assert (deferring[1], plain[1]) == (26, 20)
+        assert morse_decompose(dd) == MorsePlan(*plain[:2])
+
+    def test_a_tie_goes_to_the_deferring_walk(self):
+        # the figure-eight's Y at n = 2 for the state (+, +, +, -): both
+        # walks peak at 6 and predict 32 matchings, in different orders
+        d = fixture("figure_eight").diagram
+        dd = build_upsilon(d, 2, ColoredState(2, (1, 1, 1, -1)))
+        deferring, plain = walks(dd)
+        assert deferring[0] != plain[0]
+        assert deferring[1:] == plain[1:] == (6, 32)
+        assert morse_decompose(dd).order == deferring[0]
+
+    @pytest.mark.parametrize("n,cap,kept", [(2, 4, "plain"), (2, 5, "plain"),
+                                            (2, 3, "plain"), (3, 8, "plain"),
+                                            (3, 9, "plain"), (3, 10, "deferring")])
+    def test_the_cap_decides_between_the_walks(self, n, cap, kept):
+        # the Hopf Y(s-) peaks at 6 (n = 2) or 10 (n = 3) deferring its
+        # boxes and at 4 or 8 ignoring them; at n = 3 the deferring walk
+        # predicts fewer matchings, so it is the plan once it fits, and a
+        # cap below both walks names the narrower
+        d = fixture("hopf").diagram
+        dd = build_upsilon(d, n, s_minus(d, n))
+        deferring, plain = walks(dd)
+        assert (deferring[1], plain[1]) == (4 * n - 2, 4 * n - 4)
+        # a walk stops once it passes the cap
+        assert walks(dd, cap) == tuple(w if w[1] <= cap else None
+                                       for w in (deferring, plain))
+        walk = {"deferring": deferring, "plain": plain}[kept]
+        assert morse_decompose(dd, max_width=cap) == MorsePlan(*walk[:2])
+        if walk[1] > cap:
+            with pytest.raises(ResourceLimitError,
+                               match=f"needs width {walk[1]}, budget is {cap} "):
+                evaluate_rational(dd, max_width=cap)
+        else:
+            assert evaluate_rational(dd, max_width=cap) == evaluate_rational(dd)
 
     def test_deferred_box_lowers_the_live_matching_peak(self):
         # the trefoil's 3-cable with its f(3) box: 132 live matchings at
@@ -433,15 +510,8 @@ def predicted_matchings(dd: DecoratedDiagram) -> int:
     runs on dd: _walk's prediction with the box sides read off the wiring."""
     cross, degree = _adjacency(dd.node_count,
                                ((p, q) for p, q in dd.pairing.items() if p < q))
-    sides: dict = {}
-    for b, node in enumerate(dd.nodes):
-        if node.projector:
-            half = node.port_count // 2
-            for p in range(node.port_count):
-                u, _ = dd.pairing[(b, p)]
-                sides.setdefault(u, []).append((b, int(p < half), int(p >= half)))
     boxes = [node.projector for node in dd.nodes]
-    return _walk(cross, degree, morse_decompose(dd).order, boxes, sides)[2]
+    return _walk(cross, degree, morse_decompose(dd).order, boxes, _box_sides(dd))[2]
 
 
 KNOTS = [name for name in fixture_names()
@@ -535,17 +605,12 @@ class TestBoxPlacement:
                     dd = cabled_diagram(d, n, arcs)
                     assert (rows, deg) == _adjacency(
                         dd.node_count, ((p, q) for p, q in dd.pairing.items() if p < q))
-                    expect: dict = {}
-                    for b in range(n_grid, dd.node_count):
-                        for p in range(2 * n):
-                            u, _ = dd.pairing[(b, p)]
-                            expect.setdefault(u, []).append((b, int(p < n), int(p >= n)))
                     assert ({u: sorted(e) for u, e in sides.items()}
-                            == {u: sorted(e) for u, e in expect.items()})
+                            == {u: sorted(e) for u, e in _box_sides(dd).items()})
 
     def test_plain_walks_are_the_fallback(self, monkeypatch):
         # were every box-deferring walk too wide, the plain walk of a
-        # placement would be swept, as morse_decompose falls back to it
+        # placement would be swept: each placement offers both walks
         def deferring_walks_too_wide(cross, degree, order, boxes, *args):
             walked = _walk(cross, degree, order, boxes, *args)
             if walked is not None and any(boxes):
@@ -593,25 +658,6 @@ class TestBoxPlacement:
         with pytest.raises(ResourceLimitError,
                            match=f"needs width {narrow}, budget is {narrow - 1} "):
             colored_jones(d, 2, max_width=narrow - 1)
-
-    def test_plain_walk_stops_once_it_cannot_be_narrower(self):
-        # the Hopf Y(s-) at n = 2 peaks at 6 deferring its boxes and at 4
-        # ignoring them; a 2-cable of the trefoil peaks at 8 either way
-        d = parse_pd(HOPF)
-        upsilon = build_upsilon(d, 2, min(all_states(d, 2), key=lambda s: s.signs))
-        for dd, deferring, plain in ((upsilon, 6, 4),
-                                     (cabled_diagram(parse_pd(TREFOIL), 2, [1]), 8, 8)):
-            cross, degree = _adjacency(dd.node_count,
-                                       ((p, q) for p, q in dd.pairing.items() if p < q))
-            boxes = [node.projector for node in dd.nodes]
-            assert _walk(cross, degree, None, boxes)[1] == deferring
-            walked = _walk(cross, degree, None, [False] * dd.node_count)
-            assert walked[1] == plain
-            for cap in range(plain - 2, plain + 2):
-                stopped = _walk(cross, degree, None, [False] * dd.node_count,
-                                max_width=cap)
-                assert stopped == (walked if cap >= plain else None)
-            assert morse_decompose(dd).peak_width == min(deferring, plain)
 
 
 class TestWiring:

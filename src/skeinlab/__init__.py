@@ -46,8 +46,8 @@ from .temperley_lieb import (
     tl_tensor,
 )
 from .skein_eval import (
+    CROSSING,
     CouponNode,
-    CrossingNode,
     DecoratedDiagram,
     MorsePlan,
     ResourceLimitError,
@@ -113,7 +113,7 @@ __all__ = [
     "parse_pd",
     "PlanarMatching", "TLElement", "closure", "jones_wenzl", "partial_trace",
     "tl_multiply", "tl_tensor",
-    "CouponNode", "CrossingNode", "DecoratedDiagram", "MorsePlan",
+    "CROSSING", "CouponNode", "DecoratedDiagram", "MorsePlan",
     "ResourceLimitError", "bracket", "bracket_bruteforce", "cabled_diagram",
     "colored_jones", "evaluate", "evaluate_rational", "morse_decompose",
     "projector_node",

@@ -29,10 +29,11 @@ from .laurent import (
     crossing_expansion_coefficient,
 )
 from .skein_eval import (
-    CrossingNode,
+    CROSSING,
     DecoratedDiagram,
     ResourceLimitError,
     _crossing_grid,
+    _require_planar,
     evaluate_rational,
     projector_node,
 )
@@ -156,6 +157,7 @@ def _arc_boxes(link: LinkDiagram, n: int):
     """One projector box per arc plus a closed box per free loop; returns
     (nodes, arc_side, pairing) where arc_side[(crossing, slot, stub)] is
     the box port facing that cable stub."""
+    _require_planar(link, n)
     nodes = []
     pairing = {}
     arc_side = {}
@@ -188,7 +190,7 @@ def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagra
         if m == 0:
             continue
         base = len(nodes)
-        nodes.extend(CrossingNode() for _ in range(m * m))
+        nodes.extend([CROSSING] * (m * m))
         stubs = _crossing_grid(pairing, base, m)
         # boundary of the residual cable onto the remaining stubs
         for slot in range(4):
@@ -262,7 +264,7 @@ def colored_state_sum(link: LinkDiagram, n: int, max_width: int | None = None,
 
 
 def _require_crossingless(S: DecoratedDiagram):
-    if any(isinstance(nd, CrossingNode) for nd in S.nodes):
+    if CROSSING in S.nodes:
         raise ValueError("skein element still has crossings")
 
 

@@ -1,12 +1,13 @@
 """Exact bracket evaluation of decorated diagrams.
 
-A decorated diagram is a closed tangle network: crossing nodes (bare
-Kauffman crossings) and coupon nodes (boxes carrying a fixed linear
-combination of planar matchings, e.g. a Jones-Wenzl projector), wired
-together by a fixed-point-free involution on the ports.  Evaluation
-resolves every node into its matchings and glues, producing the bracket
-value in Z[A, A^-1] after one exact division by the accumulated coupon
-denominator.
+A decorated diagram is a closed tangle network of coupon nodes, boxes
+each carrying a fixed linear combination of planar matchings over one
+denominator, wired together by a fixed-point-free involution on the
+ports.  A crossing is the 4-point coupon CROSSING, the TL_2 element
+A (A-smoothing) + A^-1 (B-smoothing) of the Kauffman skein relation; a
+Jones-Wenzl box f(n) is projector_node(n).  Evaluation resolves every
+node into its matchings and glues, producing the bracket value in
+Z[A, A^-1] after one exact division by the accumulated denominator.
 
 The sweep visits nodes one at a time.  Its running state is the
 frontier, the ordered list of dangling ports, and a bag of terms: a
@@ -32,8 +33,9 @@ is worth exactly 0.  The sweep never builds such a term: each event tags
 the new frontier slots that are same-side ports of one unswept box, and
 drops every splice whose new strand joins two equal tags.  Only coupons
 built with projector=True (projector_node) are pruned; a generic coupon
-never is.  The argument needs a planar network, which colored_jones,
-build_upsilon and cabled_diagram build from any planar PD code.
+never is.  The argument needs a planar network, so cabled_diagram,
+build_upsilon and lambda_diagram raise ValueError on a PD code that is
+not planar whenever they place f(n) boxes with n >= 2.
 
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is an attachment order, from a width greedy
@@ -64,7 +66,7 @@ import operator
 import os
 from dataclasses import dataclass
 
-from .diagram import A_JOINS, B_JOINS, LinkDiagram, apply_state
+from .diagram import A_JOINS, B_JOINS, LinkDiagram, apply_state, is_planar
 from .laurent import (
     LaurentPolynomial,
     ONE,
@@ -102,33 +104,15 @@ def resolve_max_width(max_width: int | None = None) -> int:
     return max_width
 
 
-class CrossingNode:
-    """A bare crossing; ports 0..3 in the PD slot convention."""
-
-    __slots__ = ()
-    port_count = 4
-    denominator = ONE
-    projector = False
-
-    # the A- and B-smoothings as partner tables, with monomial coefficients
-    _TERMS = ((PlanarMatching(2, A_JOINS).partner, {1: 1}),
-              (PlanarMatching(2, B_JOINS).partner, {-1: 1}))
-
-    def local_terms(self):
-        return self._TERMS
-
-    def __repr__(self):
-        return "CrossingNode()"
-
-
 class CouponNode:
     """A box carrying an explicit element of TL_n, given as matchings of
     its 2n boundary points with integer Laurent coefficients over a
-    common denominator.
+    common denominator: the one node type of a network.
 
     Ports use the circle convention of PlanarMatching: 0..n-1 across the
-    bottom, then n..2n-1 across the top right to left.  Each term is held
-    as the partner table of its PlanarMatching.
+    bottom, then n..2n-1 across the top right to left; on CROSSING they
+    are the PD slots 0..3.  Each term is held as the partner table of its
+    PlanarMatching.
 
     `projector` declares that the element kills every turnback (e_i f = 0
     = f e_i), as a Jones-Wenzl box does; the sweep then drops each term
@@ -158,18 +142,16 @@ class CouponNode:
         return f"CouponNode({self.port_count} points, {tag})"
 
 
-_PROJECTOR_CACHE: dict[int, CouponNode] = {}
+# a bare crossing: the A- and B-smoothings of its PD slots
+CROSSING = CouponNode(4, ((A_JOINS, {1: 1}), (B_JOINS, {-1: 1})), label="crossing")
 
 
+@functools.cache
 def projector_node(n: int) -> CouponNode:
     """The Jones-Wenzl box f(n) as a coupon with cleared denominators."""
-    node = _PROJECTOR_CACHE.get(n)
-    if node is None:
-        q, rows = cleared_projector(n)
-        terms = [(m.pairs, coeff) for coeff, m in rows]
-        node = CouponNode(2 * n, terms, q, label=f"f({n})", projector=True)
-        _PROJECTOR_CACHE[n] = node
-    return node
+    q, rows = cleared_projector(n)
+    return CouponNode(2 * n, [(m.pairs, coeff) for coeff, m in rows], q,
+                      label=f"f({n})", projector=True)
 
 
 Port = tuple  # (node_index, port_index)
@@ -693,16 +675,19 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=(),
     """The blackboard m-cable of `link` with a coupon (default: the
     Jones-Wenzl box f(m)) spliced across the cable at each arc in
     `box_arcs`.  Free loops of `link` are *not* carried over; the caller
-    decides what a closed cabled loop is worth.
+    decides what a closed cabled loop is worth.  Projector boxes with
+    m >= 2 need a planar `link` (see _require_planar).
 
     box_arcs=None puts one box on each component, on the arc that
     _place_boxes picks within the width cap `max_width`, and the network
     carries the plan made for it."""
+    if (box_arcs is None or box_arcs) and (coupon is None or coupon.projector):
+        _require_planar(link, m)
     n_grid, pairing, band_ends = cable_ports(link, m)
     plan = None
     if box_arcs is None:
         box_arcs, plan = _place_boxes(link, m, n_grid, pairing, band_ends, max_width)
-    nodes: list = [CrossingNode() for _ in range(n_grid)]
+    nodes: list = [CROSSING] * n_grid
     boxed = {}
     for arc in box_arcs:
         if arc in boxed:
@@ -722,6 +707,15 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=(),
             pairing[end1] = (bn, i - 1)
             pairing[(bn, top_point(i - 1, m))] = end2
     return DecoratedDiagram(nodes, pairing, plan)
+
+
+def _require_planar(link: LinkDiagram, n: int):
+    """Turnback pruning of f(n) boxes is exact only on a planar network, so
+    a builder placing them rejects a PD code that is not planar; at n = 1 a
+    box has one port per side and nothing can be pruned."""
+    if n > 1 and not is_planar(link):
+        raise ValueError(f"{link.name or 'the diagram'} is not planar; f({n}) "
+                         "boxes are evaluated only on planar diagrams")
 
 
 def _place_boxes(link: LinkDiagram, m: int, n_grid: int, pairing: dict,

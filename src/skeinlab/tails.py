@@ -5,7 +5,7 @@ exponent to zero and read a fixed number of consecutive coefficients,
 zeros included, allowing one global sign flip.  The stability theorems
 say consecutive colors agree on windows of length 4n, so the low-end
 coefficients of the family converge to a series (the tail); the head is
-the same story on the mirror diagram.
+the same story at the highest end.
 
 Comparisons accept exact rational values: a quotient is expanded as a
 Laurent series from the chosen end, which is the natural home of these
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .colored_states import alpha, build_upsilon, s_minus
-from .diagram import LinkDiagram, is_alternating, mirror
+from .diagram import LinkDiagram, is_alternating
 from .laurent import LaurentPolynomial, RationalFunction
 from .skein_eval import colored_jones, evaluate_rational
 
@@ -107,33 +107,35 @@ class TailStabilityError(ValueError):
     """A consecutive-color window comparison failed where the stability
     theorems require it to hold."""
 
-    def __init__(self, name: str, n: int, current, successor):
+    def __init__(self, name: str, n: int, current, successor,
+                 end: str = "lowest"):
         super().__init__(
-            f"{name}: colors {n} and {n + 1} disagree on the window of "
-            f"length {4 * n}")
+            f"{name}: colors {n} and {n + 1} disagree on the {end} window "
+            f"of length {4 * n}")
         self.n = n
         self.current = current
         self.successor = successor
+        self.end = end
 
 
 def _display_name(link: LinkDiagram) -> str:
     return link.name or f"{link.crossing_count}-crossing diagram"
 
 
-def _certified_tail(name: str, values, end: str = "lowest") -> CoefficientPrefix:
-    """Check the consecutive-color chain over values = [J~_1 .. J~_max]
-    and package the aligned last row with its certificate.
+def _certified_prefix(name: str, values, end: str = "lowest") -> CoefficientPrefix:
+    """Check the consecutive-color chain over values = [J~_1 .. J~_max] at
+    the chosen end and package the aligned last row with its certificate.
 
     The stored vector is normalized to a positive leading entry: the limit
     series is only defined up to one global sign, and fixing it makes
     prefixes from different color ranges literally comparable."""
     for n in range(1, len(values)):
-        if not doteq(values[n - 1], values[n], 4 * n, "lowest"):
-            raise TailStabilityError(name, n, values[n - 1], values[n])
+        if not doteq(values[n - 1], values[n], 4 * n, end):
+            raise TailStabilityError(name, n, values[n - 1], values[n], end)
     last = values[-1]
     certified = 4 * (len(values) - 1)
     width = last.max_degree() - last.min_degree() + 1
-    coeffs = aligned_coefficients(last, max(width, certified), "lowest")
+    coeffs = aligned_coefficients(last, max(width, certified), end)
     if coeffs[0] < 0:
         coeffs = tuple(-c for c in coeffs)
     return CoefficientPrefix(f"{name} color {len(values)}", end, coeffs,
@@ -152,36 +154,29 @@ def _jtilde_values(link: LinkDiagram, n_max: int,
             for n in range(1, n_max + 1)]
 
 
-def _certified_head(link: LinkDiagram, values) -> CoefficientPrefix:
-    """The head of `link` is the tail of its mirror diagram, whose J~_n is
-    J~_n(link) under A -> A^-1, so the mirrored values certify it."""
-    p = _certified_tail(_display_name(mirror(link)),
-                        [v.mirror() for v in values])
-    return CoefficientPrefix(f"{_display_name(link)} color {len(values)}",
-                             "highest", p.coefficients, p.certified)
-
-
 def tail_prefix(link: LinkDiagram, n_max: int,
                 max_width: int | None = None) -> CoefficientPrefix:
     """Stable low-end coefficients: compute J~_1..J~_{n_max}, check every
     consecutive window, return the aligned lowest coefficients of the last
     with certified length 4(n_max - 1)."""
-    return _certified_tail(_display_name(link),
-                           _jtilde_values(link, n_max, max_width))
+    return _certified_prefix(_display_name(link),
+                             _jtilde_values(link, n_max, max_width))
 
 
 def head_prefix(link: LinkDiagram, n_max: int,
                 max_width: int | None = None) -> CoefficientPrefix:
-    """Stable high-end coefficients, read off the mirror diagram."""
-    return _certified_head(link, _jtilde_values(link, n_max, max_width))
+    """Stable high-end coefficients: tail_prefix at the highest end."""
+    return _certified_prefix(_display_name(link),
+                             _jtilde_values(link, n_max, max_width), "highest")
 
 
 def tail_and_head(link: LinkDiagram, n_max: int,
                   max_width: int | None = None) -> tuple:
     """(tail_prefix, head_prefix) from one computation of each J~_n."""
     values = _jtilde_values(link, n_max, max_width)
-    return (_certified_tail(_display_name(link), values),
-            _certified_head(link, values))
+    name = _display_name(link)
+    return (_certified_prefix(name, values),
+            _certified_prefix(name, values, "highest"))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ class ColorEntry:
     `next_jtilde_agrees` is the consecutive-color window check: True below
     the top color and None on it, where J~ of the next color was not
     computed.  It is never False in a returned report: each window is
-    compared once, by _certified_tail, which raises TailStabilityError on
+    compared once, by _certified_prefix, which raises TailStabilityError on
     a failing window before the report exists.  `seconds` is the wall time
     of the row: the terms it computes (J~_1 and B_1 in row 1, then B_{n+1}
     and J~_{n+1}) and its comparisons.  It is in the CSV form only; the
@@ -266,7 +261,7 @@ class StabilityReport:
     @property
     def ok(self) -> bool:
         # a failed next_jtilde_agrees never reaches a report:
-        # _certified_tail raises TailStabilityError on the same window
+        # _certified_prefix raises TailStabilityError on the same window
         return all(e.bstate_vs_jtilde and e.next_bstate_vs_jtilde
                    for e in self.colors)
 
@@ -327,5 +322,5 @@ def stability_report(link: LinkDiagram, n_max: int,
         start = time.perf_counter()
     # the one comparison of each consecutive-color window; a failure
     # raises TailStabilityError before any report exists
-    tail = _certified_tail(name, list(jtilde.values()))
+    tail = _certified_prefix(name, list(jtilde.values()))
     return StabilityReport(name, tuple(entries), tail)

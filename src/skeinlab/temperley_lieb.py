@@ -113,25 +113,6 @@ def cup_cap_matching(n: int, i: int) -> PlanarMatching:
     return PlanarMatching(n, pairs)
 
 
-def enumerate_matchings(n: int) -> list[PlanarMatching]:
-    """All non-crossing perfect matchings of 2n points (Catalan(n) many)."""
-
-    def split(points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-        if not points:
-            return [[]]
-        a = points[0]
-        results = []
-        # a's partner must leave an even gap on each side of the chord
-        for idx in range(1, len(points), 2):
-            b = points[idx]
-            for left in split(points[1:idx]):
-                for right in split(points[idx + 1:]):
-                    results.append([(a, b)] + left + right)
-        return results
-
-    return [PlanarMatching(n, pairs) for pairs in split(tuple(range(2 * n)))]
-
-
 def _coerce_scalar(c) -> RationalFunction:
     if isinstance(c, RationalFunction):
         return c

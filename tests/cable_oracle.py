@@ -12,12 +12,14 @@ counterclockwise indices within each slot; gluing a band between two
 slots reverses the index (i pairs with m+1-i).
 
 counted_matchings replays a sweep and counts its matchings, the measure
-that the box placement of colored_jones predicts.
+that the box placement of colored_jones predicts; enumerate_matchings
+lists the basis diagrams of TL_n by brute force.
 """
 import math
 
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
+from skeinlab.temperley_lieb import PlanarMatching
 
 
 def _stub_index(slot: int, m: int, *, x: int = 0, y: int = 0) -> int:
@@ -103,3 +105,22 @@ def counted_matchings(dd, order=None, limit=math.inf) -> int:
         if total >= limit:
             break
     return total
+
+
+def enumerate_matchings(n: int) -> list[PlanarMatching]:
+    """All non-crossing perfect matchings of 2n points (Catalan(n) many)."""
+
+    def split(points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+        if not points:
+            return [[]]
+        a = points[0]
+        results = []
+        # a's partner must leave an even gap on each side of the chord
+        for idx in range(1, len(points), 2):
+            b = points[idx]
+            for left in split(points[1:idx]):
+                for right in split(points[idx + 1:]):
+                    results.append([(a, b)] + left + right)
+        return results
+
+    return [PlanarMatching(n, pairs) for pairs in split(tuple(range(2 * n)))]

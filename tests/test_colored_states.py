@@ -41,6 +41,7 @@ from skeinlab.laurent import (
     quantum_dimension,
 )
 from skeinlab.skein_eval import (
+    CROSSING,
     DecoratedDiagram,
     ResourceLimitError,
     colored_jones,
@@ -139,13 +140,13 @@ def test_upsilon_structure_trefoil():
     """Color 2 leaves one residual single crossing per original one."""
     d = parse_pd(TREFOIL)
     dd = build_upsilon(d, 2, s_minus(d, 2))
-    kinds = [type(nd).__name__ for nd in dd.nodes]
-    assert kinds.count("CrossingNode") == 3
-    assert kinds.count("CouponNode") == 6  # one box per arc
+    assert sum(nd is CROSSING for nd in dd.nodes) == 3
+    assert sum(nd.projector for nd in dd.nodes) == 6  # one box per arc
+    assert dd.node_count == 3 + 6
     dd3 = build_upsilon(d, 3, s_minus(d, 3))
-    kinds3 = [type(nd).__name__ for nd in dd3.nodes]
-    assert kinds3.count("CrossingNode") == 3 * 4
-    assert kinds3.count("CouponNode") == 6
+    assert sum(nd is CROSSING for nd in dd3.nodes) == 3 * 4
+    assert sum(nd.projector for nd in dd3.nodes) == 6
+    assert dd3.node_count == 3 * 4 + 6
 
 
 def random_link(k: int, seed: int) -> LinkDiagram:

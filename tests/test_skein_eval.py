@@ -14,10 +14,19 @@ from skeinlab.colored_states import (
     ColoredState,
     all_states,
     build_upsilon,
+    lambda_diagram,
     s_minus,
     s_plus,
 )
-from skeinlab.diagram import LinkDiagram, mirror, parse_pd, union_find
+from skeinlab.diagram import (
+    A_JOINS,
+    B_JOINS,
+    LinkDiagram,
+    is_planar,
+    mirror,
+    parse_pd,
+    union_find,
+)
 from skeinlab.fixtures import fixture, fixture_names
 from skeinlab.laurent import (
     A,
@@ -27,8 +36,8 @@ from skeinlab.laurent import (
     quantum_dimension,
 )
 from skeinlab.skein_eval import (
+    CROSSING,
     CouponNode,
-    CrossingNode,
     DecoratedDiagram,
     MorsePlan,
     ResourceLimitError,
@@ -50,9 +59,9 @@ from skeinlab.skein_eval import (
     projector_node,
     resolve_max_width,
 )
-from skeinlab.temperley_lieb import enumerate_matchings, identity_matching
+from skeinlab.temperley_lieb import identity_matching
 
-from cable_oracle import cable, counted_matchings
+from cable_oracle import cable, counted_matchings, enumerate_matchings
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -110,10 +119,10 @@ def random_braid_closure(k, seed):
 def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
     """Union-find re-evaluation of a decorated diagram whose coupons are
     single fixed matchings; independent of the sweeping engine."""
-    crossings = [i for i, nd in enumerate(dd.nodes) if isinstance(nd, CrossingNode)]
+    crossings = [i for i, nd in enumerate(dd.nodes) if nd is CROSSING]
     fixed_chords = []
     for i, nd in enumerate(dd.nodes):
-        if isinstance(nd, CrossingNode):
+        if nd is CROSSING:
             continue
         terms = nd.local_terms()
         assert len(terms) == 1 and terms[0][1] == {0: 1}, "oracle needs plain coupons"
@@ -161,7 +170,7 @@ def projector_state_sum(dd: DecoratedDiagram) -> RationalFunction:
     choice of one term per coupon, the product of the chosen coefficients
     times the coupon_state_sum of the plain diagram; then divide by the
     coupon denominators.  Uses no part of the sweep."""
-    boxes = [i for i, nd in enumerate(dd.nodes) if isinstance(nd, CouponNode)]
+    boxes = [i for i, nd in enumerate(dd.nodes) if nd is not CROSSING]
     denominator = LaurentPolynomial.one()
     for i in boxes:
         denominator = denominator * dd.nodes[i].denominator
@@ -663,11 +672,11 @@ class TestBoxPlacement:
 class TestWiring:
     def test_involution_required(self):
         with pytest.raises(ValueError):
-            DecoratedDiagram([CrossingNode()], {(0, 0): (0, 0), (0, 1): (0, 2)})
+            DecoratedDiagram([CROSSING], {(0, 0): (0, 0), (0, 1): (0, 2)})
 
     def test_full_coverage_required(self):
         with pytest.raises(ValueError):
-            DecoratedDiagram([CrossingNode()], {(0, 0): (0, 1)})
+            DecoratedDiagram([CROSSING], {(0, 0): (0, 1)})
 
     def test_coupon_must_cover_points(self):
         with pytest.raises(ValueError):
@@ -681,6 +690,51 @@ class TestWiring:
     def test_coupon_must_be_a_tl_diagram(self, points, pairs):
         with pytest.raises(ValueError):
             CouponNode(points, [(pairs, {0: 1})])
+
+
+class TestOneNodeType:
+    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fresh_crossing_coupons_give_the_same_value(self, name, n):
+        # a crossing is nothing but its local terms: fresh, equal 4-point
+        # coupons in place of the shared CROSSING keep the plan and value
+        d = fixture(name).diagram
+        dd = cabled_diagram(d, n, None if n > 1 else ())
+        assert all(nd is CROSSING or nd.projector for nd in dd.nodes)
+        fresh = [CouponNode(4, ((A_JOINS, {1: 1}), (B_JOINS, {-1: 1})))
+                 if nd is CROSSING else nd for nd in dd.nodes]
+        unplanned = DecoratedDiagram(dd.nodes, dd.pairing)
+        fresh = DecoratedDiagram(fresh, dd.pairing)
+        assert morse_decompose(fresh) == morse_decompose(unplanned)
+        assert evaluate(fresh) == evaluate(dd)
+
+
+class TestPlanarity:
+    """Turnback pruning is exact only on planar networks, so every builder
+    that places f(n) boxes with n >= 2 rejects a PD code that is not."""
+
+    def test_builders_with_boxes_reject_a_nonplanar_diagram(self):
+        d = random_link(6, 2)
+        assert not is_planar(d) and len(d.components()) == 2
+        first_arcs = [sorted(comp, key=repr)[0] for comp in d.components()]
+        s = s_minus(d, 3)
+        for build in (lambda: colored_jones(d, 3),
+                      lambda: cabled_diagram(d, 3, first_arcs),
+                      lambda: cabled_diagram(d, 3, None),
+                      lambda: build_upsilon(d, 3, s),
+                      lambda: lambda_diagram(d, 3, s, (2,) * d.crossing_count)):
+            with pytest.raises(ValueError, match="not planar"):
+                build()
+        assert bracket(d) == bracket_bruteforce(d)
+
+    def test_networks_without_pruning_accept_a_nonplanar_diagram(self):
+        # no box, or one-strand boxes: nothing is pruned (generic coupons
+        # on such diagrams are TestCouponOracle's)
+        d = random_link(6, 2)
+        arcs = sorted(d.arcs, key=repr)[:2]
+        assert evaluate(cabled_diagram(d, 1, arcs)) == bracket(d)
+        assert (evaluate(cabled_diagram(d, 2), max_width=99)
+                == bracket(cable(d, 2), max_width=99))
 
 
 class TestCabledEvaluation:
@@ -746,7 +800,7 @@ class TestProjectorOracle:
 
     def test_projector_node_is_flagged_and_shared(self):
         assert projector_node(3).projector and projector_node(3) is projector_node(3)
-        assert not cup_coupon().projector and not CrossingNode().projector
+        assert not cup_coupon().projector and not CROSSING.projector
 
 
 # the TL_m diagrams other than the identity: each turns back on both sides
@@ -909,7 +963,7 @@ def _two_coupon_diagram(link, arc1, arc2, c1, c2):
     from skeinlab.skein_eval import cable_ports
 
     n_grid, pairing, band_ends = cable_ports(link, 2)
-    nodes = [CrossingNode() for _ in range(n_grid)] + [c1, c2]
+    nodes = [CROSSING] * n_grid + [c1, c2]
     pos = {arc1: n_grid, arc2: n_grid + 1}
     for (arc, i), (end1, end2) in band_ends.items():
         bn = pos.get(arc)

@@ -20,7 +20,7 @@ from skeinlab.tails import (
     CoefficientPrefix,
     StabilityReport,
     TailStabilityError,
-    _certified_tail,
+    _certified_prefix,
     aligned_coefficients,
     doteq,
     head_prefix,
@@ -181,10 +181,22 @@ def test_certified_tail_failure_carries_the_pair():
     good = lp({0: 1, 4: 1})
     bad = lp({0: 1, 1: 5})
     with pytest.raises(TailStabilityError) as err:
-        _certified_tail("synthetic", [good, bad])
+        _certified_prefix("synthetic", [good, bad])
     assert err.value.n == 1
     assert err.value.current == good
     assert err.value.successor == bad
+    assert err.value.end == "lowest"
+
+
+def test_certified_prefix_failure_names_the_highest_end():
+    # the lowest windows agree, the highest ones do not
+    current = lp({0: 1, 4: 1})
+    successor = lp({0: 1, 6: 5, 7: 1})
+    assert _certified_prefix("synthetic", [current, successor]).certified == 4
+    with pytest.raises(TailStabilityError, match="on the highest window") as err:
+        _certified_prefix("synthetic", [current, successor], "highest")
+    assert err.value.n == 1
+    assert err.value.end == "highest"
 
 
 def test_prefix_invariants():
@@ -213,8 +225,9 @@ def test_head_prefix_mirrors():
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_head_from_mirrored_values_matches_mirror_diagram_route(name):
-    # the head is certified from J~ of the diagram itself, mirrored; the
-    # mirror diagram's own tail is the independent route to the same vector
+    # the head is certified from J~ of the diagram itself at the highest
+    # end; the mirror diagram's own tail is the independent route to the
+    # same vector
     d = fixture(name).diagram
     tail, head = tail_and_head(d, 3)
     via_mirror = tail_prefix(mirror(d), 3)

@@ -20,7 +20,6 @@ from skeinlab.temperley_lieb import (
     cleared_projector,
     closure,
     cup_cap_matching,
-    enumerate_matchings,
     identity_matching,
     jones_wenzl,
     partial_trace,
@@ -28,6 +27,8 @@ from skeinlab.temperley_lieb import (
     tl_tensor,
     top_point,
 )
+
+from cable_oracle import enumerate_matchings
 
 DELTA = loop_value()
 

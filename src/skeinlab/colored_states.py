@@ -206,20 +206,29 @@ def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
     residual cable of crossing j collapsed to its indices[j]-th corner
     pattern."""
     indices = tuple(indices)
-    m = n - 1
     if len(indices) != link.crossing_count:
         raise ValueError("one corner index per crossing")
+    return _lambda_builder(link, n, s)(indices)
+
+
+def _lambda_builder(link: LinkDiagram, n: int, s: ColoredState):
+    """Check the state and the planarity of `link` once; return the map
+    from an index tuple to its Lambda diagram."""
     _check_state(link, n, s)
     nodes, arc_side, pairing = _arc_boxes(link, n)
-    for ci in range(link.crossing_count):
-        pat = _pattern(s.signs[ci], n)
+    patterns = [_pattern(sign, n) for sign in s.signs]
+    for ci, pat in enumerate(patterns):
         for (sl1, i1), (sl2, i2) in pat.singles:
             pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
-        for (sl1, j1), (sl2, j2) in corner_pattern(m, indices[ci]):
-            a = arc_side[(ci, sl1, pat.stub_of_grid(sl1, j1))]
-            b = arc_side[(ci, sl2, pat.stub_of_grid(sl2, j2))]
-            pairing[a] = b
-    return DecoratedDiagram(nodes, pairing)
+
+    def build(indices) -> DecoratedDiagram:
+        wired = dict(pairing)
+        for ci, (pat, k) in enumerate(zip(patterns, indices)):
+            for (sl1, j1), (sl2, j2) in corner_pattern(n - 1, k):
+                a = arc_side[(ci, sl1, pat.stub_of_grid(sl1, j1))]
+                wired[a] = arc_side[(ci, sl2, pat.stub_of_grid(sl2, j2))]
+        return DecoratedDiagram(nodes, wired)
+    return build
 
 
 def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
@@ -232,12 +241,13 @@ def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
     if max_terms is not None and (m + 1) ** k > max_terms:
         raise ResourceLimitError(
             f"{(m + 1) ** k} expansion terms exceed the cap of {max_terms}")
+    build = _lambda_builder(link, n, s)
     out = []
     for indices in itertools.product(range(m + 1), repeat=k):
         coeff = LaurentPolynomial.one()
         for i in indices:
             coeff = coeff * crossing_expansion_coefficient(m, i)
-        out.append((coeff, lambda_diagram(link, n, s, indices)))
+        out.append((coeff, build(indices)))
     return out
 
 

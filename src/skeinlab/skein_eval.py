@@ -19,11 +19,23 @@ and renumbers the slots that stay open.  How a term splices depends only
 on the partners of the closing slots, so the event groups its terms by
 that signature and traces the splice once per signature and local
 matching with temperley_lieb.glue, the strand tracer that TL stacking
-and partial trace use too -- the new pairs, and the closed loops worth
-powers of delta = -A^2 - A^-2 -- dropping it after the group.  Each term
-then costs one relabel of its kept slots plus a few patched entries, and
-its coefficient times the local coefficient and the loop factor is added
-straight into the destination term.
+and partial trace use too: the new pairs, and the closed loops worth
+powers of delta = -A^2 - A^-2.  Each term then costs one relabel of its
+kept slots plus a few patched entries.
+
+Packed coefficients.  A coefficient is a pair (lo, v): the int v =
+sum c_i 2^(W i) of balanced digits |c_i| < 2^(W-1) stands for sum c_i
+A^(lo + 4i).  Stride 4 holds wherever each coefficient keeps its
+exponents in one residue class mod 4, as on every planar network
+measured; a factor or a collision that mixes residues (a PD code that is
+not planar, or a generic coupon) reruns the sweep at stride 1.  A row's
+factor, local coefficient times delta^loops, is packed once per node,
+term, loop count and W, so a row costs one multiply (an A^+-1 row none)
+and adding into a destination one shift and one add.  Digits cannot
+overflow: each event multiplies a bound on the bag's total L1 norm, which
+bounds every digit of every partial sum, by a bound on the L1 norm its
+rows can give one term, and repacks the bag at a wider W first if the
+bound reaches 2^(W-2).
 
 Turnback pruning.  A Jones-Wenzl box kills every turnback: f(n) e_i = 0.
 Suppose a term joins ports i < j on one side of a box not yet swept.  In
@@ -119,7 +131,7 @@ class CouponNode:
     that caps the box before reaching it.  Only projector_node sets it.
     """
 
-    __slots__ = ("port_count", "denominator", "_terms", "label", "projector")
+    __slots__ = ("port_count", "denominator", "_terms", "label", "projector", "_packed")
 
     def __init__(self, points: int, terms, denominator: LaurentPolynomial = ONE,
                  label: str = "", projector: bool = False):
@@ -133,9 +145,20 @@ class CouponNode:
             (PlanarMatching(points // 2, pairs).partner,
              dict(coeff.terms if isinstance(coeff, LaurentPolynomial) else coeff))
             for pairs, coeff in terms)
+        self._packed: dict = {}
 
     def local_terms(self):
         return self._terms
+
+    def packed(self, li: int, loops: int, width: int, stride: int) -> tuple:
+        """Local coefficient li times delta^loops, packed at `width` and
+        `stride` (see _pack); worked out once per node."""
+        key = (li, loops, width, stride)
+        factor = self._packed.get(key)
+        if factor is None:
+            factor = self._packed[key] = _pack(
+                term_mul(self._terms[li][1], _delta_power(loops)), width, stride)
+        return factor
 
     def __repr__(self):
         tag = self.label or f"{len(self._terms)} term(s)"
@@ -410,28 +433,63 @@ def _sweep(dd: DecoratedDiagram, order=None,
         raise ResourceLimitError(
             f"plan needs width {plan.peak_width}, budget is {cap} "
             f"(raise with --max-width or {_ENV_MAX_WIDTH})")
+    denominator = math.prod((dd.nodes[ni].denominator for ni in plan.order), start=ONE)
+    try:
+        total = _contract(dd, plan.order, max_terms, 4)
+    except _MixedResidues:
+        total = _contract(dd, plan.order, max_terms, 1)
+    return LaurentPolynomial(total), denominator
 
+
+class _MixedResidues(ArithmeticError):
+    """A coefficient's exponents left one residue class mod the stride."""
+
+
+def _pack(coeff: dict, width: int, stride: int) -> tuple:
+    """(lo, v) with v = sum of c * 2^(width * i) over the terms c A^(lo +
+    stride * i) of `coeff`: its balanced digits, each below 2^(width-1)."""
+    lo = min(coeff)
+    if any((e - lo) % stride for e in coeff):
+        raise _MixedResidues
+    return lo, sum(c << (e - lo) // stride * width for e, c in coeff.items())
+
+
+def _unpack(lo: int, v: int, width: int, stride: int) -> dict:
+    """The term dict of the packed coefficient (lo, v); _pack's inverse."""
+    out, half = {}, 1 << width - 1
+    while v:
+        c = (v + half) % (2 * half) - half
+        if c:
+            out[lo] = c
+        v, lo = (v - c) >> width, lo + stride
+    return out
+
+
+def _contract(dd: DecoratedDiagram, order, max_terms, stride: int) -> dict:
+    """Sweep `order` with every coefficient packed at `stride`; return the
+    total's term dict, or raise _MixedResidues."""
     # half the point count of each projector box, 0 for every other node;
     # None when there is no box to prune against
     box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
     if not any(box_half):
         box_half = None
     processed = [False] * dd.node_count
-    denominator = ONE
     frontier: list = []  # the dangling ports; a port's index is its slot
-    # term bag: partner-slot tuple -> integer Laurent coefficient dict
-    terms: dict[tuple, dict] = {(): {0: 1}}
+    # term bag: partner-slot tuple -> packed coefficient [lo, v]; bound is
+    # at least the bag's total L1 norm, so it bounds every digit
+    terms: dict[tuple, list] = {(): [0, 1]}
+    width, bound = 32, 1
 
-    for ni in plan.order:
+    for ni in order:
         node = dd.nodes[ni]
-        denominator = denominator * node.denominator
+        packed = node.packed
         step = _EventStep(dd, ni, frontier, processed, box_half)
         closing_of = _slot_getter(step.closing)
         kept_of = _slot_getter(step.kept)
         relabel = step.relabel.__getitem__
         pad = step.pad
         # terms grouped by the partners of the closing slots, so that each
-        # signature's splice is worked out once and dropped after its group
+        # signature's splice is worked out once
         groups: dict = {}
         for item in terms.items():
             signature = closing_of(item[0])
@@ -442,35 +500,53 @@ def _sweep(dd: DecoratedDiagram, order=None,
                 group.append(item)
         del terms  # the groups hold every term now; free the old table early
 
-        new_terms: dict[tuple, dict] = {}
+        # rows of every signature first: the most L1 norm they give one
+        # term (grow; a row's is at most its local coefficient's times
+        # 2^loops, the norm of delta^loops) sets the bound and the width
+        norms = [sum(map(abs, coeff.values())) for _, coeff in step.local_terms]
+        work, grow = [], 0
         for signature, group in groups.items():
             rows = step.splices(signature)
-            if not rows:
-                continue
-            for key, coeff in group:
+            if rows:
+                work.append((rows, group))
+                grow = max(grow, sum(norms[li] << loops for _, li, loops in rows))
+        del groups
+        bound *= grow
+        if bound.bit_length() > width - 2:
+            # the least multiple of 32 bits that leaves the bound 2 to spare
+            old, width = width, (bound.bit_length() + 33) // 32 * 32
+            for _, group in work:
+                for _, coeff in group:
+                    coeff[:] = _pack(_unpack(*coeff, old, stride), width, stride)
+
+        new_terms: dict[tuple, list] = {}
+        work.reverse()
+        while work:  # each group's rows and old terms go once it is spliced
+            rows, group = work.pop()
+            rows = [(partners, *packed(li, loops, width, stride))
+                    for partners, li, loops in rows]
+            for key, (lo, v) in group:
                 base = [*map(relabel, kept_of(key)), *pad]
                 # every row rewrites the same end slots, so base is reused
-                for partners, factor in rows:
+                for partners, flo, fv in rows:
                     for slot, partner in partners.items():
                         base[slot] = partner
                     new_key = tuple(base)
+                    x = lo + flo
+                    y = v if fv == 1 else v * fv
                     dest = new_terms.get(new_key)
                     if dest is None:
-                        new_terms[new_key] = dest = {}
-                    get = dest.get
-                    for e, c in factor:
-                        for x, v in coeff.items():
-                            x += e
-                            dest[x] = get(x, 0) + c * v
-        del groups  # release the old coefficients before compacting
+                        new_terms[new_key] = [x, y]
+                        continue
+                    d = x - dest[0]
+                    if d % stride:
+                        raise _MixedResidues
+                    if d >= 0:
+                        dest[1] += y << d // stride * width
+                    else:
+                        dest[:] = x, (dest[1] << -d // stride * width) + y
 
-        terms = {}
-        for key, coeff in new_terms.items():
-            if 0 in coeff.values():
-                coeff = {x: v for x, v in coeff.items() if v}
-                if not coeff:
-                    continue
-            terms[key] = coeff
+        terms = {key: coeff for key, coeff in new_terms.items() if coeff[1]}
         frontier = step.frontier
         processed[ni] = True
         if max_terms is not None and len(terms) > max_terms:
@@ -483,8 +559,8 @@ def _sweep(dd: DecoratedDiagram, order=None,
     for key, coeff in terms.items():
         if key:
             raise AssertionError("sweep finished with dangling wires")
-        total = coeff
-    return LaurentPolynomial(total), denominator
+        total = _unpack(*coeff, width, stride)
+    return total
 
 
 def _slot_getter(slots: list):
@@ -508,8 +584,7 @@ class _EventStep:
     """
 
     __slots__ = ("local_terms", "closing", "kept", "relabel", "pad",
-                 "frontier", "_back", "_end", "_closing_port", "_factors",
-                 "_tags")
+                 "frontier", "_back", "_end", "_closing_port", "_tags")
 
     def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
                  processed: list, box_half: list | None):
@@ -546,7 +621,6 @@ class _EventStep:
             self.frontier.append(port)
         self.pad = (-1,) * len(fresh)
         self.local_terms = node.local_terms()
-        self._factors: dict = {}
         # every new slot is a port of a node not yet swept; its tag is
         # 2 * box + side for a port of a projector box, else a negative
         # number no other slot has.  None when no two slots share a tag,
@@ -559,11 +633,11 @@ class _EventStep:
                 self._tags = tags
 
     def splices(self, signature: tuple) -> list:
-        """One row (partners, factor) per local matching of the node, for a
-        term whose closing slots have the given partners: partners maps
-        each new slot where a spliced strand ends to the slot of its other
-        end, and factor holds the (exponent, coefficient) items of local
-        coefficient * delta^loops.
+        """One row (partners, li, loops) per local matching li of the node,
+        for a term whose closing slots have the given partners: partners
+        maps each new slot where a spliced strand ends to the slot of its
+        other end, and the row's factor is local coefficient li times
+        delta^loops.
 
         A row whose new strand joins two slots with equal tags caps an
         unswept projector, is worth exactly 0 (see the module docstring)
@@ -579,17 +653,12 @@ class _EventStep:
                 end[pi] = self.relabel[partner]
         tags = self._tags
         rows = []
-        for li, (local_map, local_coeff) in enumerate(self.local_terms):
+        for li, (local_map, _) in enumerate(self.local_terms):
             partners, loops = glue(local_map, back, end)
             if tags is not None and any(tags[a] == tags[b]
                                         for a, b in partners.items()):
                 continue
-            factor = self._factors.get((li, loops))
-            if factor is None:
-                factor = self._factors[(li, loops)] = (
-                    term_mul(local_coeff, _delta_power(loops)).items()
-                    if loops else local_coeff.items())
-            rows.append((partners, factor))
+            rows.append((partners, li, loops))
         return rows
 
 

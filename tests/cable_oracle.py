@@ -94,7 +94,7 @@ def counted_matchings(dd, order=None, limit=math.inf) -> int:
         new_keys = set()
         for key in keys:
             base = [step.relabel[s] for s in kept_of(key)] + list(step.pad)
-            for partners, _ in step.splices(closing_of(key)):
+            for partners, *_ in step.splices(closing_of(key)):
                 for slot, partner in partners.items():
                     base[slot] = partner
                 new_keys.add(tuple(base))

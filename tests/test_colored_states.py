@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from skeinlab import colored_states, skein_eval
 from skeinlab.colored_states import (
     ColoredState,
     D_degree,
@@ -30,6 +31,7 @@ from skeinlab.diagram import (
     LinkDiagram,
     all_b_state,
     circle_count,
+    is_planar,
     parse_pd,
 )
 from skeinlab.fixtures import fixture
@@ -57,6 +59,7 @@ TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
 FIG8 = "X 4 2 5 1 / X 8 6 1 5 / X 6 3 7 4 / X 2 7 3 8"
 KINK = "X 1 2 2 1"
+NONPLANAR = "X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"
 
 DELTA = loop_value()
 
@@ -305,6 +308,34 @@ def test_lambda_expand_guard():
     d = parse_pd(TREFOIL)
     with pytest.raises(ResourceLimitError):
         lambda_expand(d, 3, s_minus(d, 3), max_terms=10)
+
+
+def test_lambda_expand_checks_planarity_once(monkeypatch):
+    d = fixture("6_2").diagram
+    s = s_minus(d, 3)
+    indices = list(itertools.product(range(3), repeat=d.crossing_count))
+    expected = [lambda_diagram(d, 3, s, ix) for ix in indices]
+    calls = []
+    monkeypatch.setattr(skein_eval, "is_planar",
+                        lambda link: calls.append(link) or is_planar(link))
+    terms = lambda_expand(d, 3, s)
+    assert calls == [d]
+    assert ([(lam.nodes, lam.pairing) for _, lam in terms]
+            == [(lam.nodes, lam.pairing) for lam in expected])
+    c = [crossing_expansion_coefficient(2, i) for i in range(3)]
+    assert [coeff for coeff, _ in terms] == [
+        c[i] * c[j] * c[k] * c[l] * c[m] * c[o] for i, j, k, l, m, o in indices]
+
+
+def test_lambda_expand_rejects_a_nonplanar_diagram_first(monkeypatch):
+    d = parse_pd(NONPLANAR)
+    assert not is_planar(d)
+
+    def build(*args):
+        raise AssertionError("a term was built")
+    monkeypatch.setattr(colored_states, "DecoratedDiagram", build)
+    with pytest.raises(ValueError, match="not planar"):
+        lambda_expand(d, 3, s_minus(d, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

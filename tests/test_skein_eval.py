@@ -35,6 +35,7 @@ from skeinlab.laurent import (
     loop_value,
     quantum_dimension,
 )
+from skeinlab import skein_eval
 from skeinlab.skein_eval import (
     CROSSING,
     CouponNode,
@@ -44,8 +45,11 @@ from skeinlab.skein_eval import (
     _adjacency,
     _box_sides,
     _boxed_adjacency,
+    _MixedResidues,
     _matching_count,
+    _pack,
     _sweep,
+    _unpack,
     _walk,
     bracket,
     bracket_bruteforce,
@@ -117,17 +121,27 @@ def random_braid_closure(k, seed):
 
 
 def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
-    """Union-find re-evaluation of a decorated diagram whose coupons are
-    single fixed matchings; independent of the sweeping engine."""
+    """Union-find state sum of a decorated diagram, independent of the
+    sweeping engine: over each choice of one local term per coupon other
+    than CROSSING, the product of the chosen coefficients times the state
+    sum of the crossings with the chosen matchings fixed.  Coupon
+    denominators are left out; projector_state_sum divides by them."""
+    coupons = [i for i, nd in enumerate(dd.nodes) if nd is not CROSSING]
+    total = LaurentPolynomial({})
+    for choice in itertools.product(*(dd.nodes[i].local_terms() for i in coupons)):
+        weight = LaurentPolynomial.one()
+        chords = []
+        for i, (pmap, coeff) in zip(coupons, choice):
+            chords += [((i, a), (i, b)) for a, b in enumerate(pmap) if a < b]
+            weight = weight * LaurentPolynomial(coeff)
+        total = total + weight * crossing_state_sum(dd, chords)
+    return total
+
+
+def crossing_state_sum(dd: DecoratedDiagram, fixed_chords) -> LaurentPolynomial:
+    """The 2^k state sum over the crossings of dd, every other coupon
+    replaced by the given chords between its ports."""
     crossings = [i for i, nd in enumerate(dd.nodes) if nd is CROSSING]
-    fixed_chords = []
-    for i, nd in enumerate(dd.nodes):
-        if nd is CROSSING:
-            continue
-        terms = nd.local_terms()
-        assert len(terms) == 1 and terms[0][1] == {0: 1}, "oracle needs plain coupons"
-        pmap = terms[0][0]
-        fixed_chords += [((i, a), (i, b)) for a, b in enumerate(pmap) if a < b]
     wires = [(a, b) for a, b in dd.pairing.items() if a < b]
     ports = [(i, p) for i, nd in enumerate(dd.nodes) for p in range(nd.port_count)]
     # the classes of the fixed part (wires and coupon chords); a state only
@@ -166,25 +180,13 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
 
 
 def projector_state_sum(dd: DecoratedDiagram) -> RationalFunction:
-    """Expand every coupon into its cleared local terms and sum, over each
-    choice of one term per coupon, the product of the chosen coefficients
-    times the coupon_state_sum of the plain diagram; then divide by the
-    coupon denominators.  Uses no part of the sweep."""
-    boxes = [i for i, nd in enumerate(dd.nodes) if nd is not CROSSING]
+    """coupon_state_sum over the product of the coupon denominators: every
+    coupon expanded into its cleared local terms.  Uses no part of the
+    sweep."""
     denominator = LaurentPolynomial.one()
-    for i in boxes:
-        denominator = denominator * dd.nodes[i].denominator
-    total = LaurentPolynomial({})
-    for choice in itertools.product(*(dd.nodes[i].local_terms() for i in boxes)):
-        nodes = list(dd.nodes)
-        weight = LaurentPolynomial.one()
-        for i, (pmap, coeff) in zip(boxes, choice):
-            nodes[i] = matching_coupon(
-                len(pmap), [(a, b) for a, b in enumerate(pmap) if a < b])
-            weight = weight * LaurentPolynomial(coeff)
-        plain = DecoratedDiagram(nodes, dd.pairing)
-        total = total + weight * coupon_state_sum(plain)
-    return RationalFunction(total, denominator)
+    for nd in dd.nodes:
+        denominator = denominator * nd.denominator
+    return RationalFunction(coupon_state_sum(dd), denominator)
 
 
 class TestBracket:
@@ -832,6 +834,110 @@ class TestGenericCouponsAreNotPruned:
         # a generic coupon with a turnback is not a projector: a term that
         # caps it is worth a loop, not 0, so the sweep must keep it
         assert evaluate(dd, max_width=99) == coupon_state_sum(dd)
+
+
+@st.composite
+def wide_coefficients(draw):
+    """A Laurent coefficient with entries up to 2^200 in size, its
+    exponents in one residue class mod 4 or (perhaps) several."""
+    exponents = st.integers(-6, 6)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 3))
+        exponents = st.integers(-2, 2).map(lambda j: r + 4 * j)
+    bits = draw(st.integers(0, 200))
+    value = st.integers(-(1 << bits), 1 << bits).filter(bool)
+    return draw(st.dictionaries(exponents, value, min_size=1, max_size=3))
+
+
+@st.composite
+def weighted_coupon_cables(draw):
+    """A cable of a braid closure or of a random (perhaps non-planar)
+    diagram with a generic coupon, a wide-coefficient combination of
+    matchings, on some of its arcs."""
+    m = draw(st.sampled_from([1, 2]))
+    k = draw(st.integers(1, 5 if m == 1 else 2))
+    if draw(st.booleans()):
+        strands = draw(st.integers(2, 3))
+        word = draw(st.lists(st.integers(1, strands - 1), min_size=k, max_size=k))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+        d = braid_closure([g * e for g, e in zip(word, signs)], strands)
+    else:
+        d = random_link(k, draw(st.integers(0, 99)))
+    arcs = sorted(d.arcs, key=repr)
+    boxed = draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=2, unique=True))
+    matchings = draw(st.lists(st.sampled_from(enumerate_matchings(m)), min_size=1,
+                              unique=True))
+    coupon = CouponNode(2 * m, [(pm.pairs, draw(wide_coefficients()))
+                                for pm in matchings])
+    return cabled_diagram(d, m, boxed, coupon=coupon)
+
+
+class TestPackedCoefficients:
+    """The sweep packs each coefficient into one int (skein_eval._pack)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_coupon_cables())
+    def test_wide_coefficient_coupons_match_state_sum(self, dd):
+        assert evaluate(dd, max_width=99) == coupon_state_sum(dd)
+
+    @pytest.mark.parametrize("width", [32, 64, 96])
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_pack_round_trip_at_the_digit_bound(self, width, stride):
+        top = (1 << width - 2) - 1
+        for coeff in ({-3 * stride: top, 0: -top, 4 * stride: -top},
+                      {stride: -top, 2 * stride: top, 5 * stride: -1},
+                      {7: top}, {-5: -top}):
+            lo, v = _pack(coeff, width, stride)
+            assert lo == min(coeff)
+            assert _unpack(lo, v, width, stride) == coeff
+
+    def test_pack_rejects_mixed_residues(self):
+        assert _unpack(*_pack({0: 1, 1: -3}, 32, 1), 32, 1) == {0: 1, 1: -3}
+        with pytest.raises(_MixedResidues):
+            _pack({0: 1, 1: -3}, 32, 4)
+
+    def test_mixed_residues_rerun_the_sweep_at_stride_one(self, monkeypatch):
+        strides = record_strides(monkeypatch)
+        d = parse_pd(TREFOIL)
+        coupon = CouponNode(4, [(pm.pairs, {0: 1, 1: -3}) for pm in enumerate_matchings(2)])
+        dd = cabled_diagram(d, 2, [1], coupon=coupon)
+        assert evaluate(dd) == coupon_state_sum(dd)
+        assert strides == [4, 1]
+
+    def test_a_wide_coefficient_widens_the_digits(self, monkeypatch):
+        widths = []
+        unpack = skein_eval._unpack
+        monkeypatch.setattr(skein_eval, "_unpack",
+                            lambda lo, v, w, s: widths.append(w) or unpack(lo, v, w, s))
+        d = parse_pd(FIG8)
+        coupon = CouponNode(2, [(((0, 1),), {4: 3 << 200, 0: -1})])
+        dd = cabled_diagram(d, 1, [sorted(d.arcs, key=repr)[0]], coupon=coupon)
+        assert evaluate(dd) == coupon_state_sum(dd)
+        assert max(widths) > 200
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_corpus_networks_stay_at_stride_four(self, name, monkeypatch):
+        # every corpus J~_n cable and B-state network has each coefficient
+        # in one residue class mod 4; losing that would show only as time
+        strides = record_strides(monkeypatch)
+        d = fixture(name).diagram
+        for n in (1, 2, 3):
+            colored_jones(d, n)
+            for s in (s_plus(d, n), s_minus(d, n)):
+                evaluate_rational(build_upsilon(d, n, s))
+        assert strides and set(strides) == {4}
+
+
+def record_strides(monkeypatch) -> list:
+    """Record the stride of every skein_eval._contract call."""
+    strides = []
+    contract = skein_eval._contract
+
+    def recorded(dd, order, max_terms, stride):
+        strides.append(stride)
+        return contract(dd, order, max_terms, stride)
+    monkeypatch.setattr(skein_eval, "_contract", recorded)
+    return strides
 
 
 @st.composite

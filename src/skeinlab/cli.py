@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .colored_states import all_states, alpha, build_upsilon
+from .colored_states import DEFAULT_MAX_STATES, all_states, alpha, build_upsilon
 from .diagram import (
     LinkDiagram, MalformedPDError, all_a_state, all_b_state, apply_state,
     is_a_adequate, is_adequate, is_alternating, is_b_adequate, is_planar,
@@ -43,8 +43,6 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141
-
-DEFAULT_MAX_STATES = 4096
 
 
 # ---------------------------------------------------------------------------

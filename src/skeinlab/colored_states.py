@@ -39,6 +39,9 @@ from .skein_eval import (
 )
 from .temperley_lieb import top_point
 
+# the most colored states a state sum or listing visits (2^12)
+DEFAULT_MAX_STATES = 4096
+
 
 @dataclass(frozen=True)
 class ColoredState:
@@ -252,7 +255,7 @@ def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
 
 
 def colored_state_sum(link: LinkDiagram, n: int, max_width: int | None = None,
-                      max_states: int = 4096) -> LaurentPolynomial:
+                      max_states: int = DEFAULT_MAX_STATES) -> LaurentPolynomial:
     """Sum alpha(s) * <Y(s)> over all 2^k colored states; equals the
     n-colored bracket of the diagram.
 

@@ -396,11 +396,9 @@ class RationalFunction:
         num = num.shift(-den.min_degree())
         den = den.shift(-den.min_degree())
         g = laurent_gcd(num, den)
-        if not g.is_unit() or g.min_degree() != 0:
+        if g != ONE:
             num = divide_exact(num, g)
             den = divide_exact(den, g)
-        elif g.coefficient(0) == -1:
-            num, den = -num, -den
         if den.coefficient(den.max_degree()) < 0:
             num, den = -num, -den
         self.num, self.den = num, den

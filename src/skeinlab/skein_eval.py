@@ -42,12 +42,12 @@ Suppose a term joins ports i < j on one side of a box not yet swept.  In
 a planar network the ports i+1..j-1 then close off in a disk, and every
 crossingless matching of that disk turns back into the box, so the term
 is worth exactly 0.  The sweep never builds such a term: each event tags
-the new frontier slots that are same-side ports of one unswept box, and
-drops every splice whose new strand joins two equal tags.  Only coupons
-built with projector=True (projector_node) are pruned; a generic coupon
-never is.  The argument needs a planar network, so cabled_diagram,
-build_upsilon and lambda_diagram raise ValueError on a PD code that is
-not planar whenever they place f(n) boxes with n >= 2.
+each new slot at a box port with its side tag, 2 * box + (1 on the top)
+(_side), and drops every splice whose new strand joins two equal tags.
+Only coupons built with projector=True (projector_node) are pruned; a
+generic coupon never is.  The argument needs a planar network, so
+cabled_diagram, build_upsilon and lambda_diagram raise ValueError on a
+PD code that is not planar whenever they place f(n) boxes with n >= 2.
 
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is an attachment order, from a width greedy
@@ -58,9 +58,10 @@ unswept box prunes every row that caps it; that only moves the order, so
 every value stays exact.
 
 The walk also predicts the live matchings of its order: at each event,
-the crossingless matchings of the frontier that join no two same-side
-ports of an unswept box, counted as if each box side held consecutive
-frontier slots (_matching_count).  Every greedy plan comes from one rule
+the crossingless matchings of the frontier that join no two slots with
+one side tag, counted as if each box side held consecutive frontier
+slots (_matching_count).  One reader (_graph) turns the wiring a network
+sweeps into the walk's inputs, and every greedy plan comes from one rule
 (_choose): each network on offer is walked deferring its boxes and
 ignoring them, and the walk with the least prediction within the width
 cap wins.  colored_jones offers one network per arc that could carry
@@ -234,43 +235,33 @@ class MorsePlan:
 def morse_decompose(dd: DecoratedDiagram, order=None, max_width=None) -> MorsePlan:
     """Walk `order`, which must visit every node once, or else the plan the
     network's builder made (dd.plan), or else the walk _choose keeps within
-    the width cap `max_width`, the box sides read off the wiring."""
+    the width cap `max_width`, on the network as _graph reads it."""
     n = dd.node_count
     if order is None and dd.plan is not None:
         return dd.plan
-    cross, degree = _adjacency(n, ((p, q) for p, q in dd.pairing.items() if p < q))
-    boxes = [node.projector for node in dd.nodes]
+    half = _halves(dd.nodes)
+    cross, degree, sides = _graph(half, ((p, q) for p, q in dd.pairing.items() if p < q))
     if order is not None:
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError("plan must visit every node exactly once")
-        return MorsePlan(*_walk(cross, degree, order, boxes)[:2])
-    order, peak, *_ = _choose(None, resolve_max_width(max_width), cross, degree,
-                              boxes, _box_sides(dd) if any(boxes) else None)
+        return MorsePlan(*_walk(cross, degree, order, [False] * n)[:2])
+    order, peak, *_ = _choose(None, resolve_max_width(max_width), half,
+                              cross, degree, sides)
     return MorsePlan(order, peak)
 
 
-def _box_sides(dd: DecoratedDiagram) -> dict:
-    """_walk's side table, read off the wiring: one (box, bottom wires, top
-    wires) entry per wire from a node to a projector box."""
-    sides: dict = {}
-    for (b, p), (u, _) in dd.pairing.items():
-        if dd.nodes[b].projector:
-            bottom = int(p < dd.nodes[b].port_count // 2)
-            sides.setdefault(u, []).append((b, bottom, 1 - bottom))
-    return sides
-
-
-def _choose(kept, cap: int, cross: list, degree: list, boxes: list, sides=None,
+def _choose(kept, cap: int, half: list, cross: list, degree: list, sides,
             tag=None) -> tuple:
-    """The one rule every greedy plan comes from.  Walk one network twice
-    (see _walk for the arguments), deferring its boxes and ignoring them
-    (once if it has none), and return the walk to keep as (order, peak,
-    prediction, tag): of `kept` (the same, or None) and these walks, the
-    least prediction within the width cap, the earlier on ties, and if
-    none fits, the narrowest, for the sweep's cap check to name.  Once a
-    walk fits, a later one stops as soon as it cannot win."""
-    for flags in (boxes, [False] * len(boxes)) if any(boxes) else (boxes,):
+    """The one rule every greedy plan comes from.  Walk one network (as
+    _graph reads it) twice, deferring its boxes and ignoring them (once if
+    it has none), and return the walk to keep as (order, peak, prediction,
+    tag): of `kept` (the same, or None) and these walks, the least
+    prediction within the width cap, the earlier on ties, and if none
+    fits, the narrowest, for the sweep's cap check to name.  Once a walk
+    fits, a later one stops as soon as it cannot win."""
+    boxes = [h > 0 for h in half]
+    for flags in (boxes, [False] * len(boxes)) if sides is not None else (boxes,):
         limits = (cap, kept[2]) if kept is not None and kept[1] <= cap else ()
         walked = _walk(cross, degree, None, flags, sides, *limits)
         if walked and (kept is None or walked[1] <= cap or walked[1] < kept[1]):
@@ -278,19 +269,39 @@ def _choose(kept, cap: int, cross: list, degree: list, boxes: list, sides=None,
     return kept
 
 
-def _adjacency(n: int, wires) -> tuple:
-    """(cross, degree) of n nodes joined by `wires`, (port, port) pairs
-    each given once: cross[u][v] counts the wires between distinct nodes u
-    and v, degree[u] the wires from u to other nodes."""
-    cross = [{} for _ in range(n)]
-    degree = [0] * n
-    for (a, _), (b, _) in wires:
+def _halves(nodes) -> list:
+    """Half the point count of each projector box, 0 for every other node."""
+    return [node.port_count // 2 if node.projector else 0 for node in nodes]
+
+
+def _side(half: list, port: Port) -> int:
+    """The side tag of a port of a projector box: twice the box, +1 on top."""
+    return 2 * port[0] + (port[1] >= half[port[0]])
+
+
+def _graph(half: list, wires) -> tuple:
+    """The one reader of wiring for planning: (cross, degree, sides) of the
+    nodes with box halves `half` (_halves) joined by `wires`, (port, port)
+    pairs each given once.  cross[u][v] counts the wires between distinct
+    nodes u and v, degree[u] the wires from u to other nodes, and sides[u]
+    lists the side tags (_side) of u's wires into boxes; sides is None when
+    there is no box."""
+    cross = [{} for _ in half]
+    degree = [0] * len(half)
+    sides = [[] for _ in half] if any(half) else None
+    for p, q in wires:
+        a, b = p[0], q[0]
         if a != b:
             cross[a][b] = cross[a].get(b, 0) + 1
             cross[b][a] = cross[b].get(a, 0) + 1
             degree[a] += 1
             degree[b] += 1
-    return cross, degree
+        if sides is not None:
+            if half[b]:
+                sides[a].append(_side(half, q))
+            if half[a]:
+                sides[b].append(_side(half, p))
+    return cross, degree, sides
 
 
 def _walk(cross: list, degree: list, order, boxes: list, sides=None,
@@ -302,11 +313,11 @@ def _walk(cross: list, degree: list, order, boxes: list, sides=None,
     not flagged in `boxes` before one that is, then the one with most
     wires into the swept region, then the lowest.
 
-    The prediction needs `sides`, which maps each node wired to a
-    projector box to its (box, bottom wires, top wires) entries; each
-    event then adds the turnback-free matchings of its frontier
-    (_matching_count of its width and the sides of the unswept boxes it
-    has reached).  Without `sides` the prediction is 0."""
+    cross, degree and sides are as _graph reads them.  The prediction
+    needs sides: each event adds the turnback-free matchings of its
+    frontier, _matching_count of its width and of the wires from the swept
+    region into each side (tag) of the unswept boxes.  Without sides the
+    prediction is 0."""
     n = len(degree)
     done = [False] * n
     into = [0] * n  # wires from the processed region into each pending node
@@ -324,7 +335,7 @@ def _walk(cross: list, degree: list, order, boxes: list, sides=None,
     heap = list(key)
     heapq.heapify(heap)
     pop, push, count = heapq.heappop, heapq.heappush, _matching_count
-    reached: dict = {}  # unswept box -> [bottom, top] wires from the swept region
+    reached: dict = {}  # side tag of an unswept box -> wires from the swept region
     blocks = ()
     chosen = []
     width = peak = cost = 0
@@ -349,15 +360,12 @@ def _walk(cross: list, degree: list, order, boxes: list, sides=None,
                 key[u] -= c * drop
                 push(heap, key[u])
         if sides is not None:
-            if v in sides or v in reached:
-                reached.pop(v, None)
-                for b, bottom, top in sides.get(v, ()):
-                    if not done[b]:
-                        ends = reached.setdefault(b, [0, 0])
-                        ends[0] += bottom
-                        ends[1] += top
-                blocks = tuple(sorted(e for ends in reached.values()
-                                      for e in ends if e > 1))
+            tags = sides[v]
+            if reached.pop(2 * v, 0) + reached.pop(2 * v + 1, 0) or tags:
+                for t in tags:
+                    if not done[t >> 1]:
+                        reached[t] = reached.get(t, 0) + 1
+                blocks = tuple(sorted(e for e in reached.values() if e > 1))
             cost += count(width, blocks)
             if cost >= max_cost:
                 return None
@@ -468,11 +476,10 @@ def _unpack(lo: int, v: int, width: int, stride: int) -> dict:
 def _contract(dd: DecoratedDiagram, order, max_terms, stride: int) -> dict:
     """Sweep `order` with every coefficient packed at `stride`; return the
     total's term dict, or raise _MixedResidues."""
-    # half the point count of each projector box, 0 for every other node;
     # None when there is no box to prune against
-    box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
-    if not any(box_half):
-        box_half = None
+    half = _halves(dd.nodes)
+    if not any(half):
+        half = None
     processed = [False] * dd.node_count
     frontier: list = []  # the dangling ports; a port's index is its slot
     # term bag: partner-slot tuple -> packed coefficient [lo, v]; bound is
@@ -483,7 +490,7 @@ def _contract(dd: DecoratedDiagram, order, max_terms, stride: int) -> dict:
     for ni in order:
         node = dd.nodes[ni]
         packed = node.packed
-        step = _EventStep(dd, ni, frontier, processed, box_half)
+        step = _EventStep(dd, ni, frontier, processed, half)
         closing_of = _slot_getter(step.closing)
         kept_of = _slot_getter(step.kept)
         relabel = step.relabel.__getitem__
@@ -587,7 +594,7 @@ class _EventStep:
                  "frontier", "_back", "_end", "_closing_port", "_tags")
 
     def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
-                 processed: list, box_half: list | None):
+                 processed: list, half: list | None):
         node = dd.nodes[ni]
         nports = node.port_count
         slot_of = {port: s for s, port in enumerate(frontier)}
@@ -621,14 +628,14 @@ class _EventStep:
             self.frontier.append(port)
         self.pad = (-1,) * len(fresh)
         self.local_terms = node.local_terms()
-        # every new slot is a port of a node not yet swept; its tag is
-        # 2 * box + side for a port of a projector box, else a negative
+        # every new slot is a port of a node not yet swept; its tag is the
+        # side tag (_side) of a port of a projector box, else a negative
         # number no other slot has.  None when no two slots share a tag,
         # so that no row can cap a box
         self._tags = None
-        if box_half is not None:
-            tags = [2 * qn + (qp >= box_half[qn]) if box_half[qn] else -1 - s
-                    for s, (qn, qp) in enumerate(self.frontier)]
+        if half is not None:
+            tags = [_side(half, port) if half[port[0]] else -1 - s
+                    for s, port in enumerate(self.frontier)]
             if len(set(tags)) < len(tags):
                 self._tags = tags
 
@@ -752,30 +759,37 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=(),
     carries the plan made for it."""
     if (box_arcs is None or box_arcs) and (coupon is None or coupon.projector):
         _require_planar(link, m)
-    n_grid, pairing, band_ends = cable_ports(link, m)
+    n_grid, grid, band_ends = cable_ports(link, m)
+    boxes = len(link.components()) if box_arcs is None else len(box_arcs)
+    box = coupon if coupon is not None or not boxes else projector_node(m)
+    if boxes and box.port_count != 2 * m:
+        raise ValueError("coupon size must match the cable width")
+    nodes = [CROSSING] * n_grid + [box] * boxes
     plan = None
     if box_arcs is None:
-        box_arcs, plan = _place_boxes(link, m, n_grid, pairing, band_ends, max_width)
-    nodes: list = [CROSSING] * n_grid
-    boxed = {}
-    for arc in box_arcs:
-        if arc in boxed:
+        box_arcs, plan = _place_boxes(link, m, nodes, grid, band_ends, max_width)
+    return DecoratedDiagram(nodes, _splice(grid, band_ends, n_grid, m, box_arcs), plan)
+
+
+def _splice(grid: dict, band_ends: dict, n_grid: int, m: int, box_arcs) -> dict:
+    """The wiring of the m-cable whose crossing grids are wired by `grid`
+    (see cable_ports), with box n_grid + c spliced into every band of
+    box_arcs[c] and every other band tying its two ends: each wire once."""
+    boxed: dict = {}
+    for b, arc in enumerate(box_arcs, n_grid):
+        if boxed.setdefault(arc, b) != b:
             raise ValueError(f"arc {arc!r} boxed twice")
-        node = coupon if coupon is not None else projector_node(m)
-        if node.port_count != 2 * m:
-            raise ValueError("coupon size must match the cable width")
-        boxed[arc] = len(nodes)
-        nodes.append(node)
+    wiring = dict(grid)
     for (arc, i), (end1, end2) in band_ends.items():
-        bn = boxed.get(arc)
-        if bn is None:
-            pairing[end1] = end2
+        b = boxed.get(arc)
+        if b is None:
+            wiring[end1] = end2
         else:
             # band i enters the box bottom at position i-1 and leaves the
             # top at the same position, continuing to the reversed stub
-            pairing[end1] = (bn, i - 1)
-            pairing[(bn, top_point(i - 1, m))] = end2
-    return DecoratedDiagram(nodes, pairing, plan)
+            wiring[end1] = (b, i - 1)
+            wiring[(b, top_point(i - 1, m))] = end2
+    return wiring
 
 
 def _require_planar(link: LinkDiagram, n: int):
@@ -787,32 +801,28 @@ def _require_planar(link: LinkDiagram, n: int):
                          "boxes are evaluated only on planar diagrams")
 
 
-def _place_boxes(link: LinkDiagram, m: int, n_grid: int, pairing: dict,
+def _place_boxes(link: LinkDiagram, m: int, nodes: list, grid: dict,
                  band_ends: dict, max_width) -> tuple:
-    """(box arcs, MorsePlan) for the m-cable with one box per component,
-    box c being node n_grid + c.
+    """(box arcs, MorsePlan) for the m-cable of `link` (grid and band_ends
+    as cable_ports gives them) whose nodes are `nodes`, its crossings and
+    then one box per component.
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
-    cost does.  Each placement is a network offered to _choose, with the
-    adjacency and box sides patched into the box-free cable's
-    (_boxed_adjacency).  The first puts every box on the first arc (by
-    repr) of its component; then the components are taken one at a time,
-    each trying its other arcs with the other boxes where the kept plan
-    has them, so the walks number the arcs, not their product."""
+    cost does.  Each placement is a network offered to _choose, read by
+    _graph off the very wiring (_splice) that the sweep of that placement
+    runs on.  The first puts every box on the first arc (by repr) of its
+    component; then the components are taken one at a time, each trying
+    its other arcs with the other boxes where the kept plan has them, so
+    the walks number the arcs, not their product."""
     comps = [sorted(comp, key=repr) for comp in link.components()]
-    cross, degree = _adjacency(n_grid + len(comps),
-                               itertools.chain(pairing.items(), band_ends.values()))
-    bands: dict = {}  # arc -> (first-end node, second-end node) of each band
-    for (arc, _), ((u, _), (v, _)) in band_ends.items():
-        bands.setdefault(arc, []).append((u, v))
+    n_grid = len(nodes) - len(comps)
+    half = _halves(nodes)
     cap = resolve_max_width(max_width)
-    boxes = [False] * n_grid + [True] * len(comps)
 
     def offer(kept, arcs) -> tuple:
-        rows, deg, sides = _boxed_adjacency(cross, degree, n_grid, m,
-                                            [bands[arc] for arc in arcs])
-        return _choose(kept, cap, rows, deg, boxes, sides, arcs)
+        wiring = _splice(grid, band_ends, n_grid, m, arcs)
+        return _choose(kept, cap, half, *_graph(half, wiring.items()), arcs)
 
     arcs = [comp[0] for comp in comps]
     kept = offer(None, arcs)
@@ -823,36 +833,6 @@ def _place_boxes(link: LinkDiagram, m: int, n_grid: int, pairing: dict,
                 arcs = kept[3]
     order, peak, _, arcs = kept
     return arcs, MorsePlan(order, peak)
-
-
-def _boxed_adjacency(cross: list, degree: list, n_grid: int, m: int,
-                     placed: list) -> tuple:
-    """(cross, degree, sides) of the cable whose adjacency is cross and
-    degree, with box n_grid + c spliced into the bands placed[c], given as
-    (first-end node, second-end node) pairs; every row no box touches is
-    shared.  sides maps each node wired to a box to its (box, bottom
-    wires, top wires) entries, as _walk takes them."""
-    rows, deg, sides = list(cross), list(degree), {}
-    for b, band_nodes in enumerate(placed, n_grid):
-        rows[b] = {}
-        deg[b] = 2 * m
-        for u, v in band_nodes:
-            for x in (u, v):
-                if rows[x] is cross[x]:
-                    rows[x] = dict(cross[x])
-            if u != v:
-                for x, y in ((u, v), (v, u)):
-                    rows[x][y] -= 1
-                    if not rows[x][y]:
-                        del rows[x][y]
-                    deg[x] -= 1
-            # band i enters the box bottom from u and leaves its top to v
-            for x, bottom in ((u, 1), (v, 0)):
-                rows[x][b] = rows[x].get(b, 0) + 1
-                rows[b][x] = rows[b].get(x, 0) + 1
-                deg[x] += 1
-                sides.setdefault(x, []).append((b, bottom, 1 - bottom))
-    return rows, deg, sides
 
 
 def colored_jones(link: LinkDiagram, n: int,

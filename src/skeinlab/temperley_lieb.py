@@ -28,6 +28,7 @@ with f(0) empty and f(1) a single strand.
 """
 from __future__ import annotations
 
+import functools
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -393,37 +394,29 @@ def closure(x: TLElement) -> RationalFunction:
     return c
 
 
-_JW_CACHE: dict[int, TLElement] = {}
-
-
+@functools.cache
 def jones_wenzl(n: int) -> TLElement:
     """The n-th Jones-Wenzl projector in TL_n (Wenzl's recursion)."""
     if n < 0:
         raise ValueError("projector index must be >= 0")
-    got = _JW_CACHE.get(n)
-    if got is not None:
-        return got
     if n == 0:
-        val = TLElement.basis(PlanarMatching(0, []))
-    elif n == 1:
-        val = TLElement.identity(1)
-    else:
-        # With prev = f(n-1)x1 = (1/q) P and prev.e.prev = (1/q^2) S:
-        # f(n) = (Delta_{n-1} q P - Delta_{n-2} S) / (Delta_{n-1} q^2).
-        q, nums = _cleared(jones_wenzl(n - 1))
-        strand = identity_matching(1)
-        prev = {_juxtapose(m, strand): num for m, num in nums.items()}
-        e = {cup_cap_matching(n, n - 1): {0: 1}}
-        sandwich = _product(_product(prev, e), prev)
-        big, small = quantum_dimension(n - 1), quantum_dimension(n - 2)
-        scale = (big * q).terms
-        out = {m: term_mul(scale, num) for m, num in prev.items()}
-        minus_small = term_neg(small.terms)
-        for m, num in sandwich.items():
-            _add_into(out, m, term_mul(minus_small, num))
-        val = _reduced(n, big * q * q, out)
-    _JW_CACHE[n] = val
-    return val
+        return TLElement.basis(PlanarMatching(0, []))
+    if n == 1:
+        return TLElement.identity(1)
+    # With prev = f(n-1)x1 = (1/q) P and prev.e.prev = (1/q^2) S:
+    # f(n) = (Delta_{n-1} q P - Delta_{n-2} S) / (Delta_{n-1} q^2).
+    q, nums = _cleared(jones_wenzl(n - 1))
+    strand = identity_matching(1)
+    prev = {_juxtapose(m, strand): num for m, num in nums.items()}
+    e = {cup_cap_matching(n, n - 1): {0: 1}}
+    sandwich = _product(_product(prev, e), prev)
+    big, small = quantum_dimension(n - 1), quantum_dimension(n - 2)
+    scale = (big * q).terms
+    out = {m: term_mul(scale, num) for m, num in prev.items()}
+    minus_small = term_neg(small.terms)
+    for m, num in sandwich.items():
+        _add_into(out, m, term_mul(minus_small, num))
+    return _reduced(n, big * q * q, out)
 
 
 def cleared_projector(n: int) -> tuple[LaurentPolynomial, list[tuple[dict, PlanarMatching]]]:

@@ -62,6 +62,7 @@ def binomial_oracle(n, k):
 small_polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8), st.integers(min_value=-9, max_value=9), max_size=6
 ).map(L)
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
 
 class TestRing:
@@ -148,6 +149,20 @@ class TestDivisionGcd:
     def test_gcd_of_coprime_is_constant(self):
         g = laurent_gcd(L({2: 2}), L({0: 3, 5: 3}))
         assert g == L({0: 1})
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_is_canonical(self, p, q, r):
+        # lowest degree 0 and a positive leading coefficient, so a gcd that
+        # is a unit is exactly 1; the common factor r makes most gcds larger
+        p, q = p * r, q * r
+        g = laurent_gcd(p, q)
+        assert g.min_degree() == 0
+        assert g.coefficient(g.max_degree()) > 0
+        assert divide_exact(p, g) * g == p
+        assert divide_exact(q, g) * g == q
+        if g.is_unit():
+            assert g == ONE
 
 
 class TestQuantumScalars:

@@ -42,10 +42,9 @@ from skeinlab.skein_eval import (
     DecoratedDiagram,
     MorsePlan,
     ResourceLimitError,
-    _adjacency,
-    _box_sides,
-    _boxed_adjacency,
     _MixedResidues,
+    _graph,
+    _halves,
     _matching_count,
     _pack,
     _sweep,
@@ -53,7 +52,6 @@ from skeinlab.skein_eval import (
     _walk,
     bracket,
     bracket_bruteforce,
-    cable_ports,
     cabled_diagram,
     colored_jones,
     evaluate,
@@ -301,11 +299,15 @@ def walks(dd: DecoratedDiagram, max_width=math.inf) -> tuple:
     """The two greedy walks the planner compares on dd, deferring its boxes
     and ignoring them, as (order, peak, prediction), each None if it passes
     max_width."""
-    cross, degree = _adjacency(dd.node_count,
-                               ((p, q) for p, q in dd.pairing.items() if p < q))
+    cross, degree, sides = wiring_graph(dd)
     boxes = [node.projector for node in dd.nodes]
-    return tuple(_walk(cross, degree, None, flags, _box_sides(dd), max_width)
+    return tuple(_walk(cross, degree, None, flags, sides, max_width)
                  for flags in (boxes, [False] * dd.node_count))
+
+
+def wiring_graph(dd: DecoratedDiagram) -> tuple:
+    """(cross, degree, sides) of dd as the planner reads them."""
+    return _graph(_halves(dd.nodes), ((p, q) for p, q in dd.pairing.items() if p < q))
 
 
 class TestPlans:
@@ -519,10 +521,9 @@ def placements(d: LinkDiagram):
 def predicted_matchings(dd: DecoratedDiagram) -> int:
     """The planner's prediction of the matchings along the plan the sweep
     runs on dd: _walk's prediction with the box sides read off the wiring."""
-    cross, degree = _adjacency(dd.node_count,
-                               ((p, q) for p, q in dd.pairing.items() if p < q))
+    cross, degree, sides = wiring_graph(dd)
     boxes = [node.projector for node in dd.nodes]
-    return _walk(cross, degree, morse_decompose(dd).order, boxes, _box_sides(dd))[2]
+    return _walk(cross, degree, morse_decompose(dd).order, boxes, sides)[2]
 
 
 KNOTS = [name for name in fixture_names()
@@ -597,27 +598,17 @@ class TestBoxPlacement:
         assert min(predicted.values()) == 59
         assert cabled_diagram(d, 2, None).pairing == cabled_diagram(d, 2, [4]).pairing
 
-    def test_shared_adjacency_matches_the_built_network(self):
-        # the candidates patch one shared adjacency; each patch must be the
-        # adjacency of the network cabled_diagram builds for that placement
+    def test_placed_plan_is_the_plan_of_its_network(self):
+        # the placement walks each offer on the wiring it returns, so the
+        # plan it keeps is the one morse_decompose makes of that network
         links = [fixture(name).diagram for name in fixture_names()]
         links += [braid_closure(word, strands)
                   for word, strands, *_ in NARROW_ARC_BRAIDS]
         for d in links:
-            for n in (2, 3):
-                n_grid, pairing, band_ends = cable_ports(d, n)
-                cross, degree = _adjacency(
-                    n_grid + len(d.components()),
-                    itertools.chain(pairing.items(), band_ends.values()))
-                for arcs in placements(d):
-                    placed = [[(band_ends[(arc, i)][0][0], band_ends[(arc, i)][1][0])
-                               for i in range(1, n + 1)] for arc in arcs]
-                    rows, deg, sides = _boxed_adjacency(cross, degree, n_grid, n, placed)
-                    dd = cabled_diagram(d, n, arcs)
-                    assert (rows, deg) == _adjacency(
-                        dd.node_count, ((p, q) for p, q in dd.pairing.items() if p < q))
-                    assert ({u: sorted(e) for u, e in sides.items()}
-                            == {u: sorted(e) for u, e in _box_sides(dd).items()})
+            for n, cap in itertools.product((2, 3), (None, 8)):
+                dd = cabled_diagram(d, n, None, max_width=cap)
+                network = DecoratedDiagram(dd.nodes, dd.pairing)
+                assert morse_decompose(network, max_width=cap) == dd.plan, (d.name, n, cap)
 
     def test_plain_walks_are_the_fallback(self, monkeypatch):
         # were every box-deferring walk too wide, the plain walk of a

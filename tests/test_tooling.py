@@ -1,7 +1,7 @@
 """Tooling checks.  The benchmark's tracer wraps skeinlab functions by
-name, so a rename under src/ breaks every traced bench pass; and the
+name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
-library."""
+library; and no private helper in the package lives on for tests alone."""
 import ast
 import importlib
 import importlib.util
@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
 
 
 def test_every_traced_name_resolves():
@@ -28,9 +29,8 @@ def test_every_traced_name_resolves():
 def test_the_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies, so every import in the
     # package is relative or from the standard library
-    src = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
     outside = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -41,3 +41,31 @@ def test_the_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_private_helper_in_src_has_a_src_caller():
+    # a module-level _name function or class that only tests call belongs
+    # under tests/ as an oracle, or nowhere; a helper's own body does not
+    # count as a caller
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    own = stmt.name
+                    defined[own] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert defined
+    assert sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in used) == []

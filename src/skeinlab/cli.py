@@ -147,12 +147,14 @@ def _cmd_adequacy(args) -> tuple:
 # states
 
 def _cmd_states(args) -> tuple:
+    n = args.n if args.n is not None else 1
+    if n < 1:
+        raise ValueError("color must be >= 1")
     diagram = _load_input(args)
     k = diagram.crossing_count
     if 2 ** k > DEFAULT_MAX_STATES:
         raise ResourceLimitError(
             f"2^{k} states exceed the listing cap {DEFAULT_MAX_STATES}")
-    n = args.n if args.n is not None else 1
     rows = []
     if n == 1:
         # classical Kauffman states: weight A^(a-b) * delta^circles

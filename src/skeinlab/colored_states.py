@@ -156,10 +156,14 @@ def corner_pattern(m: int, k: int):
 # diagram assembly
 
 
-def _arc_boxes(link: LinkDiagram, n: int):
-    """One projector box per arc plus a closed box per free loop; returns
-    (nodes, arc_side, pairing) where arc_side[(crossing, slot, stub)] is
-    the box port facing that cable stub."""
+def _state_wiring(link: LinkDiagram, n: int, s: ColoredState):
+    """The wiring that Y(s) and its Lambda diagrams share: one f(n) box per
+    arc plus a closed box per free loop, and each crossing's two
+    classically smoothed strands.  Returns (nodes, arc_side, pairing,
+    patterns) where arc_side[(crossing, slot, stub)] is the box port
+    facing that cable stub and patterns[ci] the SmoothingPattern of
+    crossing ci."""
+    _check_state(link, n, s)
     _require_planar(link, n)
     nodes = []
     pairing = {}
@@ -176,22 +180,19 @@ def _arc_boxes(link: LinkDiagram, n: int):
         nodes.append(projector_node(n))
         for p in range(n):
             pairing[(b, p)] = (b, top_point(p, n))
-    return nodes, arc_side, pairing
+    patterns = [_pattern(sign, n) for sign in s.signs]
+    for ci, pat in enumerate(patterns):
+        for (sl1, i1), (sl2, i2) in pat.singles:
+            pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
+    return nodes, arc_side, pairing, patterns
 
 
 def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagram:
     """The skein element of a colored state: every crossing smoothed per
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
-    _check_state(link, n, s)
     m = n - 1
-    nodes, arc_side, pairing = _arc_boxes(link, n)
-
-    for ci in range(link.crossing_count):
-        pat = _pattern(s.signs[ci], n)
-        for (sl1, i1), (sl2, i2) in pat.singles:
-            pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
-        if m == 0:
-            continue
+    nodes, arc_side, pairing, patterns = _state_wiring(link, n, s)
+    for ci, pat in enumerate(patterns if m else ()):  # n = 1: no residual cable
         base = len(nodes)
         nodes.extend([CROSSING] * (m * m))
         stubs = _crossing_grid(pairing, base, m)
@@ -217,12 +218,7 @@ def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
 def _lambda_builder(link: LinkDiagram, n: int, s: ColoredState):
     """Check the state and the planarity of `link` once; return the map
     from an index tuple to its Lambda diagram."""
-    _check_state(link, n, s)
-    nodes, arc_side, pairing = _arc_boxes(link, n)
-    patterns = [_pattern(sign, n) for sign in s.signs]
-    for ci, pat in enumerate(patterns):
-        for (sl1, i1), (sl2, i2) in pat.singles:
-            pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
+    nodes, arc_side, pairing, patterns = _state_wiring(link, n, s)
 
     def build(indices) -> DecoratedDiagram:
         wired = dict(pairing)

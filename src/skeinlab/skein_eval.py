@@ -51,11 +51,10 @@ PD code that is not planar whenever they place f(n) boxes with n >= 2.
 
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is an attachment order, from a width greedy
-unless the caller or the network's builder gives one, and the peak width
-of that order, which the width cap is checked against.  The greedy can
-sweep projector boxes last among nodes that leave equal width, since an
-unswept box prunes every row that caps it; that only moves the order, so
-every value stays exact.
+unless the caller gives one, and the peak width of that order, which the
+width cap is checked against.  The greedy can sweep projector boxes last
+among nodes that leave equal width, since an unswept box prunes every
+row that caps it; that only moves the order, so every value stays exact.
 
 The walk also predicts the live matchings of its order: at each event,
 the crossingless matchings of the frontier that join no two slots with
@@ -65,7 +64,8 @@ sweeps into the walk's inputs, and every greedy plan comes from one rule
 (_choose): each network on offer is walked deferring its boxes and
 ignoring them, and the walk with the least prediction within the width
 cap wins.  colored_jones offers one network per arc that could carry
-each component's box: the value does not depend on that arc, but the
+each component's box (_place_boxes) and sweeps the one kept, planned
+again like any other: the value does not depend on that arc, but the
 cost does (the figure-eight's J~_4 cable holds 54,056 matchings in all
 with the box on the first arc and 12,164 on the chosen one).
 """
@@ -183,15 +183,12 @@ Port = tuple  # (node_index, port_index)
 
 class DecoratedDiagram:
     """Nodes plus a closed wiring: every port is paired with exactly one
-    other port (never itself).  `plan` is the MorsePlan the builder chose
-    for the network, if it chose one among several networks with the same
-    value (cabled_diagram's box arcs); else morse_decompose plans it."""
+    other port (never itself)."""
 
-    __slots__ = ("nodes", "pairing", "plan")
+    __slots__ = ("nodes", "pairing")
 
-    def __init__(self, nodes, pairing: dict, plan=None):
+    def __init__(self, nodes, pairing: dict):
         self.nodes = tuple(nodes)
-        self.plan = plan
         full: dict[Port, Port] = {}
         for a, b in pairing.items():
             full[a] = b
@@ -233,12 +230,10 @@ class MorsePlan:
 
 
 def morse_decompose(dd: DecoratedDiagram, order=None, max_width=None) -> MorsePlan:
-    """Walk `order`, which must visit every node once, or else the plan the
-    network's builder made (dd.plan), or else the walk _choose keeps within
-    the width cap `max_width`, on the network as _graph reads it."""
+    """Walk `order`, which must visit every node once, or else the walk
+    _choose keeps within the width cap `max_width`, on the network as
+    _graph reads it: every plan the sweep runs comes from here."""
     n = dd.node_count
-    if order is None and dd.plan is not None:
-        return dd.plan
     half = _halves(dd.nodes)
     cross, degree, sides = _graph(half, ((p, q) for p, q in dd.pairing.items() if p < q))
     if order is not None:
@@ -746,29 +741,21 @@ def cable_ports(link: LinkDiagram, m: int):
 
 
 def cabled_diagram(link: LinkDiagram, m: int, box_arcs=(),
-                   coupon: CouponNode | None = None,
-                   max_width: int | None = None) -> DecoratedDiagram:
+                   coupon: CouponNode | None = None) -> DecoratedDiagram:
     """The blackboard m-cable of `link` with a coupon (default: the
     Jones-Wenzl box f(m)) spliced across the cable at each arc in
     `box_arcs`.  Free loops of `link` are *not* carried over; the caller
     decides what a closed cabled loop is worth.  Projector boxes with
-    m >= 2 need a planar `link` (see _require_planar).
-
-    box_arcs=None puts one box on each component, on the arc that
-    _place_boxes picks within the width cap `max_width`, and the network
-    carries the plan made for it."""
-    if (box_arcs is None or box_arcs) and (coupon is None or coupon.projector):
+    m >= 2 need a planar `link` (see _require_planar).  The network is
+    nodes plus wiring; morse_decompose plans it when it is swept."""
+    if box_arcs and (coupon is None or coupon.projector):
         _require_planar(link, m)
     n_grid, grid, band_ends = cable_ports(link, m)
-    boxes = len(link.components()) if box_arcs is None else len(box_arcs)
-    box = coupon if coupon is not None or not boxes else projector_node(m)
-    if boxes and box.port_count != 2 * m:
+    box = coupon if coupon is not None or not box_arcs else projector_node(m)
+    if box_arcs and box.port_count != 2 * m:
         raise ValueError("coupon size must match the cable width")
-    nodes = [CROSSING] * n_grid + [box] * boxes
-    plan = None
-    if box_arcs is None:
-        box_arcs, plan = _place_boxes(link, m, nodes, grid, band_ends, max_width)
-    return DecoratedDiagram(nodes, _splice(grid, band_ends, n_grid, m, box_arcs), plan)
+    nodes = [CROSSING] * n_grid + [box] * len(box_arcs)
+    return DecoratedDiagram(nodes, _splice(grid, band_ends, n_grid, m, box_arcs))
 
 
 def _splice(grid: dict, band_ends: dict, n_grid: int, m: int, box_arcs) -> dict:
@@ -801,11 +788,10 @@ def _require_planar(link: LinkDiagram, n: int):
                          "boxes are evaluated only on planar diagrams")
 
 
-def _place_boxes(link: LinkDiagram, m: int, nodes: list, grid: dict,
-                 band_ends: dict, max_width) -> tuple:
-    """(box arcs, MorsePlan) for the m-cable of `link` (grid and band_ends
-    as cable_ports gives them) whose nodes are `nodes`, its crossings and
-    then one box per component.
+def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
+    """The box arcs, one per component, of the m-cable of `link` with an
+    f(m) box on each component whose walk _choose keeps under the width
+    cap `max_width`; `link` must be planar (_require_planar).
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
@@ -815,9 +801,10 @@ def _place_boxes(link: LinkDiagram, m: int, nodes: list, grid: dict,
     component; then the components are taken one at a time, each trying
     its other arcs with the other boxes where the kept plan has them, so
     the walks number the arcs, not their product."""
+    _require_planar(link, m)
     comps = [sorted(comp, key=repr) for comp in link.components()]
-    n_grid = len(nodes) - len(comps)
-    half = _halves(nodes)
+    n_grid, grid, band_ends = cable_ports(link, m)
+    half = [0] * n_grid + [m] * len(comps)
     cap = resolve_max_width(max_width)
 
     def offer(kept, arcs) -> tuple:
@@ -831,22 +818,20 @@ def _place_boxes(link: LinkDiagram, m: int, nodes: list, grid: dict,
             kept = offer(kept, arcs[:c] + [arc] + arcs[c + 1:])
             if kept[1] <= cap:
                 arcs = kept[3]
-    order, peak, _, arcs = kept
-    return arcs, MorsePlan(order, peak)
+    return kept[3]
 
 
 def colored_jones(link: LinkDiagram, n: int,
                   max_width: int | None = None) -> LaurentPolynomial:
     """Unreduced n-colored Jones polynomial in the Kauffman variable,
     blackboard framing: the n-cable with one Jones-Wenzl box per
-    component, each on the arc that cabled_diagram predicts cheapest to
+    component, each on the arc that _place_boxes predicts cheapest to
     sweep.  The 0-crossing unknot gives the loop polynomial of f(n)."""
     if n < 0:
         raise ValueError("color must be >= 0")
     resolve_max_width(max_width)  # reject a bad cap even when no sweep runs
     if n == 0:
         return LaurentPolynomial.one()
-    box_arcs = None if n >= 2 else ()
-    value = evaluate(cabled_diagram(link, n, box_arcs, max_width=max_width),
-                     max_width=max_width)
+    arcs = _place_boxes(link, n, max_width) if n >= 2 else ()
+    value = evaluate(cabled_diagram(link, n, arcs), max_width=max_width)
     return value * quantum_dimension(n) ** link.free_loops if link.free_loops else value

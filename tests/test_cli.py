@@ -297,12 +297,23 @@ def test_states_colored_total_is_cjones(capsys):
     assert dens != {(1,)}
 
 
+# 13 kinks in a row: 2^13 states, over the listing cap
+CHAIN = " / ".join(f"X {2 * i + 1} {2 * i + 2} {2 * i + 2} {(2 * i + 3) % 26 or 26}"
+                   for i in range(13))
+
+
 def test_states_cap_exits_3(capsys):
-    chain = " / ".join(
-        f"X {2 * i + 1} {2 * i + 2} {2 * i + 2} {(2 * i + 3) % 26 or 26}"
-        for i in range(13))
-    code, _, err = run(capsys, "states", "--pd", chain)
+    code, _, err = run(capsys, "states", "--pd", CHAIN)
     assert code == EXIT_RESOURCE and "cap" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("pd", ["X 1 2 2 1", "O", CHAIN], ids=["kink", "unknot", "chain"])
+def test_states_color_below_one_exits_2(capsys, pd, n):
+    # the color is checked before the state cap, as verify checks --nmax
+    code, out, err = run(capsys, "states", "--pd", pd, "-n", n)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "color must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------

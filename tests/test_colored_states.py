@@ -212,6 +212,11 @@ def test_a_state_of_another_color_is_rejected(build):
 
 PINNED_DIGESTS = json.loads(
     (pathlib.Path(__file__).with_name("upsilon_digests.json")).read_text())
+# color 5, pinned before the planner's search changes; only the values
+# that take under about a second each are checked here (see "about")
+for kind, digests in json.loads((pathlib.Path(__file__).with_name(
+        "color5_digests.json")).read_text())["tier1"].items():
+    PINNED_DIGESTS[kind].update(digests)
 
 
 def upsilon_digest(value: RationalFunction) -> str:
@@ -227,8 +232,8 @@ def pinned_case(case: str):
 
 @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS["s_minus"]))
 def test_upsilon_b_state_matches_pinned_digest(case):
-    """Y(s-) of every corpus fixture at n = 2..4 and of the trefoil at
-    n = 5, bit for bit as pinned before the sweep pruned turnbacks."""
+    """Y(s-) of every corpus fixture at n = 2..4, bit for bit as pinned
+    before the sweep pruned turnbacks, and at n = 5 but for 6_2."""
     d, n = pinned_case(case)
     value = evaluate_rational(build_upsilon(d, n, s_minus(d, n)))
     assert upsilon_digest(value) == PINNED_DIGESTS["s_minus"][case]
@@ -237,7 +242,8 @@ def test_upsilon_b_state_matches_pinned_digest(case):
 @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS["s_plus"]))
 def test_upsilon_a_state_matches_pinned_digest(case):
     """Y(s+) of every corpus fixture at n = 2, 3, bit for bit as pinned
-    before the Morse planner deferred projector boxes."""
+    before the Morse planner deferred projector boxes, and of the
+    trefoil, Hopf link, figure-eight and 5_2 at n = 5."""
     d, n = pinned_case(case)
     value = evaluate_rational(build_upsilon(d, n, s_plus(d, n)))
     assert upsilon_digest(value) == PINNED_DIGESTS["s_plus"][case]
@@ -247,7 +253,8 @@ def test_upsilon_a_state_matches_pinned_digest(case):
 def test_colored_jones_matches_pinned_digest(case):
     """J~_n of every corpus fixture at n = 2, 3 and of the trefoil,
     figure-eight and Hopf link at n = 4, bit for bit as pinned before
-    the Morse planner deferred projector boxes."""
+    the Morse planner deferred projector boxes, and of the trefoil and
+    Hopf link at n = 5."""
     d, n = pinned_case(case)
     payload = repr(sorted(colored_jones(d, n).terms.items()))
     assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_DIGESTS["jtilde"][case]

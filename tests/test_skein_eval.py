@@ -47,6 +47,7 @@ from skeinlab.skein_eval import (
     _halves,
     _matching_count,
     _pack,
+    _place_boxes,
     _sweep,
     _unpack,
     _walk,
@@ -518,6 +519,12 @@ def placements(d: LinkDiagram):
     return itertools.product(*[sorted(c, key=repr) for c in d.components()])
 
 
+def placed(d: LinkDiagram, n: int, cap=None) -> DecoratedDiagram:
+    """The n-cable that colored_jones sweeps: a box on each component, on
+    the arc that _place_boxes keeps within the width cap."""
+    return cabled_diagram(d, n, _place_boxes(d, n, cap))
+
+
 def predicted_matchings(dd: DecoratedDiagram) -> int:
     """The planner's prediction of the matchings along the plan the sweep
     runs on dd: _walk's prediction with the box sides read off the wiring."""
@@ -553,7 +560,7 @@ class TestBoxPlacement:
         # chosen one (arc 3) the fewest
         d = fixture("figure_eight").diagram
         default = cabled_diagram(d, 4, default_box_arcs(d))
-        chosen = cabled_diagram(d, 4, None)
+        chosen = placed(d, 4)
         assert counted_matchings(default) == 54056
         assert counted_matchings(chosen) == 12164
         assert predicted_matchings(default) == 55763
@@ -565,7 +572,7 @@ class TestBoxPlacement:
         # the walks that stop early never cost the least prediction, so the
         # choice is the argmin over every arc
         d = fixture(name).diagram
-        chosen = cabled_diagram(d, 3, None)
+        chosen = placed(d, 3)
         default = cabled_diagram(d, 3, default_box_arcs(d))
         least = min(predicted_matchings(cabled_diagram(d, 3, arcs))
                     for arcs in placements(d))
@@ -588,7 +595,7 @@ class TestBoxPlacement:
 
         a = min(first, key=lambda x: cost([x, second[0]]))
         b = min(second, key=lambda y: cost([a, y]))
-        assert cabled_diagram(d, n, None).pairing == cabled_diagram(d, n, [a, b]).pairing
+        assert placed(d, n).pairing == cabled_diagram(d, n, [a, b]).pairing
 
     def test_ties_go_to_the_earlier_arc(self):
         # the trefoil's J~_2 predicts 59 matchings on arcs 4 and 5, the least
@@ -596,19 +603,7 @@ class TestBoxPlacement:
         predicted = {a: predicted_matchings(cabled_diagram(d, 2, [a])) for a in d.arcs}
         assert sorted(a for a in d.arcs if predicted[a] == 59) == [4, 5]
         assert min(predicted.values()) == 59
-        assert cabled_diagram(d, 2, None).pairing == cabled_diagram(d, 2, [4]).pairing
-
-    def test_placed_plan_is_the_plan_of_its_network(self):
-        # the placement walks each offer on the wiring it returns, so the
-        # plan it keeps is the one morse_decompose makes of that network
-        links = [fixture(name).diagram for name in fixture_names()]
-        links += [braid_closure(word, strands)
-                  for word, strands, *_ in NARROW_ARC_BRAIDS]
-        for d in links:
-            for n, cap in itertools.product((2, 3), (None, 8)):
-                dd = cabled_diagram(d, n, None, max_width=cap)
-                network = DecoratedDiagram(dd.nodes, dd.pairing)
-                assert morse_decompose(network, max_width=cap) == dd.plan, (d.name, n, cap)
+        assert placed(d, 2).pairing == cabled_diagram(d, 2, [4]).pairing
 
     def test_plain_walks_are_the_fallback(self, monkeypatch):
         # were every box-deferring walk too wide, the plain walk of a
@@ -621,10 +616,10 @@ class TestBoxPlacement:
 
         monkeypatch.setattr("skeinlab.skein_eval._walk", deferring_walks_too_wide)
         d = fixture("figure_eight").diagram
-        dd = cabled_diagram(d, 3, None)
-        assert dd.plan.peak_width == 12
-        plain = morse_decompose(without_boxes(dd)).order
-        assert dd.plan.order == plain
+        dd = placed(d, 3)
+        plan = morse_decompose(dd)
+        assert plan.peak_width == 12
+        assert plan.order == morse_decompose(without_boxes(dd)).order
         assert evaluate(dd) == colored_jones(d, 3)
 
     def test_matching_count_matches_enumeration(self):
@@ -647,8 +642,8 @@ class TestBoxPlacement:
                 for a in d.arcs} == {a: narrow if a == arc else wide for a in d.arcs}
         expect = colored_jones(d, 2)
         for cap in range(narrow, wide + 2):
-            dd = cabled_diagram(d, 2, None, max_width=cap)
-            assert dd.plan.peak_width <= cap
+            dd = placed(d, 2, cap)
+            assert morse_decompose(dd, max_width=cap).peak_width <= cap
             if cap < wide:
                 assert dd.pairing == cabled_diagram(d, 2, [arc]).pairing
             assert colored_jones(d, 2, max_width=cap) == expect
@@ -660,6 +655,19 @@ class TestBoxPlacement:
         with pytest.raises(ResourceLimitError,
                            match=f"needs width {narrow}, budget is {narrow - 1} "):
             colored_jones(d, 2, max_width=narrow - 1)
+
+    def test_a_network_carries_no_plan(self):
+        # a network is nodes plus wiring, so the sweep runs only plans
+        # that morse_decompose makes, and the width cap holds on a placed
+        # cable too: the figure-eight's 3-cable needs width 12
+        d = fixture("figure_eight").diagram
+        dd = placed(d, 3, 11)
+        with pytest.raises(TypeError):
+            DecoratedDiagram(dd.nodes, dd.pairing, MorsePlan(tuple(range(dd.node_count)), 0))
+        for sweep in (lambda: evaluate(dd, max_width=11),
+                      lambda: colored_jones(d, 3, max_width=11)):
+            with pytest.raises(ResourceLimitError, match="needs width 12, budget is 11 "):
+                sweep()
 
 
 class TestWiring:
@@ -692,13 +700,12 @@ class TestOneNodeType:
         # a crossing is nothing but its local terms: fresh, equal 4-point
         # coupons in place of the shared CROSSING keep the plan and value
         d = fixture(name).diagram
-        dd = cabled_diagram(d, n, None if n > 1 else ())
+        dd = placed(d, n) if n > 1 else cabled_diagram(d, 1)
         assert all(nd is CROSSING or nd.projector for nd in dd.nodes)
         fresh = [CouponNode(4, ((A_JOINS, {1: 1}), (B_JOINS, {-1: 1})))
                  if nd is CROSSING else nd for nd in dd.nodes]
-        unplanned = DecoratedDiagram(dd.nodes, dd.pairing)
         fresh = DecoratedDiagram(fresh, dd.pairing)
-        assert morse_decompose(fresh) == morse_decompose(unplanned)
+        assert morse_decompose(fresh) == morse_decompose(dd)
         assert evaluate(fresh) == evaluate(dd)
 
 
@@ -713,7 +720,7 @@ class TestPlanarity:
         s = s_minus(d, 3)
         for build in (lambda: colored_jones(d, 3),
                       lambda: cabled_diagram(d, 3, first_arcs),
-                      lambda: cabled_diagram(d, 3, None),
+                      lambda: _place_boxes(d, 3, None),
                       lambda: build_upsilon(d, 3, s),
                       lambda: lambda_diagram(d, 3, s, (2,) * d.crossing_count)):
             with pytest.raises(ValueError, match="not planar"):

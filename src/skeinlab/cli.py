@@ -36,7 +36,7 @@ from .laurent import LaurentPolynomial, RationalFunction, loop_value
 from .skein_eval import (
     ResourceLimitError, bracket, colored_jones, evaluate_rational, resolve_max_width,
 )
-from .tails import TailStabilityError, stability_report, tail_and_head
+from .tails import StabilityReport, TailStabilityError, stability_report, tail_and_head
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -84,8 +84,7 @@ def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
                 f"bad JSON diagram: loops must be an integer, got {loops!r}")
         return LinkDiagram(rows, free_loops=loops,
                            name=str(payload.get("name", default_name)))
-    d = parse_pd(text)
-    return LinkDiagram(d.crossings, free_loops=d.free_loops, name=default_name)
+    return parse_pd(text, name=default_name)
 
 
 def _csv_rows(header, rows) -> str:
@@ -263,8 +262,7 @@ def _cmd_verify(args) -> tuple:
     for name, outcome, detail in results:
         if outcome == "report":
             links.append(detail.to_dict())
-            header, *body = detail.to_csv().splitlines()
-            csv_rows += body
+            csv_rows += detail.csv_rows()
             for e in detail.colors:
                 failures += [[name, c, e.n] for c in checks if not getattr(e, c)]
                 marks = "  ".join(f"{c}={'pass' if getattr(e, c) else 'FAIL'}"
@@ -293,7 +291,7 @@ def _cmd_verify(args) -> tuple:
     lines.append("ok" if ok else "FAILED")
     code = EXIT_RESOURCE if hit_cap else EXIT_VERIFY if failures else EXIT_OK
     return (code, {"ok": ok, "links": links, "failures": failures},
-            "\n".join([header] + csv_rows) + "\n" if csv_rows else "", lines)
+            _csv_rows(StabilityReport.CSV_HEADER, csv_rows), lines)
 
 
 # ---------------------------------------------------------------------------

@@ -273,19 +273,22 @@ class StabilityReport:
             "tail": self.tail.to_dict(),
         }
 
+    CSV_HEADER = ("link", "n", "min_degree", "max_degree", "coefficients",
+                  "bstate_vs_jtilde", "next_bstate_vs_jtilde",
+                  "next_jtilde_agrees", "seconds")
+
+    def csv_rows(self) -> list:
+        """One row per color, in CSV_HEADER's order."""
+        return [[self.link, e.n, e.min_degree, e.max_degree, e.coefficients,
+                 e.bstate_vs_jtilde, e.next_bstate_vs_jtilde,
+                 "" if e.next_jtilde_agrees is None else e.next_jtilde_agrees,
+                 e.seconds] for e in self.colors]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["link", "n", "min_degree", "max_degree", "coefficients",
-                    "bstate_vs_jtilde", "next_bstate_vs_jtilde",
-                    "next_jtilde_agrees", "seconds"])
-        for e in self.colors:
-            w.writerow([self.link, e.n, e.min_degree, e.max_degree,
-                        e.coefficients, e.bstate_vs_jtilde,
-                        e.next_bstate_vs_jtilde,
-                        "" if e.next_jtilde_agrees is None
-                        else e.next_jtilde_agrees,
-                        e.seconds])
+        w.writerow(self.CSV_HEADER)
+        w.writerows(self.csv_rows())
         return buf.getvalue()
 
 

@@ -12,15 +12,15 @@ outside wires, follows every strand and counts the closed loops.
 Stacking, the partial trace and the sweep's splice in skein_eval only
 build its wire tables and call it.
 
-Arithmetic runs over Z[A, A^-1].  An element's cleared form is
-(q, {matching: numerator}) with q the lcm of its coefficient denominators
-and x = (1/q) * sum num_m * m; _cleared works it out once per element
-and is the only code here that clears denominators.  Products, traces
-and Wenzl's step combine integer numerators over the product of the
-operands' q, and each output coefficient is reduced to a canonical
-RationalFunction once, at the end -- never once per pair of terms.
-Elements do not change after construction (`terms` is read-only), so the
-remembered cleared form cannot go stale.
+Arithmetic runs over Z[A, A^-1].  An element has one form,
+(q, {matching: integer numerator}) with x = (1/q) * sum num_m * m and q
+the least common denominator, normalized as a RationalFunction
+denominator is (lowest degree 0, positive leading coefficient).  The
+form is unique, so == compares it directly.  The constructor clears the
+Q(A) coefficients it is given once; every operation (+, -, scale,
+products, tensors, traces, Wenzl's step) combines numerators and ends in
+_normalized, which divides out their gcd with q.  `terms` is a read-only
+view of reduced RationalFunction coefficients, computed on each read.
 
 The n-th Jones-Wenzl projector is built by the two-box recursion
     f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
@@ -37,6 +37,7 @@ from .laurent import (
     ONE,
     RationalFunction,
     divide_exact,
+    laurent_gcd,
     laurent_lcm,
     loop_value,
     quantum_dimension,
@@ -125,26 +126,34 @@ def _coerce_scalar(c) -> RationalFunction:
 
 
 class TLElement:
-    """A Q(A)-linear combination of TL_n basis diagrams; immutable."""
+    """A Q(A)-linear combination of TL_n basis diagrams; immutable, and
+    stored only in the one form (q, numerators) of the module docstring."""
 
-    __slots__ = ("n", "_terms", "_cleared")
+    __slots__ = ("n", "_q", "_nums")
 
     def __init__(self, n: int, terms: Mapping[PlanarMatching, RationalFunction] | None = None):
-        self.n = n
-        self._terms: dict[PlanarMatching, RationalFunction] = {}
-        self._cleared = None
-        if terms:
-            for m, c in terms.items():
-                if m.n != n:
-                    raise ValueError("strand count mismatch")
-                c = _coerce_scalar(c)
-                if not c.is_zero():
-                    self._terms[m] = c
+        coeffs = {}
+        for m, c in (terms or {}).items():
+            if m.n != n:
+                raise ValueError("strand count mismatch")
+            c = _coerce_scalar(c)
+            if not c.is_zero():
+                coeffs[m] = c
+        # the lcm of reduced denominators is already the normalized q
+        dens = {c.den for c in coeffs.values()}
+        q = ONE
+        for den in dens:
+            q = laurent_lcm(q, den)
+        cofactor = {den: divide_exact(q, den) for den in dens}
+        self.n, self._q = n, q
+        self._nums = {m: (c.num * cofactor[c.den]).terms for m, c in coeffs.items()}
 
     @property
     def terms(self) -> Mapping[PlanarMatching, RationalFunction]:
-        """Read-only view of the nonzero coefficients."""
-        return MappingProxyType(self._terms)
+        """Read-only view of the nonzero coefficients, reduced afresh on
+        each read."""
+        return MappingProxyType({m: RationalFunction(LaurentPolynomial(num), self._q)
+                                 for m, num in self._nums.items()})
 
     @classmethod
     def basis(cls, m: PlanarMatching) -> "TLElement":
@@ -167,26 +176,25 @@ class TLElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("strand count mismatch")
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, RationalFunction.zero()) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return TLElement(self.n, out)
+        q = laurent_lcm(self._q, other._q)
+        out: dict[PlanarMatching, dict] = {}
+        for x in (self, other):
+            k = divide_exact(q, x._q).terms
+            for m, num in x._nums.items():
+                _add_into(out, m, term_mul(num, k))
+        return _normalized(self.n, q, out)
 
     def __sub__(self, other: "TLElement") -> "TLElement":
         return self + (-other)
 
     def __neg__(self) -> "TLElement":
-        return TLElement(self.n, {m: -c for m, c in self._terms.items()})
+        return self.scale(-1)
 
     def scale(self, c) -> "TLElement":
         c = _coerce_scalar(c)
-        if c.is_zero():
-            return TLElement.zero(self.n)
-        return TLElement(self.n, {m: ci * c for m, ci in self._terms.items()})
+        k = c.num.terms
+        return _normalized(self.n, self._q * c.den,
+                           {m: term_mul(num, k) for m, num in self._nums.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPolynomial, RationalFunction)):
@@ -201,48 +209,40 @@ class TLElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __eq__(self, other):
         if not isinstance(other, TLElement):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._q == other._q and self._nums == other._nums
 
     def __repr__(self):
-        if not self._terms:
+        if not self._nums:
             return f"TLElement(TL_{self.n}, 0)"
-        bits = [f"({c}) {m.to_parens()}" for m, c in sorted(self._terms.items(), key=lambda t: t[0].pairs)]
+        bits = [f"({c}) {m.to_parens()}" for m, c in sorted(self.terms.items(), key=lambda t: t[0].pairs)]
         return f"TLElement(TL_{self.n}, " + " + ".join(bits) + ")"
 
 
-def _cleared(x: TLElement) -> tuple[LaurentPolynomial, dict[PlanarMatching, dict]]:
-    """x as (q, {matching: integer numerator term-dict}) with q the lcm of
-    its coefficient denominators and x = (1/q) * sum num_m * m.
-
-    Worked out once per element and kept on it; callers must not mutate
-    the numerators.
-    """
-    got = x._cleared
-    if got is None:
-        q = ONE
-        for den in {c.den for c in x._terms.values()}:
-            q = laurent_lcm(q, den)
-        cofactor = {}
-        nums = {}
-        for m, c in x._terms.items():
-            k = cofactor.get(c.den)
-            if k is None:
-                k = cofactor[c.den] = divide_exact(q, c.den)
-            nums[m] = (c.num * k).terms
-        got = x._cleared = (q, nums)
-    return got
-
-
-def _reduced(n: int, q: LaurentPolynomial, nums: Mapping[PlanarMatching, dict]) -> TLElement:
-    """(1/q) * sum num_m * m, with one canonical RationalFunction per
-    nonzero numerator."""
-    return TLElement(n, {m: RationalFunction(LaurentPolynomial(num), q)
-                         for m, num in nums.items() if num})
+def _normalized(n: int, q: LaurentPolynomial, nums: Mapping[PlanarMatching, dict]) -> TLElement:
+    """The element (1/q) * sum num_m * m in its one form: zero numerators
+    dropped, q and the numerators divided by their gcd, then by the unit
+    that puts q at lowest degree 0 with a positive leading coefficient."""
+    nums = {m: num for m, num in nums.items() if num}
+    g = q = q if nums else ONE  # zero is (1, {})
+    for num in nums.values():
+        g = laurent_gcd(g, LaurentPolynomial(num))
+        if g == ONE:
+            break
+    # the gcd has lowest degree 0 and a positive leading coefficient, so
+    # q/g takes the lowest degree and the leading sign of q
+    g = g * LaurentPolynomial.monomial(1 if q.coefficient(q.max_degree()) > 0 else -1,
+                                       q.min_degree())
+    if g != ONE:
+        q = divide_exact(q, g)
+        nums = {m: divide_exact(LaurentPolynomial(num), g).terms for m, num in nums.items()}
+    x = object.__new__(TLElement)
+    x.n, x._q, x._nums = n, q, nums
+    return x
 
 
 def _add_into(out: dict, m: PlanarMatching, num: dict) -> None:
@@ -329,9 +329,7 @@ def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     """Product in TL_n: stack y atop x, delta per closed loop."""
     if x.n != y.n:
         raise ValueError("strand count mismatch")
-    qx, nx = _cleared(x)
-    qy, ny = _cleared(y)
-    return _reduced(x.n, qx * qy, _product(nx, ny))
+    return _normalized(x.n, x._q * y._q, _product(x._nums, y._nums))
 
 
 def _juxtapose(mx: PlanarMatching, my: PlanarMatching) -> PlanarMatching:
@@ -351,10 +349,9 @@ def _juxtapose(mx: PlanarMatching, my: PlanarMatching) -> PlanarMatching:
 
 def tl_tensor(x: TLElement, y: TLElement) -> TLElement:
     """Horizontal juxtaposition: x on the left, y on the right."""
-    qx, nx = _cleared(x)
-    qy, ny = _cleared(y)
-    return _reduced(x.n + y.n, qx * qy, {_juxtapose(mx, my): term_mul(cx, cy)
-                                         for mx, cx in nx.items() for my, cy in ny.items()})
+    return _normalized(x.n + y.n, x._q * y._q, {_juxtapose(mx, my): term_mul(cx, cy)
+                                                for mx, cx in x._nums.items()
+                                                for my, cy in y._nums.items()})
 
 
 def _close_last(m: PlanarMatching) -> tuple[PlanarMatching, int]:
@@ -373,14 +370,14 @@ def partial_trace(x: TLElement, count: int = 1) -> TLElement:
     """Close the rightmost `count` strands around the side."""
     if not 0 <= count <= x.n:
         raise ValueError("cannot close more strands than exist")
-    q, nums = _cleared(x)
+    nums = x._nums
     for _ in range(count):
         out: dict[PlanarMatching, dict] = {}
         for m, num in nums.items():
             mm, loops = _close_last(m)
             _add_into(out, mm, term_mul(num, _DELTA) if loops else num)
         nums = out
-    return _reduced(x.n - count, q, nums)
+    return _normalized(x.n - count, x._q, nums)
 
 
 def closure(x: TLElement) -> RationalFunction:
@@ -405,9 +402,9 @@ def jones_wenzl(n: int) -> TLElement:
         return TLElement.identity(1)
     # With prev = f(n-1)x1 = (1/q) P and prev.e.prev = (1/q^2) S:
     # f(n) = (Delta_{n-1} q P - Delta_{n-2} S) / (Delta_{n-1} q^2).
-    q, nums = _cleared(jones_wenzl(n - 1))
-    strand = identity_matching(1)
-    prev = {_juxtapose(m, strand): num for m, num in nums.items()}
+    last = jones_wenzl(n - 1)
+    q, strand = last._q, identity_matching(1)
+    prev = {_juxtapose(m, strand): num for m, num in last._nums.items()}
     e = {cup_cap_matching(n, n - 1): {0: 1}}
     sandwich = _product(_product(prev, e), prev)
     big, small = quantum_dimension(n - 1), quantum_dimension(n - 2)
@@ -416,15 +413,16 @@ def jones_wenzl(n: int) -> TLElement:
     minus_small = term_neg(small.terms)
     for m, num in sandwich.items():
         _add_into(out, m, term_mul(minus_small, num))
-    return _reduced(n, big * q * q, out)
+    return _normalized(n, big * q * q, out)
 
 
 def cleared_projector(n: int) -> tuple[LaurentPolynomial, list[tuple[dict, PlanarMatching]]]:
-    """Denominator-free form of f(n): a common denominator Q and integer
-    Laurent coefficients (as raw dicts) with f(n) = (1/Q) * sum c_i m_i.
+    """f(n)'s own form, copied and sorted by matching: its least common
+    denominator Q and integer Laurent coefficients (as raw dicts) with
+    f(n) = (1/Q) * sum c_i m_i.
 
     Used by the sweep evaluator so closed diagrams can be computed entirely
     over Z[A, A^-1] with one checked exact division at the end.
     """
-    q, nums = _cleared(jones_wenzl(n))
-    return q, [(dict(num), m) for m, num in sorted(nums.items(), key=lambda t: t[0].pairs)]
+    f = jones_wenzl(n)
+    return f._q, [(dict(num), m) for m, num in sorted(f._nums.items(), key=lambda t: t[0].pairs)]

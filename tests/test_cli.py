@@ -414,6 +414,20 @@ def test_verify_csv_single_header(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (("verify", "--pd", "O", "--jobs", "1"), EXIT_OK),
+    (("verify", "6_1", "--nmax", "2", "--max-width", "4"), EXIT_RESOURCE),
+])
+def test_verify_csv_always_has_its_header(capsys, argv, exit_code):
+    # one CSV writer for every subcommand: a header row even when no
+    # link yields a report, and csv-module line endings
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == exit_code
+    header = ",".join(StabilityReport.CSV_HEADER) + "\r\n"
+    assert out.startswith(header)
+    assert out.count("\n") == out.count("\r\n")
+
+
 def test_verify_skips_non_alternating(capsys):
     code, out, err = run(capsys, "verify", "--pd", NONALT, "--nmax", "2")
     assert code == EXIT_OK
@@ -499,13 +513,14 @@ def digest_argvs() -> list:
 
 def stdout_digest(argv) -> dict:
     """Exit code and SHA-256 of stdout, with the timings masked: the
-    (x.xxs) of verify's human rows and the seconds column of its CSV."""
+    (x.xxs) of verify's human rows and the seconds column of its CSV,
+    whose lines end in \r\n."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     text = re.sub(r"\(\d+\.\d\ds\)", "(x.xxs)", out.getvalue())
     if argv[0] == "verify" and argv[-1] == "csv":
-        text = re.sub(r",[0-9.e+-]+$", ",x", text, flags=re.M)
+        text = re.sub(r",[0-9.e+-]+(?=\r$)", ",x", text, flags=re.M)
     return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 

@@ -132,6 +132,31 @@ def partial_trace_oracle(x: TLElement, count: int) -> TLElement:
     return cur
 
 
+def juxtapose_oracle(a: PlanarMatching, b: PlanarMatching) -> PlanarMatching:
+    """a beside b, by boundary positions: a bottom or top point of a keeps
+    its left-to-right position, one of b moves a.n positions right."""
+    total = a.n + b.n
+
+    def place(pt, k, offset):
+        if pt < k:  # a bottom point sits at position pt
+            return pt + offset
+        return top_point(2 * k - 1 - pt + offset, total)
+
+    return PlanarMatching(total, [(place(x, a.n, 0), place(y, a.n, 0)) for x, y in a.pairs]
+                          + [(place(x, b.n, a.n), place(y, b.n, a.n)) for x, y in b.pairs])
+
+
+def tl_tensor_oracle(x: TLElement, y: TLElement) -> TLElement:
+    """x beside y with every coefficient a reduced RationalFunction, pair
+    by pair, the juxtaposition taken from juxtapose_oracle."""
+    out = {}
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
+            m = juxtapose_oracle(mx, my)
+            out[m] = cx * cy if m not in out else out[m] + cx * cy
+    return TLElement(x.n + y.n, out)
+
+
 def absorption_check(m: int, n: int) -> bool:
     """(f(n) x id_m) . f(m+n) == f(m+n)."""
     big = jones_wenzl(m + n)
@@ -149,6 +174,8 @@ matchings_by_n = {n: enumerate_matchings(n) for n in range(6)}
 # after every pair of terms: f(4) as {pairs: (numerator, denominator)},
 # and cleared_projector(5) as its denominator plus a SHA-256 of
 # repr([(pairs, sorted numerator items)]) over its sorted rows.
+# cleared_projector(6) is pinned the same way, from the two-form elements
+# that kept reduced coefficients beside a cleared copy.
 FROZEN_F4 = {
     ((0, 1), (2, 3), (4, 5), (6, 7)):
         ({4: 1, 8: 2, 12: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
@@ -181,6 +208,9 @@ FROZEN_F4 = {
 }
 FROZEN_F5_DENOMINATOR = {0: 1, 4: 1, 8: 2, 12: 2, 16: 2, 20: 1, 24: 1}
 FROZEN_F5_ROWS_SHA256 = "a418773cfc8dc134003708667ec0e288f3065669ed445920a3ae0d87d4e5edab"
+FROZEN_F6_DENOMINATOR = {0: 1, 4: 2, 8: 4, 12: 6, 16: 8, 20: 9, 24: 9, 28: 8, 32: 6,
+                         36: 4, 40: 2, 44: 1}
+FROZEN_F6_ROWS_SHA256 = "5b33d13e3d97937bde040aeee16e35cda13ccaf3085a2cbc1a47eb82f0cff086"
 
 
 def matching_strategy(n):
@@ -324,11 +354,15 @@ class TestClearedArithmetic:
     @settings(max_examples=60, deadline=None)
     def test_tensor_matches_qa_oracle(self, pair):
         x, y = pair
-        expect = TLElement.zero(x.n + y.n)
-        for mx, cx in x.terms.items():
-            for my, cy in y.terms.items():
-                expect = expect + tl_tensor(TLElement.basis(mx), TLElement.basis(my)).scale(cx * cy)
-        assert tl_tensor(x, y) == expect
+        assert tl_tensor(x, y) == tl_tensor_oracle(x, y)
+
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(element_strategy(n), element_strategy(n))))
+    @settings(max_examples=100, deadline=None)
+    def test_form_is_unique(self, pair):
+        # equal elements have equal forms, however they were reached
+        x, y = pair
+        assert TLElement(x.n, dict(x.terms)) == x
+        assert (x + y) - y == x
 
     def test_products_with_f_cancel_to_zero(self):
         for n in range(2, 5):
@@ -470,6 +504,12 @@ class TestClearedProjector:
         assert q.terms == FROZEN_F5_DENOMINATOR
         text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
         assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F5_ROWS_SHA256
+
+    def test_frozen_f6(self):
+        q, rows = cleared_projector(6)
+        assert q.terms == FROZEN_F6_DENOMINATOR
+        text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F6_ROWS_SHA256
 
     def test_denominator_is_unit_free(self):
         # the common denominator actually divides out: Q . f(n) is integral

@@ -1,12 +1,19 @@
 """Tooling checks.  The benchmark's tracer wraps skeinlab functions by
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
-library; and no private helper in the package lives on for tests alone."""
+library; no private helper in the package lives on for tests alone; and
+the README's bracket examples print what their comments say."""
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
+import shlex
 import sys
 from pathlib import Path
+
+from skeinlab.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
@@ -69,3 +76,43 @@ def test_every_private_helper_in_src_has_a_src_caller():
     assert defined
     assert sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in used) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_code(language: str) -> str:
+    """The fenced blocks of README.md in the given language, joined."""
+    return "".join(re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S))
+
+
+def test_readme_python_quick_start_prints_what_it_says():
+    # the quick start runs, and each commented bracket output is printed
+    code = readme_code("python")
+    scope = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(code, str(README), "exec"), scope)
+    checked = re.findall(r"^print\((bracket\(.*\))\)\s+# (.*)$", code, re.M)
+    assert checked
+    for expr, comment in checked:
+        assert str(eval(expr, scope)) == comment, expr
+
+
+def test_readme_sh_bracket_prints_what_it_says():
+    # each `skeinlab bracket` line is followed by its stdout as comments
+    lines = readme_code("sh").splitlines()
+    checked = 0
+    for k, line in enumerate(lines):
+        if not line.startswith("skeinlab bracket "):
+            continue
+        expect = []
+        for following in lines[k + 1:]:
+            if not following.startswith("# "):
+                break
+            expect.append(following[2:] + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(shlex.split(line)[1:]) == 0, line
+        assert expect and out.getvalue() == "".join(expect), line
+        checked += 1
+    assert checked

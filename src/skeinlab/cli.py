@@ -218,19 +218,27 @@ def _verify_job(job: tuple) -> tuple:
     """One link's verification; runs in a worker process under --jobs.
 
     job is (diagram, n_max, max_width); the result is (name, outcome, detail)
-    with outcome "report" (detail: the StabilityReport), "failed" (detail:
+    with outcome "checked" (detail: the StabilityReport), "failed" (detail:
     the failing color and message), "resource" or "skipped" (detail: why)."""
     diagram, n_max, max_width = job
     name = diagram.name or "input"
     if not is_alternating(diagram):
         return name, "skipped", "not alternating"
     try:
-        return name, "report", stability_report(diagram, n_max,
-                                                  max_width=max_width)
+        return name, "checked", stability_report(diagram, n_max,
+                                                   max_width=max_width)
     except TailStabilityError as exc:
         return name, "failed", (exc.n, str(exc))
     except ResourceLimitError as exc:
         return name, "resource", str(exc)
+
+
+def _link_row(name: str, status: str, **fields) -> list:
+    """The one CSV row of a link that yields no report: its name, status
+    and `fields`, blank elsewhere, in StabilityReport.CSV_HEADER's order."""
+    row = dict.fromkeys(StabilityReport.CSV_HEADER, "")
+    row.update(link=name, status=status, **fields)
+    return list(row.values())
 
 
 def _cmd_verify(args) -> tuple:
@@ -260,7 +268,7 @@ def _cmd_verify(args) -> tuple:
     checks = ("bstate_vs_jtilde", "next_bstate_vs_jtilde")
     links, failures, lines, csv_rows = [], [], [], []
     for name, outcome, detail in results:
-        if outcome == "report":
+        if outcome == "checked":
             links.append(detail.to_dict())
             csv_rows += detail.csv_rows()
             for e in detail.colors:
@@ -279,12 +287,15 @@ def _cmd_verify(args) -> tuple:
             links.append({"link": name, "ok": False, "failures": failed,
                           "error": message})
             lines.append(f"{name}: FAIL ({message})")
+            csv_rows.append(_link_row(name, outcome, n=n, next_jtilde_agrees=False))
         elif outcome == "resource":
             links.append({"link": name, "resource": detail})
             lines.append(f"{name}: resource cap ({detail})")
+            csv_rows.append(_link_row(name, outcome))
         else:
             links.append({"link": name, "skipped": detail})
             lines.append(f"{name}: skipped ({detail})")
+            csv_rows.append(_link_row(name, outcome))
             print(f"warning: {name} skipped: {detail}", file=sys.stderr)
     hit_cap = any(outcome == "resource" for _, outcome, _ in results)
     ok = not failures and not hit_cap

@@ -52,22 +52,22 @@ PD code that is not planar whenever they place f(n) boxes with n >= 2.
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is an attachment order, from a width greedy
 unless the caller gives one, and the peak width of that order, which the
-width cap is checked against.  The greedy can sweep projector boxes last
+width cap is checked against.  The greedy sweeps projector boxes last
 among nodes that leave equal width, since an unswept box prunes every
 row that caps it; that only moves the order, so every value stays exact.
+Only when that walk passes the cap does morse_decompose walk the plain
+greedy, which ignores the boxes, and keep the narrower.  One reader
+(_graph) turns the wiring a network sweeps into the walk's inputs.
 
-The walk also predicts the live matchings of its order: at each event,
-the crossingless matchings of the frontier that join no two slots with
-one side tag, counted as if each box side held consecutive frontier
-slots (_matching_count).  One reader (_graph) turns the wiring a network
-sweeps into the walk's inputs, and every greedy plan comes from one rule
-(_choose): each network on offer is walked deferring its boxes and
-ignoring them, and the walk with the least prediction within the width
-cap wins.  colored_jones offers one network per arc that could carry
-each component's box (_place_boxes) and sweeps the one kept, planned
-again like any other: the value does not depend on that arc, but the
-cost does (the figure-eight's J~_4 cable holds 54,056 matchings in all
-with the box on the first arc and 12,164 on the chosen one).
+Where the box goes is the one choice a prediction makes.  colored_jones
+walks one network per arc that could carry each component's box
+(_place_boxes) and sweeps the one whose walk predicts the fewest live
+matchings: at each event, the crossingless matchings of the frontier
+that join no two slots with one side tag, counted as if each box side
+held consecutive frontier slots (_matching_count).  The value does not
+depend on that arc, but the cost does (the figure-eight's J~_4 cable
+holds 54,056 matchings in all with the box on the first arc and 12,164
+on the chosen one).
 """
 from __future__ import annotations
 
@@ -230,38 +230,26 @@ class MorsePlan:
 
 
 def morse_decompose(dd: DecoratedDiagram, order=None, max_width=None) -> MorsePlan:
-    """Walk `order`, which must visit every node once, or else the walk
-    _choose keeps within the width cap `max_width`, on the network as
-    _graph reads it: every plan the sweep runs comes from here."""
+    """Walk `order`, which must visit every node once, or else the width
+    greedy that defers the network's projector boxes, on the network as
+    _graph reads it: every plan the sweep runs comes from here.  Only when
+    the greedy passes the width cap `max_width` is the plain greedy, which
+    ignores the boxes, walked too, and the narrower of the two kept (the
+    deferring one on ties), for the sweep's cap check to name."""
     n = dd.node_count
     half = _halves(dd.nodes)
-    cross, degree, sides = _graph(half, ((p, q) for p, q in dd.pairing.items() if p < q))
+    cross, degree, _ = _graph(half, ((p, q) for p, q in dd.pairing.items() if p < q))
     if order is not None:
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError("plan must visit every node exactly once")
         return MorsePlan(*_walk(cross, degree, order, [False] * n)[:2])
-    order, peak, *_ = _choose(None, resolve_max_width(max_width), half,
-                              cross, degree, sides)
-    return MorsePlan(order, peak)
-
-
-def _choose(kept, cap: int, half: list, cross: list, degree: list, sides,
-            tag=None) -> tuple:
-    """The one rule every greedy plan comes from.  Walk one network (as
-    _graph reads it) twice, deferring its boxes and ignoring them (once if
-    it has none), and return the walk to keep as (order, peak, prediction,
-    tag): of `kept` (the same, or None) and these walks, the least
-    prediction within the width cap, the earlier on ties, and if none
-    fits, the narrowest, for the sweep's cap check to name.  Once a walk
-    fits, a later one stops as soon as it cannot win."""
-    boxes = [h > 0 for h in half]
-    for flags in (boxes, [False] * len(boxes)) if sides is not None else (boxes,):
-        limits = (cap, kept[2]) if kept is not None and kept[1] <= cap else ()
-        walked = _walk(cross, degree, None, flags, sides, *limits)
-        if walked and (kept is None or walked[1] <= cap or walked[1] < kept[1]):
-            kept = (*walked, tag)
-    return kept
+    plan = MorsePlan(*_walk(cross, degree, None, [h > 0 for h in half])[:2])
+    if plan.peak_width > resolve_max_width(max_width):
+        plain = MorsePlan(*_walk(cross, degree, None, [False] * n)[:2])
+        if plain.peak_width < plan.peak_width:
+            return plain
+    return plan
 
 
 def _halves(nodes) -> list:
@@ -299,20 +287,18 @@ def _graph(half: list, wires) -> tuple:
     return cross, degree, sides
 
 
-def _walk(cross: list, degree: list, order, boxes: list, sides=None,
-          max_width=math.inf, max_cost=math.inf):
+def _walk(cross: list, degree: list, order, boxes: list, sides=None) -> tuple:
     """Walk `order`, or else the width greedy's, and return (order, peak
-    width, predicted live matchings); or None as soon as the running width
-    passes max_width or the running prediction reaches max_cost.  Each
-    greedy step takes the node leaving the fewest dangling ends, then one
-    not flagged in `boxes` before one that is, then the one with most
-    wires into the swept region, then the lowest.
+    width, predicted live matchings).  Each greedy step takes the node
+    leaving the fewest dangling ends, then one not flagged in `boxes`
+    before one that is, then the one with most wires into the swept
+    region, then the lowest.
 
     cross, degree and sides are as _graph reads them.  The prediction
-    needs sides: each event adds the turnback-free matchings of its
-    frontier, _matching_count of its width and of the wires from the swept
-    region into each side (tag) of the unswept boxes.  Without sides the
-    prediction is 0."""
+    needs sides, and only the box placement passes them: each event adds
+    the turnback-free matchings of its frontier, _matching_count of its
+    width and of the wires from the swept region into each side (tag) of
+    the unswept boxes.  Without sides the prediction is 0."""
     n = len(degree)
     done = [False] * n
     into = [0] * n  # wires from the processed region into each pending node
@@ -346,8 +332,6 @@ def _walk(cross: list, degree: list, order, boxes: list, sides=None,
         width += degree[v] - 2 * into[v]
         if width > peak:
             peak = width
-            if peak > max_width:
-                return None
         chosen.append(v)
         for u, c in cross[v].items():
             if not done[u]:
@@ -362,8 +346,6 @@ def _walk(cross: list, degree: list, order, boxes: list, sides=None,
                         reached[t] = reached.get(t, 0) + 1
                 blocks = tuple(sorted(e for e in reached.values() if e > 1))
             cost += count(width, blocks)
-            if cost >= max_cost:
-                return None
     return tuple(chosen), peak, cost
 
 
@@ -790,35 +772,37 @@ def _require_planar(link: LinkDiagram, n: int):
 
 def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     """The box arcs, one per component, of the m-cable of `link` with an
-    f(m) box on each component whose walk _choose keeps under the width
-    cap `max_width`; `link` must be planar (_require_planar).
+    f(m) box on each component, chosen by the prediction of the walk
+    morse_decompose would keep; `link` must be planar (_require_planar).
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
-    cost does.  Each placement is a network offered to _choose, read by
-    _graph off the very wiring (_splice) that the sweep of that placement
-    runs on.  The first puts every box on the first arc (by repr) of its
-    component; then the components are taken one at a time, each trying
-    its other arcs with the other boxes where the kept plan has them, so
-    the walks number the arcs, not their product."""
+    cost does.  Each placement is read by _graph off the very wiring
+    (_splice) that its sweep runs on and walked by the box-deferring
+    greedy, and ranked by its predicted live matchings if its peak width
+    is within the cap `max_width`, else after every placement that is, by
+    that width.  Every box starts on the first arc (by repr) of its
+    component; then the components are taken one at a time, each box moved
+    to the least-ranked of its arcs (the earlier on ties) with the other
+    boxes where they are, so the walks number the arcs, not their
+    product."""
     _require_planar(link, m)
     comps = [sorted(comp, key=repr) for comp in link.components()]
     n_grid, grid, band_ends = cable_ports(link, m)
     half = [0] * n_grid + [m] * len(comps)
+    boxes = [h > 0 for h in half]
     cap = resolve_max_width(max_width)
 
-    def offer(kept, arcs) -> tuple:
+    def rank(arcs) -> tuple:
         wiring = _splice(grid, band_ends, n_grid, m, arcs)
-        return _choose(kept, cap, half, *_graph(half, wiring.items()), arcs)
+        cross, degree, sides = _graph(half, wiring.items())
+        _, peak, cost = _walk(cross, degree, None, boxes, sides)
+        return (0, cost) if peak <= cap else (1, peak)
 
     arcs = [comp[0] for comp in comps]
-    kept = offer(None, arcs)
     for c, comp in enumerate(comps):
-        for arc in comp[1:]:
-            kept = offer(kept, arcs[:c] + [arc] + arcs[c + 1:])
-            if kept[1] <= cap:
-                arcs = kept[3]
-    return kept[3]
+        arcs[c] = min(comp, key=lambda arc: rank(arcs[:c] + [arc] + arcs[c + 1:]))
+    return arcs
 
 
 def colored_jones(link: LinkDiagram, n: int,

@@ -273,16 +273,18 @@ class StabilityReport:
             "tail": self.tail.to_dict(),
         }
 
+    # status is "checked" on a report's rows; verify gives a link with no
+    # report one row with its outcome ("failed", "resource", "skipped")
     CSV_HEADER = ("link", "n", "min_degree", "max_degree", "coefficients",
                   "bstate_vs_jtilde", "next_bstate_vs_jtilde",
-                  "next_jtilde_agrees", "seconds")
+                  "next_jtilde_agrees", "status", "seconds")
 
     def csv_rows(self) -> list:
         """One row per color, in CSV_HEADER's order."""
         return [[self.link, e.n, e.min_degree, e.max_degree, e.coefficients,
                  e.bstate_vs_jtilde, e.next_bstate_vs_jtilde,
                  "" if e.next_jtilde_agrees is None else e.next_jtilde_agrees,
-                 e.seconds] for e in self.colors]
+                 "checked", e.seconds] for e in self.colors]
 
     def to_csv(self) -> str:
         buf = io.StringIO()

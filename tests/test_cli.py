@@ -428,6 +428,26 @@ def test_verify_csv_always_has_its_header(capsys, argv, exit_code):
     assert out.count("\n") == out.count("\r\n")
 
 
+def test_verify_csv_has_a_row_for_every_link(capsys, monkeypatch):
+    # a link that yields no report still gets its one row, its outcome in
+    # the status column, so the table names every link asked for
+    def rows(*argv):
+        code, out, _ = run(capsys, "verify", *argv, "--jobs", "1", "--format", "csv")
+        return code, out.splitlines()[1:]
+
+    assert rows("6_1", "--nmax", "2", "--max-width", "4") == (
+        EXIT_RESOURCE, ["6_1,,,,,,,,resource,"])
+    assert rows("--pd", NONALT) == (EXIT_OK, ["input,,,,,,,,skipped,"])
+    code, checked = rows("hopf", "--nmax", "1")
+    assert code == EXIT_OK and checked[0].startswith("hopf,1,-6,6,4,True,True,,checked,")
+
+    def raising(link, n_max, max_width=None):
+        raise TailStabilityError("hopf", 1, (1, 0), (1, 1))
+
+    monkeypatch.setattr(cli, "stability_report", raising)
+    assert rows("hopf", "--nmax", "1") == (EXIT_VERIFY, ["hopf,1,,,,,,False,failed,"])
+
+
 def test_verify_skips_non_alternating(capsys):
     code, out, err = run(capsys, "verify", "--pd", NONALT, "--nmax", "2")
     assert code == EXIT_OK

@@ -1,8 +1,9 @@
 """Tooling checks.  The benchmark's tracer wraps skeinlab functions by
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
-library; no private helper in the package lives on for tests alone; and
-the README's bracket examples print what their comments say."""
+library; no private helper in the package lives on for tests alone;
+every private name the docs mention exists; and the README's bracket
+examples print what their comments say."""
 import ast
 import contextlib
 import importlib
@@ -11,6 +12,7 @@ import io
 import re
 import shlex
 import sys
+import tokenize
 from pathlib import Path
 
 from skeinlab.cli import main
@@ -79,6 +81,33 @@ def test_every_private_helper_in_src_has_a_src_caller():
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_private_name_the_docs_mention_exists():
+    # a _name in a README code span or in a src/ docstring or comment is a
+    # name in src/ code (a trailing * a prefix of one), so the docs cannot
+    # name a helper that is gone; a subscript such as J~_n or [n k]_A does
+    # not start after a space, "(", ".", "," or a backquote
+    mention = re.compile(r"(?:^|(?<=[\s(.,`]))_[A-Za-z]\w*\*?")
+    code, prose = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                code.add(tok.string)
+            elif tok.type == tokenize.COMMENT:
+                prose.append((path.name, tok.string))
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                prose.append((path.name, ast.get_docstring(node) or ""))
+    prose += [(README.name, span) for span in re.findall(r"`([^`\n]+)`", README.read_text())]
+    missing = set()
+    for where, text in prose:
+        for name in mention.findall(text):
+            if not any(c.startswith(name[:-1]) if name.endswith("*") else c == name
+                       for c in code):
+                missing.add(f"{where}: {name}")
+    assert sorted(missing) == []
 
 
 def readme_code(language: str) -> str:

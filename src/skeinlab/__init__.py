@@ -67,7 +67,6 @@ from .colored_states import (
     all_states,
     alpha,
     build_upsilon,
-    colored_smoothing_expand,
     colored_state_sum,
     corner_pattern,
     is_adequate_skein,
@@ -75,7 +74,6 @@ from .colored_states import (
     lambda_expand,
     s_minus,
     s_plus,
-    smoothing_coefficients,
     verify_degree_lemmas,
 )
 from .tails import (
@@ -118,9 +116,9 @@ __all__ = [
     "colored_jones", "evaluate", "evaluate_rational", "morse_decompose",
     "projector_node",
     "ColoredState", "D_degree", "DegreeLemmaReport", "all_states", "alpha",
-    "build_upsilon", "colored_smoothing_expand", "colored_state_sum",
-    "corner_pattern", "is_adequate_skein", "lambda_diagram", "lambda_expand",
-    "s_minus", "s_plus", "smoothing_coefficients", "verify_degree_lemmas",
+    "build_upsilon", "colored_state_sum", "corner_pattern",
+    "is_adequate_skein", "lambda_diagram", "lambda_expand", "s_minus",
+    "s_plus", "verify_degree_lemmas",
     "CoefficientPrefix", "StabilityReport", "TailStabilityError",
     "aligned_coefficients", "doteq", "head_prefix", "stability_report",
     "tail_and_head", "tail_prefix", "verify_corollary", "verify_theorem_1",

@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .colored_states import DEFAULT_MAX_STATES, all_states, alpha, build_upsilon
+from .colored_states import all_states, alpha, build_upsilon
 from .diagram import (
     LinkDiagram, MalformedPDError, all_a_state, all_b_state, apply_state,
     is_a_adequate, is_adequate, is_alternating, is_b_adequate, is_planar,
@@ -146,47 +146,36 @@ def _cmd_adequacy(args) -> tuple:
 # states
 
 def _cmd_states(args) -> tuple:
-    n = args.n if args.n is not None else 1
-    if n < 1:
-        raise ValueError("color must be >= 1")
     diagram = _load_input(args)
-    k = diagram.crossing_count
-    if 2 ** k > DEFAULT_MAX_STATES:
-        raise ResourceLimitError(
-            f"2^{k} states exceed the listing cap {DEFAULT_MAX_STATES}")
-    rows = []
+    n = args.n if args.n is not None else 1
+    states = all_states(diagram, n)
+    rows, total = [], RationalFunction.zero()
     if n == 1:
-        # classical Kauffman states: weight A^(a-b) * delta^circles
-        delta = loop_value()
-        total = LaurentPolynomial.zero()
-        for bits in range(2 ** k):
-            state = tuple("A" if bits & (1 << i) else "B" for i in range(k))
-            a_count = sum(1 for s in state if s == "A")
+        # classical Kauffman states, A (+1) before B: weight alpha * delta^circles
+        for s in reversed(states):
+            state = "".join("A" if x > 0 else "B" for x in s.signs)
             circles = apply_state(diagram, state).circle_count
-            weight = (LaurentPolynomial.monomial(1, 2 * a_count - k)
-                      * delta ** circles)
+            weight = alpha(diagram, 1, s) * loop_value() ** circles
             total = total + weight
-            rows.append({"state": "".join(state), "circles": circles,
+            rows.append({"state": state, "circles": circles,
                          "weight": weight.to_json(), "text": str(weight)})
-        rows.sort(key=lambda r: r["state"])
         header, middle, prefix = ["state", "circles", "weight"], "circles", ""
     else:
-        total_rf = RationalFunction.zero()
-        for s in sorted(all_states(diagram, n), key=lambda s: s.signs):
+        for s in states:
             coeff = alpha(diagram, n, s)
             value = evaluate_rational(build_upsilon(diagram, n, s),
                                       max_width=args.max_width)
             contribution = value * coeff
-            total_rf = total_rf + contribution
+            total = total + contribution
             rows.append({
                 "state": "".join("+" if x > 0 else "-" for x in s.signs),
                 "alphaExponent": coeff.min_degree(),
                 "value": {"num": value.num.to_json(), "den": value.den.to_json()},
                 "text": str(contribution),
             })
-        total = total_rf.as_laurent()
         header = ["state", "alpha_exponent", "contribution"]
         middle, prefix = "alphaExponent", "A^"
+    total = total.as_laurent()
     payload = {"name": diagram.name or "input", "n": n, "states": rows,
                "total": total.to_json(), "totalText": str(total)}
     lines = [f"{r['state']}  {prefix}{r[middle]}  {r['text']}" for r in rows]

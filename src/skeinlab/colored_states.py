@@ -1,12 +1,14 @@
 """Colored Kauffman states and their skein elements.
 
-An n-colored state assigns +1 or -1 to every crossing.  Resolving each
-crossing of the n-cabled, projector-decorated diagram with the colored
-Kauffman skein relation produces, per state s, a skein element Y(s)
-(one Jones-Wenzl box per original arc, a classically smoothed single
-strand pair and a residual (n-1)-cabled crossing at every original
-crossing) weighted by the monomial alpha(s) = A^((2n-1) sum s).  Summing
-over all 2^k states recovers the n-colored bracket.
+An n-colored state assigns +1 or -1 to every crossing; `all_states` is
+the one enumeration of them, capped at DEFAULT_MAX_STATES.  Resolving
+each crossing of the n-cabled, projector-decorated diagram with the
+colored Kauffman skein relation produces, per state s, a skein element
+Y(s) (one Jones-Wenzl box per original arc, a classically smoothed
+single strand pair and a residual (n-1)-cabled crossing at every
+original crossing) weighted by the monomial alpha(s) = A^((2n-1) sum s),
+the relation's only weights.  Summing over all 2^k states
+(`colored_state_sum`) recovers the n-colored bracket.
 
 Expanding every residual cabled crossing into its crossingless corner
 patterns with the C_{m,k} coefficients yields the Lambda diagrams; their
@@ -74,18 +76,18 @@ def s_minus(link: LinkDiagram, n: int) -> ColoredState:
     return ColoredState(n, (-1,) * link.crossing_count)
 
 
-def all_states(link: LinkDiagram, n: int):
-    k = link.crossing_count
-    for bits in range(1 << k):
-        yield ColoredState(n, tuple(1 if bits >> i & 1 else -1 for i in range(k)))
-
-
-def smoothing_coefficients(n: int) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """(plus-side, minus-side) weights of the color-n skein relation."""
+def all_states(link: LinkDiagram, n: int) -> list:
+    """Every color-n state of `link` in sign order: -1 before +1, crossing
+    0 first, as sorting by `signs` gives.  The color is checked first
+    (ValueError), then the cap of DEFAULT_MAX_STATES (ResourceLimitError),
+    before any state is built."""
     if n < 1:
         raise ValueError("color must be >= 1")
-    return (LaurentPolynomial.monomial(1, 2 * n - 1),
-            LaurentPolynomial.monomial(1, -(2 * n - 1)))
+    k = link.crossing_count
+    if 1 << k > DEFAULT_MAX_STATES:
+        raise ResourceLimitError(
+            f"2^{k} states exceed the cap of {DEFAULT_MAX_STATES}")
+    return [ColoredState(n, signs) for signs in itertools.product((-1, 1), repeat=k)]
 
 
 def _check_state(link: LinkDiagram, n: int, s: ColoredState):
@@ -100,42 +102,17 @@ def alpha(link: LinkDiagram, n: int, s: ColoredState) -> LaurentPolynomial:
     return LaurentPolynomial.monomial(1, (2 * n - 1) * sum(s.signs))
 
 
-@dataclass(frozen=True)
-class SmoothingPattern:
-    """Stub-level layout of one side of the colored skein relation.
-
-    `singles` are the two chords of the classically smoothed strand,
-    as ((slot, stub), (slot, stub)) with stubs counted counterclockwise
-    1..n within each slot.  `grid_shift[slot]` maps a boundary index of
-    the residual (n-1)-cable to the cable stub it occupies: the single
-    takes stub 1 or stub n of each slot and the residual cable fills the
-    rest in order.
-    """
-
-    sign: int
-    singles: tuple
-    grid_shift: tuple  # per slot: 0 (stubs 1..n-1) or 1 (stubs 2..n)
-
-    def stub_of_grid(self, slot: int, idx: int) -> int:
-        return idx + self.grid_shift[slot]
-
-
-def _pattern(sign: int, n: int) -> SmoothingPattern:
+def _pattern(sign: int, n: int) -> tuple:
+    """Stub-level layout of one side of the colored skein relation, as
+    (singles, shift).  `singles` are the two chords of the classically
+    smoothed strand, as ((slot, stub), (slot, stub)) with stubs counted
+    counterclockwise 1..n within each slot.  The single takes stub 1 or
+    stub n of each slot and the residual (n-1)-cable fills the rest in
+    order, so boundary index idx of that cable in `slot` sits on cable
+    stub idx + shift[slot]."""
     if sign == 1:
-        singles = (((1, n), (2, 1)), ((3, n), (0, 1)))
-        shift = (1, 0, 1, 0)
-    else:
-        singles = (((0, n), (1, 1)), ((2, n), (3, 1)))
-        shift = (0, 1, 0, 1)
-    return SmoothingPattern(sign, singles, shift)
-
-
-def colored_smoothing_expand(n: int):
-    """The color-n Kauffman skein relation at one crossing: two weighted
-    local patterns (coefficient, SmoothingPattern), the same at every
-    crossing."""
-    c_plus, c_minus = smoothing_coefficients(n)
-    return ((c_plus, _pattern(1, n)), (c_minus, _pattern(-1, n)))
+        return (((1, n), (2, 1)), ((3, n), (0, 1))), (1, 0, 1, 0)
+    return (((0, n), (1, 1)), ((2, n), (3, 1))), (0, 1, 0, 1)
 
 
 def corner_pattern(m: int, k: int):
@@ -161,8 +138,8 @@ def _state_wiring(link: LinkDiagram, n: int, s: ColoredState):
     arc plus a closed box per free loop, and each crossing's two
     classically smoothed strands.  Returns (nodes, arc_side, pairing,
     patterns) where arc_side[(crossing, slot, stub)] is the box port
-    facing that cable stub and patterns[ci] the SmoothingPattern of
-    crossing ci."""
+    facing that cable stub and patterns[ci] the (singles, shift) pair of
+    `_pattern` at crossing ci."""
     _check_state(link, n, s)
     _require_planar(link, n)
     nodes = []
@@ -181,8 +158,8 @@ def _state_wiring(link: LinkDiagram, n: int, s: ColoredState):
         for p in range(n):
             pairing[(b, p)] = (b, top_point(p, n))
     patterns = [_pattern(sign, n) for sign in s.signs]
-    for ci, pat in enumerate(patterns):
-        for (sl1, i1), (sl2, i2) in pat.singles:
+    for ci, (singles, _) in enumerate(patterns):
+        for (sl1, i1), (sl2, i2) in singles:
             pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
     return nodes, arc_side, pairing, patterns
 
@@ -192,14 +169,14 @@ def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagra
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
     m = n - 1
     nodes, arc_side, pairing, patterns = _state_wiring(link, n, s)
-    for ci, pat in enumerate(patterns if m else ()):  # n = 1: no residual cable
+    for ci, (_, shift) in enumerate(patterns if m else ()):  # n = 1: no residual cable
         base = len(nodes)
         nodes.extend([CROSSING] * (m * m))
         stubs = _crossing_grid(pairing, base, m)
         # boundary of the residual cable onto the remaining stubs
         for slot in range(4):
             for idx in range(1, m + 1):
-                end = arc_side[(ci, slot, pat.stub_of_grid(slot, idx))]
+                end = arc_side[(ci, slot, idx + shift[slot])]
                 pairing[end] = stubs[slot * m + idx - 1]
     return DecoratedDiagram(nodes, pairing)
 
@@ -222,10 +199,10 @@ def _lambda_builder(link: LinkDiagram, n: int, s: ColoredState):
 
     def build(indices) -> DecoratedDiagram:
         wired = dict(pairing)
-        for ci, (pat, k) in enumerate(zip(patterns, indices)):
+        for ci, ((_, shift), k) in enumerate(zip(patterns, indices)):
             for (sl1, j1), (sl2, j2) in corner_pattern(n - 1, k):
-                a = arc_side[(ci, sl1, pat.stub_of_grid(sl1, j1))]
-                wired[a] = arc_side[(ci, sl2, pat.stub_of_grid(sl2, j2))]
+                a = arc_side[(ci, sl1, j1 + shift[sl1])]
+                wired[a] = arc_side[(ci, sl2, j2 + shift[sl2])]
         return DecoratedDiagram(nodes, wired)
     return build
 
@@ -250,17 +227,12 @@ def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
     return out
 
 
-def colored_state_sum(link: LinkDiagram, n: int, max_width: int | None = None,
-                      max_states: int = DEFAULT_MAX_STATES) -> LaurentPolynomial:
+def colored_state_sum(link: LinkDiagram, n: int,
+                      max_width: int | None = None) -> LaurentPolynomial:
     """Sum alpha(s) * <Y(s)> over all 2^k colored states; equals the
     n-colored bracket of the diagram.
 
     Individual state values live in Q(A) — only the sum is integral."""
-    if n < 1:
-        raise ValueError("color must be >= 1")
-    k = link.crossing_count
-    if 1 << k > max_states:
-        raise ResourceLimitError(f"2^{k} states exceed the cap of {max_states}")
     total = RationalFunction.zero()
     for s in all_states(link, n):
         value = evaluate_rational(build_upsilon(link, n, s), max_width=max_width)

@@ -458,16 +458,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.num.is_zero() or o.num.is_zero():
-            return RationalFunction.zero()
-        # cross-reduce before multiplying to keep intermediates small
-        g1 = laurent_gcd(self.num, o.den)
-        g2 = laurent_gcd(o.num, self.den)
-        n1 = self.num if g1.is_unit() else divide_exact(self.num, g1)
-        d2 = o.den if g1.is_unit() else divide_exact(o.den, g1)
-        n2 = o.num if g2.is_unit() else divide_exact(o.num, g2)
-        d1 = self.den if g2.is_unit() else divide_exact(self.den, g2)
-        return RationalFunction(n1 * n2, d1 * d2)
+        return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -15,8 +15,6 @@ denominators).
 """
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 
@@ -285,13 +283,6 @@ class StabilityReport:
                  e.bstate_vs_jtilde, e.next_bstate_vs_jtilde,
                  "" if e.next_jtilde_agrees is None else e.next_jtilde_agrees,
                  "checked", e.seconds] for e in self.colors]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(self.CSV_HEADER)
-        w.writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 def stability_report(link: LinkDiagram, n_max: int,

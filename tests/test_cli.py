@@ -61,9 +61,10 @@ def test_bracket_malformed_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("bracket",), ("cjones", "-n", "3"), ("tail", "--nmax", "2"),
-    ("verify",), ("adequacy",), ("states",),
+    ("verify",), ("adequacy",), ("states",), ("states", "-n", "0"),
 ])
 def test_non_planar_pd_exits_2(capsys, argv):
+    # states reads its input before it checks the color
     code, out, err = run(capsys, argv[0], "--pd", NONPLANAR, *argv[1:])
     assert code == EXIT_INPUT
     assert out == "" and "planar" in err
@@ -297,7 +298,7 @@ def test_states_colored_total_is_cjones(capsys):
     assert dens != {(1,)}
 
 
-# 13 kinks in a row: 2^13 states, over the listing cap
+# 13 kinks in a row: 2^13 states, over the state cap
 CHAIN = " / ".join(f"X {2 * i + 1} {2 * i + 2} {2 * i + 2} {(2 * i + 3) % 26 or 26}"
                    for i in range(13))
 

@@ -1,4 +1,4 @@
-"""Colored state machinery: smoothing layouts, state skein elements,
+"""Colored state machinery: the state enumeration, state skein elements,
 corner-pattern expansion, and the degree bookkeeping."""
 import hashlib
 import itertools
@@ -16,7 +16,6 @@ from skeinlab.colored_states import (
     alpha,
     all_states,
     build_upsilon,
-    colored_smoothing_expand,
     colored_state_sum,
     corner_pattern,
     is_adequate_skein,
@@ -24,7 +23,6 @@ from skeinlab.colored_states import (
     lambda_expand,
     s_minus,
     s_plus,
-    smoothing_coefficients,
     verify_degree_lemmas,
 )
 from skeinlab.diagram import (
@@ -89,14 +87,31 @@ def test_extreme_states():
     assert len(list(all_states(d, 2))) == 8
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_smoothing_coefficients(n):
-    plus, minus = smoothing_coefficients(n)
-    assert plus == LaurentPolynomial.monomial(1, 2 * n - 1)
-    assert minus == LaurentPolynomial.monomial(1, -(2 * n - 1))
-    (cp, pat_p), (cm, pat_m) = colored_smoothing_expand(n)
-    assert (cp, cm) == (plus, minus)
-    assert pat_p.sign == 1 and pat_m.sign == -1
+@pytest.mark.parametrize("pd", [TREFOIL, HOPF, FIG8, "O"])
+def test_all_states_are_in_sign_order(pd):
+    d = parse_pd(pd)
+    states = all_states(d, 2)
+    assert states == sorted(states, key=lambda s: s.signs)
+    assert len(set(states)) == 2 ** d.crossing_count
+
+
+# 13 kinks in a row: 2^13 states, over the state cap
+CHAIN = " / ".join(f"X {2 * i + 1} {2 * i + 2} {2 * i + 2} {(2 * i + 3) % 26 or 26}"
+                   for i in range(13))
+
+
+def test_all_states_checks_before_it_builds(monkeypatch):
+    # the color first, then the cap; no state and no skein element is built
+    def build(*args):
+        raise AssertionError("built before the checks")
+    monkeypatch.setattr(colored_states, "ColoredState", build)
+    monkeypatch.setattr(colored_states, "build_upsilon", build)
+    d = parse_pd(CHAIN)
+    for run in (all_states, colored_state_sum):
+        with pytest.raises(ResourceLimitError, match="2\\^13 states exceed the cap of 4096"):
+            run(d, 2)
+        with pytest.raises(ValueError, match="color must be >= 1"):
+            run(d, 0)
 
 
 def test_alpha_monomials():
@@ -293,7 +308,7 @@ def test_state_sum_unknot():
 
 def test_state_sum_guard():
     with pytest.raises(ResourceLimitError):
-        colored_state_sum(parse_pd(TREFOIL), 2, max_states=4)
+        colored_state_sum(parse_pd(CHAIN), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,19 @@ class TestRationalFunction:
         assert x - x == RationalFunction.zero()
         assert x * x.inverse() == RationalFunction.one()
 
+    @given(nonzero_polys, nonzero_polys, nonzero_polys, nonzero_polys,
+           nonzero_polys, nonzero_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_product_cancels_across_the_factors(self, p, q, r, s, g, h):
+        # each numerator shares a factor with the other's denominator; the
+        # product still comes out canonical, with g and h cancelled
+        x, y = RationalFunction(p * g, q * h), RationalFunction(r * h, s * g)
+        xy = x * y
+        assert xy == RationalFunction(p * r, q * s)
+        assert laurent_gcd(xy.num, xy.den) == ONE
+        assert xy.den.min_degree() == 0
+        assert xy.den.coefficient(xy.den.max_degree()) > 0
+
     def test_demotion(self):
         f = RationalFunction(loop_value() * (A + 1), loop_value())
         assert f.is_laurent()

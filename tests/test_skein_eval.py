@@ -1107,6 +1107,51 @@ class TestRelabelling:
             assert colored_jones(other, n) == colored_jones(d, n), n
 
 
+def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
+    """d1 and d2 side by side, the arcs of d_i relabelled (i, arc)."""
+    rows = [[(i, arc) for arc in row]
+            for i, d in enumerate((d1, d2)) for row in d.crossings]
+    return LinkDiagram(rows, d1.free_loops + d2.free_loops)
+
+
+def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
+    """d1 # d2: an arc of each is cut in two, and each half of d1's arc is
+    joined to one half of d2's.  Either pairing of the halves is planar."""
+    union = disjoint_union(d1, d2)
+    a, b = (0, min(d1.arcs, key=repr)), (1, min(d2.arcs, key=repr))
+    (ca, pa), (cb, pb) = union.arc_slots(a)[1], union.arc_slots(b)[0]
+    rows = [list(row) for row in union.crossings]
+    rows[ca][pa], rows[cb][pb] = b, a
+    return LinkDiagram(rows)
+
+
+SUMMANDS = ["trefoil", "figure_eight", "5_2"]
+
+
+class TestMetamorphic:
+    """colored_jones is multiplicative on split diagrams, and on knots
+    multiplicative up to one Delta_n on connected sums."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("names", [*itertools.combinations(SUMMANDS, 2),
+                                       ("trefoil", "hopf")], ids="+".join)
+    def test_disjoint_union(self, names, n):
+        d1, d2 = (fixture(name).diagram for name in names)
+        union = disjoint_union(d1, d2)
+        assert is_planar(union)
+        assert colored_jones(union, n) == colored_jones(d1, n) * colored_jones(d2, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("names", itertools.combinations_with_replacement(SUMMANDS, 2),
+                             ids="#".join)
+    def test_connected_sum(self, names, n):
+        d1, d2 = (fixture(name).diagram for name in names)
+        total = connected_sum(d1, d2)
+        assert is_planar(total) and len(total.components()) == 1
+        assert (colored_jones(total, n) * quantum_dimension(n)
+                == colored_jones(d1, n) * colored_jones(d2, n))
+
+
 def _two_coupon_diagram(link, arc1, arc2, c1, c2):
     """cabled_diagram with two different coupons; assembled through the
     public single-coupon builder twice would collide, so wire directly."""

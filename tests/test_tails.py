@@ -281,10 +281,11 @@ def test_stability_report_trefoil():
     assert len(data["colors"]) == 2
     assert data["tail"]["certified"] == 4
 
-    rows = report.to_csv().strip().splitlines()
-    assert len(rows) == 3
-    assert rows[0].startswith("link,n,min_degree")
-    assert rows[1].startswith("trefoil,1,")
+    rows = report.csv_rows()
+    assert len(rows) == 2
+    assert all(len(row) == len(StabilityReport.CSV_HEADER) for row in rows)
+    assert StabilityReport.CSV_HEADER[:3] == ("link", "n", "min_degree")
+    assert rows[0][:2] == ["trefoil", 1]
 
 
 @pytest.mark.parametrize("n_max", [2, 3])

@@ -2,8 +2,9 @@
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
 library; no private helper in the package lives on for tests alone;
-every private name the docs mention exists; and the README's bracket
-examples print what their comments say."""
+every public name has a user besides the unit tests; every private name
+the docs mention exists; and the README's bracket examples print what
+their comments say."""
 import ast
 import contextlib
 import importlib
@@ -15,6 +16,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+import skeinlab
 from skeinlab.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -81,6 +83,29 @@ def test_every_private_helper_in_src_has_a_src_caller():
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = SPANS.parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+
+def test_every_public_name_has_a_user_besides_tests():
+    # a name in skeinlab.__all__ is used in src/ outside its own
+    # definition (the re-export in __init__ aside), by the benchmark, in
+    # the README or by the acceptance tests; one that only unit tests
+    # use belongs under tests/ as an oracle, or nowhere (__version__ is
+    # metadata, read from outside)
+    used = {"__version__"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(stmt, "name", None)
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    texts = [README.read_text(), ACCEPTANCE.read_text()]
+    texts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    assert sorted(set(skeinlab.__all__) - used - words) == []
 
 
 def test_every_private_name_the_docs_mention_exists():

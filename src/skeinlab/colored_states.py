@@ -43,6 +43,8 @@ from .temperley_lieb import top_point
 
 # the most colored states a state sum or listing visits (2^12)
 DEFAULT_MAX_STATES = 4096
+# the most terms a corner-pattern expansion builds (2^16)
+MAX_LAMBDA_TERMS = 65536
 
 
 @dataclass(frozen=True)
@@ -207,16 +209,16 @@ def _lambda_builder(link: LinkDiagram, n: int, s: ColoredState):
     return build
 
 
-def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
-                  max_terms: int | None = 65536):
+def lambda_expand(link: LinkDiagram, n: int, s: ColoredState):
     """All n^k terms (coefficient, Lambda diagram) of the corner-pattern
     expansion, indices in lexicographic order; the coefficient of
-    (i_1..i_k) is the product of C_{n-1, i_j}."""
+    (i_1..i_k) is the product of C_{n-1, i_j}.  More than MAX_LAMBDA_TERMS
+    raise ResourceLimitError before any term is built."""
     k = link.crossing_count
     m = n - 1
-    if max_terms is not None and (m + 1) ** k > max_terms:
+    if (m + 1) ** k > MAX_LAMBDA_TERMS:
         raise ResourceLimitError(
-            f"{(m + 1) ** k} expansion terms exceed the cap of {max_terms}")
+            f"{(m + 1) ** k} expansion terms exceed the cap of {MAX_LAMBDA_TERMS}")
     build = _lambda_builder(link, n, s)
     out = []
     for indices in itertools.product(range(m + 1), repeat=k):
@@ -227,15 +229,14 @@ def lambda_expand(link: LinkDiagram, n: int, s: ColoredState,
     return out
 
 
-def colored_state_sum(link: LinkDiagram, n: int,
-                      max_width: int | None = None) -> LaurentPolynomial:
+def colored_state_sum(link: LinkDiagram, n: int) -> LaurentPolynomial:
     """Sum alpha(s) * <Y(s)> over all 2^k colored states; equals the
     n-colored bracket of the diagram.
 
     Individual state values live in Q(A) — only the sum is integral."""
     total = RationalFunction.zero()
     for s in all_states(link, n):
-        value = evaluate_rational(build_upsilon(link, n, s), max_width=max_width)
+        value = evaluate_rational(build_upsilon(link, n, s))
         total = total + value * alpha(link, n, s)
     return total.as_laurent()
 
@@ -322,8 +323,7 @@ class DegreeLemmaReport:
         }
 
 
-def verify_degree_lemmas(link: LinkDiagram, n: int,
-                         max_width: int | None = None) -> DegreeLemmaReport:
+def verify_degree_lemmas(link: LinkDiagram, n: int) -> DegreeLemmaReport:
     """The exact degree identities behind tail stability, checked on one
     diagram at one color."""
     k = link.crossing_count
@@ -384,9 +384,8 @@ def verify_degree_lemmas(link: LinkDiagram, n: int,
 
         # the extreme term is never canceled: the state value's minimum
         # degree equals the extreme expansion term's
-        ups_value = evaluate_rational(build_upsilon(link, n, lo),
-                                      max_width=max_width)
-        lam_value = evaluate_rational(lam_lo, max_width=max_width)
+        ups_value = evaluate_rational(build_upsilon(link, n, lo))
+        lam_value = evaluate_rational(lam_lo)
         extreme = lam_value * crossing_expansion_coefficient(m, m) ** k
         checks.append(LemmaCheck(
             "extreme-term-survives",

@@ -24,9 +24,10 @@ from typing import Iterator, Mapping
 # ---------------------------------------------------------------------------
 # raw term-dict helpers
 #
-# The sweep evaluator wants to do a very large number of tiny polynomial
-# operations; these functions work on bare dicts so that hot loops can skip
-# object construction.  LaurentPolynomial wraps the same dicts.
+# LaurentPolynomial's arithmetic and the Temperley-Lieb numerators work on
+# bare {exponent: coefficient} dicts, so that their many small operations
+# skip object construction; LaurentPolynomial wraps the same dicts.  The
+# sweep packs each of its coefficients into one int instead (skein_eval._pack).
 
 def term_add(p: dict, q: dict) -> dict:
     out = dict(p)
@@ -530,16 +531,11 @@ class RationalFunction:
 
 @functools.cache
 def quantum_dimension(n: int) -> LaurentPolynomial:
-    """Bracket value Delta_n of the unknot colored n (Delta_0 = 1)."""
+    """Bracket value Delta_n of the unknot colored n: (-1)^n times the sum
+    of A^(2n - 4k) over k = 0..n, so Delta_-1 = 0 and Delta_0 = 1."""
     if n < -1:
         raise ValueError("delta defined for n >= -1")
-    if n == -1:
-        return ZERO
-    if n == 0:
-        return ONE
-    if n == 1:
-        return loop_value()
-    return loop_value() * quantum_dimension(n - 1) - quantum_dimension(n - 2)
+    return LaurentPolynomial({2 * n - 4 * k: (-1) ** n for k in range(n + 1)})
 
 
 @functools.cache

@@ -50,14 +50,15 @@ cabled_diagram, build_upsilon and lambda_diagram raise ValueError on a
 PD code that is not planar whenever they place f(n) boxes with n >= 2.
 
 Live matchings set the cost, and the peak width (dangling wire-ends)
-bounds them.  A MorsePlan is an attachment order, from a width greedy
-unless the caller gives one, and the peak width of that order, which the
-width cap is checked against.  The greedy sweeps projector boxes last
-among nodes that leave equal width, since an unswept box prunes every
-row that caps it; that only moves the order, so every value stays exact.
-Only when that walk passes the cap does morse_decompose walk the plain
-greedy, which ignores the boxes, and keep the narrower.  One reader
-(_graph) turns the wiring a network sweeps into the walk's inputs.
+bounds them.  A MorsePlan is the attachment order of a width greedy and
+the peak width of that order, which the width cap is checked against
+before any box's terms are built (projector_node builds f(n) on first
+use).  The greedy sweeps projector boxes last among nodes that leave
+equal width, since an unswept box prunes every row that caps it; that
+only moves the order, so every value stays exact.  Only when that walk
+passes the cap does morse_decompose walk the plain greedy, which ignores
+the boxes, and keep the narrower.  One reader (_graph) turns the wiring
+a network sweeps into the walk's inputs.
 
 Where the box goes is the one choice a prediction makes.  colored_jones
 walks one network per arc that could carry each component's box
@@ -103,7 +104,7 @@ class ResourceLimitError(RuntimeError):
     """The evaluation would exceed the configured width budget."""
 
 
-def resolve_max_width(max_width: int | None = None) -> int:
+def resolve_max_width(max_width: int | None) -> int:
     if max_width is None:
         env = os.environ.get(_ENV_MAX_WIDTH)
         if not env:
@@ -130,26 +131,42 @@ class CouponNode:
     `projector` declares that the element kills every turnback (e_i f = 0
     = f e_i), as a Jones-Wenzl box does; the sweep then drops each term
     that caps the box before reaching it.  Only projector_node sets it.
+
+    The denominator is 1, unless `terms` is a function returning (terms,
+    denominator), called on the first read of either: the planner reads
+    only the port count and the flag, so projector_node's f(n) is built
+    only once a plan has passed the width cap.
     """
 
-    __slots__ = ("port_count", "denominator", "_terms", "label", "projector", "_packed")
+    __slots__ = ("port_count", "_form", "label", "projector", "_packed")
 
-    def __init__(self, points: int, terms, denominator: LaurentPolynomial = ONE,
-                 label: str = "", projector: bool = False):
+    def __init__(self, points: int, terms, label: str = "", projector: bool = False):
         if points % 2:
             raise ValueError(f"a coupon has an even number of points, got {points}")
         self.port_count = points
-        self.denominator = denominator
         self.label = label
         self.projector = projector
-        self._terms = tuple(
-            (PlanarMatching(points // 2, pairs).partner,
-             dict(coeff.terms if isinstance(coeff, LaurentPolynomial) else coeff))
-            for pairs, coeff in terms)
         self._packed: dict = {}
+        self._form = terms
+        if not callable(terms):
+            self._form = lambda: (terms, ONE)
+            self.local_terms()  # check the given terms now
 
     def local_terms(self):
-        return self._terms
+        """(partner table, coefficient term dict) per term; built here on
+        the first read when the coupon was given a function."""
+        if callable(self._form):
+            terms, denominator = self._form()
+            self._form = denominator, tuple(
+                (PlanarMatching(self.port_count // 2, pairs).partner,
+                 dict(coeff.terms if isinstance(coeff, LaurentPolynomial) else coeff))
+                for pairs, coeff in terms)
+        return self._form[1]
+
+    @property
+    def denominator(self) -> LaurentPolynomial:
+        self.local_terms()
+        return self._form[0]
 
     def packed(self, li: int, loops: int, width: int, stride: int) -> tuple:
         """Local coefficient li times delta^loops, packed at `width` and
@@ -158,11 +175,11 @@ class CouponNode:
         factor = self._packed.get(key)
         if factor is None:
             factor = self._packed[key] = _pack(
-                term_mul(self._terms[li][1], _delta_power(loops)), width, stride)
+                term_mul(self.local_terms()[li][1], _delta_power(loops)), width, stride)
         return factor
 
     def __repr__(self):
-        tag = self.label or f"{len(self._terms)} term(s)"
+        tag = self.label or f"{len(self.local_terms())} term(s)"
         return f"CouponNode({self.port_count} points, {tag})"
 
 
@@ -172,10 +189,12 @@ CROSSING = CouponNode(4, ((A_JOINS, {1: 1}), (B_JOINS, {-1: 1})), label="crossin
 
 @functools.cache
 def projector_node(n: int) -> CouponNode:
-    """The Jones-Wenzl box f(n) as a coupon with cleared denominators."""
-    q, rows = cleared_projector(n)
-    return CouponNode(2 * n, [(m.pairs, coeff) for coeff, m in rows], q,
-                      label=f"f({n})", projector=True)
+    """The Jones-Wenzl box f(n) as a coupon with cleared denominators,
+    which Wenzl's recursion fills in on their first read."""
+    def form():
+        q, rows = cleared_projector(n)
+        return [(m.pairs, coeff) for coeff, m in rows], q
+    return CouponNode(2 * n, form, label=f"f({n})", projector=True)
 
 
 Port = tuple  # (node_index, port_index)
@@ -229,24 +248,18 @@ class MorsePlan:
     peak_width: int
 
 
-def morse_decompose(dd: DecoratedDiagram, order=None, max_width=None) -> MorsePlan:
-    """Walk `order`, which must visit every node once, or else the width
-    greedy that defers the network's projector boxes, on the network as
-    _graph reads it: every plan the sweep runs comes from here.  Only when
-    the greedy passes the width cap `max_width` is the plain greedy, which
-    ignores the boxes, walked too, and the narrower of the two kept (the
-    deferring one on ties), for the sweep's cap check to name."""
-    n = dd.node_count
+def morse_decompose(dd: DecoratedDiagram, max_width=None) -> MorsePlan:
+    """Walk the width greedy that defers the network's projector boxes, on
+    the network as _graph reads it: every plan the sweep runs comes from
+    here.  Only when that walk passes the width cap `max_width` is the
+    plain greedy, which ignores the boxes, walked too, and the narrower of
+    the two kept (the deferring one on ties), for the sweep's cap check to
+    name."""
     half = _halves(dd.nodes)
     cross, degree, _ = _graph(half, ((p, q) for p, q in dd.pairing.items() if p < q))
-    if order is not None:
-        order = tuple(order)
-        if sorted(order) != list(range(n)):
-            raise ValueError("plan must visit every node exactly once")
-        return MorsePlan(*_walk(cross, degree, order, [False] * n)[:2])
-    plan = MorsePlan(*_walk(cross, degree, None, [h > 0 for h in half])[:2])
+    plan = MorsePlan(*_walk(cross, degree, [h > 0 for h in half])[:2])
     if plan.peak_width > resolve_max_width(max_width):
-        plain = MorsePlan(*_walk(cross, degree, None, [False] * n)[:2])
+        plain = MorsePlan(*_walk(cross, degree, [False] * dd.node_count)[:2])
         if plain.peak_width < plan.peak_width:
             return plain
     return plan
@@ -287,12 +300,11 @@ def _graph(half: list, wires) -> tuple:
     return cross, degree, sides
 
 
-def _walk(cross: list, degree: list, order, boxes: list, sides=None) -> tuple:
-    """Walk `order`, or else the width greedy's, and return (order, peak
-    width, predicted live matchings).  Each greedy step takes the node
-    leaving the fewest dangling ends, then one not flagged in `boxes`
-    before one that is, then the one with most wires into the swept
-    region, then the lowest.
+def _walk(cross: list, degree: list, boxes: list, sides=None) -> tuple:
+    """Walk the width greedy and return its (order, peak width, predicted
+    live matchings).  Each step takes the node leaving the fewest dangling
+    ends, then one not flagged in `boxes` before one that is, then the one
+    with most wires into the swept region, then the lowest.
 
     cross, degree and sides are as _graph reads them.  The prediction
     needs sides, and only the box placement passes them: each event adds
@@ -320,14 +332,11 @@ def _walk(cross: list, degree: list, order, boxes: list, sides=None) -> tuple:
     blocks = ()
     chosen = []
     width = peak = cost = 0
-    for step in range(n):
-        if order is not None:
-            v = order[step]
-        else:
+    for _ in range(n):
+        k = pop(heap)
+        while key[k % n] != k:
             k = pop(heap)
-            while key[k % n] != k:
-                k = pop(heap)
-            v = k % n
+        v = k % n
         done[v] = True
         width += degree[v] - 2 * into[v]
         if width > peak:
@@ -382,47 +391,42 @@ def _delta_power(k: int) -> dict:
     return (_DELTA ** k).terms
 
 
-def evaluate(dd: DecoratedDiagram, order=None,
-             max_width: int | None = None,
-             max_terms: int | None = None) -> LaurentPolynomial:
-    """Bracket value of a closed decorated diagram in Z[A, A^-1].
+def evaluate(dd: DecoratedDiagram, max_width: int | None = None) -> LaurentPolynomial:
+    """Bracket value of a closed decorated diagram in Z[A, A^-1], swept
+    along the plan morse_decompose makes.
 
     Links and fully cabled diagrams always land in the Laurent ring; a
     partially smoothed projector network need not (closing a strand over
     part of a box leaves quantum integers in the denominator), and then
-    this raises — evaluate_rational is the total version.  `order` is an
-    attachment order for morse_decompose; by default the greedy picks one.
+    this raises — evaluate_rational is the total version.
     """
-    value, denominator = _sweep(dd, order, max_width, max_terms)
+    value, denominator = _sweep(dd, max_width)
     if value.is_zero() or denominator == ONE:
         return value
     return divide_exact(value, denominator)
 
 
-def evaluate_rational(dd: DecoratedDiagram, order=None,
-                      max_width: int | None = None,
-                      max_terms: int | None = None) -> RationalFunction:
+def evaluate_rational(dd: DecoratedDiagram,
+                      max_width: int | None = None) -> RationalFunction:
     """Exact value of a closed decorated diagram in Q(A), reduced."""
-    value, denominator = _sweep(dd, order, max_width, max_terms)
+    value, denominator = _sweep(dd, max_width)
     return RationalFunction(value, denominator)
 
 
-def _sweep(dd: DecoratedDiagram, order=None,
-           max_width: int | None = None,
-           max_terms: int | None = None):
+def _sweep(dd: DecoratedDiagram, max_width: int | None):
     """Run the attachment sweep; return (integer Laurent total, accumulated
     coupon denominator) before the final division."""
     cap = resolve_max_width(max_width)
-    plan = morse_decompose(dd, order, cap)
+    plan = morse_decompose(dd, cap)
     if plan.peak_width > cap:
         raise ResourceLimitError(
             f"plan needs width {plan.peak_width}, budget is {cap} "
             f"(raise with --max-width or {_ENV_MAX_WIDTH})")
     denominator = math.prod((dd.nodes[ni].denominator for ni in plan.order), start=ONE)
     try:
-        total = _contract(dd, plan.order, max_terms, 4)
+        total = _contract(dd, plan.order, 4)
     except _MixedResidues:
-        total = _contract(dd, plan.order, max_terms, 1)
+        total = _contract(dd, plan.order, 1)
     return LaurentPolynomial(total), denominator
 
 
@@ -450,7 +454,7 @@ def _unpack(lo: int, v: int, width: int, stride: int) -> dict:
     return out
 
 
-def _contract(dd: DecoratedDiagram, order, max_terms, stride: int) -> dict:
+def _contract(dd: DecoratedDiagram, order, stride: int) -> dict:
     """Sweep `order` with every coefficient packed at `stride`; return the
     total's term dict, or raise _MixedResidues."""
     # None when there is no box to prune against
@@ -533,9 +537,6 @@ def _contract(dd: DecoratedDiagram, order, max_terms, stride: int) -> dict:
         terms = {key: coeff for key, coeff in new_terms.items() if coeff[1]}
         frontier = step.frontier
         processed[ni] = True
-        if max_terms is not None and len(terms) > max_terms:
-            raise ResourceLimitError(
-                f"{len(terms)} live matchings exceeds the cap of {max_terms}")
         if not terms:
             break
 
@@ -722,22 +723,19 @@ def cable_ports(link: LinkDiagram, m: int):
     return k * m * m, pairing, band_ends
 
 
-def cabled_diagram(link: LinkDiagram, m: int, box_arcs=(),
-                   coupon: CouponNode | None = None) -> DecoratedDiagram:
-    """The blackboard m-cable of `link` with a coupon (default: the
-    Jones-Wenzl box f(m)) spliced across the cable at each arc in
-    `box_arcs`.  Free loops of `link` are *not* carried over; the caller
-    decides what a closed cabled loop is worth.  Projector boxes with
-    m >= 2 need a planar `link` (see _require_planar).  The network is
-    nodes plus wiring; morse_decompose plans it when it is swept."""
-    if box_arcs and (coupon is None or coupon.projector):
+def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
+    """The blackboard m-cable of `link` with the Jones-Wenzl box f(m)
+    spliced across the cable at each arc in `box_arcs`.  Free loops of
+    `link` are *not* carried over; the caller decides what a closed cabled
+    loop is worth.  Boxes with m >= 2 need a planar `link` (see
+    _require_planar).  The network is nodes plus wiring; morse_decompose
+    plans it when it is swept."""
+    if box_arcs:
         _require_planar(link, m)
     n_grid, grid, band_ends = cable_ports(link, m)
-    box = coupon if coupon is not None or not box_arcs else projector_node(m)
-    if box_arcs and box.port_count != 2 * m:
-        raise ValueError("coupon size must match the cable width")
-    nodes = [CROSSING] * n_grid + [box] * len(box_arcs)
-    return DecoratedDiagram(nodes, _splice(grid, band_ends, n_grid, m, box_arcs))
+    boxes = [projector_node(m)] * len(box_arcs) if box_arcs else []
+    return DecoratedDiagram([CROSSING] * n_grid + boxes,
+                            _splice(grid, band_ends, n_grid, m, box_arcs))
 
 
 def _splice(grid: dict, band_ends: dict, n_grid: int, m: int, box_arcs) -> dict:
@@ -796,7 +794,7 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     def rank(arcs) -> tuple:
         wiring = _splice(grid, band_ends, n_grid, m, arcs)
         cross, degree, sides = _graph(half, wiring.items())
-        _, peak, cost = _walk(cross, degree, None, boxes, sides)
+        _, peak, cost = _walk(cross, degree, boxes, sides)
         return (0, cost) if peak <= cap else (1, peak)
 
     arcs = [comp[0] for comp in comps]

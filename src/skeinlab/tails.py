@@ -152,20 +152,17 @@ def _jtilde_values(link: LinkDiagram, n_max: int,
             for n in range(1, n_max + 1)]
 
 
-def tail_prefix(link: LinkDiagram, n_max: int,
-                max_width: int | None = None) -> CoefficientPrefix:
+def tail_prefix(link: LinkDiagram, n_max: int) -> CoefficientPrefix:
     """Stable low-end coefficients: compute J~_1..J~_{n_max}, check every
     consecutive window, return the aligned lowest coefficients of the last
     with certified length 4(n_max - 1)."""
-    return _certified_prefix(_display_name(link),
-                             _jtilde_values(link, n_max, max_width))
+    return _certified_prefix(_display_name(link), _jtilde_values(link, n_max, None))
 
 
-def head_prefix(link: LinkDiagram, n_max: int,
-                max_width: int | None = None) -> CoefficientPrefix:
+def head_prefix(link: LinkDiagram, n_max: int) -> CoefficientPrefix:
     """Stable high-end coefficients: tail_prefix at the highest end."""
     return _certified_prefix(_display_name(link),
-                             _jtilde_values(link, n_max, max_width), "highest")
+                             _jtilde_values(link, n_max, None), "highest")
 
 
 def tail_and_head(link: LinkDiagram, n_max: int,
@@ -189,26 +186,20 @@ def _bstate_value(link: LinkDiagram, n: int,
     return value * alpha(link, n, s)
 
 
-def verify_theorem_1(link: LinkDiagram, n: int,
-                     max_width: int | None = None) -> bool:
+def verify_theorem_1(link: LinkDiagram, n: int) -> bool:
     """The n-colored B-state carries the lowest 4n coefficients of J~_n."""
-    return doteq(colored_jones(link, n, max_width=max_width),
-                 _bstate_value(link, n, max_width), 4 * n)
+    return doteq(colored_jones(link, n), _bstate_value(link, n, None), 4 * n)
 
 
-def verify_theorem_2(link: LinkDiagram, n: int,
-                     max_width: int | None = None) -> bool:
+def verify_theorem_2(link: LinkDiagram, n: int) -> bool:
     """The (n+1)-colored B-state already matches J~_n on its lowest 4n
     coefficients."""
-    return doteq(_bstate_value(link, n + 1, max_width),
-                 colored_jones(link, n, max_width=max_width), 4 * n)
+    return doteq(_bstate_value(link, n + 1, None), colored_jones(link, n), 4 * n)
 
 
-def verify_corollary(link: LinkDiagram, n: int,
-                     max_width: int | None = None) -> bool:
+def verify_corollary(link: LinkDiagram, n: int) -> bool:
     """Consecutive colors agree on the lowest 4n coefficients."""
-    return doteq(colored_jones(link, n + 1, max_width=max_width),
-                 colored_jones(link, n, max_width=max_width), 4 * n)
+    return doteq(colored_jones(link, n + 1), colored_jones(link, n), 4 * n)
 
 
 # ---------------------------------------------------------------------------

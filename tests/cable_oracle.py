@@ -12,11 +12,10 @@ counterclockwise indices within each slot; gluing a band between two
 slots reverses the index (i pairs with m+1-i).
 
 counted_matchings replays a sweep and counts its matchings, the measure
-that the box placement of colored_jones predicts; enumerate_matchings
-lists the basis diagrams of TL_n by brute force.
+that the box placement of colored_jones predicts, and peak_matchings the
+most it holds at once; enumerate_matchings lists the basis diagrams of
+TL_n by brute force.
 """
-import math
-
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
 from skeinlab.temperley_lieb import PlanarMatching
@@ -73,11 +72,21 @@ def cable(diagram: LinkDiagram, m: int) -> LinkDiagram:
     )
 
 
-def counted_matchings(dd, order=None, limit=math.inf) -> int:
+def counted_matchings(dd, order=None) -> int:
     """The sum, over the events of `order` (by default the plan the sweep
     runs on `dd`), of the matchings in its term bag: the cost that sweep
-    time follows.  The replay stops at the first event where the running
-    sum reaches `limit`, and returns that sum.
+    time follows."""
+    return sum(_bag_sizes(dd, order))
+
+
+def peak_matchings(dd, order=None) -> int:
+    """The most matchings the term bag holds after any event of `order`
+    (by default the plan the sweep runs on `dd`)."""
+    return max(_bag_sizes(dd, order), default=1)
+
+
+def _bag_sizes(dd, order):
+    """The number of matchings in the term bag after each event of `order`.
 
     Keys only: it replays skein_eval's events and pruning without the
     coefficient arithmetic, so a matching whose coefficient cancels to 0
@@ -87,7 +96,6 @@ def counted_matchings(dd, order=None, limit=math.inf) -> int:
     processed = [False] * dd.node_count
     frontier: list = []
     keys = {()}
-    total = 0
     for ni in morse_decompose(dd).order if order is None else order:
         step = _EventStep(dd, ni, frontier, processed, box_half if any(box_half) else None)
         closing_of, kept_of = _slot_getter(step.closing), _slot_getter(step.kept)
@@ -101,10 +109,7 @@ def counted_matchings(dd, order=None, limit=math.inf) -> int:
         keys = new_keys
         frontier = step.frontier
         processed[ni] = True
-        total += len(keys)
-        if total >= limit:
-            break
-    return total
+        yield len(keys)
 
 
 def enumerate_matchings(n: int) -> list[PlanarMatching]:

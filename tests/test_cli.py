@@ -16,6 +16,7 @@ import pytest
 
 import skeinlab
 import skeinlab.cli as cli
+from skeinlab import skein_eval
 from skeinlab.cli import (
     EXIT_INPUT, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, EXIT_VERIFY, main,
 )
@@ -180,6 +181,28 @@ def test_cjones_resource_cap_exits_3(capsys):
                        "--max-width", "6")
     assert code == EXIT_RESOURCE
     assert "resource cap" in err
+
+
+def test_cjones_unknot_at_a_high_colour(capsys):
+    # Delta_500 has a closed form, so no recursion runs out of stack
+    code, out, _ = run(capsys, "cjones", "--pd", "O", "-n", "500", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert LaurentPolynomial.from_json(payload["jtilde"]) == quantum_dimension(500)
+    assert payload["jtilde"]["minDeg"] == -1000
+
+
+@pytest.mark.parametrize("argv", [["cjones", "-n", "9"], ["states", "-n", "8"]])
+def test_over_cap_colours_exit_3_before_any_box_is_built(capsys, monkeypatch, argv):
+    # the cap is checked on the plan, which needs no f(n) terms: f(9) or
+    # f(8) is never built
+    def no_projectors(n):
+        raise AssertionError(f"f({n}) was built")
+    monkeypatch.setattr(skein_eval, "cleared_projector", no_projectors)
+    monkeypatch.delenv("SKEINLAB_MAX_WIDTH", raising=False)
+    code, _, err = run(capsys, *argv, "--pd", TREFOIL)
+    assert code == EXIT_RESOURCE
+    assert "budget is 24" in err
 
 
 # a 4-strand braid closure with two kinks: its J~_2 cable peaks at width 8

@@ -10,6 +10,7 @@ import pytest
 
 from skeinlab import colored_states, skein_eval
 from skeinlab.colored_states import (
+    MAX_LAMBDA_TERMS,
     ColoredState,
     D_degree,
     DegreeLemmaReport,
@@ -327,9 +328,12 @@ def test_lambda_expand_count_and_coefficients():
 
 
 def test_lambda_expand_guard():
+    # 41^3 terms pass the cap of 2^16, and the check comes before any term
+    # or f(41) is built; 40^3 would not
     d = parse_pd(TREFOIL)
-    with pytest.raises(ResourceLimitError):
-        lambda_expand(d, 3, s_minus(d, 3), max_terms=10)
+    assert 40 ** 3 <= MAX_LAMBDA_TERMS < 41 ** 3
+    with pytest.raises(ResourceLimitError, match="68921 expansion terms exceed"):
+        lambda_expand(d, 41, s_minus(d, 41))
 
 
 def test_lambda_expand_checks_planarity_once(monkeypatch):

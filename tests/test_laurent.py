@@ -1,8 +1,9 @@
 """Exact-arithmetic tests.
 
-Oracles are independent of the implementation under test: the closed
-geometric-sum form for Delta_n, and a Gaussian-binomial construction in
-q = A^4 for the quantum binomials.
+Oracles are independent of the implementation under test: the two-term
+recursion Delta_n = delta Delta_(n-1) - Delta_(n-2) for the closed form
+of Delta_n, and a Gaussian-binomial construction in q = A^4 for the
+quantum binomials.
 """
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,12 @@ L = LaurentPolynomial
 
 
 def delta_oracle(n):
-    # (-1)^n (A^{2(n+1)} - A^{-2(n+1)}) / (A^2 - A^-2), expanded as the
-    # geometric sum (-1)^n * sum_{j=0..n} A^{2n-4j}
-    sign = -1 if n % 2 else 1
-    return L({2 * n - 4 * j: sign for j in range(n + 1)})
+    # Delta_-1 = 0, Delta_0 = 1, Delta_n = delta Delta_(n-1) - Delta_(n-2),
+    # unrolled so that no n is too deep for the stack
+    before, value = ZERO, ONE
+    for _ in range(n + 1):
+        before, value = value, loop_value() * value - before
+    return before
 
 
 def gaussian_binomial_q(n, k):
@@ -171,9 +174,19 @@ class TestQuantumScalars:
         assert quantum_dimension(1) == loop_value()
         assert quantum_dimension(2) == L({4: 1, 0: 1, -4: 1})
 
-    @pytest.mark.parametrize("n", range(0, 13))
-    def test_delta_matches_closed_form(self, n):
+    @pytest.mark.parametrize("n", range(-1, 61))
+    def test_closed_form_matches_the_recursion(self, n):
         assert quantum_dimension(n) == delta_oracle(n)
+
+    def test_delta_needs_n_at_least_minus_one(self):
+        with pytest.raises(ValueError):
+            quantum_dimension(-2)
+
+    def test_large_color_needs_no_deep_recursion(self):
+        # the closed form has no call depth: Delta_1000 has 1001 terms
+        value = quantum_dimension(1000)
+        assert (value.min_degree(), value.max_degree()) == (-2000, 2000)
+        assert len(value.terms) == 1001
 
     def test_binomial_pinned_values(self):
         assert quantum_binomial(2, 1) == L({2: 1, -2: 1})

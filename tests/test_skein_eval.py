@@ -47,11 +47,12 @@ from skeinlab.skein_eval import (
     _matching_count,
     _pack,
     _place_boxes,
-    _sweep,
+    _splice,
     _unpack,
     _walk,
     bracket,
     bracket_bruteforce,
+    cable_ports,
     cabled_diagram,
     colored_jones,
     evaluate,
@@ -62,7 +63,7 @@ from skeinlab.skein_eval import (
 )
 from skeinlab.temperley_lieb import identity_matching
 
-from cable_oracle import cable, counted_matchings, enumerate_matchings
+from cable_oracle import cable, counted_matchings, enumerate_matchings, peak_matchings
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -267,25 +268,13 @@ def without_boxes(dd: DecoratedDiagram) -> DecoratedDiagram:
     return DecoratedDiagram(nodes, dd.pairing)
 
 
-def least_live_matching_cap(dd: DecoratedDiagram, order=None) -> int:
-    """The least max_terms at which _sweep finishes, by bisection."""
-    def finishes(cap):
-        try:
-            _sweep(dd, order, max_terms=cap)
-        except ResourceLimitError:
-            return False
-        return True
-
-    low, high = 0, 1  # _sweep fails at low and finishes at high
-    while not finishes(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if finishes(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+def run_order(monkeypatch, order):
+    """Make the sweep run `order`: morse_decompose returns it with its peak
+    from cut_widths, so the real _sweep still checks the width cap against
+    it, retries at stride 1 and divides once at the end."""
+    def plan(dd, max_width=None):
+        return MorsePlan(tuple(order), max(cut_widths(dd, order), default=0))
+    monkeypatch.setattr(skein_eval, "morse_decompose", plan)
 
 
 def default_box_arcs(d: LinkDiagram) -> list:
@@ -299,7 +288,7 @@ def walks(dd: DecoratedDiagram) -> tuple:
     as (order, peak, prediction)."""
     cross, degree, sides = wiring_graph(dd)
     boxes = [node.projector for node in dd.nodes]
-    return tuple(_walk(cross, degree, None, flags, sides)
+    return tuple(_walk(cross, degree, flags, sides)
                  for flags in (boxes, [False] * dd.node_count))
 
 
@@ -331,7 +320,9 @@ class TestPlans:
         for _ in range(6):
             order = list(range(dd.node_count))
             rng.shuffle(order)
-            assert evaluate(dd, order=order, max_width=99) == expect
+            with pytest.MonkeyPatch.context() as mp:
+                run_order(mp, order)
+                assert evaluate(dd, max_width=99) == expect
 
     def test_cabled_trefoil_with_box_width(self):
         d = parse_pd(TREFOIL)
@@ -343,16 +334,8 @@ class TestPlans:
         # the width greedy must do at least as well as the identity order
         dd = from_link(parse_pd(FIG8))
         greedy_peak = morse_decompose(dd).peak_width
-        id_peak = morse_decompose(dd, range(dd.node_count)).peak_width
+        id_peak = max(cut_widths(dd, range(dd.node_count)))
         assert greedy_peak <= id_peak
-
-    def test_plan_validation(self):
-        dd = from_link(parse_pd(HOPF))
-        for bad in ([0, 0], [0], [0, 1, 2]):
-            with pytest.raises(ValueError, match="exactly once"):
-                morse_decompose(dd, bad)
-        with pytest.raises(ValueError):
-            evaluate(dd, order=[0, 0])
 
     @pytest.mark.parametrize("case", [
         "trefoil", "figure-eight", "braid-closure", "figure-eight-2-cable",
@@ -370,8 +353,7 @@ class TestPlans:
                 lambda: cabled_diagram(parse_pd(FIG8), 2),
                 (0, 1, 6, 4, 8, 2, 3, 7, 5, 9, 10, 11, 12, 13, 14, 15)),
             "trefoil-3-cable-generic-coupon": (
-                lambda: cabled_diagram(parse_pd(TREFOIL), 3, [1],
-                                       coupon=identity_coupon(3)),
+                lambda: coupon_cable(parse_pd(TREFOIL), 3, [1], identity_coupon(3)),
                 (0, 1, 2, 24, 21, 18, 3, 4, 5, 25, 22, 19, 27, 6, 7, 8, 9, 10,
                  11, 12, 13, 14, 17, 26, 16, 23, 15, 20)),
         }[case]
@@ -463,45 +445,41 @@ class TestPlans:
         dd = cabled_diagram(d, 3, default_box_arcs(d))
         plain = morse_decompose(without_boxes(dd)).order
         assert morse_decompose(dd).order != plain
-        assert least_live_matching_cap(dd, plain) == 132
-        assert least_live_matching_cap(dd) == 48
+        assert peak_matchings(dd, plain) == 132
+        assert peak_matchings(dd) == 48
 
     def test_width_budget(self):
         dd = from_link(parse_pd(TREFOIL))
         with pytest.raises(ResourceLimitError):
             evaluate(dd, max_width=2)
 
-    def test_live_matching_cap(self):
-        # the sweep stops once the live matchings of an event pass the
-        # cap; at the run's own peak it finishes with the uncapped value
-        dd = cabled_diagram(parse_pd(FIG8), 2)
-        expect = evaluate(dd)
-        cap = 0
-        while True:
-            try:
-                value, den = _sweep(dd, max_terms=cap)
-            except ResourceLimitError as exc:
-                assert f"exceeds the cap of {cap}" in str(exc)
-                cap += 1
-                continue
-            break
-        assert cap > 4
-        assert value == expect and den == LaurentPolynomial.one()
-        assert evaluate(dd, max_terms=cap) == expect
-        with pytest.raises(ResourceLimitError, match="live matchings"):
-            evaluate(dd, max_terms=cap - 1)
-
-    def test_width_cap_is_checked_against_the_given_order(self):
-        # a given order is capped at its own peak, not at the greedy's
+    def test_width_cap_is_checked_against_the_running_plan(self, monkeypatch):
+        # the sweep caps the plan it runs at that plan's own peak, not at
+        # the greedy's
         dd = cabled_diagram(parse_pd(TREFOIL), 2)
         expect = evaluate(dd)
+        greedy_peak = morse_decompose(dd).peak_width
         order = list(range(dd.node_count))
         random.Random(3).shuffle(order)
-        peak = morse_decompose(dd, order).peak_width
-        assert peak > morse_decompose(dd).peak_width
+        peak = max(cut_widths(dd, order))
+        assert peak > greedy_peak
+        run_order(monkeypatch, order)
         with pytest.raises(ResourceLimitError, match=f"needs width {peak},"):
-            evaluate(dd, order=order, max_width=peak - 1)
-        assert evaluate(dd, order=order, max_width=peak) == expect
+            evaluate(dd, max_width=peak - 1)
+        assert evaluate(dd, max_width=peak) == expect
+
+    def test_the_cap_is_checked_before_any_box_is_built(self, monkeypatch):
+        # the planner reads only port counts, projector flags and wiring,
+        # so an over-cap colour exits before Wenzl's recursion builds f(8)
+        def no_projectors(n):
+            raise AssertionError(f"f({n}) was built")
+        monkeypatch.setattr(skein_eval, "cleared_projector", no_projectors)
+        monkeypatch.delenv("SKEINLAB_MAX_WIDTH", raising=False)
+        d = parse_pd(TREFOIL)
+        with pytest.raises(ResourceLimitError, match="needs width 32, budget is 24 "):
+            colored_jones(d, 8)
+        with pytest.raises(ResourceLimitError, match="budget is 24 "):
+            evaluate_rational(build_upsilon(d, 8, s_minus(d, 8)))
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "2")
@@ -526,9 +504,9 @@ def placed(d: LinkDiagram, n: int, cap=None) -> DecoratedDiagram:
 def predicted_matchings(dd: DecoratedDiagram) -> int:
     """The planner's prediction of the matchings along the plan the sweep
     runs on dd: _walk's prediction with the box sides read off the wiring."""
-    cross, degree, sides = wiring_graph(dd)
-    boxes = [node.projector for node in dd.nodes]
-    return _walk(cross, degree, morse_decompose(dd).order, boxes, sides)[2]
+    order = morse_decompose(dd).order
+    # a walk's prediction depends on its order alone, not on its box flags
+    return next(walk[2] for walk in walks(dd) if walk[0] == order)
 
 
 KNOTS = [name for name in fixture_names()
@@ -605,8 +583,8 @@ class TestBoxPlacement:
     def test_plain_walks_are_the_fallback(self, monkeypatch):
         # were every box-deferring walk too wide, the plain walk of the
         # placed cable would be swept: morse_decompose falls back to it
-        def deferring_walks_too_wide(cross, degree, order, boxes, *args):
-            walked = _walk(cross, degree, order, boxes, *args)
+        def deferring_walks_too_wide(cross, degree, boxes, *args):
+            walked = _walk(cross, degree, boxes, *args)
             if any(boxes):
                 walked = (walked[0], walked[1] + 100, walked[2])
             return walked
@@ -749,11 +727,6 @@ class TestCabledEvaluation:
         dd = cabled_diagram(d, 1, box_arcs=[1])
         assert evaluate(dd) == bracket(d)
 
-    def test_box_size_must_match(self):
-        d = parse_pd(TREFOIL)
-        with pytest.raises(ValueError):
-            cabled_diagram(d, 2, box_arcs=[1], coupon=projector_node(3))
-
     def test_double_box_rejected(self):
         d = parse_pd(TREFOIL)
         with pytest.raises(ValueError):
@@ -773,7 +746,7 @@ class TestCouponOracle:
             arcs = sorted(d.arcs, key=repr)
             boxed = rng.sample(arcs, rng.randint(1, len(arcs)))
             coupon = rng.choice([identity_coupon(2), cup_coupon()])
-            dd = cabled_diagram(d, 2, boxed, coupon=coupon)
+            dd = coupon_cable(d, 2, boxed, coupon)
             assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
 
 
@@ -819,7 +792,7 @@ def turnback_coupon_cables(draw):
     boxed = draw(st.lists(st.sampled_from(arcs), min_size=1, unique=True))
     # at m = 2 the one such matching is cup_coupon's e_1
     coupon = matching_coupon(2 * m, draw(st.sampled_from(TURNBACK_MATCHINGS[m])))
-    return cabled_diagram(d, m, boxed, coupon=coupon)
+    return coupon_cable(d, m, boxed, coupon)
 
 
 class TestGenericCouponsAreNotPruned:
@@ -864,7 +837,7 @@ def weighted_coupon_cables(draw):
                               unique=True))
     coupon = CouponNode(2 * m, [(pm.pairs, draw(wide_coefficients()))
                                 for pm in matchings])
-    return cabled_diagram(d, m, boxed, coupon=coupon)
+    return coupon_cable(d, m, boxed, coupon)
 
 
 class TestPackedCoefficients:
@@ -895,7 +868,7 @@ class TestPackedCoefficients:
         strides = record_strides(monkeypatch)
         d = parse_pd(TREFOIL)
         coupon = CouponNode(4, [(pm.pairs, {0: 1, 1: -3}) for pm in enumerate_matchings(2)])
-        dd = cabled_diagram(d, 2, [1], coupon=coupon)
+        dd = coupon_cable(d, 2, [1], coupon)
         assert evaluate(dd) == coupon_state_sum(dd)
         assert strides == [4, 1]
 
@@ -906,7 +879,7 @@ class TestPackedCoefficients:
                             lambda lo, v, w, s: widths.append(w) or unpack(lo, v, w, s))
         d = parse_pd(FIG8)
         coupon = CouponNode(2, [(((0, 1),), {4: 3 << 200, 0: -1})])
-        dd = cabled_diagram(d, 1, [sorted(d.arcs, key=repr)[0]], coupon=coupon)
+        dd = coupon_cable(d, 1, [sorted(d.arcs, key=repr)[0]], coupon)
         assert evaluate(dd) == coupon_state_sum(dd)
         assert max(widths) > 200
 
@@ -928,9 +901,9 @@ def record_strides(monkeypatch) -> list:
     strides = []
     contract = skein_eval._contract
 
-    def recorded(dd, order, max_terms, stride):
+    def recorded(dd, order, stride):
         strides.append(stride)
-        return contract(dd, order, max_terms, stride)
+        return contract(dd, order, stride)
     monkeypatch.setattr(skein_eval, "_contract", recorded)
     return strides
 
@@ -954,12 +927,25 @@ class TestGivenOrders:
     @settings(max_examples=40, deadline=None)
     @given(ordered_cables())
     def test_peak_is_the_widest_cut_and_the_value_is_order_free(self, case):
+        # the greedy's peak is its widest cut, and the sweep of any other
+        # order gives the same value
         dd, order = case
-        plan = morse_decompose(dd, order)
-        assert plan.order == tuple(order)
-        assert plan.peak_width == max(cut_widths(dd, order))
-        assert (evaluate_rational(dd, order=order, max_width=99)
-                == evaluate_rational(dd, max_width=99))
+        plan = morse_decompose(dd)
+        assert sorted(plan.order) == list(range(dd.node_count))
+        assert plan.peak_width == max(cut_widths(dd, plan.order))
+        expect = evaluate_rational(dd, max_width=99)
+        with pytest.MonkeyPatch.context() as mp:
+            run_order(mp, order)
+            assert evaluate_rational(dd, max_width=99) == expect
+
+
+def coupon_cable(d: LinkDiagram, m: int, box_arcs, coupon: CouponNode) -> DecoratedDiagram:
+    """The m-cable of d with `coupon` spliced in at each arc of box_arcs,
+    wired as cabled_diagram wires its f(m) boxes; no planarity check,
+    since a generic coupon is never pruned."""
+    n_grid, grid, band_ends = cable_ports(d, m)
+    return DecoratedDiagram([CROSSING] * n_grid + [coupon] * len(box_arcs),
+                            _splice(grid, band_ends, n_grid, m, box_arcs))
 
 
 def matching_coupon(points: int, pairs, label: str = "") -> CouponNode:
@@ -1009,8 +995,7 @@ class TestColoredJones:
 
     def test_identity_coupon_gives_plain_cable(self):
         d = parse_pd(HOPF)
-        dd = cabled_diagram(d, 2, box_arcs=[min(d.arcs, key=repr)],
-                            coupon=identity_coupon(2))
+        dd = coupon_cable(d, 2, [min(d.arcs, key=repr)], identity_coupon(2))
         assert evaluate(dd) == bracket(cable(d, 2), max_width=30)
 
     def test_splice_expansion_of_two_colored_knot(self):
@@ -1019,8 +1004,8 @@ class TestColoredJones:
         # with both coupon diagrams evaluated by plain union-find sums.
         d = parse_pd(TREFOIL)
         [box] = [min(c, key=repr) for c in d.components()]
-        via_id = coupon_state_sum(cabled_diagram(d, 2, [box], coupon=identity_coupon(2)))
-        via_e1 = coupon_state_sum(cabled_diagram(d, 2, [box], coupon=cup_coupon()))
+        via_id = coupon_state_sum(coupon_cable(d, 2, [box], identity_coupon(2)))
+        via_e1 = coupon_state_sum(coupon_cable(d, 2, [box], cup_coupon()))
         scale = A ** 2 + (A ** 2).mirror()
         assert scale * colored_jones(d, 2) == scale * via_id + via_e1
 
@@ -1128,9 +1113,43 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
 SUMMANDS = ["trefoil", "figure_eight", "5_2"]
 
 
+@st.composite
+def braid_words(draw):
+    """(word, strands): a braid word of at most 6 letters on 2-3 strands
+    that uses every generator, so that braid_closure, which drops a strand
+    no crossing touches, leaves no circle out."""
+    strands = draw(st.integers(2, 3))
+    extra = draw(st.lists(st.integers(1, strands - 1), max_size=7 - strands))
+    word = draw(st.permutations([*range(1, strands), *extra]))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(word),
+                          max_size=len(word)))
+    return [g * e for g, e in zip(word, signs)], strands
+
+
 class TestMetamorphic:
     """colored_jones is multiplicative on split diagrams, and on knots
-    multiplicative up to one Delta_n on connected sums."""
+    multiplicative up to one Delta_n on connected sums; on braid closures
+    a Markov stabilization multiplies it by the framing factor of a curl,
+    and mirroring mirrors it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(braid_words(), st.sampled_from([1, -1]))
+    def test_markov_stabilization(self, case, sign):
+        # closing w sigma_s^(+-1) on s + 1 strands adds one curl to the
+        # closure of w: J~_n gains (-1)^n A^(+-(n^2 + 2n))
+        word, strands = case
+        d = braid_closure(word, strands)
+        stabilized = braid_closure(word + [sign * strands], strands + 1)
+        for n in (1, 2, 3) if len(word) <= 3 else (1, 2):
+            phase = LaurentPolynomial.monomial((-1) ** n, sign * (n * n + 2 * n))
+            assert colored_jones(stabilized, n) == colored_jones(d, n) * phase, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(braid_words())
+    def test_mirror(self, case):
+        d = braid_closure(*case)
+        assert bracket(mirror(d)) == bracket(d).mirror()
+        assert colored_jones(mirror(d), 2) == colored_jones(d, 2).mirror()
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("names", [*itertools.combinations(SUMMANDS, 2),
@@ -1153,21 +1172,10 @@ class TestMetamorphic:
 
 
 def _two_coupon_diagram(link, arc1, arc2, c1, c2):
-    """cabled_diagram with two different coupons; assembled through the
-    public single-coupon builder twice would collide, so wire directly."""
-    from skeinlab.skein_eval import cable_ports
-
-    n_grid, pairing, band_ends = cable_ports(link, 2)
-    nodes = [CROSSING] * n_grid + [c1, c2]
-    pos = {arc1: n_grid, arc2: n_grid + 1}
-    for (arc, i), (end1, end2) in band_ends.items():
-        bn = pos.get(arc)
-        if bn is None:
-            pairing[end1] = end2
-        else:
-            pairing[end1] = (bn, i - 1)
-            pairing[(bn, 4 - 1 - (i - 1))] = end2
-    return DecoratedDiagram(nodes, pairing)
+    """coupon_cable with coupon c1 at arc1 and c2 at arc2."""
+    n_grid, grid, band_ends = cable_ports(link, 2)
+    return DecoratedDiagram([CROSSING] * n_grid + [c1, c2],
+                            _splice(grid, band_ends, n_grid, 2, [arc1, arc2]))
 
 
 class TestRationalValues:

@@ -2,14 +2,17 @@
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
 library; no private helper in the package lives on for tests alone;
-every public name has a user besides the unit tests; every private name
-the docs mention exists; and the README's bracket examples print what
-their comments say."""
+every public name, and every option of a public function, has a user
+besides the unit tests; every private name the docs mention exists; and
+the README's bracket examples print what their comments say."""
 import ast
+import collections
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
+import itertools
 import re
 import shlex
 import sys
@@ -106,6 +109,47 @@ def test_every_public_name_has_a_user_besides_tests():
     texts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     words = set(re.findall(r"\w+", "\n".join(texts)))
     assert sorted(set(skeinlab.__all__) - used - words) == []
+
+
+def test_every_public_option_has_a_caller_besides_tests():
+    # each defaulted public parameter of a public function, or of a
+    # public class's __init__, is passed by keyword or by position in some call
+    # in src/ (outside the callee's own body), the benchmark, the README
+    # or the acceptance tests; an option only unit tests set belongs
+    # nowhere.  A call through functools.partial is not a call of its
+    # target
+    sources = [(path, path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    sources += [(path, path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    sources += [(README, readme_code("python")), (ACCEPTANCE, ACCEPTANCE.read_text())]
+    passed = collections.defaultdict(set)  # callee name -> positions, keywords
+    for path, text in sources:
+        for stmt in ast.parse(text, str(path)).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in (None, own):
+                    continue
+                args = itertools.takewhile(lambda a: not isinstance(a, ast.Starred),
+                                           node.args)
+                passed[name] |= {*range(len(list(args))), *(k.arg for k in node.keywords)}
+    unset = []
+    for name in skeinlab.__all__:
+        obj = getattr(skeinlab, name)
+        if inspect.isclass(obj) and inspect.isfunction(obj.__init__):
+            params = [*inspect.signature(obj.__init__).parameters.values()][1:]
+        elif inspect.isroutine(obj) and not inspect.isclass(obj):
+            params = inspect.signature(obj).parameters.values()
+        else:
+            continue  # a constant, or a class with a built-in __init__
+        for i, p in enumerate(params):
+            if p.default is p.empty or p.name.startswith("_") or p.name in passed[name]:
+                continue
+            if p.kind is p.POSITIONAL_OR_KEYWORD and i in passed[name]:
+                continue
+            unset.append(f"{name}: {p.name}")
+    assert unset == []
 
 
 def test_every_private_name_the_docs_mention_exists():

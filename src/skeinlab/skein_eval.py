@@ -25,10 +25,11 @@ kept slots plus a few patched entries.
 
 Packed coefficients.  A coefficient is a pair (lo, v): the int v =
 sum c_i 2^(W i) of balanced digits |c_i| < 2^(W-1) stands for sum c_i
-A^(lo + 4i).  Stride 4 holds wherever each coefficient keeps its
-exponents in one residue class mod 4, as on every planar network
-measured; a factor or a collision that mixes residues (a PD code that is
-not planar, or a generic coupon) reruns the sweep at stride 1.  A row's
+A^(lo + 4i).  On a planar network of crossings and Jones-Wenzl boxes
+every coefficient keeps its exponents in one residue class mod 4.  A
+factor or a collision that mixes residues (a PD code that is not planar,
+or a coupon whose terms mix them) raises ValueError: the sweep fails
+closed and never returns a value it cannot pack.  A row's
 factor, local coefficient times delta^loops, is packed once per node,
 term, loop count and W, so a row costs one multiply (an A^+-1 row none)
 and adding into a destination one shift and one add.  Digits cannot
@@ -168,14 +169,14 @@ class CouponNode:
         self.local_terms()
         return self._form[0]
 
-    def packed(self, li: int, loops: int, width: int, stride: int) -> tuple:
-        """Local coefficient li times delta^loops, packed at `width` and
-        `stride` (see _pack); worked out once per node."""
-        key = (li, loops, width, stride)
+    def packed(self, li: int, loops: int, width: int) -> tuple:
+        """Local coefficient li times delta^loops, packed at `width` (see
+        _pack); worked out once per node."""
+        key = (li, loops, width)
         factor = self._packed.get(key)
         if factor is None:
             factor = self._packed[key] = _pack(
-                term_mul(self.local_terms()[li][1], _delta_power(loops)), width, stride)
+                term_mul(self.local_terms()[li][1], _delta_power(loops)), width)
         return factor
 
     def __repr__(self):
@@ -398,7 +399,9 @@ def evaluate(dd: DecoratedDiagram, max_width: int | None = None) -> LaurentPolyn
     Links and fully cabled diagrams always land in the Laurent ring; a
     partially smoothed projector network need not (closing a strand over
     part of a box leaves quantum integers in the denominator), and then
-    this raises — evaluate_rational is the total version.
+    this raises — evaluate_rational is the total version.  A network
+    whose coefficients leave one residue class mod 4 (one that is not
+    planar, or a coupon whose terms mix residues) raises ValueError.
     """
     value, denominator = _sweep(dd, max_width)
     if value.is_zero() or denominator == ONE:
@@ -423,40 +426,36 @@ def _sweep(dd: DecoratedDiagram, max_width: int | None):
             f"plan needs width {plan.peak_width}, budget is {cap} "
             f"(raise with --max-width or {_ENV_MAX_WIDTH})")
     denominator = math.prod((dd.nodes[ni].denominator for ni in plan.order), start=ONE)
-    try:
-        total = _contract(dd, plan.order, 4)
-    except _MixedResidues:
-        total = _contract(dd, plan.order, 1)
-    return LaurentPolynomial(total), denominator
+    return LaurentPolynomial(_contract(dd, plan.order)), denominator
 
 
-class _MixedResidues(ArithmeticError):
-    """A coefficient's exponents left one residue class mod the stride."""
+_MIXED_RESIDUES = ("a coefficient left one residue class mod 4: the network is "
+                   "not planar, or a coupon's terms mix residues")
 
 
-def _pack(coeff: dict, width: int, stride: int) -> tuple:
+def _pack(coeff: dict, width: int) -> tuple:
     """(lo, v) with v = sum of c * 2^(width * i) over the terms c A^(lo +
-    stride * i) of `coeff`: its balanced digits, each below 2^(width-1)."""
+    4i) of `coeff`: its balanced digits, each below 2^(width-1)."""
     lo = min(coeff)
-    if any((e - lo) % stride for e in coeff):
-        raise _MixedResidues
-    return lo, sum(c << (e - lo) // stride * width for e, c in coeff.items())
+    if any((e - lo) % 4 for e in coeff):
+        raise ValueError(_MIXED_RESIDUES)
+    return lo, sum(c << (e - lo) // 4 * width for e, c in coeff.items())
 
 
-def _unpack(lo: int, v: int, width: int, stride: int) -> dict:
+def _unpack(lo: int, v: int, width: int) -> dict:
     """The term dict of the packed coefficient (lo, v); _pack's inverse."""
     out, half = {}, 1 << width - 1
     while v:
         c = (v + half) % (2 * half) - half
         if c:
             out[lo] = c
-        v, lo = (v - c) >> width, lo + stride
+        v, lo = (v - c) >> width, lo + 4
     return out
 
 
-def _contract(dd: DecoratedDiagram, order, stride: int) -> dict:
-    """Sweep `order` with every coefficient packed at `stride`; return the
-    total's term dict, or raise _MixedResidues."""
+def _contract(dd: DecoratedDiagram, order) -> dict:
+    """Sweep `order` with every coefficient packed (see _pack); return
+    the total's term dict, or raise ValueError on mixed residues."""
     # None when there is no box to prune against
     half = _halves(dd.nodes)
     if not any(half):
@@ -505,13 +504,13 @@ def _contract(dd: DecoratedDiagram, order, stride: int) -> dict:
             old, width = width, (bound.bit_length() + 33) // 32 * 32
             for _, group in work:
                 for _, coeff in group:
-                    coeff[:] = _pack(_unpack(*coeff, old, stride), width, stride)
+                    coeff[:] = _pack(_unpack(*coeff, old), width)
 
         new_terms: dict[tuple, list] = {}
         work.reverse()
         while work:  # each group's rows and old terms go once it is spliced
             rows, group = work.pop()
-            rows = [(partners, *packed(li, loops, width, stride))
+            rows = [(partners, *packed(li, loops, width))
                     for partners, li, loops in rows]
             for key, (lo, v) in group:
                 base = [*map(relabel, kept_of(key)), *pad]
@@ -527,12 +526,12 @@ def _contract(dd: DecoratedDiagram, order, stride: int) -> dict:
                         new_terms[new_key] = [x, y]
                         continue
                     d = x - dest[0]
-                    if d % stride:
-                        raise _MixedResidues
+                    if d % 4:
+                        raise ValueError(_MIXED_RESIDUES)
                     if d >= 0:
-                        dest[1] += y << d // stride * width
+                        dest[1] += y << d // 4 * width
                     else:
-                        dest[:] = x, (dest[1] << -d // stride * width) + y
+                        dest[:] = x, (dest[1] << -d // 4 * width) + y
 
         terms = {key: coeff for key, coeff in new_terms.items() if coeff[1]}
         frontier = step.frontier
@@ -544,7 +543,7 @@ def _contract(dd: DecoratedDiagram, order, stride: int) -> dict:
     for key, coeff in terms.items():
         if key:
             raise AssertionError("sweep finished with dangling wires")
-        total = _unpack(*coeff, width, stride)
+        total = _unpack(*coeff, width)
     return total
 
 
@@ -653,7 +652,8 @@ class _EventStep:
 
 def bracket(link: LinkDiagram, max_width: int | None = None) -> LaurentPolynomial:
     """Kauffman bracket, normalized so the empty diagram gives 1 and a
-    crossing-free circle gives delta."""
+    crossing-free circle gives delta.  A `link` that is not planar may
+    raise ValueError (see evaluate); a planar one always evaluates."""
     value = evaluate(from_link(link), max_width=max_width)
     return value * _DELTA ** link.free_loops if link.free_loops else value
 
@@ -771,7 +771,7 @@ def _require_planar(link: LinkDiagram, n: int):
 def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     """The box arcs, one per component, of the m-cable of `link` with an
     f(m) box on each component, chosen by the prediction of the walk
-    morse_decompose would keep; `link` must be planar (_require_planar).
+    morse_decompose would keep; cabled_diagram checks that `link` is planar.
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
@@ -784,7 +784,6 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     to the least-ranked of its arcs (the earlier on ties) with the other
     boxes where they are, so the walks number the arcs, not their
     product."""
-    _require_planar(link, m)
     comps = [sorted(comp, key=repr) for comp in link.components()]
     n_grid, grid, band_ends = cable_ports(link, m)
     half = [0] * n_grid + [m] * len(comps)

@@ -41,7 +41,6 @@ from skeinlab.skein_eval import (
     DecoratedDiagram,
     MorsePlan,
     ResourceLimitError,
-    _MixedResidues,
     _graph,
     _halves,
     _matching_count,
@@ -61,13 +60,15 @@ from skeinlab.skein_eval import (
     morse_decompose,
     projector_node,
 )
-from skeinlab.temperley_lieb import identity_matching
+from skeinlab.temperley_lieb import cleared_projector, identity_matching
 
 from cable_oracle import cable, counted_matchings, enumerate_matchings, peak_matchings
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
 FIG8 = "X 4 2 5 1 / X 8 6 1 5 / X 6 3 7 4 / X 2 7 3 8"
+# a PD code that is not planar, as in test_cli
+NONPLANAR = "X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"
 
 DELTA = loop_value()
 
@@ -77,8 +78,8 @@ def lp(terms):
 
 
 def random_link(k, seed):
-    """A random abstract 4-valent diagram: both evaluators compute the
-    same state sum whether or not it is planar."""
+    """A random abstract 4-valent diagram, most often not planar: the
+    sweep then gives its state sum or fails closed (fails_closed)."""
     rng = random.Random(seed)
     slots = [(c, p) for c in range(k) for p in range(4)]
     rng.shuffle(slots)
@@ -87,6 +88,15 @@ def random_link(k, seed):
         rows[s1[0]][s1[1]] = arc
         rows[s2[0]][s2[1]] = arc
     return LinkDiagram(rows)
+
+
+def fails_closed(compute, expect) -> bool:
+    """Whether compute() equals `expect` or raises the ValueError of mixed
+    residues: what the sweep promises on a network that is not planar."""
+    try:
+        return compute() == expect
+    except ValueError as exc:
+        return "residue class mod 4" in str(exc)
 
 
 def braid_closure(word, strands):
@@ -203,10 +213,19 @@ class TestBracket:
             assert bracket(d) == bracket_bruteforce(d)
 
     def test_engine_matches_bruteforce_on_random_diagrams(self):
+        # a planar draw gives the state sum; one that is not planar gives
+        # it too, or raises ValueError if its coefficients mix residues
+        planar = 0
         for seed in range(45):
             k = 2 + seed % 9
             d = random_link(k, seed)
-            assert bracket(d, max_width=99) == bracket_bruteforce(d), f"seed {seed}"
+            expect = bracket_bruteforce(d)
+            if is_planar(d):
+                planar += 1
+                assert bracket(d, max_width=99) == expect, f"seed {seed}"
+            else:
+                assert fails_closed(lambda: bracket(d, max_width=99), expect), f"seed {seed}"
+        assert 0 < planar < 45
 
     def test_engine_matches_bruteforce_on_braid_closures(self):
         for seed in range(30):
@@ -271,7 +290,7 @@ def without_boxes(dd: DecoratedDiagram) -> DecoratedDiagram:
 def run_order(monkeypatch, order):
     """Make the sweep run `order`: morse_decompose returns it with its peak
     from cut_widths, so the real _sweep still checks the width cap against
-    it, retries at stride 1 and divides once at the end."""
+    it and divides once at the end."""
     def plan(dd, max_width=None):
         return MorsePlan(tuple(order), max(cut_widths(dd, order), default=0))
     monkeypatch.setattr(skein_eval, "morse_decompose", plan)
@@ -695,19 +714,22 @@ class TestPlanarity:
         s = s_minus(d, 3)
         for build in (lambda: colored_jones(d, 3),
                       lambda: cabled_diagram(d, 3, first_arcs),
-                      lambda: _place_boxes(d, 3, None),
                       lambda: build_upsilon(d, 3, s),
                       lambda: lambda_diagram(d, 3, s, (2,) * d.crossing_count)):
             with pytest.raises(ValueError, match="not planar"):
                 build()
-        assert bracket(d) == bracket_bruteforce(d)
 
-    def test_networks_without_pruning_accept_a_nonplanar_diagram(self):
-        # no box, or one-strand boxes: nothing is pruned (generic coupons
-        # on such diagrams are TestCouponOracle's)
+    def test_networks_without_pruning_raise_or_agree_on_a_nonplanar_diagram(self):
+        # no box, or one-strand boxes: nothing is pruned.  This diagram's
+        # coefficients mix residues mod 4, so its sweeps raise rather than
+        # return a value; its 2-cable's do not, and both cable builders give
+        # the same value (generic coupons on such diagrams are
+        # TestCouponOracle's)
         d = random_link(6, 2)
         arcs = sorted(d.arcs, key=repr)[:2]
-        assert evaluate(cabled_diagram(d, 1, arcs)) == bracket(d)
+        for sweep in (lambda: bracket(d), lambda: evaluate(cabled_diagram(d, 1, arcs))):
+            with pytest.raises(ValueError, match="residue class mod 4"):
+                sweep()
         assert (evaluate(cabled_diagram(d, 2), max_width=99)
                 == bracket(cable(d, 2), max_width=99))
 
@@ -736,7 +758,8 @@ class TestCabledEvaluation:
 class TestCouponOracle:
     def test_random_plain_coupon_cables_match_state_sum(self):
         # 2-cables of random diagrams with plain-matching coupons on random
-        # arcs, against the union-find state sum
+        # arcs, against the union-find state sum; a diagram that is not
+        # planar may raise instead (fails_closed)
         rng = random.Random(11)
         for trial in range(12):
             if trial % 2:
@@ -747,7 +770,11 @@ class TestCouponOracle:
             boxed = rng.sample(arcs, rng.randint(1, len(arcs)))
             coupon = rng.choice([identity_coupon(2), cup_coupon()])
             dd = coupon_cable(d, 2, boxed, coupon)
-            assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
+            if is_planar(d):
+                assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
+            else:
+                assert fails_closed(lambda: evaluate(dd, max_width=99),
+                                    coupon_state_sum(dd)), trial
 
 
 class TestProjectorOracle:
@@ -805,39 +832,44 @@ class TestGenericCouponsAreNotPruned:
 
 
 @st.composite
+def wide_integers(draw):
+    """A nonzero integer up to 2^200 in size."""
+    bits = draw(st.integers(0, 200))
+    return draw(st.integers(-(1 << bits), 1 << bits).filter(bool))
+
+
+@st.composite
 def wide_coefficients(draw):
     """A Laurent coefficient with entries up to 2^200 in size, its
-    exponents in one residue class mod 4 or (perhaps) several."""
-    exponents = st.integers(-6, 6)
-    if draw(st.booleans()):
-        r = draw(st.integers(0, 3))
-        exponents = st.integers(-2, 2).map(lambda j: r + 4 * j)
-    bits = draw(st.integers(0, 200))
-    value = st.integers(-(1 << bits), 1 << bits).filter(bool)
-    return draw(st.dictionaries(exponents, value, min_size=1, max_size=3))
+    exponents in one residue class mod 4."""
+    r = draw(st.integers(0, 3))
+    exponents = st.integers(-2, 2).map(lambda j: r + 4 * j)
+    return draw(st.dictionaries(exponents, wide_integers(), min_size=1, max_size=3))
 
 
 @st.composite
 def weighted_coupon_cables(draw):
-    """A cable of a braid closure or of a random (perhaps non-planar)
-    diagram with a generic coupon, a wide-coefficient combination of
-    matchings, on some of its arcs."""
+    """A cable of a braid closure with a generic coupon on some of its
+    arcs whose coefficients run up to 2^200 in size but never mix
+    residues mod 4: one matching with a one-residue coefficient, or the
+    terms of f(m) (cleared) each scaled by a wide integer."""
     m = draw(st.sampled_from([1, 2]))
     k = draw(st.integers(1, 5 if m == 1 else 2))
-    if draw(st.booleans()):
-        strands = draw(st.integers(2, 3))
-        word = draw(st.lists(st.integers(1, strands - 1), min_size=k, max_size=k))
-        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
-        d = braid_closure([g * e for g, e in zip(word, signs)], strands)
-    else:
-        d = random_link(k, draw(st.integers(0, 99)))
+    strands = draw(st.integers(2, 3))
+    word = draw(st.lists(st.integers(1, strands - 1), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    d = braid_closure([g * e for g, e in zip(word, signs)], strands)
     arcs = sorted(d.arcs, key=repr)
     boxed = draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=2, unique=True))
-    matchings = draw(st.lists(st.sampled_from(enumerate_matchings(m)), min_size=1,
-                              unique=True))
-    coupon = CouponNode(2 * m, [(pm.pairs, draw(wide_coefficients()))
-                                for pm in matchings])
-    return coupon_cable(d, m, boxed, coupon)
+    if draw(st.booleans()):
+        pm = draw(st.sampled_from(enumerate_matchings(m)))
+        terms = [(pm.pairs, draw(wide_coefficients()))]
+    else:
+        terms = []
+        for coeff, pm in cleared_projector(m)[1]:
+            x = draw(wide_integers())
+            terms.append((pm.pairs, {e: c * x for e, c in coeff.items()}))
+    return coupon_cable(d, m, boxed, CouponNode(2 * m, terms))
 
 
 class TestPackedCoefficients:
@@ -849,34 +881,39 @@ class TestPackedCoefficients:
         assert evaluate(dd, max_width=99) == coupon_state_sum(dd)
 
     @pytest.mark.parametrize("width", [32, 64, 96])
-    @pytest.mark.parametrize("stride", [1, 4])
-    def test_pack_round_trip_at_the_digit_bound(self, width, stride):
+    def test_pack_round_trip_at_the_digit_bound(self, width):
         top = (1 << width - 2) - 1
-        for coeff in ({-3 * stride: top, 0: -top, 4 * stride: -top},
-                      {stride: -top, 2 * stride: top, 5 * stride: -1},
+        for coeff in ({-12: top, 0: -top, 16: -top},
+                      {4: -top, 8: top, 20: -1},
                       {7: top}, {-5: -top}):
-            lo, v = _pack(coeff, width, stride)
+            lo, v = _pack(coeff, width)
             assert lo == min(coeff)
-            assert _unpack(lo, v, width, stride) == coeff
+            assert _unpack(lo, v, width) == coeff
 
     def test_pack_rejects_mixed_residues(self):
-        assert _unpack(*_pack({0: 1, 1: -3}, 32, 1), 32, 1) == {0: 1, 1: -3}
-        with pytest.raises(_MixedResidues):
-            _pack({0: 1, 1: -3}, 32, 4)
+        with pytest.raises(ValueError, match="residue class mod 4"):
+            _pack({0: 1, 1: -3}, 32)
 
-    def test_mixed_residues_rerun_the_sweep_at_stride_one(self, monkeypatch):
-        strides = record_strides(monkeypatch)
+    def test_a_mixed_residue_coupon_fails_closed(self):
+        # the coupon's own coefficient mixes residues: the pack check raises
         d = parse_pd(TREFOIL)
         coupon = CouponNode(4, [(pm.pairs, {0: 1, 1: -3}) for pm in enumerate_matchings(2)])
-        dd = coupon_cable(d, 2, [1], coupon)
-        assert evaluate(dd) == coupon_state_sum(dd)
-        assert strides == [4, 1]
+        with pytest.raises(ValueError, match="residue class mod 4"):
+            evaluate(coupon_cable(d, 2, [1], coupon))
+
+    def test_a_nonplanar_bracket_fails_closed(self):
+        # every crossing factor keeps one residue, so here the merge check
+        # raises, when two terms of different residues meet
+        d = parse_pd(NONPLANAR)
+        assert not is_planar(d)
+        with pytest.raises(ValueError, match="residue class mod 4"):
+            bracket(d)
 
     def test_a_wide_coefficient_widens_the_digits(self, monkeypatch):
         widths = []
         unpack = skein_eval._unpack
         monkeypatch.setattr(skein_eval, "_unpack",
-                            lambda lo, v, w, s: widths.append(w) or unpack(lo, v, w, s))
+                            lambda lo, v, w: widths.append(w) or unpack(lo, v, w))
         d = parse_pd(FIG8)
         coupon = CouponNode(2, [(((0, 1),), {4: 3 << 200, 0: -1})])
         dd = coupon_cable(d, 1, [sorted(d.arcs, key=repr)[0]], coupon)
@@ -884,28 +921,14 @@ class TestPackedCoefficients:
         assert max(widths) > 200
 
     @pytest.mark.parametrize("name", fixture_names())
-    def test_corpus_networks_stay_at_stride_four(self, name, monkeypatch):
+    def test_corpus_networks_keep_one_residue_class(self, name):
         # every corpus J~_n cable and B-state network has each coefficient
-        # in one residue class mod 4; losing that would show only as time
-        strides = record_strides(monkeypatch)
+        # in one residue class mod 4; a mixed residue would raise here
         d = fixture(name).diagram
         for n in (1, 2, 3):
-            colored_jones(d, n)
+            assert not colored_jones(d, n).is_zero()
             for s in (s_plus(d, n), s_minus(d, n)):
                 evaluate_rational(build_upsilon(d, n, s))
-        assert strides and set(strides) == {4}
-
-
-def record_strides(monkeypatch) -> list:
-    """Record the stride of every skein_eval._contract call."""
-    strides = []
-    contract = skein_eval._contract
-
-    def recorded(dd, order, stride):
-        strides.append(stride)
-        return contract(dd, order, stride)
-    monkeypatch.setattr(skein_eval, "_contract", recorded)
-    return strides
 
 
 @st.composite

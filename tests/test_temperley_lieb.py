@@ -511,6 +511,15 @@ class TestClearedProjector:
         text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
         assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F6_ROWS_SHA256
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_each_term_keeps_one_residue_class_mod_4(self, n):
+        # the sweep packs every coefficient of a box network at stride 4,
+        # and fails closed otherwise; that starts here, with each cleared
+        # coefficient of f(n) in one residue class mod 4
+        _, rows = cleared_projector(n)
+        for num_terms, m in rows:
+            assert len({e % 4 for e in num_terms}) == 1, m.pairs
+
     def test_denominator_is_unit_free(self):
         # the common denominator actually divides out: Q . f(n) is integral
         q, rows = cleared_projector(4)

@@ -3,7 +3,8 @@ name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
 library; no private helper in the package lives on for tests alone;
 every public name, and every option of a public function, has a user
-besides the unit tests; every private name the docs mention exists; and
+besides the unit tests; no parameter of a private function is a constant
+in disguise; every private name the docs mention exists; and
 the README's bracket examples print what their comments say."""
 import ast
 import collections
@@ -150,6 +151,72 @@ def test_every_public_option_has_a_caller_besides_tests():
                 continue
             unset.append(f"{name}: {p.name}")
     assert unset == []
+
+
+def test_no_private_parameter_is_a_constant():
+    # a parameter of a private src/ function (a _name, not a dunder) that
+    # every src/ call passes the same literal, or leaves at the same
+    # literal default, is a constant dressed as a knob: the private
+    # counterpart of test_every_public_option_has_a_caller_besides_tests.
+    # A function src/ also names outside a call (a key=, a callback) is
+    # left out, since not all its calls are in view; a name defined twice
+    # gathers the calls of both, which can only hide such a parameter
+    defs = collections.defaultdict(list)  # name -> (module, params, defaults)
+    calls = collections.defaultdict(list)  # name -> list of ast.Call
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)}
+        funcs = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    a = node.args
+                    positional = a.posonlyargs + a.args
+                    defaults = dict(zip([p.arg for p in positional][::-1], a.defaults[::-1]))
+                    defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in node.decorator_list)
+                    if id(node) in methods and not static:
+                        positional = positional[1:]
+                    defs[node.name].append((path.name, [p.arg for p in positional],
+                                            [p.arg for p in a.kwonlyargs], defaults))
+            elif isinstance(node, ast.Call):
+                funcs.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls[name].append(node)
+        referenced |= {getattr(node, "id", getattr(node, "attr", None))
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in funcs}
+
+    def literal(node):
+        try:
+            value = ast.literal_eval(node)
+        except (ValueError, TypeError, SyntaxError):
+            return None
+        return type(value), repr(value)
+
+    constant = []
+    for name, versions in defs.items():
+        if name in referenced or not calls[name]:
+            continue
+        for module, positional, keyword_only, defaults in versions:
+            for param in positional + keyword_only:
+                seen = set()
+                for call in calls[name]:
+                    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                            or any(k.arg is None for k in call.keywords)):
+                        seen.add(None)
+                        continue
+                    given = {k.arg: k.value for k in call.keywords}
+                    given.update(zip(positional, call.args))
+                    node = given.get(param, defaults.get(param))
+                    seen.add(None if node is None else literal(node))
+                if len(seen) == 1 and None not in seen:
+                    [(_, value)] = seen
+                    constant.append(f"{module}: {name}({param}) is always {value}")
+    assert constant == []
 
 
 def test_every_private_name_the_docs_mention_exists():

@@ -27,7 +27,6 @@ from .diagram import (
     all_a_state,
     all_b_state,
     apply_state,
-    circle_count,
     is_a_adequate,
     is_adequate,
     is_alternating,
@@ -61,7 +60,6 @@ from .skein_eval import (
     projector_node,
 )
 from .colored_states import (
-    ColoredState,
     D_degree,
     DegreeLemmaReport,
     all_states,
@@ -72,8 +70,6 @@ from .colored_states import (
     is_adequate_skein,
     lambda_diagram,
     lambda_expand,
-    s_minus,
-    s_plus,
     verify_degree_lemmas,
 )
 from .tails import (
@@ -106,19 +102,17 @@ __all__ = [
     "crossing_expansion_coefficient", "divide_exact", "loop_value",
     "quantum_binomial", "quantum_dimension",
     "LinkDiagram", "MalformedPDError", "StateGraph", "all_a_state",
-    "all_b_state", "apply_state", "circle_count", "is_a_adequate",
-    "is_adequate", "is_alternating", "is_b_adequate", "is_planar", "mirror",
-    "parse_pd",
+    "all_b_state", "apply_state", "is_a_adequate", "is_adequate",
+    "is_alternating", "is_b_adequate", "is_planar", "mirror", "parse_pd",
     "PlanarMatching", "TLElement", "closure", "jones_wenzl", "partial_trace",
     "tl_multiply", "tl_tensor",
     "CROSSING", "CouponNode", "DecoratedDiagram", "MorsePlan",
     "ResourceLimitError", "bracket", "bracket_bruteforce", "cabled_diagram",
     "colored_jones", "evaluate", "evaluate_rational", "morse_decompose",
     "projector_node",
-    "ColoredState", "D_degree", "DegreeLemmaReport", "all_states", "alpha",
-    "build_upsilon", "colored_state_sum", "corner_pattern",
-    "is_adequate_skein", "lambda_diagram", "lambda_expand", "s_minus",
-    "s_plus", "verify_degree_lemmas",
+    "D_degree", "DegreeLemmaReport", "all_states", "alpha", "build_upsilon",
+    "colored_state_sum", "corner_pattern", "is_adequate_skein",
+    "lambda_diagram", "lambda_expand", "verify_degree_lemmas",
     "CoefficientPrefix", "StabilityReport", "TailStabilityError",
     "aligned_coefficients", "doteq", "head_prefix", "stability_report",
     "tail_and_head", "tail_prefix", "verify_corollary", "verify_theorem_1",

@@ -147,17 +147,17 @@ def _cmd_adequacy(args) -> tuple:
 
 def _cmd_states(args) -> tuple:
     diagram = _load_input(args)
-    n = args.n if args.n is not None else 1
+    n = args.n
     states = all_states(diagram, n)
     rows, total = [], RationalFunction.zero()
     if n == 1:
         # classical Kauffman states, A (+1) before B: weight alpha * delta^circles
         for s in reversed(states):
-            state = "".join("A" if x > 0 else "B" for x in s.signs)
-            circles = apply_state(diagram, state).circle_count
+            circles = apply_state(diagram, s).circle_count
             weight = alpha(diagram, 1, s) * loop_value() ** circles
             total = total + weight
-            rows.append({"state": state, "circles": circles,
+            rows.append({"state": "".join("A" if x > 0 else "B" for x in s),
+                         "circles": circles,
                          "weight": weight.to_json(), "text": str(weight)})
         header, middle, prefix = ["state", "circles", "weight"], "circles", ""
     else:
@@ -168,7 +168,7 @@ def _cmd_states(args) -> tuple:
             contribution = value * coeff
             total = total + contribution
             rows.append({
-                "state": "".join("+" if x > 0 else "-" for x in s.signs),
+                "state": "".join("+" if x > 0 else "-" for x in s),
                 "alphaExponent": coeff.min_degree(),
                 "value": {"num": value.num.to_json(), "den": value.den.to_json()},
                 "text": str(contribution),
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("states", help="Kauffman state table (colored for -n >= 2)")
     _add_input_flags(p)
-    p.add_argument("-n", type=int, default=None, help="color (default 1, classical)")
+    p.add_argument("-n", type=int, default=1, help="color (default 1, classical)")
     _add_common_flags(p)
     p.set_defaults(func=_cmd_states)
 

@@ -1,6 +1,7 @@
 """Colored Kauffman states and their skein elements.
 
-An n-colored state assigns +1 or -1 to every crossing; `all_states` is
+An n-colored state is a Kauffman state of `diagram`, a tuple of one sign
+per crossing, and the color n is an argument of its own; `all_states` is
 the one enumeration of them, capped at DEFAULT_MAX_STATES.  Resolving
 each crossing of the n-cabled, projector-decorated diagram with the
 colored Kauffman skein relation produces, per state s, a skein element
@@ -15,16 +16,15 @@ patterns with the C_{m,k} coefficients yields the Lambda diagrams; their
 degree bookkeeping (the D function, adequacy) drives the stability
 results checked in `tails`.
 
-Sign convention: +1 is the side carrying A^(2n-1) and degenerating to
-the classical A-smoothing at n=1; -1 likewise for B.  (The coefficient
-assignment follows the alpha formulas, which pin it unambiguously.)
+The sign convention is `diagram`'s: the +1 side carries A^(2n-1) and is
+the classical A-smoothing at n=1, as the alpha formulas pin it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, union_find
+from .diagram import LinkDiagram, _check_state, all_b_state, union_find
 from .laurent import (
     LaurentPolynomial,
     RationalFunction,
@@ -47,61 +47,29 @@ DEFAULT_MAX_STATES = 4096
 MAX_LAMBDA_TERMS = 65536
 
 
-@dataclass(frozen=True)
-class ColoredState:
-    """A total assignment of +1/-1 to the crossings, at color n."""
-
-    n: int
-    signs: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("color must be >= 1")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("state entries must be +1 or -1")
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.signs)
-
-    def flipped(self, i: int) -> "ColoredState":
-        signs = list(self.signs)
-        signs[i] = -signs[i]
-        return ColoredState(self.n, tuple(signs))
-
-
-def s_plus(link: LinkDiagram, n: int) -> ColoredState:
-    return ColoredState(n, (1,) * link.crossing_count)
-
-
-def s_minus(link: LinkDiagram, n: int) -> ColoredState:
-    return ColoredState(n, (-1,) * link.crossing_count)
+def _check_color(n: int):
+    if n < 1:
+        raise ValueError("color must be >= 1")
 
 
 def all_states(link: LinkDiagram, n: int) -> list:
     """Every color-n state of `link` in sign order: -1 before +1, crossing
-    0 first, as sorting by `signs` gives.  The color is checked first
+    0 first, as sorting the tuples gives.  The color is checked first
     (ValueError), then the cap of DEFAULT_MAX_STATES (ResourceLimitError),
     before any state is built."""
-    if n < 1:
-        raise ValueError("color must be >= 1")
+    _check_color(n)
     k = link.crossing_count
     if 1 << k > DEFAULT_MAX_STATES:
         raise ResourceLimitError(
             f"2^{k} states exceed the cap of {DEFAULT_MAX_STATES}")
-    return [ColoredState(n, signs) for signs in itertools.product((-1, 1), repeat=k)]
+    return list(itertools.product((-1, 1), repeat=k))
 
 
-def _check_state(link: LinkDiagram, n: int, s: ColoredState):
-    if s.n != n or s.crossing_count != link.crossing_count:
-        raise ValueError(f"expected a color-{n} state of {link.crossing_count} "
-                         f"crossings, got color {s.n} with {s.crossing_count}")
-
-
-def alpha(link: LinkDiagram, n: int, s: ColoredState) -> LaurentPolynomial:
+def alpha(link: LinkDiagram, n: int, s: tuple) -> LaurentPolynomial:
     """The state weight A^((2n-1) sum s(i))."""
-    _check_state(link, n, s)
-    return LaurentPolynomial.monomial(1, (2 * n - 1) * sum(s.signs))
+    _check_color(n)
+    _check_state(link, s)
+    return LaurentPolynomial.monomial(1, (2 * n - 1) * sum(s))
 
 
 def _pattern(sign: int, n: int) -> tuple:
@@ -135,14 +103,15 @@ def corner_pattern(m: int, k: int):
 # diagram assembly
 
 
-def _state_wiring(link: LinkDiagram, n: int, s: ColoredState):
+def _state_wiring(link: LinkDiagram, n: int, s: tuple):
     """The wiring that Y(s) and its Lambda diagrams share: one f(n) box per
     arc plus a closed box per free loop, and each crossing's two
     classically smoothed strands.  Returns (nodes, arc_side, pairing,
     patterns) where arc_side[(crossing, slot, stub)] is the box port
     facing that cable stub and patterns[ci] the (singles, shift) pair of
     `_pattern` at crossing ci."""
-    _check_state(link, n, s)
+    _check_color(n)
+    _check_state(link, s)
     _require_planar(link, n)
     nodes = []
     pairing = {}
@@ -159,14 +128,14 @@ def _state_wiring(link: LinkDiagram, n: int, s: ColoredState):
         nodes.append(projector_node(n))
         for p in range(n):
             pairing[(b, p)] = (b, top_point(p, n))
-    patterns = [_pattern(sign, n) for sign in s.signs]
+    patterns = [_pattern(sign, n) for sign in s]
     for ci, (singles, _) in enumerate(patterns):
         for (sl1, i1), (sl2, i2) in singles:
             pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
     return nodes, arc_side, pairing, patterns
 
 
-def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagram:
+def build_upsilon(link: LinkDiagram, n: int, s: tuple) -> DecoratedDiagram:
     """The skein element of a colored state: every crossing smoothed per
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
     m = n - 1
@@ -183,7 +152,7 @@ def build_upsilon(link: LinkDiagram, n: int, s: ColoredState) -> DecoratedDiagra
     return DecoratedDiagram(nodes, pairing)
 
 
-def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
+def lambda_diagram(link: LinkDiagram, n: int, s: tuple,
                    indices) -> DecoratedDiagram:
     """The crossingless skein element for one expansion index tuple: the
     residual cable of crossing j collapsed to its indices[j]-th corner
@@ -194,7 +163,7 @@ def lambda_diagram(link: LinkDiagram, n: int, s: ColoredState,
     return _lambda_builder(link, n, s)(indices)
 
 
-def _lambda_builder(link: LinkDiagram, n: int, s: ColoredState):
+def _lambda_builder(link: LinkDiagram, n: int, s: tuple):
     """Check the state and the planarity of `link` once; return the map
     from an index tuple to its Lambda diagram."""
     nodes, arc_side, pairing, patterns = _state_wiring(link, n, s)
@@ -209,11 +178,13 @@ def _lambda_builder(link: LinkDiagram, n: int, s: ColoredState):
     return build
 
 
-def lambda_expand(link: LinkDiagram, n: int, s: ColoredState):
+def lambda_expand(link: LinkDiagram, n: int, s: tuple):
     """All n^k terms (coefficient, Lambda diagram) of the corner-pattern
     expansion, indices in lexicographic order; the coefficient of
     (i_1..i_k) is the product of C_{n-1, i_j}.  More than MAX_LAMBDA_TERMS
     raise ResourceLimitError before any term is built."""
+    _check_color(n)
+    _check_state(link, s)
     k = link.crossing_count
     m = n - 1
     if (m + 1) ** k > MAX_LAMBDA_TERMS:
@@ -313,34 +284,26 @@ class DegreeLemmaReport:
     def failures(self) -> tuple:
         return tuple(c.name for c in self.checks if not c.ok)
 
-    def to_dict(self) -> dict:
-        return {
-            "diagram": self.diagram,
-            "n": self.n,
-            "ok": self.ok,
-            "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
-                       for c in self.checks],
-        }
-
 
 def verify_degree_lemmas(link: LinkDiagram, n: int) -> DegreeLemmaReport:
     """The exact degree identities behind tail stability, checked on one
     diagram at one color."""
+    _check_color(n)
     k = link.crossing_count
     m = n - 1
     checks = []
-    lo = s_minus(link, n)
+    lo = all_b_state(link)
 
     # weight ladder: d(alpha) climbs by 4n-2 per flipped crossing
     if k:
-        s1 = lo.flipped(0)
+        s1 = (1,) + lo[1:]
         checks.append(LemmaCheck(
             "alpha-step", alpha(link, n, lo).min_degree(),
             alpha(link, n, s1).min_degree() - 4 * n + 2))
         prev = lo
         monotone = True
         for r in range(k):
-            nxt = prev.flipped(r)
+            nxt = prev[:r] + (-prev[r],) + prev[r + 1:]
             if alpha(link, n, prev).min_degree() > alpha(link, n, nxt).min_degree():
                 monotone = False
             prev = nxt
@@ -365,7 +328,7 @@ def verify_degree_lemmas(link: LinkDiagram, n: int) -> DegreeLemmaReport:
             "extreme-lambda-adequate", int(is_adequate_skein(lam_lo)), 1))
 
         # flipping one state entry moves D by exactly 2
-        s1 = lo.flipped(0)
+        s1 = (1,) + lo[1:]
         checks.append(LemmaCheck(
             "lambda-state-step",
             D_degree(lam_lo),

@@ -6,6 +6,11 @@ the incoming under-strand, the usual table convention, so positions 0 and
 A-smoothing joins each over-strand end to its counterclockwise-adjacent
 arc: slot pairs (1,2) and (3,0).  The B-smoothing joins (0,1) and (2,3).
 
+A Kauffman state is a tuple of signs, one per crossing in crossing
+order: +1 picks the A-smoothing and -1 the B-smoothing.  The colored
+states of `colored_states` are the same tuples, the color an argument of
+its own there.
+
 Unoriented diagrams do not distinguish the two under-strand ends, so each
 stored tuple is canonicalized up to rotation by two positions; this makes
 mirror() a genuine involution.
@@ -153,14 +158,12 @@ def parse_pd(text: str, name: str = "") -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # Kauffman states
 
-# A state assigns "A" or "B" to each crossing, in crossing order.
-
 def all_a_state(diagram: LinkDiagram) -> tuple:
-    return ("A",) * diagram.crossing_count
+    return (1,) * diagram.crossing_count
 
 
 def all_b_state(diagram: LinkDiagram) -> tuple:
-    return ("B",) * diagram.crossing_count
+    return (-1,) * diagram.crossing_count
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,16 @@ class StateGraph:
         return any(i == j for i, j in self.edges)
 
 
-def _check_state(diagram: LinkDiagram, state: Sequence[str]) -> None:
+def _check_state(diagram: LinkDiagram, state: Sequence[int]) -> None:
+    """The one state validator: one sign per crossing, each +1 or -1."""
     if len(state) != diagram.crossing_count:
         raise ValueError("state length must equal the crossing count")
     for s in state:
-        if s not in ("A", "B"):
-            raise ValueError(f"state entries must be 'A' or 'B', got {s!r}")
+        if s not in (-1, 1):
+            raise ValueError(f"state entries must be +1 or -1, got {s!r}")
 
 
-def apply_state(diagram: LinkDiagram, state: Sequence[str]) -> StateGraph:
+def apply_state(diagram: LinkDiagram, state: Sequence[int]) -> StateGraph:
     """Smooth every crossing and collect the circles.
 
     Slot ends are (crossing, position) points; each arc connects its two
@@ -190,7 +194,7 @@ def apply_state(diagram: LinkDiagram, state: Sequence[str]) -> StateGraph:
     """
     _check_state(diagram, state)
     k = diagram.crossing_count
-    smoothing = [A_JOINS if s == "A" else B_JOINS for s in state]
+    smoothing = [A_JOINS if s == 1 else B_JOINS for s in state]
     joins = [(4 * c1 + p1, 4 * c2 + p2)
              for (c1, p1), (c2, p2) in map(diagram.arc_slots, diagram.arcs)]
     joins += [(4 * ci + a, 4 * ci + b)
@@ -203,10 +207,6 @@ def apply_state(diagram: LinkDiagram, state: Sequence[str]) -> StateGraph:
     edges = tuple((circles[root[4 * ci + a]], circles[root[4 * ci + c]])
                   for ci, ((a, _), (c, _)) in enumerate(smoothing))
     return StateGraph(circle_count=len(circles) + diagram.free_loops, edges=edges)
-
-
-def circle_count(diagram: LinkDiagram, state: Sequence[str]) -> int:
-    return apply_state(diagram, state).circle_count
 
 
 # ---------------------------------------------------------------------------

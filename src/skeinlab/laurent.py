@@ -222,12 +222,6 @@ class LaurentPolynomial:
         lo, hi = self.min_degree(), self.max_degree()
         return {"minDeg": lo, "coeffs": [self._terms.get(e, 0) for e in range(lo, hi + 1)]}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LaurentPolynomial":
-        lo = int(data["minDeg"])
-        coeffs = data["coeffs"]
-        return cls({lo + i: int(c) for i, c in enumerate(coeffs)})
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -492,10 +486,6 @@ class RationalFunction:
 
     def max_degree(self) -> int:
         return self.num.max_degree() - self.den.max_degree()
-
-    def is_laurent(self) -> bool:
-        """True when the denominator is a unit +-A^k of the Laurent ring."""
-        return self.den.is_unit()
 
     def as_laurent(self) -> LaurentPolynomial:
         """Checked demotion to Z[A, A^-1]; raises if the value is not integral."""

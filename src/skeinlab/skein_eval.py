@@ -667,11 +667,9 @@ def bracket_bruteforce(link: LinkDiagram) -> LaurentPolynomial:
     if k > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(f"{k} crossings is past the brute-force limit")
     total: dict = {}
-    for state in itertools.product("AB", repeat=k):
-        graph = apply_state(link, state)
-        exponent = sum(1 if s == "A" else -1 for s in state)
-        circles = graph.circle_count  # free loops are already counted
-        contribution = term_shift(_delta_power(circles), exponent)
+    for state in itertools.product((1, -1), repeat=k):
+        circles = apply_state(link, state).circle_count  # counts free loops too
+        contribution = term_shift(_delta_power(circles), sum(state))
         total = term_add(total, contribution)
     return LaurentPolynomial(total)
 

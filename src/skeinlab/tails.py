@@ -18,8 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .colored_states import alpha, build_upsilon, s_minus
-from .diagram import LinkDiagram, is_alternating
+from .colored_states import alpha, build_upsilon
+from .diagram import LinkDiagram, all_b_state, is_alternating
 from .laurent import LaurentPolynomial, RationalFunction
 from .skein_eval import colored_jones, evaluate_rational
 
@@ -181,7 +181,7 @@ def tail_and_head(link: LinkDiagram, n_max: int,
 def _bstate_value(link: LinkDiagram, n: int,
                   max_width: int | None) -> RationalFunction:
     """alpha(s-) * <Y(s-)>, the all-B colored state's term of J~_n."""
-    s = s_minus(link, n)
+    s = all_b_state(link)
     value = evaluate_rational(build_upsilon(link, n, s), max_width=max_width)
     return value * alpha(link, n, s)
 

@@ -5,13 +5,13 @@ import itertools
 import json
 import pathlib
 import random
+import types
 
 import pytest
 
 from skeinlab import colored_states, skein_eval
 from skeinlab.colored_states import (
     MAX_LAMBDA_TERMS,
-    ColoredState,
     D_degree,
     DegreeLemmaReport,
     alpha,
@@ -22,14 +22,13 @@ from skeinlab.colored_states import (
     is_adequate_skein,
     lambda_diagram,
     lambda_expand,
-    s_minus,
-    s_plus,
     verify_degree_lemmas,
 )
 from skeinlab.diagram import (
     LinkDiagram,
+    all_a_state,
     all_b_state,
-    circle_count,
+    apply_state,
     is_planar,
     parse_pd,
 )
@@ -63,36 +62,25 @@ NONPLANAR = "X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"
 DELTA = loop_value()
 
 
-def state_of_letters(n, letters):
-    return ColoredState(n, tuple(1 if c == "A" else -1 for c in letters))
-
-
 # ---------------------------------------------------------------------------
 # states and weights
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        ColoredState(0, (1,))
-    with pytest.raises(ValueError):
-        ColoredState(2, (1, 0))
-    s = ColoredState(2, (1, -1, 1))
-    assert s.flipped(1).signs == (1, 1, 1)
-    assert s.crossing_count == 3
-
-
 def test_extreme_states():
+    # a colored state is a diagram state: the sign order starts at the
+    # all-B state and ends at the all-A state
     d = parse_pd(TREFOIL)
-    assert s_plus(d, 3).signs == (1, 1, 1)
-    assert s_minus(d, 3).signs == (-1, -1, -1)
-    assert len(list(all_states(d, 2))) == 8
+    states = all_states(d, 2)
+    assert len(states) == 8
+    assert states[0] == all_b_state(d)
+    assert states[-1] == all_a_state(d)
 
 
 @pytest.mark.parametrize("pd", [TREFOIL, HOPF, FIG8, "O"])
 def test_all_states_are_in_sign_order(pd):
     d = parse_pd(pd)
     states = all_states(d, 2)
-    assert states == sorted(states, key=lambda s: s.signs)
+    assert states == sorted(states)
     assert len(set(states)) == 2 ** d.crossing_count
 
 
@@ -103,9 +91,9 @@ CHAIN = " / ".join(f"X {2 * i + 1} {2 * i + 2} {2 * i + 2} {(2 * i + 3) % 26 or 
 
 def test_all_states_checks_before_it_builds(monkeypatch):
     # the color first, then the cap; no state and no skein element is built
-    def build(*args):
+    def build(*args, **kwargs):
         raise AssertionError("built before the checks")
-    monkeypatch.setattr(colored_states, "ColoredState", build)
+    monkeypatch.setattr(colored_states, "itertools", types.SimpleNamespace(product=build))
     monkeypatch.setattr(colored_states, "build_upsilon", build)
     d = parse_pd(CHAIN)
     for run in (all_states, colored_state_sum):
@@ -119,9 +107,9 @@ def test_alpha_monomials():
     """The three weights worked out by hand for a k-crossing diagram."""
     d = parse_pd(TREFOIL)
     k, n = 3, 2
-    assert alpha(d, n, s_minus(d, n)) == LaurentPolynomial.monomial(1, k - 2 * k * n)
-    assert alpha(d, n, s_plus(d, n)) == LaurentPolynomial.monomial(1, (2 * n - 1) * k)
-    s1 = s_minus(d, n).flipped(0)
+    assert alpha(d, n, all_b_state(d)) == LaurentPolynomial.monomial(1, k - 2 * k * n)
+    assert alpha(d, n, all_a_state(d)) == LaurentPolynomial.monomial(1, (2 * n - 1) * k)
+    s1 = (1,) + all_b_state(d)[1:]
     assert alpha(d, n, s1) == LaurentPolynomial.monomial(
         1, -2 + k + 4 * n - 2 * k * n)
 
@@ -158,11 +146,11 @@ def test_corner_pattern_range():
 def test_upsilon_structure_trefoil():
     """Color 2 leaves one residual single crossing per original one."""
     d = parse_pd(TREFOIL)
-    dd = build_upsilon(d, 2, s_minus(d, 2))
+    dd = build_upsilon(d, 2, all_b_state(d))
     assert sum(nd is CROSSING for nd in dd.nodes) == 3
     assert sum(nd.projector for nd in dd.nodes) == 6  # one box per arc
     assert dd.node_count == 3 + 6
-    dd3 = build_upsilon(d, 3, s_minus(d, 3))
+    dd3 = build_upsilon(d, 3, all_b_state(d))
     assert sum(nd is CROSSING for nd in dd3.nodes) == 3 * 4
     assert sum(nd.projector for nd in dd3.nodes) == 6
     assert dd3.node_count == 3 * 4 + 6
@@ -184,24 +172,22 @@ def random_link(k: int, seed: int) -> LinkDiagram:
 def test_upsilon_color_one_is_classical_state(pd):
     """At color 1 the skein element of s is the state diagram itself."""
     d = parse_pd(pd)
-    for letters in itertools.product("AB", repeat=d.crossing_count):
-        s = state_of_letters(1, letters)
-        expected = DELTA ** circle_count(d, letters)
+    for s in itertools.product((1, -1), repeat=d.crossing_count):
+        expected = DELTA ** apply_state(d, s).circle_count
         assert evaluate(build_upsilon(d, 1, s)) == expected
 
 
 def test_upsilon_color_one_random_diagrams():
     for seed in range(12):
         d = random_link(4, seed)
-        letters = tuple(random.Random(100 + seed).choice("AB")
-                        for _ in range(d.crossing_count))
-        s = state_of_letters(1, letters)
-        assert evaluate(build_upsilon(d, 1, s)) == DELTA ** circle_count(d, letters)
+        rng = random.Random(100 + seed)
+        s = tuple(rng.choice((1, -1)) for _ in range(d.crossing_count))
+        assert evaluate(build_upsilon(d, 1, s)) == DELTA ** apply_state(d, s).circle_count
 
 
 def test_upsilon_free_loops():
     d = parse_pd(KINK + " / O")
-    s = s_minus(d, 2)
+    s = all_b_state(d)
     with_loop = evaluate_rational(build_upsilon(d, 2, s))
     bare = evaluate_rational(build_upsilon(parse_pd(KINK), 2, s))
     assert with_loop == bare * quantum_dimension(2)
@@ -210,20 +196,23 @@ def test_upsilon_free_loops():
 def test_upsilon_rejects_wrong_state_length():
     d = parse_pd(HOPF)
     with pytest.raises(ValueError):
-        build_upsilon(d, 2, ColoredState(2, (1,)))
+        build_upsilon(d, 2, (1,))
 
 
 @pytest.mark.parametrize("build", [
-    alpha, build_upsilon,
+    alpha, build_upsilon, lambda_expand,
     lambda d, n, s: lambda_diagram(d, n, s, (n - 1,) * d.crossing_count)])
-def test_a_state_of_another_color_is_rejected(build):
-    # a color-2 state would otherwise build the color-3 weight or network
+def test_the_color_and_the_state_are_checked(build):
+    # the color is an argument of its own, and a state is one sign per
+    # crossing, each +1 or -1; the letters A and B are not states
     d = parse_pd(TREFOIL)
-    with pytest.raises(ValueError, match="expected a color-3 state of 3 crossings, "
-                                         "got color 2 with 3"):
-        build(d, 3, s_minus(d, 2))
-    with pytest.raises(ValueError, match="got color 2 with 2"):
-        build(d, 2, ColoredState(2, (1, -1)))
+    with pytest.raises(ValueError, match="color must be >= 1"):
+        build(d, 0, all_b_state(d))
+    with pytest.raises(ValueError, match="crossing count"):
+        build(d, 2, (1, -1))
+    for bad in ((1, -1, 0), ("B", "B", "B")):
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            build(d, 2, bad)
 
 
 PINNED_DIGESTS = json.loads(
@@ -251,7 +240,7 @@ def test_upsilon_b_state_matches_pinned_digest(case):
     """Y(s-) of every corpus fixture at n = 2..4, bit for bit as pinned
     before the sweep pruned turnbacks, and at n = 5 but for 6_2."""
     d, n = pinned_case(case)
-    value = evaluate_rational(build_upsilon(d, n, s_minus(d, n)))
+    value = evaluate_rational(build_upsilon(d, n, all_b_state(d)))
     assert upsilon_digest(value) == PINNED_DIGESTS["s_minus"][case]
 
 
@@ -261,7 +250,7 @@ def test_upsilon_a_state_matches_pinned_digest(case):
     before the Morse planner deferred projector boxes, and of the
     trefoil, Hopf link, figure-eight and 5_2 at n = 5."""
     d, n = pinned_case(case)
-    value = evaluate_rational(build_upsilon(d, n, s_plus(d, n)))
+    value = evaluate_rational(build_upsilon(d, n, all_a_state(d)))
     assert upsilon_digest(value) == PINNED_DIGESTS["s_plus"][case]
 
 
@@ -318,7 +307,7 @@ def test_state_sum_guard():
 
 def test_lambda_expand_count_and_coefficients():
     d = parse_pd(TREFOIL)
-    terms = lambda_expand(d, 2, s_minus(d, 2))
+    terms = lambda_expand(d, 2, all_b_state(d))
     assert len(terms) == 8
     # lexicographic: the first index tuple is (0,0,0), the last (1,1,1)
     c10 = crossing_expansion_coefficient(1, 0)
@@ -333,12 +322,12 @@ def test_lambda_expand_guard():
     d = parse_pd(TREFOIL)
     assert 40 ** 3 <= MAX_LAMBDA_TERMS < 41 ** 3
     with pytest.raises(ResourceLimitError, match="68921 expansion terms exceed"):
-        lambda_expand(d, 41, s_minus(d, 41))
+        lambda_expand(d, 41, all_b_state(d))
 
 
 def test_lambda_expand_checks_planarity_once(monkeypatch):
     d = fixture("6_2").diagram
-    s = s_minus(d, 3)
+    s = all_b_state(d)
     indices = list(itertools.product(range(3), repeat=d.crossing_count))
     expected = [lambda_diagram(d, 3, s, ix) for ix in indices]
     calls = []
@@ -361,7 +350,7 @@ def test_lambda_expand_rejects_a_nonplanar_diagram_first(monkeypatch):
         raise AssertionError("a term was built")
     monkeypatch.setattr(colored_states, "DecoratedDiagram", build)
     with pytest.raises(ValueError, match="not planar"):
-        lambda_expand(d, 3, s_minus(d, 3))
+        lambda_expand(d, 3, all_b_state(d))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -379,7 +368,7 @@ def test_cabled_crossing_expansion_exact(n):
 @pytest.mark.parametrize("pd", [TREFOIL, HOPF])
 def test_lambda_expansion_exact_color_two(pd):
     d = parse_pd(pd)
-    states = [s_minus(d, 2), s_plus(d, 2), s_minus(d, 2).flipped(0)]
+    states = [all_b_state(d), all_a_state(d), (1,) + all_b_state(d)[1:]]
     for s in states:
         total = RationalFunction.zero()
         for coeff, lam in lambda_expand(d, 2, s):
@@ -389,7 +378,7 @@ def test_lambda_expansion_exact_color_two(pd):
 
 def test_lambda_color_one_single_term():
     d = parse_pd(TREFOIL)
-    s = s_minus(d, 1)
+    s = all_b_state(d)
     terms = lambda_expand(d, 1, s)
     assert len(terms) == 1
     coeff, lam = terms[0]
@@ -439,9 +428,9 @@ def test_extreme_lambda_matches_cable_state(pd, n):
     """The fully B-resolved skein element has the circle count of the
     all-B state of the n-cable."""
     d = parse_pd(pd)
-    lam = lambda_diagram(d, n, s_minus(d, n), (n - 1,) * d.crossing_count)
+    lam = lambda_diagram(d, n, all_b_state(d), (n - 1,) * d.crossing_count)
     cabled = cable(d, n)
-    assert D_degree(lam) == -2 * circle_count(cabled, all_b_state(cabled))
+    assert D_degree(lam) == -2 * apply_state(cabled, all_b_state(cabled)).circle_count
     assert is_adequate_skein(lam)
 
 
@@ -450,7 +439,7 @@ def test_degree_bound_and_adequate_equality(pd):
     """d(value) >= D for every expansion term, equal on adequate ones."""
     d = parse_pd(pd)
     n = 2
-    for s in (s_minus(d, n), s_minus(d, n).flipped(0)):
+    for s in (all_b_state(d), (1,) + all_b_state(d)[1:]):
         for _coeff, lam in lambda_expand(d, n, s):
             value = evaluate_rational(lam)
             if not value.is_zero():
@@ -477,11 +466,8 @@ def test_degree_lemmas_pass(pd, n):
 def test_degree_lemma_report_shape():
     report = verify_degree_lemmas(parse_pd(TREFOIL, name="trefoil"), 2)
     assert isinstance(report, DegreeLemmaReport)
-    data = report.to_dict()
-    assert data["diagram"] == "trefoil"
-    assert data["n"] == 2
-    assert data["ok"] is True
-    names = [c["name"] for c in data["checks"]]
+    assert (report.diagram, report.n, report.ok, report.failures) == ("trefoil", 2, True, ())
+    names = [c.name for c in report.checks]
     assert "alpha-step" in names
     assert "extreme-term-survives" in names
-    assert all(set(c) == {"name", "lhs", "rhs", "ok"} for c in data["checks"])
+    assert all(c.ok and c.lhs == c.rhs for c in report.checks)

@@ -13,7 +13,6 @@ from skeinlab.diagram import (
     all_a_state,
     all_b_state,
     apply_state,
-    circle_count,
     is_a_adequate,
     is_adequate,
     is_alternating,
@@ -85,8 +84,8 @@ class TestComponents:
 class TestStates:
     def test_trefoil_extreme_states(self):
         d = trefoil()
-        assert circle_count(d, all_a_state(d)) == 2
-        assert circle_count(d, all_b_state(d)) == 3
+        assert apply_state(d, all_a_state(d)).circle_count == 2
+        assert apply_state(d, all_b_state(d)).circle_count == 3
 
     def test_state_graph_edge_count(self):
         d = trefoil()
@@ -97,30 +96,38 @@ class TestStates:
         for text in (TREFOIL, HOPF, FIG8):
             d = parse_pd(text)
             k = d.crossing_count
-            for state in itertools.product("AB", repeat=k):
-                c = circle_count(d, state)
+            for state in itertools.product((1, -1), repeat=k):
+                c = apply_state(d, state).circle_count
                 for i in range(k):
-                    flipped = list(state)
-                    flipped[i] = "B" if state[i] == "A" else "A"
-                    assert abs(circle_count(d, flipped) - c) == 1
+                    flipped = state[:i] + (-state[i],) + state[i + 1:]
+                    assert abs(apply_state(d, flipped).circle_count - c) == 1
 
     def test_extreme_state_sum_on_reduced_alternating(self):
         # |s_A| + |s_B| = k + 2 on reduced alternating diagrams
         for text in (TREFOIL, HOPF, FIG8):
             d = parse_pd(text)
-            total = circle_count(d, all_a_state(d)) + circle_count(d, all_b_state(d))
+            total = (apply_state(d, all_a_state(d)).circle_count
+                     + apply_state(d, all_b_state(d)).circle_count)
             assert total == d.crossing_count + 2
 
-    def test_state_validation(self):
+    def test_extreme_states_are_sign_tuples(self):
         d = trefoil()
-        with pytest.raises(ValueError):
-            apply_state(d, ("A", "B"))
-        with pytest.raises(ValueError):
-            apply_state(d, ("A", "B", "X"))
+        assert all_a_state(d) == (1, 1, 1)
+        assert all_b_state(d) == (-1, -1, -1)
+
+    def test_state_validation(self):
+        # one sign per crossing, each +1 or -1; the letters A and B are
+        # not states
+        d = trefoil()
+        with pytest.raises(ValueError, match="crossing count"):
+            apply_state(d, (1, -1))
+        for bad in ((1, -1, 0), (1, -1, 2), ("A", "B", "A")):
+            with pytest.raises(ValueError, match="must be \\+1 or -1"):
+                apply_state(d, bad)
 
     def test_free_loops_count_as_circles(self):
         d = parse_pd("O / X 1 2 2 1")
-        assert circle_count(d, ("A",)) == 3
+        assert apply_state(d, (1,)).circle_count == 3
 
 
 class TestPredicates:
@@ -165,8 +172,8 @@ class TestPredicates:
 
     def test_kink_states(self):
         curl = parse_pd("X 1 1 2 2")
-        assert circle_count(curl, ("A",)) == 1
-        assert circle_count(curl, ("B",)) == 2
+        assert apply_state(curl, (1,)).circle_count == 1
+        assert apply_state(curl, (-1,)).circle_count == 2
 
 
 class TestMirror:
@@ -179,8 +186,10 @@ class TestMirror:
         for text in (TREFOIL, HOPF, FIG8):
             d = parse_pd(text)
             md = mirror(d)
-            assert circle_count(md, all_a_state(md)) == circle_count(d, all_b_state(d))
-            assert circle_count(md, all_b_state(md)) == circle_count(d, all_a_state(d))
+            assert (apply_state(md, all_a_state(md)).circle_count
+                    == apply_state(d, all_b_state(d)).circle_count)
+            assert (apply_state(md, all_b_state(md)).circle_count
+                    == apply_state(d, all_a_state(d)).circle_count)
 
     def test_mirror_swaps_adequacy_sides(self):
         curl = parse_pd("X 1 1 2 2")
@@ -208,8 +217,8 @@ class TestCable:
         d = trefoil()
         c1 = cable(d, 1)
         assert c1.crossing_count == 3
-        for state in itertools.product("AB", repeat=3):
-            assert circle_count(c1, state) == circle_count(d, state)
+        for state in itertools.product((1, -1), repeat=3):
+            assert apply_state(c1, state).circle_count == apply_state(d, state).circle_count
 
     def test_extreme_states_of_cable_are_parallel_copies(self):
         # smoothing every grid crossing the same way cables each circle
@@ -217,8 +226,9 @@ class TestCable:
             d = parse_pd(text)
             for m in (2, 3):
                 cm = cable(d, m)
-                assert circle_count(cm, all_a_state(cm)) == m * circle_count(d, all_a_state(d))
-                assert circle_count(cm, all_b_state(cm)) == m * circle_count(d, all_b_state(d))
+                for extreme in (all_a_state, all_b_state):
+                    assert (apply_state(cm, extreme(cm)).circle_count
+                            == m * apply_state(d, extreme(d)).circle_count)
 
     def test_cable_validates(self):
         with pytest.raises(ValueError):

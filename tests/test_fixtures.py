@@ -19,6 +19,7 @@ from skeinlab.diagram import (
     apply_state,
     is_adequate,
     is_alternating,
+    mirror,
     parse_pd,
 )
 from skeinlab.fixtures import (
@@ -133,6 +134,24 @@ def test_bracket_span_is_4c_plus_4():
     for fx in load_fixtures():
         poly = bracket(fx.diagram)
         assert poly.max_degree() - poly.min_degree() == 4 * fx.diagram.crossing_count + 4
+
+
+def test_extreme_terms_follow_kauffmans_theorem():
+    # on an adequate diagram the all-A state alone gives the top term,
+    # (-1)^|s_A| A^(k + 2|s_A|), and the all-B state the bottom one,
+    # (-1)^|s_B| A^(-k - 2|s_B|).  Unlike the span, this tells the +1
+    # (A) smoothing from the -1 (B) one whenever |s_A| != |s_B|
+    for fx in load_fixtures():
+        for d in (fx.diagram, mirror(fx.diagram)):
+            k = d.crossing_count
+            a = apply_state(d, all_a_state(d)).circle_count
+            b = apply_state(d, all_b_state(d)).circle_count
+            poly = bracket(d)
+            top, bottom = k + 2 * a, -k - 2 * b
+            assert poly.max_degree() == top, (fx.name, d)
+            assert poly.coefficient(top) == (-1) ** a, (fx.name, d)
+            assert poly.min_degree() == bottom, (fx.name, d)
+            assert poly.coefficient(bottom) == (-1) ** b, (fx.name, d)
 
 
 def test_provenance_note_per_entry():

@@ -91,25 +91,73 @@ BENCH = SPANS.parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
+def module_aliases(tree: ast.Module) -> set:
+    """The names a module binds to skeinlab modules (`from . import x`)."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level and not node.module or node.module == "skeinlab")
+            for alias in node.names}
+
+
+def words_outside_unit_tests() -> set:
+    """Every word of the README, the acceptance tests and the benchmark."""
+    texts = [README.read_text(), ACCEPTANCE.read_text()]
+    texts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    return set(re.findall(r"\w+", "\n".join(texts)))
+
+
 def test_every_public_name_has_a_user_besides_tests():
     # a name in skeinlab.__all__ is used in src/ outside its own
     # definition (the re-export in __init__ aside), by the benchmark, in
     # the README or by the acceptance tests; one that only unit tests
     # use belongs under tests/ as an oracle, or nowhere (__version__ is
-    # metadata, read from outside)
+    # metadata, read from outside).  In src/ a use is a loaded name or an
+    # attribute of a skeinlab module: a field or method of the same name
+    # (StateGraph.circle_count) is not a use
     used = {"__version__"}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text(), str(path)).body:
+        tree = ast.parse(path.read_text(), str(path))
+        modules = module_aliases(tree)
+        for stmt in tree.body:
             own = getattr(stmt, "name", None)
             used |= {node.id if isinstance(node, ast.Name) else node.attr
                      for node in ast.walk(stmt)
-                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
-    texts = [README.read_text(), ACCEPTANCE.read_text()]
-    texts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
-    words = set(re.findall(r"\w+", "\n".join(texts)))
-    assert sorted(set(skeinlab.__all__) - used - words) == []
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute)
+                     and getattr(node.value, "id", None) in modules} - {own}
+    assert sorted(set(skeinlab.__all__) - used - words_outside_unit_tests()) == []
+
+
+def test_every_public_method_has_a_user_besides_tests():
+    # a public method or property of a class in skeinlab.__all__ whose
+    # name no other src/ definition shares is used in src/ outside its
+    # own body, by the benchmark, in the README or by the acceptance
+    # tests; one that only unit tests call belongs nowhere
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    defined = collections.Counter(
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    public = set(skeinlab.__all__)
+    methods = {item.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name in public
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not item.name.startswith("_") and defined[item.name] == 1}
+    assert methods
+
+    def uses(node, inside=()):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = (*inside, node.name)
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name is not None and name not in inside:
+            yield name
+        for child in ast.iter_child_nodes(node):
+            yield from uses(child, inside)
+
+    used = {name for tree in trees for name in uses(tree)}
+    assert sorted(methods - used - words_outside_unit_tests()) == []
 
 
 def test_every_public_option_has_a_caller_besides_tests():

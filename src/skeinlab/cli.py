@@ -244,7 +244,7 @@ def _cmd_verify(args) -> tuple:
             diagrams = [fixture(name).diagram
                         for name in args.names or fixture_names()]
         except KeyError as exc:
-            raise MalformedPDError(str(exc)) from exc
+            raise MalformedPDError(exc.args[0]) from exc
     jobs = [(d, args.nmax, args.max_width) for d in diagrams]
 
     workers = args.jobs if args.jobs else (os.cpu_count() or 1)

@@ -17,11 +17,13 @@ coefficient.  Attaching a node sorts its ports once into internal,
 closing (already on the frontier) and fresh (opening a new slot) ones,
 and renumbers the slots that stay open.  How a term splices depends only
 on the partners of the closing slots, so the event groups its terms by
-that signature and traces the splice once per signature and local
-matching with temperley_lieb.glue, the strand tracer that TL stacking
-and partial trace use too: the new pairs, and the closed loops worth
-powers of delta = -A^2 - A^-2.  Each term then costs one relabel of its
-kept slots plus a few patched entries.
+that signature.  A signature only fixes which ports the outside wires
+join, and each node keeps the splice of every such pattern, traced once
+in port space by temperley_lieb.glue, the strand tracer that TL stacking
+and partial trace use too (CouponNode.glued): per local matching, the
+strand ends it pairs and the closed loops worth powers of delta = -A^2 -
+A^-2.  A signature then only relabels those strand ends as slots, and
+each term costs one relabel of its kept slots plus a few patched entries.
 
 Packed coefficients.  A coefficient is a pair (lo, v): the int v =
 sum c_i 2^(W i) of balanced digits |c_i| < 2^(W-1) stands for sum c_i
@@ -139,7 +141,7 @@ class CouponNode:
     only once a plan has passed the width cap.
     """
 
-    __slots__ = ("port_count", "_form", "label", "projector", "_packed")
+    __slots__ = ("port_count", "_form", "label", "projector", "_packed", "_glued")
 
     def __init__(self, points: int, terms, label: str = "", projector: bool = False):
         if points % 2:
@@ -148,6 +150,7 @@ class CouponNode:
         self.label = label
         self.projector = projector
         self._packed: dict = {}
+        self._glued: dict = {}
         self._form = terms
         if not callable(terms):
             self._form = lambda: (terms, ONE)
@@ -178,6 +181,21 @@ class CouponNode:
             factor = self._packed[key] = _pack(
                 term_mul(self.local_terms()[li][1], _delta_power(loops)), width)
         return factor
+
+    def glued(self, back: tuple) -> tuple:
+        """Every local matching li glued once to the outside wires `back`
+        (back[p] is the port where p's wire re-enters the node, None where
+        it leaves): rows (li, strand-end port pairs, loops, L1 norm of li's
+        coefficient << loops), worked out once per node and pattern."""
+        rows = self._glued.get(back)
+        if rows is None:
+            ports = range(self.port_count)
+            rows = self._glued[back] = tuple(
+                (li, tuple((a, b) for a, b in partners.items() if a < b), loops,
+                 sum(map(abs, coeff.values())) << loops)
+                for li, (local_map, coeff) in enumerate(self.local_terms())
+                for partners, loops in [glue(local_map, back, ports)])
+        return rows
 
     def __repr__(self):
         tag = self.label or f"{len(self.local_terms())} term(s)"
@@ -488,15 +506,14 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
         del terms  # the groups hold every term now; free the old table early
 
         # rows of every signature first: the most L1 norm they give one
-        # term (grow; a row's is at most its local coefficient's times
-        # 2^loops, the norm of delta^loops) sets the bound and the width
-        norms = [sum(map(abs, coeff.values())) for _, coeff in step.local_terms]
+        # term (grow; a row's is at most its weight, its local coefficient's
+        # times 2^loops, the norm of delta^loops) sets the bound and the width
         work, grow = [], 0
         for signature, group in groups.items():
             rows = step.splices(signature)
             if rows:
                 work.append((rows, group))
-                grow = max(grow, sum(norms[li] << loops for _, li, loops in rows))
+                grow = max(grow, sum(row[3] for row in rows))
         del groups
         bound *= grow
         if bound.bit_length() > width - 2:
@@ -511,13 +528,14 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
         while work:  # each group's rows and old terms go once it is spliced
             rows, group = work.pop()
             rows = [(partners, *packed(li, loops, width))
-                    for partners, li, loops in rows]
+                    for partners, li, loops, _ in rows]
             for key, (lo, v) in group:
                 base = [*map(relabel, kept_of(key)), *pad]
                 # every row rewrites the same end slots, so base is reused
                 for partners, flo, fv in rows:
-                    for slot, partner in partners.items():
-                        base[slot] = partner
+                    for a, b in partners:
+                        base[a] = b
+                        base[b] = a
                     new_key = tuple(base)
                     x = lo + flo
                     y = v if fv == 1 else v * fv
@@ -567,14 +585,13 @@ class _EventStep:
     are renumbered 0..len(kept)-1; fresh ports follow in port order.
     """
 
-    __slots__ = ("local_terms", "closing", "kept", "relabel", "pad",
-                 "frontier", "_back", "_end", "_closing_port", "_tags")
+    __slots__ = ("closing", "kept", "relabel", "pad", "frontier",
+                 "_glued", "_back", "_end", "_closing_port", "_tags")
 
     def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
                  processed: list, half: list | None):
         node = dd.nodes[ni]
         nports = node.port_count
-        slot_of = {port: s for s, port in enumerate(frontier)}
         # the outside wire of port p re-enters the node at _back[p], or
         # else ends at the new slot _end[p] (closing ports: per signature)
         self._back: list = [None] * nports
@@ -587,7 +604,7 @@ class _EventStep:
             if qn == ni:
                 self._back[pi] = qp
             elif processed[qn]:
-                s = slot_of[(ni, pi)]
+                s = frontier.index((ni, pi))
                 self.closing.append(s)
                 self._closing_port[s] = pi
             else:
@@ -604,7 +621,7 @@ class _EventStep:
             self._end[pi] = len(self.frontier)
             self.frontier.append(port)
         self.pad = (-1,) * len(fresh)
-        self.local_terms = node.local_terms()
+        self._glued = node.glued
         # every new slot is a port of a node not yet swept; its tag is the
         # side tag (_side) of a port of a projector box, else a negative
         # number no other slot has.  None when no two slots share a tag,
@@ -617,11 +634,10 @@ class _EventStep:
                 self._tags = tags
 
     def splices(self, signature: tuple) -> list:
-        """One row (partners, li, loops) per local matching li of the node,
-        for a term whose closing slots have the given partners: partners
-        maps each new slot where a spliced strand ends to the slot of its
-        other end, and the row's factor is local coefficient li times
-        delta^loops.
+        """One row (partners, li, loops, weight) per local matching li of
+        the node (CouponNode.glued, its strand ends mapped to slots), for a
+        term whose closing slots have the given partners: partners pairs
+        the new slots where a spliced strand ends, each pair once.
 
         A row whose new strand joins two slots with equal tags caps an
         unswept projector, is worth exactly 0 (see the module docstring)
@@ -637,12 +653,10 @@ class _EventStep:
                 end[pi] = self.relabel[partner]
         tags = self._tags
         rows = []
-        for li, (local_map, _) in enumerate(self.local_terms):
-            partners, loops = glue(local_map, back, end)
-            if tags is not None and any(tags[a] == tags[b]
-                                        for a, b in partners.items()):
-                continue
-            rows.append((partners, li, loops))
+        for li, pairs, loops, weight in self._glued(tuple(back)):
+            partners = [(end[p], end[q]) for p, q in pairs]
+            if tags is None or all(tags[a] != tags[b] for a, b in partners):
+                rows.append((partners, li, loops, weight))
         return rows
 
 

@@ -13,12 +13,14 @@ slots reverses the index (i pairs with m+1-i).
 
 counted_matchings replays a sweep and counts its matchings, the measure
 that the box placement of colored_jones predicts, and peak_matchings the
-most it holds at once; enumerate_matchings lists the basis diagrams of
-TL_n by brute force.
+most it holds at once; sweep_events replays the events themselves, and
+signature_splices works out one event's splice the way the sweep did
+before nodes kept their glued tables; enumerate_matchings lists the
+basis diagrams of TL_n by brute force.
 """
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
-from skeinlab.temperley_lieb import PlanarMatching
+from skeinlab.temperley_lieb import PlanarMatching, glue
 
 
 def _stub_index(slot: int, m: int, *, x: int = 0, y: int = 0) -> int:
@@ -76,17 +78,18 @@ def counted_matchings(dd, order=None) -> int:
     """The sum, over the events of `order` (by default the plan the sweep
     runs on `dd`), of the matchings in its term bag: the cost that sweep
     time follows."""
-    return sum(_bag_sizes(dd, order))
+    return sum(len(keys) for *_, keys in sweep_events(dd, order))
 
 
 def peak_matchings(dd, order=None) -> int:
     """The most matchings the term bag holds after any event of `order`
     (by default the plan the sweep runs on `dd`)."""
-    return max(_bag_sizes(dd, order), default=1)
+    return max((len(keys) for *_, keys in sweep_events(dd, order)), default=1)
 
 
-def _bag_sizes(dd, order):
-    """The number of matchings in the term bag after each event of `order`.
+def sweep_events(dd, order=None):
+    """Replay the events of `order` (by default the plan the sweep runs on
+    `dd`): yield (node, step, bag keys before, bag keys after) per event.
 
     Keys only: it replays skein_eval's events and pruning without the
     coefficient arithmetic, so a matching whose coefficient cancels to 0
@@ -103,13 +106,36 @@ def _bag_sizes(dd, order):
         for key in keys:
             base = [step.relabel[s] for s in kept_of(key)] + list(step.pad)
             for partners, *_ in step.splices(closing_of(key)):
-                for slot, partner in partners.items():
-                    base[slot] = partner
+                for a, b in partners:
+                    base[a] = b
+                    base[b] = a
                 new_keys.add(tuple(base))
+        yield dd.nodes[ni], step, keys, new_keys
         keys = new_keys
         frontier = step.frontier
         processed[ni] = True
-        yield len(keys)
+
+
+def signature_splices(node, step, signature) -> list:
+    """The rows (partners, li, loops) of one event for a term whose closing
+    slots have the partners `signature`: each local matching of `node` glued
+    with the real slot labels of the event `step`, then every row whose new
+    strand joins two slots with equal tags dropped.  partners maps each new
+    strand end to the other end."""
+    back, end = list(step._back), list(step._end)
+    for s, partner in zip(step.closing, signature):
+        pi = step._closing_port[s]
+        if partner in step._closing_port:
+            back[pi] = step._closing_port[partner]
+        else:
+            end[pi] = step.relabel[partner]
+    tags = step._tags
+    rows = []
+    for li, (local_map, _) in enumerate(node.local_terms()):
+        partners, loops = glue(local_map, back, end)
+        if tags is None or all(tags[a] != tags[b] for a, b in partners.items()):
+            rows.append((partners, li, loops))
+    return rows
 
 
 def enumerate_matchings(n: int) -> list[PlanarMatching]:

@@ -57,7 +57,14 @@ from skeinlab.skein_eval import (
 )
 from skeinlab.temperley_lieb import cleared_projector, identity_matching
 
-from cable_oracle import cable, counted_matchings, enumerate_matchings, peak_matchings
+from cable_oracle import (
+    cable,
+    counted_matchings,
+    enumerate_matchings,
+    peak_matchings,
+    signature_splices,
+    sweep_events,
+)
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -924,6 +931,68 @@ class TestPackedCoefficients:
             assert not colored_jones(d, n).is_zero()
             for s in (all_a_state(d), all_b_state(d)):
                 evaluate_rational(build_upsilon(d, n, s))
+
+
+def assert_splices_match_oracle(dd: DecoratedDiagram):
+    """Every event of the sweep of dd splices each signature its bag holds
+    into the rows of the per-signature oracle, and each row's stored
+    weight is its local coefficient's L1 norm << loops."""
+    for node, step, keys, _ in sweep_events(dd):
+        terms = node.local_terms()
+        closing_of = skein_eval._slot_getter(step.closing)
+        for signature in {closing_of(key) for key in keys}:
+            rows = step.splices(signature)
+            both_ways = [(dict(partners + [(b, a) for a, b in partners]), li, loops)
+                         for partners, li, loops, _ in rows]
+            assert both_ways == signature_splices(node, step, signature)
+            assert [weight for *_, weight in rows] == [
+                sum(map(abs, terms[li][1].values())) << loops for _, li, loops, _ in rows]
+
+
+def partial_matchings(points: int) -> set:
+    """Every outside-wire pattern of a node with that many ports: back[p]
+    the port its wire re-enters at, or None, an involution with no fixed
+    point."""
+    return {back for back in itertools.product([None, *range(points)], repeat=points)
+            if all(q is None or (q != p and back[q] == p) for p, q in enumerate(back))}
+
+
+class TestGluedTables:
+    """A node glues its local matchings once per outside-wire pattern
+    (CouponNode.glued); a splice maps the rows of that table to slots."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cable_splices_match_the_signature_oracle(self, name, n):
+        assert_splices_match_oracle(placed(fixture(name).diagram, n))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("state", [all_a_state, all_b_state])
+    def test_upsilon_splices_match_the_signature_oracle(self, name, n, state):
+        d = fixture(name).diagram
+        assert_splices_match_oracle(build_upsilon(d, n, state(d)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_coupon_cables())
+    def test_coupon_splices_match_the_signature_oracle(self, dd):
+        assert_splices_match_oracle(dd)
+
+    def test_the_crossing_table_is_bounded_by_its_wire_patterns(self):
+        # the table is keyed by outside-wire pattern, never by signature:
+        # however many networks sweep CROSSING, it holds at most the 10
+        # partial matchings of its 4 ports
+        for k in range(4, 40, 3):
+            for seed in range(3):
+                bracket(random_braid_closure(k, seed))
+        for name in fixture_names():
+            d = fixture(name).diagram
+            for n in (1, 2, 3):
+                colored_jones(d, n)
+                evaluate_rational(build_upsilon(d, n, all_b_state(d)))
+        assert len(partial_matchings(4)) == 10
+        assert set(CROSSING._glued) <= partial_matchings(4)
+        assert len(CROSSING._glued) <= 10
 
 
 @st.composite

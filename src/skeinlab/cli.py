@@ -76,7 +76,9 @@ def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
         try:
             payload = json.loads(text)
             rows = payload["pd"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise MalformedPDError(f"bad JSON diagram: missing key {exc.args[0]!r}") from exc
+        except (json.JSONDecodeError, TypeError) as exc:
             raise MalformedPDError(f"bad JSON diagram: {exc}") from exc
         loops = payload.get("loops", 0)
         if type(loops) is not int:  # bool is an int subclass; refuse it too

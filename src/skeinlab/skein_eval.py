@@ -10,20 +10,19 @@ node into its matchings and glues, producing the bracket value in
 Z[A, A^-1] after one exact division by the accumulated denominator.
 
 The sweep visits nodes one at a time.  Its running state is the
-frontier, the ordered list of dangling ports, and a bag of terms: a
-perfect matching on the frontier, keyed as a tuple of ints whose entry
-at each slot is the slot of its partner, with an integer Laurent
-coefficient.  Attaching a node sorts its ports once into internal,
-closing (already on the frontier) and fresh (opening a new slot) ones,
-and renumbers the slots that stay open.  How a term splices depends only
-on the partners of the closing slots, so the event groups its terms by
-that signature.  A signature only fixes which ports the outside wires
-join, and each node keeps the splice of every such pattern, traced once
-in port space by temperley_lieb.glue, the strand tracer that TL stacking
-and partial trace use too (CouponNode.glued): per local matching, the
-strand ends it pairs and the closed loops worth powers of delta = -A^2 -
-A^-2.  A signature then only relabels those strand ends as slots, and
-each term costs one relabel of its kept slots plus a few patched entries.
+frontier, the dangling port at each slot, and a bag of terms: a perfect
+matching on the frontier, keyed as a tuple whose entry at each slot is
+the slot of its partner, with an integer Laurent coefficient.  Slots are
+stable (_EventStep): a closing slot becomes a hole, -1 in every key, the
+next fresh port takes the lowest hole, and trailing holes are trimmed,
+so no open slot is renumbered and no key outgrows the plan's peak width.
+An event groups its terms by the partners of the node's closing slots.
+Such a signature only fixes which ports the outside wires join, and each
+node keeps its local matchings glued to every such pattern, once per
+digit width, by temperley_lieb.glue, the strand tracer that TL stacking
+and partial trace use too (CouponNode.glued).  A signature maps those
+rows' strand ends to slots; a term's new key is its old one cut or
+padded, vacated slots set to -1, each row's strand ends written in.
 
 Packed coefficients.  A coefficient is a pair (lo, v): the int v =
 sum c_i 2^(W i) of balanced digits |c_i| < 2^(W-1) stands for sum c_i
@@ -31,14 +30,14 @@ A^(lo + 4i).  On a planar network of crossings and Jones-Wenzl boxes
 every coefficient keeps its exponents in one residue class mod 4.  A
 factor or a collision that mixes residues (a PD code that is not planar,
 or a coupon whose terms mix them) raises ValueError: the sweep fails
-closed and never returns a value it cannot pack.  A row's
-factor, local coefficient times delta^loops, is packed once per node,
-term, loop count and W, so a row costs one multiply (an A^+-1 row none)
-and adding into a destination one shift and one add.  Digits cannot
+closed and never returns a value it cannot pack.  A row's factor, local
+coefficient times delta^loops, is packed once per node, outside-wire
+pattern and W, so a row costs one multiply (an A^+-1 row none) and
+adding into a destination one shift and one add.  Digits cannot
 overflow: each event multiplies a bound on the bag's total L1 norm, which
 bounds every digit of every partial sum, by a bound on the L1 norm its
-rows can give one term, and repacks the bag at a wider W first if the
-bound reaches 2^(W-2).
+rows can give one term, and repacks the bag, and its rows, at a wider W
+first if the bound reaches 2^(W-2).
 
 Turnback pruning.  A Jones-Wenzl box kills every turnback: f(n) e_i = 0.
 Suppose a term joins ports i < j on one side of a box not yet swept.  In
@@ -141,7 +140,7 @@ class CouponNode:
     only once a plan has passed the width cap.
     """
 
-    __slots__ = ("port_count", "_form", "label", "projector", "_packed", "_glued")
+    __slots__ = ("port_count", "_form", "label", "projector", "_glued")
 
     def __init__(self, points: int, terms, label: str = "", projector: bool = False):
         if points % 2:
@@ -149,7 +148,6 @@ class CouponNode:
         self.port_count = points
         self.label = label
         self.projector = projector
-        self._packed: dict = {}
         self._glued: dict = {}
         self._form = terms
         if not callable(terms):
@@ -172,30 +170,23 @@ class CouponNode:
         self.local_terms()
         return self._form[0]
 
-    def packed(self, li: int, loops: int, width: int) -> tuple:
-        """Local coefficient li times delta^loops, packed at `width` (see
-        _pack); worked out once per node."""
-        key = (li, loops, width)
-        factor = self._packed.get(key)
-        if factor is None:
-            factor = self._packed[key] = _pack(
-                term_mul(self.local_terms()[li][1], _delta_power(loops)), width)
-        return factor
-
-    def glued(self, back: tuple) -> tuple:
-        """Every local matching li glued once to the outside wires `back`
+    def glued(self, back: tuple, width: int) -> tuple:
+        """Every local matching glued once to the outside wires `back`
         (back[p] is the port where p's wire re-enters the node, None where
-        it leaves): rows (li, strand-end port pairs, loops, L1 norm of li's
-        coefficient << loops), worked out once per node and pattern."""
-        rows = self._glued.get(back)
-        if rows is None:
-            ports = range(self.port_count)
-            rows = self._glued[back] = tuple(
-                (li, tuple((a, b) for a, b in partners.items() if a < b), loops,
-                 sum(map(abs, coeff.values())) << loops)
-                for li, (local_map, coeff) in enumerate(self.local_terms())
-                for partners, loops in [glue(local_map, back, ports)])
-        return rows
+        it leaves): (rows, their total weight), one row (strand-end port
+        pairs, lo, v, weight) per local matching, (lo, v) its coefficient
+        times delta^loops packed at `width` and weight the coefficient's
+        L1 norm << loops.  Worked out once per node, pattern and width."""
+        table = self._glued.get((back, width))
+        if table is None:
+            rows = []
+            for local_map, coeff in self.local_terms():
+                partners, loops = glue(local_map, back, range(self.port_count))
+                rows.append((tuple((a, b) for a, b in partners.items() if a < b),
+                             *_pack(term_mul(coeff, _delta_power(loops)), width),
+                             sum(map(abs, coeff.values())) << loops))
+            table = self._glued[back, width] = tuple(rows), sum(row[3] for row in rows)
+        return table
 
     def __repr__(self):
         tag = self.label or f"{len(self.local_terms())} term(s)"
@@ -443,7 +434,8 @@ def _sweep(dd: DecoratedDiagram, max_width: int | None):
         raise ResourceLimitError(
             f"plan needs width {plan.peak_width}, budget is {cap} "
             f"(raise with --max-width or {_ENV_MAX_WIDTH})")
-    denominator = math.prod((dd.nodes[ni].denominator for ni in plan.order), start=ONE)
+    denominator = math.prod((q for ni in plan.order
+                             if (q := dd.nodes[ni].denominator) != ONE), start=ONE)
     return LaurentPolynomial(_contract(dd, plan.order)), denominator
 
 
@@ -479,20 +471,16 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
     if not any(half):
         half = None
     processed = [False] * dd.node_count
-    frontier: list = []  # the dangling ports; a port's index is its slot
-    # term bag: partner-slot tuple -> packed coefficient [lo, v]; bound is
-    # at least the bag's total L1 norm, so it bounds every digit
+    frontier, slot_of = [], {}  # see _EventStep
+    # term bag: partner-slot tuple (-1 at a hole) -> packed coefficient
+    # [lo, v]; bound is at least the bag's total L1 norm, so it bounds every digit
     terms: dict[tuple, list] = {(): [0, 1]}
     width, bound = 32, 1
 
     for ni in order:
-        node = dd.nodes[ni]
-        packed = node.packed
-        step = _EventStep(dd, ni, frontier, processed, half)
+        step = _EventStep(dd, ni, frontier, slot_of, processed, half)
+        splices = step.splices
         closing_of = _slot_getter(step.closing)
-        kept_of = _slot_getter(step.kept)
-        relabel = step.relabel.__getitem__
-        pad = step.pad
         # terms grouped by the partners of the closing slots, so that each
         # signature's splice is worked out once
         groups: dict = {}
@@ -510,29 +498,32 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
         # times 2^loops, the norm of delta^loops) sets the bound and the width
         work, grow = [], 0
         for signature, group in groups.items():
-            rows = step.splices(signature)
+            rows, weight = splices(signature, width)
             if rows:
-                work.append((rows, group))
-                grow = max(grow, sum(row[3] for row in rows))
+                work.append((signature, rows, group))
+                grow = max(grow, weight)
         del groups
         bound *= grow
         if bound.bit_length() > width - 2:
             # the least multiple of 32 bits that leaves the bound 2 to spare
             old, width = width, (bound.bit_length() + 33) // 32 * 32
-            for _, group in work:
+            for i, (signature, _, group) in enumerate(work):
+                work[i] = signature, splices(signature, width)[0], group
                 for _, coeff in group:
                     coeff[:] = _pack(_unpack(*coeff, old), width)
 
         new_terms: dict[tuple, list] = {}
+        size, pad, vacated = len(step.frontier), step.pad, step.vacated
         work.reverse()
         while work:  # each group's rows and old terms go once it is spliced
-            rows, group = work.pop()
-            rows = [(partners, *packed(li, loops, width))
-                    for partners, li, loops, _ in rows]
+            _, rows, group = work.pop()
             for key, (lo, v) in group:
-                base = [*map(relabel, kept_of(key)), *pad]
+                # kept slots never move: cut or pad the key, mark the holes
+                base = [*key[:size], *pad]
+                for s in vacated:
+                    base[s] = -1
                 # every row rewrites the same end slots, so base is reused
-                for partners, flo, fv in rows:
+                for partners, flo, fv, _ in rows:
                     for a, b in partners:
                         base[a] = b
                         base[b] = a
@@ -580,64 +571,67 @@ class _EventStep:
 
     The node's ports fall into three classes: internal (wired to another
     port of the node), closing (wired into the swept region, so on the
-    frontier at a closing slot) and fresh (wired to a node not yet swept,
-    so opening a new slot).  The slots that stay open keep their order and
-    are renumbered 0..len(kept)-1; fresh ports follow in port order.
+    frontier at a closing slot) and fresh (wired to a node not yet swept).
+    A closing slot becomes a hole, each fresh port in port order takes the
+    lowest hole or else a new slot at the end, and trailing holes are
+    trimmed: a term's new key is its old one cut or padded (pad) to the
+    new frontier's length, with the vacated slots (closing slots left
+    holes) set to -1.  `frontier` holds the port at each slot, None at a
+    hole; `slot_of`, each such port's slot, is kept across events, and the
+    step moves the closing ports out of it and the fresh ports in.
     """
 
-    __slots__ = ("closing", "kept", "relabel", "pad", "frontier",
+    __slots__ = ("closing", "vacated", "pad", "frontier",
                  "_glued", "_back", "_end", "_closing_port", "_tags")
 
     def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
-                 processed: list, half: list | None):
+                 slot_of: dict, processed: list, half: list | None):
         node = dd.nodes[ni]
         nports = node.port_count
         # the outside wire of port p re-enters the node at _back[p], or
-        # else ends at the new slot _end[p] (closing ports: per signature)
+        # else ends at slot _end[p] (closing ports: per signature)
         self._back: list = [None] * nports
         self._end: list = [None] * nports
         self._closing_port: dict = {}
         self.closing = []
+        self.frontier = new = list(frontier)
         fresh = []
         for pi in range(nports):
-            qn, qp = dd.pairing[(ni, pi)]
-            if qn == ni:
-                self._back[pi] = qp
-            elif processed[qn]:
-                s = frontier.index((ni, pi))
+            port = dd.pairing[(ni, pi)]
+            if port[0] == ni:
+                self._back[pi] = port[1]
+            elif processed[port[0]]:
+                s = slot_of.pop((ni, pi))
                 self.closing.append(s)
                 self._closing_port[s] = pi
+                new[s] = None
             else:
-                fresh.append((pi, (qn, qp)))
-        self.kept = [s for s in range(len(frontier))
-                     if s not in self._closing_port]
-        # closing slots map to -1; the splice rewrites every entry that
-        # held one, and the fresh slots (pad)
-        self.relabel = [-1] * len(frontier)
-        for new, s in enumerate(self.kept):
-            self.relabel[s] = new
-        self.frontier = [frontier[s] for s in self.kept]
-        for pi, port in fresh:
-            self._end[pi] = len(self.frontier)
-            self.frontier.append(port)
-        self.pad = (-1,) * len(fresh)
+                fresh.append((pi, port))
+        new += [None] * len(fresh)
+        for (pi, port), s in zip(fresh, [s for s, q in enumerate(new) if q is None]):
+            new[s] = port
+            slot_of[port] = self._end[pi] = s
+        while new and new[-1] is None:
+            new.pop()
+        self.vacated = [s for s in self.closing if s < len(new) and new[s] is None]
+        self.pad = (-1,) * (len(new) - len(frontier))
         self._glued = node.glued
-        # every new slot is a port of a node not yet swept; its tag is the
-        # side tag (_side) of a port of a projector box, else a negative
+        # every live slot holds a port of a node not yet swept; its tag is
+        # the side tag (_side) of a port of a projector box, else a negative
         # number no other slot has.  None when no two slots share a tag,
         # so that no row can cap a box
         self._tags = None
         if half is not None:
-            tags = [_side(half, port) if half[port[0]] else -1 - s
-                    for s, port in enumerate(self.frontier)]
+            tags = [_side(half, port) if port and half[port[0]] else -1 - s
+                    for s, port in enumerate(new)]
             if len(set(tags)) < len(tags):
                 self._tags = tags
 
-    def splices(self, signature: tuple) -> list:
-        """One row (partners, li, loops, weight) per local matching li of
-        the node (CouponNode.glued, its strand ends mapped to slots), for a
-        term whose closing slots have the given partners: partners pairs
-        the new slots where a spliced strand ends, each pair once.
+    def splices(self, signature: tuple, width: int) -> tuple:
+        """(rows, their total weight) for a term whose closing slots have
+        the given partners: the rows (partners, lo, v, weight) of
+        CouponNode.glued at `width`, partners pairing the slots where each
+        spliced strand ends, each pair once.
 
         A row whose new strand joins two slots with equal tags caps an
         unswept projector, is worth exactly 0 (see the module docstring)
@@ -645,19 +639,22 @@ class _EventStep:
         they were made, so only the new ones need the check."""
         back = list(self._back)
         end = list(self._end)
+        closing_port = self._closing_port
         for s, partner in zip(self.closing, signature):
-            pi = self._closing_port[s]
-            if partner in self._closing_port:
-                back[pi] = self._closing_port[partner]
+            pi = closing_port[s]
+            if partner in closing_port:
+                back[pi] = closing_port[partner]
             else:
-                end[pi] = self.relabel[partner]
+                end[pi] = partner
+        table, weight = self._glued(tuple(back), width)
+        rows = [([(end[p], end[q]) for p, q in pairs], lo, v, w)
+                for pairs, lo, v, w in table]
         tags = self._tags
-        rows = []
-        for li, pairs, loops, weight in self._glued(tuple(back)):
-            partners = [(end[p], end[q]) for p, q in pairs]
-            if tags is None or all(tags[a] != tags[b] for a, b in partners):
-                rows.append((partners, li, loops, weight))
-        return rows
+        if tags is not None:
+            kept = [row for row in rows if all(tags[a] != tags[b] for a, b in row[0])]
+            if len(kept) < len(rows):
+                return kept, sum(row[3] for row in kept)
+        return rows, weight
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ counted_matchings replays a sweep and counts its matchings, the measure
 that the box placement of colored_jones predicts, and peak_matchings the
 most it holds at once; sweep_events replays the events themselves, and
 signature_splices works out one event's splice the way the sweep did
-before nodes kept their glued tables; enumerate_matchings lists the
-basis diagrams of TL_n by brute force.
+before nodes kept their glued tables, by gluing with the slots as labels;
+enumerate_matchings lists the basis diagrams of TL_n by brute force.
 """
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
@@ -91,21 +91,26 @@ def sweep_events(dd, order=None):
     """Replay the events of `order` (by default the plan the sweep runs on
     `dd`): yield (node, step, bag keys before, bag keys after) per event.
 
-    Keys only: it replays skein_eval's events and pruning without the
-    coefficient arithmetic, so a matching whose coefficient cancels to 0
-    still counts here (an upper bound on the live matchings, equal to them
-    when nothing cancels)."""
+    Keys only: it replays skein_eval's events, its stable slots and its
+    pruning without the coefficient arithmetic, so a matching whose
+    coefficient cancels to 0 still counts here (an upper bound on the live
+    matchings, equal to them when nothing cancels)."""
     box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
     processed = [False] * dd.node_count
     frontier: list = []
+    slot_of: dict = {}
     keys = {()}
     for ni in morse_decompose(dd).order if order is None else order:
-        step = _EventStep(dd, ni, frontier, processed, box_half if any(box_half) else None)
-        closing_of, kept_of = _slot_getter(step.closing), _slot_getter(step.kept)
+        step = _EventStep(dd, ni, frontier, slot_of, processed,
+                          box_half if any(box_half) else None)
+        closing_of = _slot_getter(step.closing)
+        size = len(step.frontier)
         new_keys = set()
         for key in keys:
-            base = [step.relabel[s] for s in kept_of(key)] + list(step.pad)
-            for partners, *_ in step.splices(closing_of(key)):
+            base = [*key[:size], *step.pad]
+            for s in step.vacated:
+                base[s] = -1
+            for partners, *_ in step.splices(closing_of(key), 32)[0]:
                 for a, b in partners:
                     base[a] = b
                     base[b] = a
@@ -128,7 +133,7 @@ def signature_splices(node, step, signature) -> list:
         if partner in step._closing_port:
             back[pi] = step._closing_port[partner]
         else:
-            end[pi] = step.relabel[partner]
+            end[pi] = partner
     tags = step._tags
     rows = []
     for li, (local_map, _) in enumerate(node.local_terms()):

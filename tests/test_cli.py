@@ -165,6 +165,14 @@ def test_malformed_json_diagram_exits_2(tmp_path, capsys, text):
     assert code == EXIT_INPUT and "error" in err
 
 
+def test_json_diagram_without_pd_names_the_missing_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": "x"}')
+    code, out, err = run(capsys, "bracket", "--file", str(bad))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: bad JSON diagram: missing key 'pd'\n"
+
+
 # ---------------------------------------------------------------------------
 # cjones
 

@@ -933,20 +933,25 @@ class TestPackedCoefficients:
                 evaluate_rational(build_upsilon(d, n, s))
 
 
-def assert_splices_match_oracle(dd: DecoratedDiagram):
+def assert_splices_match_oracle(dd: DecoratedDiagram, width: int = 32):
     """Every event of the sweep of dd splices each signature its bag holds
-    into the rows of the per-signature oracle, and each row's stored
-    weight is its local coefficient's L1 norm << loops."""
+    into the rows of the per-signature oracle, in order: the same partners,
+    each row's packed factor its local coefficient times delta^loops packed
+    at `width`, its stored weight that coefficient's L1 norm << loops, and
+    the kept weight the sum of the rows' weights."""
     for node, step, keys, _ in sweep_events(dd):
         terms = node.local_terms()
         closing_of = skein_eval._slot_getter(step.closing)
         for signature in {closing_of(key) for key in keys}:
-            rows = step.splices(signature)
-            both_ways = [(dict(partners + [(b, a) for a, b in partners]), li, loops)
-                         for partners, li, loops, _ in rows]
-            assert both_ways == signature_splices(node, step, signature)
-            assert [weight for *_, weight in rows] == [
-                sum(map(abs, terms[li][1].values())) << loops for _, li, loops, _ in rows]
+            rows, kept = step.splices(signature, width)
+            expected = signature_splices(node, step, signature)
+            assert [dict(partners + [(b, a) for a, b in partners])
+                    for partners, *_ in rows] == [partners for partners, *_ in expected]
+            assert [row[1:] for row in rows] == [
+                (*_pack((LaurentPolynomial(terms[li][1]) * DELTA ** loops).terms, width),
+                 sum(map(abs, terms[li][1].values())) << loops)
+                for _, li, loops in expected]
+            assert kept == sum(weight for *_, weight in rows)
 
 
 def partial_matchings(points: int) -> set:
@@ -958,8 +963,9 @@ def partial_matchings(points: int) -> set:
 
 
 class TestGluedTables:
-    """A node glues its local matchings once per outside-wire pattern
-    (CouponNode.glued); a splice maps the rows of that table to slots."""
+    """A node glues its local matchings once per outside-wire pattern and
+    digit width (CouponNode.glued); a splice maps the rows of that table
+    to slots."""
 
     @pytest.mark.parametrize("name", fixture_names())
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -991,8 +997,63 @@ class TestGluedTables:
                 colored_jones(d, n)
                 evaluate_rational(build_upsilon(d, n, all_b_state(d)))
         assert len(partial_matchings(4)) == 10
-        assert set(CROSSING._glued) <= partial_matchings(4)
-        assert len(CROSSING._glued) <= 10
+        patterns = collections.defaultdict(set)
+        for back, width in CROSSING._glued:
+            patterns[width].add(back)
+        assert 32 in patterns
+        for backs in patterns.values():
+            assert backs <= partial_matchings(4)
+            assert len(backs) <= 10
+
+
+def assert_keys_keep_the_slot_form(dd: DecoratedDiagram) -> tuple:
+    """After every event of the sweep of dd, every key of the bag is as
+    long as the frontier, which is no longer than the plan's peak width and
+    ends in a live slot; it holds -1 exactly at the frontier's holes and is
+    an involution without fixed points on the live slots.  Returns (key
+    entries, holes among them) over all events."""
+    peak = morse_decompose(dd).peak_width
+    entries = holes = 0
+    for _, step, _, keys in sweep_events(dd):
+        size = len(step.frontier)
+        assert size <= peak
+        assert not step.frontier or step.frontier[-1] is not None
+        hole = {s for s, port in enumerate(step.frontier) if port is None}
+        live = set(range(size)) - hole
+        for key in keys:
+            assert len(key) == size
+            assert {s for s, partner in enumerate(key) if partner == -1} == hole
+            assert all(key[s] in live and key[s] != s and key[key[s]] == s for s in live)
+        entries += size * len(keys)
+        holes += len(hole) * len(keys)
+    return entries, holes
+
+
+class TestStableSlots:
+    """A slot keeps its number while it is open; a closed one is a hole
+    that the next fresh port fills (skein_eval._EventStep)."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cable_keys_keep_the_slot_form(self, name, n):
+        assert_keys_keep_the_slot_form(placed(fixture(name).diagram, n))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("state", [all_a_state, all_b_state])
+    def test_upsilon_keys_keep_the_slot_form(self, name, n, state):
+        d = fixture(name).diagram
+        assert_keys_keep_the_slot_form(build_upsilon(d, n, state(d)))
+
+    def test_braid_closure_keys_keep_the_slot_form(self):
+        entries = holes = 0
+        for k in range(2, 40):
+            for seed in range(6):
+                counts = assert_keys_keep_the_slot_form(from_link(random_braid_closure(k, seed)))
+                entries += counts[0]
+                holes += counts[1]
+        # holes do occur, so the hole checks are not vacuous
+        assert 0 < holes < entries
 
 
 @st.composite

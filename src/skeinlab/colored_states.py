@@ -14,13 +14,16 @@ the relation's only weights.  Summing over all 2^k states
 Expanding every residual cabled crossing into its crossingless corner
 patterns with the C_{m,k} coefficients yields the Lambda diagrams; their
 degree bookkeeping (the D function, adequacy) drives the stability
-results checked in `tails`.
+results checked in `tails`.  Y(s) and every Lambda diagram are n-cables
+of skein_eval.cable_network with a box on every arc; only the layout of
+each crossing (_local) differs.
 
 The sign convention is `diagram`'s: the +1 side carries A^(2n-1) and is
 the classical A-smoothing at n=1, as the alpha formulas pin it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,8 +37,8 @@ from .skein_eval import (
     CROSSING,
     DecoratedDiagram,
     ResourceLimitError,
-    _crossing_grid,
     _require_planar,
+    cable_network,
     evaluate_rational,
     projector_node,
 )
@@ -72,19 +75,6 @@ def alpha(link: LinkDiagram, n: int, s: tuple) -> LaurentPolynomial:
     return LaurentPolynomial.monomial(1, (2 * n - 1) * sum(s))
 
 
-def _pattern(sign: int, n: int) -> tuple:
-    """Stub-level layout of one side of the colored skein relation, as
-    (singles, shift).  `singles` are the two chords of the classically
-    smoothed strand, as ((slot, stub), (slot, stub)) with stubs counted
-    counterclockwise 1..n within each slot.  The single takes stub 1 or
-    stub n of each slot and the residual (n-1)-cable fills the rest in
-    order, so boundary index idx of that cable in `slot` sits on cable
-    stub idx + shift[slot]."""
-    if sign == 1:
-        return (((1, n), (2, 1)), ((3, n), (0, 1))), (1, 0, 1, 0)
-    return (((0, n), (1, 1)), ((2, n), (3, 1))), (0, 1, 0, 1)
-
-
 def corner_pattern(m: int, k: int):
     """Chords of the k-th crossingless corner pattern of an m-cabled
     crossing: k strands turn back across the corners (0,1) and (2,3),
@@ -103,53 +93,47 @@ def corner_pattern(m: int, k: int):
 # diagram assembly
 
 
-def _state_wiring(link: LinkDiagram, n: int, s: tuple):
-    """The wiring that Y(s) and its Lambda diagrams share: one f(n) box per
-    arc plus a closed box per free loop, and each crossing's two
-    classically smoothed strands.  Returns (nodes, arc_side, pairing,
-    patterns) where arc_side[(crossing, slot, stub)] is the box port
-    facing that cable stub and patterns[ci] the (singles, shift) pair of
-    `_pattern` at crossing ci."""
-    _check_color(n)
-    _check_state(link, s)
-    _require_planar(link, n)
-    nodes = []
-    pairing = {}
-    arc_side = {}
-    for arc in sorted(link.arcs, key=repr):
-        b = len(nodes)
-        nodes.append(projector_node(n))
-        (c1, p1), (c2, p2) = link.arc_slots(arc)
-        for i in range(1, n + 1):
-            arc_side[(c1, p1, i)] = (b, i - 1)
-            arc_side[(c2, p2, n + 1 - i)] = (b, top_point(i - 1, n))
-    for _ in range(link.free_loops):
-        b = len(nodes)
-        nodes.append(projector_node(n))
-        for p in range(n):
-            pairing[(b, p)] = (b, top_point(p, n))
-    patterns = [_pattern(sign, n) for sign in s]
-    for ci, (singles, _) in enumerate(patterns):
-        for (sl1, i1), (sl2, i2) in singles:
-            pairing[arc_side[(ci, sl1, i1)]] = arc_side[(ci, sl2, i2)]
-    return nodes, arc_side, pairing, patterns
+@functools.cache
+def _local(sign: int, n: int, k=None) -> tuple:
+    """One crossing on one side of the colored skein relation, as the
+    (m, shift, chords) of cable_network.  The two chords of the classically
+    smoothed strand take stub 1 or stub n of each slot, and the residual
+    (n-1)-cable fills the rest in order, its boundary index idx in a slot
+    on cable stub idx + shift[slot]: an (n-1) x (n-1) grid, or, given a
+    corner index k, no grid and the chords of its k-th corner pattern."""
+    if sign == 1:
+        singles, shift = (((1, n), (2, 1)), ((3, n), (0, 1))), (1, 0, 1, 0)
+    else:
+        singles, shift = (((0, n), (1, 1)), ((2, n), (3, 1))), (0, 1, 0, 1)
+    if k is None:
+        return n - 1, shift, singles
+    corners = tuple(((s1, j1 + shift[s1]), (s2, j2 + shift[s2]))
+                    for (s1, j1), (s2, j2) in corner_pattern(n - 1, k))
+    return 0, shift, singles + corners
+
+
+def _network(link: LinkDiagram, n: int, s: tuple, indices=None) -> DecoratedDiagram:
+    """Y(s), or given one corner index per crossing its Lambda diagram:
+    the n-cable of cable_network with an f(n) box on every arc (by repr)
+    and each crossing laid out by _local, then a closed f(n) box per free
+    loop.  The caller has checked the color, the state and planarity."""
+    box = projector_node(n)
+    local = [_local(sign, n, k) for sign, k in zip(s, indices or itertools.repeat(None))]
+    nodes, wiring = cable_network(
+        link, n, [(arc, box) for arc in sorted(link.arcs, key=repr)], local)
+    for b in range(len(nodes), len(nodes) + link.free_loops):
+        nodes.append(box)
+        wiring.update({(b, p): (b, top_point(p, n)) for p in range(n)})
+    return DecoratedDiagram(nodes, wiring)
 
 
 def build_upsilon(link: LinkDiagram, n: int, s: tuple) -> DecoratedDiagram:
     """The skein element of a colored state: every crossing smoothed per
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
-    m = n - 1
-    nodes, arc_side, pairing, patterns = _state_wiring(link, n, s)
-    for ci, (_, shift) in enumerate(patterns if m else ()):  # n = 1: no residual cable
-        base = len(nodes)
-        nodes.extend([CROSSING] * (m * m))
-        stubs = _crossing_grid(pairing, base, m)
-        # boundary of the residual cable onto the remaining stubs
-        for slot in range(4):
-            for idx in range(1, m + 1):
-                end = arc_side[(ci, slot, idx + shift[slot])]
-                pairing[end] = stubs[slot * m + idx - 1]
-    return DecoratedDiagram(nodes, pairing)
+    _check_color(n)
+    _check_state(link, s)
+    _require_planar(link, n)
+    return _network(link, n, s)
 
 
 def lambda_diagram(link: LinkDiagram, n: int, s: tuple,
@@ -160,22 +144,10 @@ def lambda_diagram(link: LinkDiagram, n: int, s: tuple,
     indices = tuple(indices)
     if len(indices) != link.crossing_count:
         raise ValueError("one corner index per crossing")
-    return _lambda_builder(link, n, s)(indices)
-
-
-def _lambda_builder(link: LinkDiagram, n: int, s: tuple):
-    """Check the state and the planarity of `link` once; return the map
-    from an index tuple to its Lambda diagram."""
-    nodes, arc_side, pairing, patterns = _state_wiring(link, n, s)
-
-    def build(indices) -> DecoratedDiagram:
-        wired = dict(pairing)
-        for ci, ((_, shift), k) in enumerate(zip(patterns, indices)):
-            for (sl1, j1), (sl2, j2) in corner_pattern(n - 1, k):
-                a = arc_side[(ci, sl1, j1 + shift[sl1])]
-                wired[a] = arc_side[(ci, sl2, j2 + shift[sl2])]
-        return DecoratedDiagram(nodes, wired)
-    return build
+    _check_color(n)
+    _check_state(link, s)
+    _require_planar(link, n)
+    return _network(link, n, s, indices)
 
 
 def lambda_expand(link: LinkDiagram, n: int, s: tuple):
@@ -190,13 +162,13 @@ def lambda_expand(link: LinkDiagram, n: int, s: tuple):
     if (m + 1) ** k > MAX_LAMBDA_TERMS:
         raise ResourceLimitError(
             f"{(m + 1) ** k} expansion terms exceed the cap of {MAX_LAMBDA_TERMS}")
-    build = _lambda_builder(link, n, s)
+    _require_planar(link, n)
     out = []
     for indices in itertools.product(range(m + 1), repeat=k):
         coeff = LaurentPolynomial.one()
         for i in indices:
             coeff = coeff * crossing_expansion_coefficient(m, i)
-        out.append((coeff, build(indices)))
+        out.append((coeff, _network(link, n, s, indices)))
     return out
 
 

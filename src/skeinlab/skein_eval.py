@@ -51,6 +51,9 @@ generic coupon never is.  The argument needs a planar network, so
 cabled_diagram, build_upsilon and lambda_diagram raise ValueError on a
 PD code that is not planar whenever they place f(n) boxes with n >= 2.
 
+One builder, cable_network, wires every network as an n-cable: n x n
+grids (J~), (n-1) x (n-1) grids and chords (Y(s)), or chords (Lambda).
+
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is the attachment order of a width greedy and
 the peak width of that order, which the width cap is checked against
@@ -697,75 +700,91 @@ def _grid_template(m: int):
     return tuple(wires), tuple(stubs)
 
 
-def _crossing_grid(pairing: dict, base: int, m: int) -> list:
-    """Wire the m x m grid of crossing nodes base..base+m*m-1 into
-    `pairing`, node (u, o) at base + (u-1)*m + (o-1): under-strand u runs
-    bottom (slot 0) to top (slot 2), over-strand o left (slot 3) to right
-    (slot 1).  Returns the flat stub table: entry slot*m + idx-1 is the
-    grid port of the boundary stub with counterclockwise index idx (1..m)
-    at that slot."""
-    wires, stubs = _grid_template(m)
-    for a, pa, b, pb in wires:
-        pairing[(base + a, pa)] = (base + b, pb)
-    return [(base + node, slot) for node, slot in stubs]
-
-
-def cable_ports(link: LinkDiagram, m: int):
-    """Port-level wiring of the blackboard m-cable.
-
-    Returns (crossing_node_count, internal_pairing, band_ends) where
-    band_ends[(arc, i)] = (first-end port, second-end port): the two grid
-    ports tied by band i of `arc`, the first at the arc's first PD slot
-    (stub index i), the second at the other end (stub index m+1-i).
-    """
-    if m < 1:
+def cable_network(link: LinkDiagram, n: int, boxes, local=None) -> tuple:
+    """The n-cable of `link` as (nodes, wiring), each wire once: the one
+    builder of every network.  Band i of an arc runs from stub i (stubs
+    count counterclockwise 1..n in a slot) at its first PD slot to stub
+    n+1-i at the other.  Per (arc, node) in `boxes` band i enters the
+    node's bottom at i-1 and leaves its top there; other bands tie their
+    ends.  local[ci] = (m, shift, chords) lays out crossing ci: an m x m
+    CROSSING grid (under-strand u from slot 0 to 2, over-strand o from 3
+    to 1) whose boundary index idx at a slot is on stub idx + shift[slot],
+    and chords ((slot, stub), (slot, stub)) between stubs of boxed bands;
+    None gives n x n grids.  Nodes: the boxes, then the grids in order."""
+    if n < 1:
         raise ValueError("cable width must be >= 1")
-    k = link.crossing_count
-    pairing: dict[Port, Port] = {}
-    stubs = [_crossing_grid(pairing, block * m * m, m) for block in range(k)]
-    band_ends = {}
+    count, wiring, stubs = _grids(link, n, len(boxes), local)
+    wiring.update(_bands(link, n, [arc for arc, _ in boxes], stubs, local))
+    return [node for _, node in boxes] + [CROSSING] * count, wiring
+
+
+def _grids(link: LinkDiagram, n: int, base: int, local) -> tuple:
+    """cable_network's grids, numbered from node `base`: (node count, their
+    own wires, stub tables), stubs[ci][slot*n + j-1] the grid port on stub
+    j at that slot of crossing ci, or None where a chord ends."""
+    wiring: dict[Port, Port] = {}
+    stubs = []
+    start = base
+    for ci in range(link.crossing_count):
+        m, shift, _ = local[ci] if local else (n, None, ())
+        wires, ends = _grid_template(m)
+        for a, pa, b, pb in wires:
+            wiring[(base + a, pa)] = (base + b, pb)
+        table = [(base + node, slot) for node, slot in ends]
+        if m < n:
+            grid, table = table, [None] * (4 * n)
+            for slot, lead in enumerate(shift):
+                table[slot * n + lead:slot * n + lead + m] = grid[slot * m:slot * m + m]
+        stubs.append(table)
+        base += m * m
+    return base - start, wiring, stubs
+
+
+def _bands(link: LinkDiagram, n: int, arcs, stubs: list, local) -> dict:
+    """cable_network's bands onto the stub tables of _grids, box b on each
+    band of arcs[b], and its chords."""
+    boxed: dict = {}
+    for b, arc in enumerate(arcs):
+        if boxed.setdefault(arc, b) != b:
+            raise ValueError(f"arc {arc!r} boxed twice")
+    wiring: dict[Port, Port] = {}
+    facing = {}  # 4n*crossing + n*slot + j-1 -> the box port facing a chord's end
     for arc in link.arcs:
         (c1, p1), (c2, p2) = link.arc_slots(arc)
         first, second = stubs[c1], stubs[c2]
-        for i in range(m):
-            band_ends[(arc, i + 1)] = (first[p1 * m + i], second[p2 * m + m - 1 - i])
-    return k * m * m, pairing, band_ends
+        b = boxed.get(arc)
+        for i in range(n):
+            end1, end2 = first[p1 * n + i], second[p2 * n + n - 1 - i]
+            if b is None:
+                wiring[end1] = end2
+                continue
+            bottom, top = (b, i), (b, top_point(i, n))
+            if end1:
+                wiring[end1] = bottom
+            else:
+                facing[4 * n * c1 + p1 * n + i] = bottom
+            if end2:
+                wiring[top] = end2
+            else:
+                facing[4 * n * c2 + p2 * n + n - 1 - i] = top
+    for ci, (_, _, chords) in enumerate(local or ()):
+        at = 4 * n * ci - 1
+        for (s1, j1), (s2, j2) in chords:
+            wiring[facing[at + s1 * n + j1]] = facing[at + s2 * n + j2]
+    return wiring
 
 
 def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
     """The blackboard m-cable of `link` with the Jones-Wenzl box f(m)
-    spliced across the cable at each arc in `box_arcs`.  Free loops of
-    `link` are *not* carried over; the caller decides what a closed cabled
-    loop is worth.  Boxes with m >= 2 need a planar `link` (see
-    _require_planar).  The network is nodes plus wiring; morse_decompose
-    plans it when it is swept."""
+    spliced across the cable at each arc in `box_arcs`, the boxes first
+    (cable_network).  Free loops of `link` are *not* carried over; the
+    caller decides what a closed cabled loop is worth.  Boxes with m >= 2
+    need a planar `link` (see _require_planar).  The network is nodes
+    plus wiring; morse_decompose plans it when it is swept."""
     if box_arcs:
         _require_planar(link, m)
-    n_grid, grid, band_ends = cable_ports(link, m)
-    boxes = [projector_node(m)] * len(box_arcs) if box_arcs else []
-    return DecoratedDiagram([CROSSING] * n_grid + boxes,
-                            _splice(grid, band_ends, n_grid, m, box_arcs))
-
-
-def _splice(grid: dict, band_ends: dict, n_grid: int, m: int, box_arcs) -> dict:
-    """The wiring of the m-cable whose crossing grids are wired by `grid`
-    (see cable_ports), with box n_grid + c spliced into every band of
-    box_arcs[c] and every other band tying its two ends: each wire once."""
-    boxed: dict = {}
-    for b, arc in enumerate(box_arcs, n_grid):
-        if boxed.setdefault(arc, b) != b:
-            raise ValueError(f"arc {arc!r} boxed twice")
-    wiring = dict(grid)
-    for (arc, i), (end1, end2) in band_ends.items():
-        b = boxed.get(arc)
-        if b is None:
-            wiring[end1] = end2
-        else:
-            # band i enters the box bottom at position i-1 and leaves the
-            # top at the same position, continuing to the reversed stub
-            wiring[end1] = (b, i - 1)
-            wiring[(b, top_point(i - 1, m))] = end2
-    return wiring
+    return DecoratedDiagram(*cable_network(
+        link, m, [(arc, projector_node(m)) for arc in box_arcs]))
 
 
 def _require_planar(link: LinkDiagram, n: int):
@@ -785,23 +804,23 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
     cost does.  Each placement is read by _graph off the very wiring
-    (_splice) that its sweep runs on and walked by the box-deferring
-    greedy, and ranked by its predicted live matchings if its peak width
-    is within the cap `max_width`, else after every placement that is, by
-    that width.  Every box starts on the first arc (by repr) of its
-    component; then the components are taken one at a time, each box moved
-    to the least-ranked of its arcs (the earlier on ties) with the other
-    boxes where they are, so the walks number the arcs, not their
-    product."""
+    (cable_network's, grids built once) that its sweep runs on and walked
+    by the box-deferring greedy, and ranked by its predicted live
+    matchings if its peak width is within the cap `max_width`, else after
+    every placement that is, by that width.  Every box starts on the first
+    arc (by repr) of its component; then the components are taken one at
+    a time, each box moved to the least-ranked of its arcs (the earlier on
+    ties) with the other boxes where they are, so the walks number the
+    arcs, not their product."""
     comps = [sorted(comp, key=repr) for comp in link.components()]
-    n_grid, grid, band_ends = cable_ports(link, m)
-    half = [0] * n_grid + [m] * len(comps)
+    n_grid, grid, stubs = _grids(link, m, len(comps), None)
+    half = [m] * len(comps) + [0] * n_grid
     boxes = [h > 0 for h in half]
     cap = resolve_max_width(max_width)
 
     def rank(arcs) -> tuple:
-        wiring = _splice(grid, band_ends, n_grid, m, arcs)
-        cross, degree, sides = _graph(half, wiring.items())
+        bands = _bands(link, m, arcs, stubs, None)
+        cross, degree, sides = _graph(half, itertools.chain(grid.items(), bands.items()))
         _, peak, cost = _walk(cross, degree, boxes, sides)
         return (0, cost) if peak <= cap else (1, peak)
 

@@ -140,14 +140,19 @@ def _certified_prefix(name: str, values, end: str = "lowest") -> CoefficientPref
                              certified)
 
 
+def _require_alternating(link: LinkDiagram):
+    """Every certificate runs this first: the theorems cover no other."""
+    if not is_alternating(link):
+        raise ValueError("tail stability is established for alternating "
+                         "diagrams; this one is not alternating")
+
+
 def _jtilde_values(link: LinkDiagram, n_max: int,
                    max_width: int | None) -> list:
     """J~_1..J~_{n_max}, the input of both certificates."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 to certify anything")
-    if not is_alternating(link):
-        raise ValueError("tail stability is established for alternating "
-                         "diagrams; this one is not alternating")
+    _require_alternating(link)
     return [colored_jones(link, n, max_width=max_width)
             for n in range(1, n_max + 1)]
 
@@ -284,6 +289,7 @@ def stability_report(link: LinkDiagram, n_max: int,
     J~_1, B_1, then B_{n+1} and J~_{n+1} for each color n in turn."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    _require_alternating(link)
     name = _display_name(link)
     start = time.perf_counter()
     jtilde = {1: colored_jones(link, 1, max_width=max_width)}

@@ -1,5 +1,5 @@
 """Label-level blackboard m-cable of a PD diagram, the oracle for the
-port-level cable builder skein_eval.cable_ports: the cabled link is a
+port-level cable builder skein_eval.cable_network: the cabled link is a
 plain LinkDiagram, so its bracket comes from the ordinary link path.
 
 The m-cable replaces every crossing by an m x m grid of crossings and

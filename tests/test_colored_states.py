@@ -365,15 +365,19 @@ def test_cabled_crossing_expansion_exact(n):
         assert total == evaluate_rational(build_upsilon(d, n, s))
 
 
-@pytest.mark.parametrize("pd", [TREFOIL, HOPF])
-def test_lambda_expansion_exact_color_two(pd):
+@pytest.mark.parametrize("pd", [TREFOIL, HOPF, KINK + " / O"],
+                         ids=["trefoil", "hopf", "kink-and-loop"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lambda_expansion_exact(pd, n):
+    # at n = 3 the corner patterns have several chords a slot and shifted
+    # stubs on both sides; the free loop adds a closed box after the grids
     d = parse_pd(pd)
-    states = [all_b_state(d), all_a_state(d), (1,) + all_b_state(d)[1:]]
-    for s in states:
+    states = {all_b_state(d), all_a_state(d), (1,) + all_b_state(d)[1:]}
+    for s in sorted(states):
         total = RationalFunction.zero()
-        for coeff, lam in lambda_expand(d, 2, s):
+        for coeff, lam in lambda_expand(d, n, s):
             total = total + evaluate_rational(lam) * coeff
-        assert total == evaluate_rational(build_upsilon(d, 2, s))
+        assert total == evaluate_rational(build_upsilon(d, n, s)), s
 
 
 def test_lambda_color_one_single_term():

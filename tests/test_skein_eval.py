@@ -41,12 +41,11 @@ from skeinlab.skein_eval import (
     _matching_count,
     _pack,
     _place_boxes,
-    _splice,
     _unpack,
     _walk,
     bracket,
     bracket_bruteforce,
-    cable_ports,
+    cable_network,
     cabled_diagram,
     colored_jones,
     evaluate,
@@ -363,7 +362,9 @@ class TestPlans:
         "trefoil-3-cable-generic-coupon"])
     def test_projector_free_orders_are_pinned(self, case):
         # greedy orders pinned before the greedy deferred projector boxes;
-        # a generic coupon is not a box, so it is not deferred
+        # a generic coupon is not a box, so it is not deferred.  The
+        # coupon cable's order is the one pinned then, relabelled:
+        # cable_network puts the coupon at node 0, each crossing one later
         build, order = {
             "trefoil": (lambda: from_link(parse_pd(TREFOIL)), (0, 1, 2)),
             "figure-eight": (lambda: from_link(parse_pd(FIG8)), (0, 1, 2, 3)),
@@ -375,8 +376,8 @@ class TestPlans:
                 (0, 1, 6, 4, 8, 2, 3, 7, 5, 9, 10, 11, 12, 13, 14, 15)),
             "trefoil-3-cable-generic-coupon": (
                 lambda: coupon_cable(parse_pd(TREFOIL), 3, [1], identity_coupon(3)),
-                (0, 1, 2, 24, 21, 18, 3, 4, 5, 25, 22, 19, 27, 6, 7, 8, 9, 10,
-                 11, 12, 13, 14, 17, 26, 16, 23, 15, 20)),
+                (1, 2, 3, 25, 22, 19, 4, 5, 6, 26, 23, 20, 0, 7, 8, 9, 10, 11,
+                 12, 13, 14, 15, 18, 27, 17, 24, 16, 21)),
         }[case]
         assert morse_decompose(build()).order == order
 
@@ -538,6 +539,79 @@ KNOTS = [name for name in fixture_names()
 # that arc, its peak, every other arc's peak)
 NARROW_ARC_BRAIDS = [([-2, -2, -1, -3, -2], 4, 4, 8, 10),
                      ([2, -2, -2, -2, -1, 2], 3, 0, 8, 12)]
+
+
+def boxes_moved(dd: DecoratedDiagram, front: bool) -> tuple:
+    """dd with its projector boxes moved as one block, in their order, to
+    the front or the back of its nodes, and each node's new index."""
+    boxes = [u for u, node in enumerate(dd.nodes) if node.projector]
+    rest = [u for u, node in enumerate(dd.nodes) if not node.projector]
+    order = boxes + rest if front else rest + boxes
+    new = {u: i for i, u in enumerate(order)}
+    moved = DecoratedDiagram([dd.nodes[u] for u in order],
+                             {(new[a], p): (new[b], q) for (a, p), (b, q) in dd.pairing.items()})
+    return moved, new
+
+
+@st.composite
+def boxed_cables(draw):
+    """An m-cable of a braid closure with f(m) boxes on some of its arcs,
+    several to a component at times."""
+    m = draw(st.sampled_from([2, 3]))
+    strands = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3 if m == 2 else 2))
+    word = draw(st.lists(st.integers(1, strands - 1), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    d = braid_closure([g * e for g, e in zip(word, signs)], strands)
+    boxed = draw(st.lists(st.sampled_from(sorted(d.arcs, key=repr)), min_size=1, unique=True))
+    return coupon_cable(d, m, boxed, projector_node(m))
+
+
+class TestBoxBlock:
+    """cable_network puts a network's boxes first.  Moving the projector
+    boxes as one block, in their order, only relabels the box-deferring
+    walk: in _walk a box's rank is odd and a crossing's even, so node index
+    never decides between a box and a crossing.  The plain walk, which
+    ignores the boxes, is not invariant: its index tie-breaks can fall
+    between a box and a crossing, so a block move can change it."""
+
+    @staticmethod
+    def moved_walks(dd: DecoratedDiagram) -> list:
+        """(walk of dd, walk after the move) for the deferring and the
+        plain walk and each move, the moved order read in dd's indices."""
+        out = []
+        for front in (True, False):
+            moved, new = boxes_moved(dd, front)
+            back = {i: u for u, i in new.items()}
+            for before, (order, peak, cost) in zip(walks(dd), walks(moved)):
+                out.append((before, (tuple(back[i] for i in order), peak, cost)))
+        return out
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_corpus_networks_keep_their_deferring_walk(self, name):
+        d = fixture(name).diagram
+        for n in (2, 3, 4):
+            for dd in (build_upsilon(d, n, all_b_state(d)),
+                       build_upsilon(d, n, all_a_state(d)), placed(d, n)):
+                deferring = self.moved_walks(dd)[::2]
+                assert all(before == after for before, after in deferring), (n, name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(boxed_cables())
+    def test_boxed_cables_keep_their_deferring_walk(self, dd):
+        for before, after in self.moved_walks(dd)[::2]:
+            assert before == after
+
+    def test_a_block_move_can_change_the_plain_walk(self):
+        # why Y(s) keeps its boxes where they are: a plain walk, the
+        # fallback past the width cap, moves on some corpus networks
+        changed = 0
+        for name in fixture_names():
+            d = fixture(name).diagram
+            for n in (2, 3, 4):
+                moved = self.moved_walks(build_upsilon(d, n, all_b_state(d)))[1::2]
+                changed += sum(before != after for before, after in moved)
+        assert changed
 
 
 class TestBoxPlacement:
@@ -1091,9 +1165,7 @@ def coupon_cable(d: LinkDiagram, m: int, box_arcs, coupon: CouponNode) -> Decora
     """The m-cable of d with `coupon` spliced in at each arc of box_arcs,
     wired as cabled_diagram wires its f(m) boxes; no planarity check,
     since a generic coupon is never pruned."""
-    n_grid, grid, band_ends = cable_ports(d, m)
-    return DecoratedDiagram([CROSSING] * n_grid + [coupon] * len(box_arcs),
-                            _splice(grid, band_ends, n_grid, m, box_arcs))
+    return DecoratedDiagram(*cable_network(d, m, [(arc, coupon) for arc in box_arcs]))
 
 
 def matching_coupon(points: int, pairs, label: str = "") -> CouponNode:
@@ -1321,9 +1393,7 @@ class TestMetamorphic:
 
 def _two_coupon_diagram(link, arc1, arc2, c1, c2):
     """coupon_cable with coupon c1 at arc1 and c2 at arc2."""
-    n_grid, grid, band_ends = cable_ports(link, 2)
-    return DecoratedDiagram([CROSSING] * n_grid + [c1, c2],
-                            _splice(grid, band_ends, n_grid, 2, [arc1, arc2]))
+    return DecoratedDiagram(*cable_network(link, 2, [(arc1, c1), (arc2, c2)]))
 
 
 class TestRationalValues:

@@ -177,6 +177,19 @@ def test_tail_prefix_preconditions():
         tail_prefix(parse_pd(TREFOIL), 1)
 
 
+@pytest.mark.parametrize("certify", [
+    lambda d: stability_report(d, 2), lambda d: stability_report(d, 1),
+    lambda d: tail_and_head(d, 2), lambda d: tail_prefix(d, 2),
+    lambda d: head_prefix(d, 2)],
+    ids=["report", "report-one-color", "tail-and-head", "tail", "head"])
+def test_every_certificate_refuses_a_nonalternating_diagram(monkeypatch, certify):
+    # the theorems cover alternating diagrams only, so no certificate may
+    # come back for NONALT, and the one check runs before any value
+    monkeypatch.setattr(tails, "colored_jones", lambda *a, **k: pytest.fail("computed"))
+    with pytest.raises(ValueError, match="not alternating"):
+        certify(parse_pd(NONALT))
+
+
 def test_certified_tail_failure_carries_the_pair():
     good = lp({0: 1, 4: 1})
     bad = lp({0: 1, 1: 5})

@@ -25,6 +25,7 @@ from skeinlab.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "skeinlab"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_every_traced_name_resolves():
@@ -267,14 +268,10 @@ def test_no_private_parameter_is_a_constant():
     assert constant == []
 
 
-def test_every_private_name_the_docs_mention_exists():
-    # a _name in a README code span or in a src/ docstring or comment is a
-    # name in src/ code (a trailing * a prefix of one), so the docs cannot
-    # name a helper that is gone; a subscript such as J~_n or [n k]_A does
-    # not start after a space, "(", ".", "," or a backquote
-    mention = re.compile(r"(?:^|(?<=[\s(.,`]))_[A-Za-z]\w*\*?")
+def code_and_prose(paths) -> tuple:
+    """(every NAME token, [(file name, docstring or comment)]) of `paths`."""
     code, prose = set(), []
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         text = path.read_text()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type == tokenize.NAME:
@@ -284,14 +281,36 @@ def test_every_private_name_the_docs_mention_exists():
         for node in ast.walk(ast.parse(text, str(path))):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
                 prose.append((path.name, ast.get_docstring(node) or ""))
+    return code, prose
+
+
+def test_every_private_name_the_docs_mention_exists():
+    # a _name in a README code span or in a docstring or comment of src/
+    # or tests/ is a name in code (a trailing * a prefix of one): in src/
+    # code, or for tests/ prose in src/ or tests/ code; and a dotted
+    # module.name of a skeinlab module is an attribute of that module.  So
+    # the docs cannot name a helper that is gone.  A subscript such as J~_n
+    # or [n k]_A does not start after a space, "(", ".", "," or a backquote
+    mention = re.compile(r"(?:^|(?<=[\s(.,`]))_[A-Za-z]\w*\*?")
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    dotted = re.compile(rf"(?<![\w.])({'|'.join(modules)})\.(\w+)")
+    code, prose = code_and_prose(sorted(SRC.glob("*.py")))
+    test_code, test_prose = code_and_prose(sorted(TESTS.glob("*.py")))
     prose += [(README.name, span) for span in re.findall(r"`([^`\n]+)`", README.read_text())]
-    missing = set()
-    for where, text in prose:
+    missing, resolved = set(), 0
+    for where, text, names in ([(w, t, code) for w, t in prose]
+                               + [(w, t, code | test_code) for w, t in test_prose]):
         for name in mention.findall(text):
             if not any(c.startswith(name[:-1]) if name.endswith("*") else c == name
-                       for c in code):
+                       for c in names):
                 missing.add(f"{where}: {name}")
+        for module, name in dotted.findall(text):
+            if hasattr(importlib.import_module(f"skeinlab.{module}"), name):
+                resolved += 1
+            else:
+                missing.add(f"{where}: {module}.{name}")
     assert sorted(missing) == []
+    assert resolved  # the dotted form is read at all
 
 
 def readme_code(language: str) -> str:

@@ -54,6 +54,18 @@ PD code that is not planar whenever they place f(n) boxes with n >= 2.
 One builder, cable_network, wires every network as an n-cable: n x n
 grids (J~), (n-1) x (n-1) grids and chords (Y(s)), or chords (Lambda).
 
+The bracket's network (from_link) is the 1-cable with its bigons fused
+(_fuse_bigons): two 4-point nodes joined by two wires that sit next to
+each other at both ends become one coupon, the TL_2 element of the
+tangle they make.  By Kauffman's relation a twist region of any length
+is alpha 1 + beta e, so it ends as one node of at most two terms, and
+the sweep has fewer events for the same terms.  A composite's terms are
+glued by temperley_lieb.glue and interned by value (_composite), so
+equal tangles share one node and its glued tables.  A bigon bounds a
+face of any surface a PD code draws on, so a composite is a disk and its
+matchings never cross, even on a code that is not planar.  J~, Y(s) and
+Lambda networks are never fused.
+
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is the attachment order of a width greedy and
 the peak width of that order, which the width cap is checked against
@@ -245,8 +257,83 @@ class DecoratedDiagram:
 
 
 def from_link(link: LinkDiagram) -> DecoratedDiagram:
-    """The 1-cable: one crossing node per PD crossing, no free loops."""
-    return cabled_diagram(link, 1)
+    """The bracket's network: the 1-cable, one crossing node per PD
+    crossing and no free loops, with every bigon fused (_fuse_bigons), so
+    that a twist region of any length is one 4-point coupon."""
+    return DecoratedDiagram(*_fuse_bigons(*cable_network(link, 1, [])))
+
+
+def _fuse_bigons(nodes: list, wiring: dict) -> tuple:
+    """(nodes, wiring) of a network of 4-point coupons with every bigon
+    fused: two nodes u != v whose ports a, a+1 are wired to v's ports b,
+    b-1 (mod 4), and whose other four ports lead to neither, become one
+    coupon (_fused) on u's ports a+2, a+3 and v's b+1, b+2 in that cyclic
+    order.  The composite takes u's place and is fused again, so a twist
+    region becomes one node; the survivors keep their order."""
+    to = [0] * (4 * len(nodes))  # port 4 * node + i -> the port it is wired to
+    for (u, a), (v, b) in wiring.items():
+        p, q = 4 * u + a, 4 * v + b
+        to[p], to[q] = q, p
+    nodes = list(nodes)
+    for u in range(len(nodes)):
+        a = 0 if nodes[u] is not None else 4
+        while a < 4:
+            # port a meets port b of node v: a bigon if port a+1 meets b-1
+            p, q = to[4 * u + a], to[4 * u + (a + 1) % 4]
+            v = p >> 2
+            if q >> 2 == v != u and (p - q) & 3 == 1:
+                w = 4 * v
+                outs = (to[4 * u + (a + 2) % 4], to[4 * u + (a + 3) % 4],
+                        to[w + (p + 1) % 4], to[w + (p + 2) % 4])
+                ends = {outs[0] >> 2, outs[1] >> 2, outs[2] >> 2, outs[3] >> 2}
+                if u not in ends and v not in ends:
+                    nodes[u], nodes[v] = _fused(nodes[u], nodes[v], a, p & 3), None
+                    for i, o in enumerate(outs, 4 * u):
+                        to[i], to[o] = o, i
+                    a = 0  # the composite may close another bigon
+                    continue
+            a += 1
+    index, live = {}, []
+    for u, node in enumerate(nodes):
+        if node is not None:
+            index[u] = len(live)
+            live.append(node)
+    fused = {}
+    for u, i in index.items():
+        for a in range(4):
+            q = to[4 * u + a]
+            if 4 * u + a < q:
+                fused[i, a] = index[q >> 2], q & 3
+    return live, fused
+
+
+@functools.cache
+def _fused(u: CouponNode, v: CouponNode, a: int, b: int) -> CouponNode:
+    """The 4-point coupon of u and v joined by the bigon u a ~ v b, u a+1
+    ~ v b-1, its ports u a+2, u a+3, v b+1, v b+2: each pair of local
+    matchings glued, coefficient the product times delta^loops, merged by
+    matching.  Equal composites are one node (_composite)."""
+    back, end = [None] * 8, [None] * 8
+    for p, q in ((a, 4 + b), ((a + 1) % 4, 4 + (b - 1) % 4)):
+        back[p], back[q] = q, p
+    for i, p in enumerate(((a + 2) % 4, (a + 3) % 4, 4 + (b + 1) % 4, 4 + (b + 2) % 4)):
+        end[p] = i
+    terms: dict = {}
+    for mu, cu in u.local_terms():
+        for mv, cv in v.local_terms():
+            partners, loops = glue(mu + tuple(4 + p for p in mv), back, end)
+            pairs = tuple(sorted((p, q) for p, q in partners.items() if p < q))
+            terms[pairs] = term_add(terms.get(pairs, {}),
+                                    term_mul(term_mul(cu, cv), _delta_power(loops)))
+    return _composite(tuple(sorted((pairs, tuple(sorted(c.items())))
+                                   for pairs, c in terms.items() if c)))
+
+
+@functools.cache
+def _composite(terms: tuple) -> CouponNode:
+    """The one 4-point coupon with these (pairs, sorted coefficient items)
+    terms."""
+    return CouponNode(4, [(pairs, dict(c)) for pairs, c in terms], label="tangle")
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +375,20 @@ def _side(half: list, port: Port) -> int:
     return 2 * port[0] + (port[1] >= half[port[0]])
 
 
-def _graph(half: list, wires) -> tuple:
+def _graph(half: list, wires, base=None) -> tuple:
     """The one reader of wiring for planning: (cross, degree, sides) of the
     nodes with box halves `half` (_halves) joined by `wires`, (port, port)
     pairs each given once.  cross[u][v] counts the wires between distinct
     nodes u and v, degree[u] the wires from u to other nodes, and sides[u]
     lists the side tags (_side) of u's wires into boxes; sides is None when
-    there is no box."""
-    cross = [{} for _ in half]
-    degree = [0] * len(half)
+    there is no box.  `base`, the (cross, degree) of wires that touch no
+    box, read here before, is copied and `wires` added to it."""
+    if base is None:
+        cross = [{} for _ in half]
+        degree = [0] * len(half)
+    else:
+        cross = list(map(dict, base[0]))
+        degree = list(base[1])
     sides = [[] for _ in half] if any(half) else None
     for p, q in wires:
         a, b = p[0], q[0]
@@ -666,8 +758,12 @@ class _EventStep:
 
 def bracket(link: LinkDiagram, max_width: int | None = None) -> LaurentPolynomial:
     """Kauffman bracket, normalized so the empty diagram gives 1 and a
-    crossing-free circle gives delta.  A `link` that is not planar may
-    raise ValueError (see evaluate); a planar one always evaluates."""
+    crossing-free circle gives delta, swept on from_link's network, twist
+    regions fused.  A `link` that is not planar may raise ValueError (see
+    evaluate), on this network where the plain 1-cable (cabled_diagram(
+    link, 1)) would not or the other way round, as residues collide at
+    other events; neither returns a wrong value.  A planar one always
+    evaluates."""
     value = evaluate(from_link(link), max_width=max_width)
     return value * _DELTA ** link.free_loops if link.free_loops else value
 
@@ -804,7 +900,8 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
     cost does.  Each placement is read by _graph off the very wiring
-    (cable_network's, grids built once) that its sweep runs on and walked
+    (cable_network's; the grids built and read once, only each
+    candidate's bands added) that its sweep runs on and walked
     by the box-deferring greedy, and ranked by its predicted live
     matchings if its peak width is within the cap `max_width`, else after
     every placement that is, by that width.  Every box starts on the first
@@ -818,9 +915,11 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     boxes = [h > 0 for h in half]
     cap = resolve_max_width(max_width)
 
+    base = _graph(half, grid.items())[:2]  # the grids: the same for every candidate
+
     def rank(arcs) -> tuple:
         bands = _bands(link, m, arcs, stubs, None)
-        cross, degree, sides = _graph(half, itertools.chain(grid.items(), bands.items()))
+        cross, degree, sides = _graph(half, bands.items(), base)
         _, peak, cost = _walk(cross, degree, boxes, sides)
         return (0, cost) if peak <= cap else (1, peak)
 

@@ -3,6 +3,7 @@ plan invariance, cabling, and colored evaluation anchors."""
 import collections
 import copy
 import itertools
+import math
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from skeinlab.skein_eval import (
     DecoratedDiagram,
     MorsePlan,
     ResourceLimitError,
+    _fused,
     _graph,
     _halves,
     _matching_count,
@@ -263,6 +265,112 @@ class TestBracket:
             bracket_bruteforce(random_link(21, 1))
 
 
+# a composite of a braid closure's twist has its ports at (bottom left,
+# bottom right, top right, top left): two vertical strands, or a cup and
+# a cap
+STRAIGHT = ((0, 3), (1, 2))
+TURNED = ((0, 1), (2, 3))
+
+
+def coupon_terms(node: CouponNode) -> dict:
+    """A coupon's local terms as {pairs: LaurentPolynomial}."""
+    return {tuple((p, q) for p, q in enumerate(m) if p < q): LaurentPolynomial(c)
+            for m, c in node.local_terms()}
+
+
+def twist_closure_bracket(k: int, sign: int) -> LaurentPolynomial:
+    """The state sum of the closure of sigma_1^(sign k), worked out by
+    hand: smoothing j of its crossings to a cup-cap and the rest straight
+    gives weight A^(sign (k - 2j)) and leaves j circles, or 2 when j = 0."""
+    total = LaurentPolynomial({})
+    for j in range(k + 1):
+        total = total + lp({sign * (k - 2 * j): math.comb(k, j)}) * DELTA ** (j or 2)
+    return total
+
+
+@st.composite
+def run_braids(draw, fewest: int, most: int):
+    """A braid closure on 2-4 strands whose word, after one letter of each
+    generator, is runs of one generator: each run of one sign, or of
+    signs drawn letter by letter (so R2 pairs occur)."""
+    strands = draw(st.integers(2, 4))
+    k = draw(st.integers(max(fewest, strands - 1), most))
+    word = list(range(1, strands))
+    while len(word) < k:
+        g = draw(st.integers(1, strands - 1))
+        length = draw(st.integers(1, k - len(word)))
+        if draw(st.booleans()):
+            word += [g * draw(st.sampled_from([1, -1]))] * length
+        else:
+            word += [g * draw(st.sampled_from([1, -1])) for _ in range(length)]
+    return braid_closure(word, strands)
+
+
+class TestTwistFusion:
+    """from_link fuses each bigon of two crossings, so a twist region is
+    one 4-point coupon; its terms are checked against closed forms worked
+    out by hand, not by the strand tracer that builds them."""
+
+    @pytest.mark.parametrize("first, second, terms", [
+        # sigma^2 = A^2 1 + (1 - A^-4) e, its mirror A^-2 1 + (1 - A^4) e
+        (1, 1, {STRAIGHT: lp({2: 1}), TURNED: lp({0: 1, -4: -1})}),
+        (-1, -1, {STRAIGHT: lp({-2: 1}), TURNED: lp({0: 1, 4: -1})}),
+        # sigma sigma^-1 = 1 (Reidemeister II), either way round
+        (1, -1, {STRAIGHT: lp({0: 1})}),
+        (-1, 1, {STRAIGHT: lp({0: 1})}),
+    ])
+    def test_two_crossings_fuse_to_their_closed_form(self, first, second, terms):
+        # the two sigma_2 letters fuse; the strands around them close up
+        # through sigma_1 and sigma_3, which have no bigon
+        dd = from_link(braid_closure([1, 3, 2 * first, 2 * second, 1, 3], 4))
+        assert [nd is CROSSING for nd in dd.nodes] == [True, True, False, True, True]
+        assert coupon_terms(dd.nodes[2]) == terms
+
+    def test_a_twist_region_is_one_node(self):
+        # k crossings in a row fuse into one node, which the last crossing
+        # then closes off on all four sides
+        for k in range(3, 21):
+            dd = from_link(braid_closure([1] * k, 2))
+            assert [nd is CROSSING for nd in dd.nodes] == [False, True], k
+
+    def test_equal_composites_are_one_node(self):
+        # the same bigon seen from either crossing gives the same tangle,
+        # and equal tangles in different links share one node
+        assert _fused(CROSSING, CROSSING, 2, 1) is _fused(CROSSING, CROSSING, 0, 3)
+        assert (from_link(braid_closure([1, 3, 2, 2, 1, 3], 4)).nodes[2]
+                is from_link(braid_closure([1, 3, 2, 2, -3, -1], 4)).nodes[2]
+                is _fused(CROSSING, CROSSING, 2, 1))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_twist_closures_match_the_state_sum(self, sign):
+        for k in range(1, 21):
+            d = braid_closure([sign] * k, 2)
+            expect = twist_closure_bracket(k, sign)
+            if k <= 12:
+                assert bracket_bruteforce(d) == expect, k
+            assert bracket(d) == expect, k
+
+    @settings(max_examples=40, deadline=None)
+    @given(run_braids(1, 12))
+    def test_run_braids_match_bruteforce(self, d):
+        assert bracket(d, max_width=99) == bracket_bruteforce(d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(run_braids(13, 40))
+    def test_long_run_braids_match_the_plain_one_cable(self, d):
+        assert bracket(d, max_width=99) == evaluate(cabled_diagram(d, 1), max_width=99)
+
+    def test_corpus_one_cables_fuse_to_two_nodes(self):
+        # every corpus entry but the Hopf link is a 2-bridge knot: one
+        # tangle and one crossing; the Hopf link's two crossings close
+        # each other off on all four sides and stay as they are
+        for name in fixture_names():
+            dd = from_link(fixture(name).diagram)
+            kinds = [nd is CROSSING for nd in dd.nodes]
+            assert kinds == ([True, True] if name == "hopf" else [False, True]), name
+            assert morse_decompose(dd) == MorsePlan((0, 1), 4), name
+
+
 def cut_widths(dd: DecoratedDiagram, order) -> list:
     """The number of wires with exactly one end in each swept prefix of
     `order`, read straight off the wiring; the oracle for the planner's
@@ -364,12 +472,14 @@ class TestPlans:
         # greedy orders pinned before the greedy deferred projector boxes;
         # a generic coupon is not a box, so it is not deferred.  The
         # coupon cable's order is the one pinned then, relabelled:
-        # cable_network puts the coupon at node 0, each crossing one later
+        # cable_network puts the coupon at node 0, each crossing one later.
+        # The 1-cables are the plain ones, one crossing node per crossing
+        # (from_link's fused networks are test_fused_orders_are_pinned's)
         build, order = {
-            "trefoil": (lambda: from_link(parse_pd(TREFOIL)), (0, 1, 2)),
-            "figure-eight": (lambda: from_link(parse_pd(FIG8)), (0, 1, 2, 3)),
+            "trefoil": (lambda: cabled_diagram(parse_pd(TREFOIL), 1), (0, 1, 2)),
+            "figure-eight": (lambda: cabled_diagram(parse_pd(FIG8), 1), (0, 1, 2, 3)),
             "braid-closure": (
-                lambda: from_link(braid_closure([1, -2, 3, 1, -2, 2, 3, -1], 4)),
+                lambda: cabled_diagram(braid_closure([1, -2, 3, 1, -2, 2, 3, -1], 4), 1),
                 (0, 7, 3, 1, 2, 6, 4, 5)),
             "figure-eight-2-cable": (
                 lambda: cabled_diagram(parse_pd(FIG8), 2),
@@ -380,6 +490,20 @@ class TestPlans:
                  12, 13, 14, 15, 18, 27, 17, 24, 16, 21)),
         }[case]
         assert morse_decompose(build()).order == order
+
+    @pytest.mark.parametrize("word, strands, kinds, plan", [
+        # the braid closure pinned above fuses down to two nodes
+        ([1, -2, 3, 1, -2, 2, 3, -1], 4, "TC", MorsePlan((0, 1), 4)),
+        # 14 crossings in 10 nodes, four of them twists of two crossings
+        ([1, 1, 2, -3, -3, 2, 1, 3, 3, -2, -1, -1, 2, 3], 4, "TCTCCTCTCC",
+         MorsePlan((0, 1, 2, 3, 4, 5, 9, 6, 7, 8), 8)),
+    ])
+    def test_fused_orders_are_pinned(self, word, strands, kinds, plan):
+        # from_link's network: each fused tangle (T) where its first
+        # crossing was, the crossings (C) left in their order
+        dd = from_link(braid_closure(word, strands))
+        assert "".join("C" if nd is CROSSING else "T" for nd in dd.nodes) == kinds
+        assert morse_decompose(dd) == plan
 
     def test_plan_is_the_deferring_walk_unless_it_passes_the_cap(self):
         # on the 48 corpus Y(s+-) networks at n = 2..4 and every cap from 6
@@ -1120,14 +1244,18 @@ class TestStableSlots:
         assert_keys_keep_the_slot_form(build_upsilon(d, n, state(d)))
 
     def test_braid_closure_keys_keep_the_slot_form(self):
-        entries = holes = 0
+        entries = holes = tangles = 0
         for k in range(2, 40):
             for seed in range(6):
-                counts = assert_keys_keep_the_slot_form(from_link(random_braid_closure(k, seed)))
+                dd = from_link(random_braid_closure(k, seed))
+                counts = assert_keys_keep_the_slot_form(dd)
                 entries += counts[0]
                 holes += counts[1]
-        # holes do occur, so the hole checks are not vacuous
+                tangles += sum(nd is not CROSSING for nd in dd.nodes)
+        # holes and fused tangles do occur, so the hole checks are not
+        # vacuous and the keys are checked across fused nodes too
         assert 0 < holes < entries
+        assert tangles > 0
 
 
 @st.composite

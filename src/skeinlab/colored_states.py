@@ -34,7 +34,6 @@ from .laurent import (
     crossing_expansion_coefficient,
 )
 from .skein_eval import (
-    CROSSING,
     DecoratedDiagram,
     ResourceLimitError,
     _require_planar,
@@ -189,7 +188,9 @@ def colored_state_sum(link: LinkDiagram, n: int) -> LaurentPolynomial:
 
 
 def _require_crossingless(S: DecoratedDiagram):
-    if CROSSING in S.nodes:
+    # every node must be a Jones-Wenzl box: a crossing, or a tangle that
+    # from_link fused, is no box to replace by parallel strands
+    if not all(nd.projector for nd in S.nodes):
         raise ValueError("skein element still has crossings")
 
 

@@ -60,8 +60,9 @@ each other at both ends become one coupon, the TL_2 element of the
 tangle they make.  By Kauffman's relation a twist region of any length
 is alpha 1 + beta e, so it ends as one node of at most two terms, and
 the sweep has fewer events for the same terms.  A composite's terms are
-glued by temperley_lieb.glue and interned by value (_composite), so
-equal tangles share one node and its glued tables.  A bigon bounds a
+glued by temperley_lieb.glue and interned by value (_composite, the
+last _TANGLE_CACHE of them), so equal tangles share one node and its
+glued tables.  A bigon bounds a
 face of any surface a PD code draws on, so a composite is a disk and its
 matchings never cross, even on a code that is not planar.  J~, Y(s) and
 Lambda networks are never fused.
@@ -307,7 +308,14 @@ def _fuse_bigons(nodes: list, wiring: dict) -> tuple:
     return live, fused
 
 
-@functools.cache
+# Composites kept by _fused and _composite, each: a pass over one seed's
+# 252 bench braids makes 151 composites from 308 (u, v, a, b) keys, so
+# both caches keep several passes' tangles but stay bounded in a process
+# that brackets link after link.
+_TANGLE_CACHE = 1024
+
+
+@functools.lru_cache(maxsize=_TANGLE_CACHE)
 def _fused(u: CouponNode, v: CouponNode, a: int, b: int) -> CouponNode:
     """The 4-point coupon of u and v joined by the bigon u a ~ v b, u a+1
     ~ v b-1, its ports u a+2, u a+3, v b+1, v b+2: each pair of local
@@ -329,7 +337,7 @@ def _fused(u: CouponNode, v: CouponNode, a: int, b: int) -> CouponNode:
                                    for pairs, c in terms.items() if c)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TANGLE_CACHE)
 def _composite(terms: tuple) -> CouponNode:
     """The one 4-point coupon with these (pairs, sorted coefficient items)
     terms."""
@@ -375,20 +383,15 @@ def _side(half: list, port: Port) -> int:
     return 2 * port[0] + (port[1] >= half[port[0]])
 
 
-def _graph(half: list, wires, base=None) -> tuple:
+def _graph(half: list, wires) -> tuple:
     """The one reader of wiring for planning: (cross, degree, sides) of the
     nodes with box halves `half` (_halves) joined by `wires`, (port, port)
     pairs each given once.  cross[u][v] counts the wires between distinct
     nodes u and v, degree[u] the wires from u to other nodes, and sides[u]
     lists the side tags (_side) of u's wires into boxes; sides is None when
-    there is no box.  `base`, the (cross, degree) of wires that touch no
-    box, read here before, is copied and `wires` added to it."""
-    if base is None:
-        cross = [{} for _ in half]
-        degree = [0] * len(half)
-    else:
-        cross = list(map(dict, base[0]))
-        degree = list(base[1])
+    there is no box."""
+    cross = [{} for _ in half]
+    degree = [0] * len(half)
     sides = [[] for _ in half] if any(half) else None
     for p, q in wires:
         a, b = p[0], q[0]
@@ -900,8 +903,7 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
     cost does.  Each placement is read by _graph off the very wiring
-    (cable_network's; the grids built and read once, only each
-    candidate's bands added) that its sweep runs on and walked
+    (cable_network's, grids built once) that its sweep runs on and walked
     by the box-deferring greedy, and ranked by its predicted live
     matchings if its peak width is within the cap `max_width`, else after
     every placement that is, by that width.  Every box starts on the first
@@ -915,11 +917,9 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     boxes = [h > 0 for h in half]
     cap = resolve_max_width(max_width)
 
-    base = _graph(half, grid.items())[:2]  # the grids: the same for every candidate
-
     def rank(arcs) -> tuple:
         bands = _bands(link, m, arcs, stubs, None)
-        cross, degree, sides = _graph(half, bands.items(), base)
+        cross, degree, sides = _graph(half, itertools.chain(grid.items(), bands.items()))
         _, peak, cost = _walk(cross, degree, boxes, sides)
         return (0, cost) if peak <= cap else (1, peak)
 

@@ -404,6 +404,14 @@ def test_D_degree_basics():
         D_degree(from_link(parse_pd(TREFOIL)))
     with pytest.raises(ValueError):
         is_adequate_skein(from_link(parse_pd(TREFOIL)))
+    # a twist that from_link fused is no box either, even with no
+    # crossing node left beside it
+    twist = from_link(parse_pd(TREFOIL)).nodes[0]
+    assert not twist.projector and twist is not CROSSING
+    alone = DecoratedDiagram([twist], {(0, 0): (0, 1), (0, 2): (0, 3)})
+    for check in (D_degree, is_adequate_skein):
+        with pytest.raises(ValueError, match="still has crossings"):
+            check(alone)
 
 
 def test_circle_through_box_twice_not_adequate():

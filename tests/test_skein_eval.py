@@ -425,32 +425,42 @@ def wiring_graph(dd: DecoratedDiagram) -> tuple:
     return _graph(_halves(dd.nodes), ((p, q) for p, q in dd.pairing.items() if p < q))
 
 
+# 14 crossings whose 1-cable fuses to 10 nodes, four of them twists of two
+# crossings (test_fused_orders_are_pinned pins its plan)
+TWISTED_WORD = ([1, 1, 2, -3, -3, 2, 1, 3, 3, -2, -1, -1, 2, 3], 4)
+
+
 class TestPlans:
+    # The plan checks run on both bracket networks: the plain 1-cable
+    # (cabled_diagram(link, 1)), one crossing node per crossing, and
+    # from_link's, whose fused twists leave fewer nodes to order.
     def test_trefoil_peak_width(self):
-        plan = morse_decompose(from_link(parse_pd(TREFOIL)))
-        assert plan.peak_width == 4
+        d = parse_pd(TREFOIL)
+        assert morse_decompose(cabled_diagram(d, 1)).peak_width == 4
+        assert morse_decompose(from_link(d)).peak_width == 4
 
     def test_widths_close_out(self):
         # the greedy's peak is the widest cut of its order, and the last
         # cut, with every node swept, is empty
-        for pd in (TREFOIL, HOPF, FIG8):
-            dd = from_link(parse_pd(pd))
-            plan = morse_decompose(dd)
-            widths = cut_widths(dd, plan.order)
-            assert widths[-1] == 0
-            assert plan.peak_width == max(widths)
+        links = [parse_pd(pd) for pd in (TREFOIL, HOPF, FIG8)] + [braid_closure(*TWISTED_WORD)]
+        for d in links:
+            for dd in (cabled_diagram(d, 1), from_link(d)):
+                plan = morse_decompose(dd)
+                widths = cut_widths(dd, plan.order)
+                assert widths[-1] == 0
+                assert plan.peak_width == max(widths)
 
     def test_value_is_plan_independent(self):
-        d = parse_pd(FIG8)
-        dd = from_link(d)
-        expect = evaluate(dd)
         rng = random.Random(7)
-        for _ in range(6):
-            order = list(range(dd.node_count))
-            rng.shuffle(order)
-            with pytest.MonkeyPatch.context() as mp:
-                run_order(mp, order)
-                assert evaluate(dd, max_width=99) == expect
+        for d in (parse_pd(FIG8), braid_closure(*TWISTED_WORD)):
+            expect = evaluate(cabled_diagram(d, 1))
+            for dd in (cabled_diagram(d, 1), from_link(d)):
+                for _ in range(6):
+                    order = list(range(dd.node_count))
+                    rng.shuffle(order)
+                    with pytest.MonkeyPatch.context() as mp:
+                        run_order(mp, order)
+                        assert evaluate(dd, max_width=99) == expect
 
     def test_cabled_trefoil_with_box_width(self):
         d = parse_pd(TREFOIL)
@@ -460,10 +470,11 @@ class TestPlans:
 
     def test_greedy_beats_identity_order(self):
         # the width greedy must do at least as well as the identity order
-        dd = from_link(parse_pd(FIG8))
-        greedy_peak = morse_decompose(dd).peak_width
-        id_peak = max(cut_widths(dd, range(dd.node_count)))
-        assert greedy_peak <= id_peak
+        for d in (parse_pd(FIG8), braid_closure(*TWISTED_WORD)):
+            for dd in (cabled_diagram(d, 1), from_link(d)):
+                greedy_peak = morse_decompose(dd).peak_width
+                id_peak = max(cut_widths(dd, range(dd.node_count)))
+                assert greedy_peak <= id_peak
 
     @pytest.mark.parametrize("case", [
         "trefoil", "figure-eight", "braid-closure", "figure-eight-2-cable",
@@ -495,8 +506,7 @@ class TestPlans:
         # the braid closure pinned above fuses down to two nodes
         ([1, -2, 3, 1, -2, 2, 3, -1], 4, "TC", MorsePlan((0, 1), 4)),
         # 14 crossings in 10 nodes, four of them twists of two crossings
-        ([1, 1, 2, -3, -3, 2, 1, 3, 3, -2, -1, -1, 2, 3], 4, "TCTCCTCTCC",
-         MorsePlan((0, 1, 2, 3, 4, 5, 9, 6, 7, 8), 8)),
+        (*TWISTED_WORD, "TCTCCTCTCC", MorsePlan((0, 1, 2, 3, 4, 5, 9, 6, 7, 8), 8)),
     ])
     def test_fused_orders_are_pinned(self, word, strands, kinds, plan):
         # from_link's network: each fused tangle (T) where its first

@@ -11,18 +11,21 @@ Z[A, A^-1] after one exact division by the accumulated denominator.
 
 The sweep visits nodes one at a time.  Its running state is the
 frontier, the dangling port at each slot, and a bag of terms: a perfect
-matching on the frontier, keyed as a tuple whose entry at each slot is
-the slot of its partner, with an integer Laurent coefficient.  Slots are
-stable (_EventStep): a closing slot becomes a hole, -1 in every key, the
-next fresh port takes the lowest hole, and trailing holes are trimmed,
-so no open slot is renumbered and no key outgrows the plan's peak width.
-An event groups its terms by the partners of the node's closing slots.
-Such a signature only fixes which ports the outside wires join, and each
-node keeps its local matchings glued to every such pattern, once per
-digit width, by temperley_lieb.glue, the strand tracer that TL stacking
-and partial trace use too (CouponNode.glued).  A signature maps those
-rows' strand ends to slots; a term's new key is its old one cut or
-padded, vacated slots set to -1, each row's strand ends written in.
+matching on the frontier with an integer Laurent coefficient, keyed by
+one int in which slot s holds its partner + 1 in bits [b s, b s + b), 0
+at a hole, with b the bit length of the plan's peak width.  Slots are
+stable (_EventStep): a closing slot becomes a hole, the next fresh port
+takes the lowest hole, and trailing holes are trimmed, so no open slot
+is renumbered and no key outgrows the plan's peak width.  An event
+groups its terms by signature, key & the closing slots' mask: the
+partners of the node's closing slots.  Such a signature only fixes
+which ports the outside wires join, and each node keeps its local
+matchings glued to every such pattern, once per digit width, by
+temperley_lieb.glue, the strand tracer that TL stacking and partial
+trace use too (CouponNode.glued).  A signature maps those rows' strand
+ends to slot fields, a code per row, and one keep mask clears the
+closing slots and the slots their strands end at: a term's new key is
+(key & keep) | code.  A merge that cancels to 0 is deleted in place.
 
 Packed coefficients.  A coefficient is a pair (lo, v): the int v =
 sum c_i 2^(W i) of balanced digits |c_i| < 2^(W-1) stands for sum c_i
@@ -36,8 +39,9 @@ pattern and W, so a row costs one multiply (an A^+-1 row none) and
 adding into a destination one shift and one add.  Digits cannot
 overflow: each event multiplies a bound on the bag's total L1 norm, which
 bounds every digit of every partial sum, by a bound on the L1 norm its
-rows can give one term, and repacks the bag, and its rows, at a wider W
-first if the bound reaches 2^(W-2).
+rows can give one term, and repacks the bag (digit by digit, each lo
+kept: _repack) and its rows at a wider W first if the bound reaches
+2^(W-2).
 
 Turnback pruning.  A Jones-Wenzl box kills every turnback: f(n) e_i = 0.
 Suppose a term joins ports i < j on one side of a box not yet swept.  In
@@ -94,7 +98,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -534,7 +537,7 @@ def _sweep(dd: DecoratedDiagram, max_width: int | None):
             f"(raise with --max-width or {_ENV_MAX_WIDTH})")
     denominator = math.prod((q for ni in plan.order
                              if (q := dd.nodes[ni].denominator) != ONE), start=ONE)
-    return LaurentPolynomial(_contract(dd, plan.order)), denominator
+    return LaurentPolynomial(_contract(dd, plan)), denominator
 
 
 _MIXED_RESIDUES = ("a coefficient left one residue class mod 4: the network is "
@@ -561,29 +564,47 @@ def _unpack(lo: int, v: int, width: int) -> dict:
     return out
 
 
-def _contract(dd: DecoratedDiagram, order) -> dict:
-    """Sweep `order` with every coefficient packed (see _pack); return
-    the total's term dict, or raise ValueError on mixed residues."""
+def _repack(v: int, old: int, new: int) -> int:
+    """The packed v of width `old` at width `new`, digit by digit; lo
+    stays as it is.  A digit read as old bits at or past half is negative
+    and carries one into the rest."""
+    out, shift, half, mask = 0, 0, 1 << old - 1, (1 << old) - 1
+    while v:
+        c = v & mask
+        v >>= old
+        if c >= half:
+            c -= mask + 1
+            v += 1
+        out += c << shift
+        shift += new
+    return out
+
+
+def _contract(dd: DecoratedDiagram, plan: MorsePlan) -> dict:
+    """Sweep the order of `plan` with every coefficient packed (see _pack)
+    and every key one int of fields as wide as the bit length of its peak
+    width, which no slot and no partner + 1 exceeds (see _EventStep);
+    return the total's term dict, or raise ValueError on mixed residues."""
     # None when there is no box to prune against
     half = _halves(dd.nodes)
     if not any(half):
         half = None
+    bits = plan.peak_width.bit_length()
     processed = [False] * dd.node_count
-    frontier, slot_of = [], {}  # see _EventStep
-    # term bag: partner-slot tuple (-1 at a hole) -> packed coefficient
-    # [lo, v]; bound is at least the bag's total L1 norm, so it bounds every digit
-    terms: dict[tuple, list] = {(): [0, 1]}
+    frontier, holes, slot_of = [], [], {}  # see _EventStep
+    # term bag: key -> packed coefficient [lo, v]; bound is at least the
+    # bag's total L1 norm, so it bounds every digit
+    terms: dict[int, list] = {0: [0, 1]}
     width, bound = 32, 1
 
-    for ni in order:
-        step = _EventStep(dd, ni, frontier, slot_of, processed, half)
-        splices = step.splices
-        closing_of = _slot_getter(step.closing)
+    for ni in plan.order:
+        step = _EventStep(dd, ni, frontier, holes, slot_of, processed, half, bits)
+        splices, closing = step.splices, step.closing
         # terms grouped by the partners of the closing slots, so that each
         # signature's splice is worked out once
         groups: dict = {}
         for item in terms.items():
-            signature = closing_of(item[0])
+            signature = item[0] & closing
             group = groups.get(signature)
             if group is None:
                 groups[signature] = [item]
@@ -596,41 +617,35 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
         # times 2^loops, the norm of delta^loops) sets the bound and the width
         work, grow = [], 0
         for signature, group in groups.items():
-            rows, weight = splices(signature, width)
+            rows, weight, keep = splices(signature, width)
             if rows:
-                work.append((signature, rows, group))
+                work.append((signature, rows, keep, group))
                 grow = max(grow, weight)
         del groups
         bound *= grow
         if bound.bit_length() > width - 2:
             # the least multiple of 32 bits that leaves the bound 2 to spare
             old, width = width, (bound.bit_length() + 33) // 32 * 32
-            for i, (signature, _, group) in enumerate(work):
-                work[i] = signature, splices(signature, width)[0], group
+            for i, (signature, _, keep, group) in enumerate(work):
+                work[i] = signature, splices(signature, width)[0], keep, group
                 for _, coeff in group:
-                    coeff[:] = _pack(_unpack(*coeff, old), width)
+                    coeff[1] = _repack(coeff[1], old, width)
 
-        new_terms: dict[tuple, list] = {}
-        size, pad, vacated = len(step.frontier), step.pad, step.vacated
+        terms, zeros = {}, set()
         work.reverse()
         while work:  # each group's rows and old terms go once it is spliced
-            _, rows, group = work.pop()
+            _, rows, keep, group = work.pop()
             for key, (lo, v) in group:
-                # kept slots never move: cut or pad the key, mark the holes
-                base = [*key[:size], *pad]
-                for s in vacated:
-                    base[s] = -1
-                # every row rewrites the same end slots, so base is reused
-                for partners, flo, fv, _ in rows:
-                    for a, b in partners:
-                        base[a] = b
-                        base[b] = a
-                    new_key = tuple(base)
+                # kept slots never move: clear the closing slots and the
+                # strand ends, then every row writes its own strand ends in
+                key &= keep
+                for code, flo, fv, _ in rows:
+                    new_key = key | code
                     x = lo + flo
                     y = v if fv == 1 else v * fv
-                    dest = new_terms.get(new_key)
+                    dest = terms.get(new_key)
                     if dest is None:
-                        new_terms[new_key] = [x, y]
+                        terms[new_key] = [x, y]
                         continue
                     d = x - dest[0]
                     if d % 4:
@@ -639,9 +654,11 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
                         dest[1] += y << d // 4 * width
                     else:
                         dest[:] = x, (dest[1] << -d // 4 * width) + y
-
-        terms = {key: coeff for key, coeff in new_terms.items() if coeff[1]}
-        frontier = step.frontier
+                    if not dest[1]:
+                        zeros.add(new_key)
+        for key in zeros:  # cancelled, unless a later merge revived it
+            if not terms[key][1]:
+                del terms[key]
         processed[ni] = True
         if not terms:
             break
@@ -654,36 +671,28 @@ def _contract(dd: DecoratedDiagram, order) -> dict:
     return total
 
 
-def _slot_getter(slots: list):
-    """key -> tuple of key[s] for s in slots."""
-    if len(slots) > 1:
-        return operator.itemgetter(*slots)
-    if slots:
-        [s] = slots
-        return lambda key: (key[s],)
-    return lambda key: ()
-
-
 class _EventStep:
     """The tables of one node's attachment, shared by every term.
 
-    The node's ports fall into three classes: internal (wired to another
-    port of the node), closing (wired into the swept region, so on the
-    frontier at a closing slot) and fresh (wired to a node not yet swept).
-    A closing slot becomes a hole, each fresh port in port order takes the
-    lowest hole or else a new slot at the end, and trailing holes are
-    trimmed: a term's new key is its old one cut or padded (pad) to the
-    new frontier's length, with the vacated slots (closing slots left
-    holes) set to -1.  `frontier` holds the port at each slot, None at a
-    hole; `slot_of`, each such port's slot, is kept across events, and the
-    step moves the closing ports out of it and the fresh ports in.
+    A key is one int: slot s holds its partner + 1 in bits [bits * s,
+    bits * s + bits), 0 at a hole, with bits the plan's peak width's bit
+    length, so no field overflows.  The node's ports fall into three
+    classes: internal (wired to another port of the node), closing (wired
+    into the swept region, so on the frontier at a closing slot) and fresh
+    (wired to a node not yet swept).  `closing` masks the closing slots'
+    fields, so key & closing is a term's signature.  A closing slot
+    becomes a hole, each fresh port in port order takes the lowest hole
+    (the min-heap `holes`) or else a new slot at the end, and trailing
+    holes are trimmed.  The step updates the sweep's `frontier` (the port
+    at each slot, None at a hole), `holes` and `slot_of` (each open port's
+    slot) in place; no slot is renumbered.
     """
 
-    __slots__ = ("closing", "vacated", "pad", "frontier",
-                 "_glued", "_back", "_end", "_closing_port", "_tags")
+    __slots__ = ("closing", "bits",
+                 "_glued", "_back", "_end", "_closing_port", "_tags", "_keep")
 
-    def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list,
-                 slot_of: dict, processed: list, half: list | None):
+    def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list, holes: list,
+                 slot_of: dict, processed: list, half: list | None, bits: int):
         node = dd.nodes[ni]
         nports = node.port_count
         # the outside wire of port p re-enters the node at _back[p], or
@@ -691,8 +700,9 @@ class _EventStep:
         self._back: list = [None] * nports
         self._end: list = [None] * nports
         self._closing_port: dict = {}
-        self.closing = []
-        self.frontier = new = list(frontier)
+        self.bits = bits
+        field = (1 << bits) - 1
+        closing = 0
         fresh = []
         for pi in range(nports):
             port = dd.pairing[(ni, pi)]
@@ -700,19 +710,25 @@ class _EventStep:
                 self._back[pi] = port[1]
             elif processed[port[0]]:
                 s = slot_of.pop((ni, pi))
-                self.closing.append(s)
                 self._closing_port[s] = pi
-                new[s] = None
+                closing |= field << bits * s
+                frontier[s] = None
+                heapq.heappush(holes, s)
             else:
                 fresh.append((pi, port))
-        new += [None] * len(fresh)
-        for (pi, port), s in zip(fresh, [s for s, q in enumerate(new) if q is None]):
-            new[s] = port
+        for pi, port in fresh:
+            if holes and holes[0] < len(frontier):
+                s = heapq.heappop(holes)
+                frontier[s] = port
+            else:  # any holes left lie past the trimmed end
+                holes.clear()
+                s = len(frontier)
+                frontier.append(port)
             slot_of[port] = self._end[pi] = s
-        while new and new[-1] is None:
-            new.pop()
-        self.vacated = [s for s in self.closing if s < len(new) and new[s] is None]
-        self.pad = (-1,) * (len(new) - len(frontier))
+        while frontier and frontier[-1] is None:
+            frontier.pop()
+        self.closing = closing
+        self._keep = ((1 << bits * len(frontier)) - 1) & ~closing
         self._glued = node.glued
         # every live slot holds a port of a node not yet swept; its tag is
         # the side tag (_side) of a port of a projector box, else a negative
@@ -721,38 +737,50 @@ class _EventStep:
         self._tags = None
         if half is not None:
             tags = [_side(half, port) if port and half[port[0]] else -1 - s
-                    for s, port in enumerate(new)]
+                    for s, port in enumerate(frontier)]
             if len(set(tags)) < len(tags):
                 self._tags = tags
 
-    def splices(self, signature: tuple, width: int) -> tuple:
-        """(rows, their total weight) for a term whose closing slots have
-        the given partners: the rows (partners, lo, v, weight) of
-        CouponNode.glued at `width`, partners pairing the slots where each
-        spliced strand ends, each pair once.
+    def splices(self, signature: int, width: int) -> tuple:
+        """(rows, their total weight, keep) for a term whose closing slots
+        hold `signature` (key & closing): the rows (code, lo, v, weight) of
+        CouponNode.glued at `width`, code the fields of the slots where
+        each spliced strand ends, so that the term's new key is (key &
+        keep) | code.  keep clears the closing slots and the slots their
+        strands end at.
 
         A row whose new strand joins two slots with equal tags caps an
         unswept projector, is worth exactly 0 (see the module docstring)
         and is left out.  Strands between kept slots were checked when
         they were made, so only the new ones need the check."""
+        bits = self.bits
+        field = (1 << bits) - 1
         back = list(self._back)
         end = list(self._end)
+        keep = self._keep
         closing_port = self._closing_port
-        for s, partner in zip(self.closing, signature):
-            pi = closing_port[s]
+        for s, pi in closing_port.items():
+            partner = (signature >> bits * s & field) - 1
             if partner in closing_port:
                 back[pi] = closing_port[partner]
             else:
                 end[pi] = partner
+                keep &= ~(field << bits * partner)
         table, weight = self._glued(tuple(back), width)
-        rows = [([(end[p], end[q]) for p, q in pairs], lo, v, w)
-                for pairs, lo, v, w in table]
         tags = self._tags
-        if tags is not None:
-            kept = [row for row in rows if all(tags[a] != tags[b] for a, b in row[0])]
-            if len(kept) < len(rows):
-                return kept, sum(row[3] for row in kept)
-        return rows, weight
+        rows = []
+        for pairs, lo, v, w in table:
+            code = 0
+            for p, q in pairs:
+                a, b = end[p], end[q]
+                if tags is not None and tags[a] == tags[b]:
+                    break
+                code |= (b + 1) << bits * a | (a + 1) << bits * b
+            else:
+                rows.append((code, lo, v, w))
+        if len(rows) < len(table):
+            weight = sum(row[3] for row in rows)
+        return rows, weight, keep
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ before nodes kept their glued tables, by gluing with the slots as labels;
 enumerate_matchings lists the basis diagrams of TL_n by brute force.
 """
 from skeinlab.diagram import LinkDiagram
-from skeinlab.skein_eval import _EventStep, _slot_getter, morse_decompose
+from skeinlab.skein_eval import MorsePlan, _EventStep, morse_decompose
 from skeinlab.temperley_lieb import PlanarMatching, glue
 
 
@@ -89,47 +89,64 @@ def peak_matchings(dd, order=None) -> int:
 
 def sweep_events(dd, order=None):
     """Replay the events of `order` (by default the plan the sweep runs on
-    `dd`): yield (node, step, bag keys before, bag keys after) per event.
+    `dd`): yield (node, step, frontier, bag keys before, bag keys after)
+    per event, each key skein_eval's int (decoded by `slots`).
 
-    Keys only: it replays skein_eval's events, its stable slots and its
-    pruning without the coefficient arithmetic, so a matching whose
-    coefficient cancels to 0 still counts here (an upper bound on the live
-    matchings, equal to them when nothing cancels)."""
+    Keys only: it replays skein_eval's events, its stable slots, its key
+    masks and row codes and its pruning without the coefficient
+    arithmetic, so a matching whose coefficient cancels to 0 still counts
+    here (an upper bound on the live matchings, equal to them when nothing
+    cancels).  The frontier (the port at each slot, None at a hole) is
+    updated in place, so it is current only until the next event is
+    drawn."""
     box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
+    plan = morse_decompose(dd)
+    if order is not None:
+        plan = MorsePlan(tuple(order), max(cut_widths(dd, order), default=0))
+    bits = plan.peak_width.bit_length()
     processed = [False] * dd.node_count
-    frontier: list = []
-    slot_of: dict = {}
-    keys = {()}
-    for ni in morse_decompose(dd).order if order is None else order:
-        step = _EventStep(dd, ni, frontier, slot_of, processed,
-                          box_half if any(box_half) else None)
-        closing_of = _slot_getter(step.closing)
-        size = len(step.frontier)
+    frontier, holes, slot_of = [], [], {}
+    keys = {0}
+    for ni in plan.order:
+        step = _EventStep(dd, ni, frontier, holes, slot_of, processed,
+                          box_half if any(box_half) else None, bits)
         new_keys = set()
         for key in keys:
-            base = [*key[:size], *step.pad]
-            for s in step.vacated:
-                base[s] = -1
-            for partners, *_ in step.splices(closing_of(key), 32)[0]:
-                for a, b in partners:
-                    base[a] = b
-                    base[b] = a
-                new_keys.add(tuple(base))
-        yield dd.nodes[ni], step, keys, new_keys
+            rows, _, keep = step.splices(key & step.closing, 32)
+            new_keys.update((key & keep) | code for code, *_ in rows)
+        yield dd.nodes[ni], step, frontier, keys, new_keys
         keys = new_keys
-        frontier = step.frontier
         processed[ni] = True
+
+
+def cut_widths(dd, order) -> list:
+    """The number of wires with exactly one end in each swept prefix of
+    `order`, read straight off the wiring; the oracle for the planner's
+    widths."""
+    wires = [(a[0], b[0]) for a, b in dd.pairing.items() if a < b]
+    swept, widths = set(), []
+    for ni in order:
+        swept.add(ni)
+        widths.append(sum((a in swept) != (b in swept) for a, b in wires))
+    return widths
+
+
+def slots(key: int, bits: int, size: int) -> tuple:
+    """An int key of the sweep as a tuple of `size` slots: the partner
+    slot at each, -1 at a hole (a field of bits holds partner + 1)."""
+    field = (1 << bits) - 1
+    return tuple((key >> bits * s & field) - 1 for s in range(size))
 
 
 def signature_splices(node, step, signature) -> list:
     """The rows (partners, li, loops) of one event for a term whose closing
-    slots have the partners `signature`: each local matching of `node` glued
-    with the real slot labels of the event `step`, then every row whose new
-    strand joins two slots with equal tags dropped.  partners maps each new
-    strand end to the other end."""
+    slots have the partners `signature`, a tuple in the order of
+    step._closing_port: each local matching of `node` glued with the real
+    slot labels of the event `step`, then every row whose new strand joins
+    two slots with equal tags dropped.  partners maps each new strand end
+    to the other end."""
     back, end = list(step._back), list(step._end)
-    for s, partner in zip(step.closing, signature):
-        pi = step._closing_port[s]
+    for pi, partner in zip(step._closing_port.values(), signature):
         if partner in step._closing_port:
             back[pi] = step._closing_port[partner]
         else:

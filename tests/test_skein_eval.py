@@ -61,9 +61,11 @@ from skeinlab.temperley_lieb import cleared_projector, identity_matching
 from cable_oracle import (
     cable,
     counted_matchings,
+    cut_widths,
     enumerate_matchings,
     peak_matchings,
     signature_splices,
+    slots,
     sweep_events,
 )
 
@@ -369,19 +371,6 @@ class TestTwistFusion:
             kinds = [nd is CROSSING for nd in dd.nodes]
             assert kinds == ([True, True] if name == "hopf" else [False, True]), name
             assert morse_decompose(dd) == MorsePlan((0, 1), 4), name
-
-
-def cut_widths(dd: DecoratedDiagram, order) -> list:
-    """The number of wires with exactly one end in each swept prefix of
-    `order`, read straight off the wiring; the oracle for the planner's
-    widths."""
-    wires = [(a[0], b[0]) for a, b in dd.pairing.items() if a < b]
-    swept = set()
-    widths = []
-    for ni in order:
-        swept.add(ni)
-        widths.append(sum((a in swept) != (b in swept) for a, b in wires))
-    return widths
 
 
 def without_boxes(dd: DecoratedDiagram) -> DecoratedDiagram:
@@ -1099,6 +1088,8 @@ class TestPackedCoefficients:
             lo, v = _pack(coeff, width)
             assert lo == min(coeff)
             assert _unpack(lo, v, width) == coeff
+            for wider in (width + 32, 256):  # a widening moves every digit
+                assert _unpack(lo, skein_eval._repack(v, width, wider), wider) == coeff
 
     def test_pack_rejects_mixed_residues(self):
         with pytest.raises(ValueError, match="residue class mod 4"):
@@ -1120,15 +1111,30 @@ class TestPackedCoefficients:
             bracket(d)
 
     def test_a_wide_coefficient_widens_the_digits(self, monkeypatch):
-        widths = []
-        unpack = skein_eval._unpack
+        # every repack goes from one width to a wider one, each step a
+        # multiple of 32, and the final unpack reads the last of them
+        repacks, unpacks = [], []
+        repack, unpack = skein_eval._repack, skein_eval._unpack
+        monkeypatch.setattr(skein_eval, "_repack", lambda v, old, new: (
+            repacks.append((old, new)) or repack(v, old, new)))
         monkeypatch.setattr(skein_eval, "_unpack",
-                            lambda lo, v, w: widths.append(w) or unpack(lo, v, w))
+                            lambda lo, v, w: unpacks.append(w) or unpack(lo, v, w))
         d = parse_pd(FIG8)
         coupon = CouponNode(2, [(((0, 1),), {4: 3 << 200, 0: -1})])
         dd = coupon_cable(d, 1, [sorted(d.arcs, key=repr)[0]], coupon)
         assert evaluate(dd) == coupon_state_sum(dd)
-        assert max(widths) > 200
+        steps = sorted(set(repacks))
+        assert steps[0][0] == 32
+        assert all(old < new and new % 32 == 0 for old, new in steps)
+        assert all(a[1] == b[0] for a, b in zip(steps, steps[1:]))
+        assert unpacks == [steps[-1][1]] and unpacks[0] > 200
+
+    def test_repack_keeps_zero_low_digits(self):
+        # lo stays where it was: a digit that cancelled is moved as a zero
+        lo, v = _pack({0: 5, 8: -3}, 32)
+        v -= 5  # the A^0 digit cancels; the coefficient is -3 A^8 at lo 0
+        assert skein_eval._repack(v, 32, 64) == -3 << 2 * 64
+        assert _unpack(lo, skein_eval._repack(v, 32, 64), 64) == {8: -3}
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_corpus_networks_keep_one_residue_class(self, name):
@@ -1143,23 +1149,32 @@ class TestPackedCoefficients:
 
 def assert_splices_match_oracle(dd: DecoratedDiagram, width: int = 32):
     """Every event of the sweep of dd splices each signature its bag holds
-    into the rows of the per-signature oracle, in order: the same partners,
-    each row's packed factor its local coefficient times delta^loops packed
-    at `width`, its stored weight that coefficient's L1 norm << loops, and
-    the kept weight the sum of the rows' weights."""
-    for node, step, keys, _ in sweep_events(dd):
+    into the rows of the per-signature oracle, in order: each row's code
+    the fields of the same partners, each row's packed factor its local
+    coefficient times delta^loops packed at `width`, its stored weight that
+    coefficient's L1 norm << loops, and the kept weight the sum of the
+    rows' weights.  keep clears exactly the closing slots and the slots
+    their strands end at, and leaves no field past the new frontier."""
+    for node, step, frontier, keys, _ in sweep_events(dd):
         terms = node.local_terms()
-        closing_of = skein_eval._slot_getter(step.closing)
-        for signature in {closing_of(key) for key in keys}:
-            rows, kept = step.splices(signature, width)
-            expected = signature_splices(node, step, signature)
-            assert [dict(partners + [(b, a) for a, b in partners])
-                    for partners, *_ in rows] == [partners for partners, *_ in expected]
+        size = len(frontier)
+        bits = step.bits
+        for signature in {key & step.closing for key in keys}:
+            rows, kept, keep = step.splices(signature, width)
+            closing = list(step._closing_port)
+            partners_of = slots(signature, bits, max(closing, default=-1) + 1)
+            expected = signature_splices(node, step, [partners_of[s] for s in closing])
+            decoded = [{s: p for s, p in enumerate(slots(code, bits, size)) if p >= 0}
+                       for code, *_ in rows]
+            assert decoded == [partners for partners, *_ in expected]
             assert [row[1:] for row in rows] == [
                 (*_pack((LaurentPolynomial(terms[li][1]) * DELTA ** loops).terms, width),
                  sum(map(abs, terms[li][1].values())) << loops)
                 for _, li, loops in expected]
             assert kept == sum(weight for *_, weight in rows)
+            cleared = set(closing) | {partners_of[s] for s in closing}
+            assert keep == sum(((1 << bits) - 1) << bits * s
+                               for s in range(size) if s not in cleared)
 
 
 def partial_matchings(points: int) -> set:
@@ -1215,21 +1230,23 @@ class TestGluedTables:
 
 
 def assert_keys_keep_the_slot_form(dd: DecoratedDiagram) -> tuple:
-    """After every event of the sweep of dd, every key of the bag is as
-    long as the frontier, which is no longer than the plan's peak width and
-    ends in a live slot; it holds -1 exactly at the frontier's holes and is
-    an involution without fixed points on the live slots.  Returns (key
+    """After every event of the sweep of dd, the frontier is no longer
+    than the plan's peak width and ends in a live slot, and every key of
+    the bag, read as slots (cable_oracle.slots), sets no field past the
+    frontier, holds -1 exactly at the frontier's holes and is an
+    involution without fixed points on the live slots.  Returns (key
     entries, holes among them) over all events."""
     peak = morse_decompose(dd).peak_width
     entries = holes = 0
-    for _, step, _, keys in sweep_events(dd):
-        size = len(step.frontier)
+    for _, step, frontier, _, keys in sweep_events(dd):
+        size = len(frontier)
         assert size <= peak
-        assert not step.frontier or step.frontier[-1] is not None
-        hole = {s for s, port in enumerate(step.frontier) if port is None}
+        assert not frontier or frontier[-1] is not None
+        hole = {s for s, port in enumerate(frontier) if port is None}
         live = set(range(size)) - hole
-        for key in keys:
-            assert len(key) == size
+        for number in keys:
+            assert number >> step.bits * size == 0
+            key = slots(number, step.bits, size)
             assert {s for s, partner in enumerate(key) if partner == -1} == hole
             assert all(key[s] in live and key[s] != s and key[key[s]] == s for s in live)
         entries += size * len(keys)
@@ -1266,6 +1283,48 @@ class TestStableSlots:
         # vacuous and the keys are checked across fused nodes too
         assert 0 < holes < entries
         assert tangles > 0
+
+
+def prefix_order(dd: DecoratedDiagram, k: int) -> list:
+    """Nodes 0..k-1, then every other node in the greedy's order."""
+    return list(range(k)) + [u for u in morse_decompose(dd).order if u >= k]
+
+
+def spread_order(dd: DecoratedDiagram, k: int) -> list:
+    """The first k nodes, in index order, that share no wire with an
+    earlier one, then every other node in the greedy's order: each of the
+    k adds its whole degree to the width."""
+    first = []
+    for u in range(dd.node_count):
+        near = {q[0] for (v, _), q in dd.pairing.items() if v == u}
+        if len(first) < k and not near & set(first):
+            first.append(u)
+    return first + [u for u in morse_decompose(dd).order if u not in first]
+
+
+class TestKeyFields:
+    """A key holds partner + 1 at each slot in peak_width.bit_length()
+    bits, so a field's top value is the peak itself.  Cut widths are even,
+    so 4-bit fields top out at 14; 16 is the first peak that needs 5 bits,
+    its top value only the high bit, and 32 needs 6.  None of them may
+    change the value."""
+
+    # 42 crossings on 8 strands: the greedy's peak is 12
+    WORD = ([1, -2, 3, -4, 5, -6, 7] * 6, 8)
+
+    @pytest.mark.parametrize("peak, bits, make, k", [
+        (14, 4, prefix_order, 6), (16, 5, prefix_order, 7), (32, 6, spread_order, 8)])
+    def test_a_forced_peak_keeps_the_value(self, peak, bits, make, k):
+        dd = cabled_diagram(braid_closure(*self.WORD), 1)
+        expect = evaluate(dd)
+        assert morse_decompose(dd).peak_width == 12
+        order = make(dd, k)
+        assert sorted(order) == list(range(dd.node_count))
+        assert max(cut_widths(dd, order)) == peak
+        assert peak.bit_length() == bits
+        with pytest.MonkeyPatch.context() as mp:
+            run_order(mp, order)
+            assert evaluate(dd, max_width=99) == expect
 
 
 @st.composite

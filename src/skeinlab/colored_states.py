@@ -118,12 +118,12 @@ def _network(link: LinkDiagram, n: int, s: tuple, indices=None) -> DecoratedDiag
     loop.  The caller has checked the color, the state and planarity."""
     box = projector_node(n)
     local = [_local(sign, n, k) for sign, k in zip(s, indices or itertools.repeat(None))]
-    nodes, wiring = cable_network(
+    nodes, to = cable_network(
         link, n, [(arc, box) for arc in sorted(link.arcs, key=repr)], local)
-    for b in range(len(nodes), len(nodes) + link.free_loops):
+    for _ in range(link.free_loops):
         nodes.append(box)
-        wiring.update({(b, p): (b, top_point(p, n)) for p in range(n)})
-    return DecoratedDiagram(nodes, wiring)
+        to += [len(to) + top_point(p, n) for p in range(2 * n)]
+    return DecoratedDiagram(nodes, to)
 
 
 def build_upsilon(link: LinkDiagram, n: int, s: tuple) -> DecoratedDiagram:
@@ -195,15 +195,15 @@ def _require_crossingless(S: DecoratedDiagram):
 
 
 def _bar_circles(S: DecoratedDiagram):
-    """Circles of the diagram with every box replaced by parallel strands.
-    Returns (circle count, strand->circle map) where strands are keyed by
-    (node index, bottom position)."""
-    ports = [(ni, p) for ni, nd in enumerate(S.nodes) for p in range(nd.port_count)]
-    strands = [((ni, p), (ni, top_point(p, nd.port_count // 2)))
+    """Circles of the diagram with every box replaced by parallel strands:
+    (circle count, (node index, circle) per strand), each circle named by
+    a port on it."""
+    first = S.first
+    strands = [(ni, first[ni] + p, first[ni] + top_point(p, nd.port_count // 2))
                for ni, nd in enumerate(S.nodes) for p in range(nd.port_count // 2)]
-    root = union_find(ports, itertools.chain(S.pairing.items(), strands))
-    strand_circle = {bottom: root[bottom] for bottom, _ in strands}
-    return len(set(root.values())), strand_circle
+    root = union_find(range(len(S.to)), itertools.chain(
+        enumerate(S.to), ((bottom, top) for _, bottom, top in strands)))
+    return len(set(root.values())), [(ni, root[bottom]) for ni, bottom, _ in strands]
 
 
 def D_degree(S: DecoratedDiagram) -> int:
@@ -219,13 +219,8 @@ def is_adequate_skein(S: DecoratedDiagram) -> bool:
     """True when no circle of the identity-replaced diagram passes through
     the same box twice; then the bound of D_degree is attained."""
     _require_crossingless(S)
-    _, strand_circle = _bar_circles(S)
-    seen = set()
-    for (ni, _p), root in strand_circle.items():
-        if (ni, root) in seen:
-            return False
-        seen.add((ni, root))
-    return True
+    _, on = _bar_circles(S)
+    return len(set(on)) == len(on)
 
 
 # ---------------------------------------------------------------------------

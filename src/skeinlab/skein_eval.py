@@ -2,9 +2,12 @@
 
 A decorated diagram is a closed tangle network of coupon nodes, boxes
 each carrying a fixed linear combination of planar matchings over one
-denominator, wired together by a fixed-point-free involution on the
-ports.  A crossing is the 4-point coupon CROSSING, the TL_2 element
-A (A-smoothing) + A^-1 (B-smoothing) of the Kauffman skein relation; a
+denominator, wired together by one flat port table: port i of node u is
+the int first[u] + i, and to[p] is the port that p is wired to, a
+fixed-point-free involution (DecoratedDiagram).  The builder, the bigon
+fusion, the planner and the sweep all read and write that one table.  A
+crossing is the 4-point coupon CROSSING, the TL_2 element A
+(A-smoothing) + A^-1 (B-smoothing) of the Kauffman skein relation; a
 Jones-Wenzl box f(n) is projector_node(n).  Evaluation resolves every
 node into its matchings and glues, producing the bracket value in
 Z[A, A^-1] after one exact division by the accumulated denominator.
@@ -55,21 +58,22 @@ generic coupon never is.  The argument needs a planar network, so
 cabled_diagram, build_upsilon and lambda_diagram raise ValueError on a
 PD code that is not planar whenever they place f(n) boxes with n >= 2.
 
-One builder, cable_network, wires every network as an n-cable: n x n
-grids (J~), (n-1) x (n-1) grids and chords (Y(s)), or chords (Lambda).
+One builder, cable_network, writes every network's port table as an
+n-cable: n x n grids (J~), (n-1) x (n-1) grids and chords (Y(s)), or
+chords (Lambda).
 
 The bracket's network (from_link) is the 1-cable with its bigons fused
-(_fuse_bigons): two 4-point nodes joined by two wires that sit next to
-each other at both ends become one coupon, the TL_2 element of the
-tangle they make.  By Kauffman's relation a twist region of any length
-is alpha 1 + beta e, so it ends as one node of at most two terms, and
-the sweep has fewer events for the same terms.  A composite's terms are
-glued by temperley_lieb.glue and interned by value (_composite, the
-last _TANGLE_CACHE of them), so equal tangles share one node and its
-glued tables.  A bigon bounds a
-face of any surface a PD code draws on, so a composite is a disk and its
-matchings never cross, even on a code that is not planar.  J~, Y(s) and
-Lambda networks are never fused.
+(_fuse_bigons, in place on the port table): two 4-point nodes joined
+by two wires that sit next to each other at both ends become one
+coupon, the TL_2 element of the tangle they make.  By Kauffman's
+relation a twist region of any length is alpha 1 + beta e, so it ends
+as one node of at most two terms, and the sweep has fewer events for
+the same terms.  A composite's terms are glued by temperley_lieb.glue
+and interned by value (_composite, the last _TANGLE_CACHE of them), so
+equal tangles share one node and its glued tables.  A bigon bounds a
+face of any surface a PD code draws on, so a composite is a disk and
+its matchings never cross, even on a code that is not planar.  J~, Y(s)
+and Lambda networks are never fused.
 
 Live matchings set the cost, and the peak width (dangling wire-ends)
 bounds them.  A MorsePlan is the attachment order of a width greedy and
@@ -79,8 +83,8 @@ use).  The greedy sweeps projector boxes last among nodes that leave
 equal width, since an unswept box prunes every row that caps it; that
 only moves the order, so every value stays exact.  Only when that walk
 passes the cap does morse_decompose walk the plain greedy, which ignores
-the boxes, and keep the narrower.  One reader (_graph) turns the wiring
-a network sweeps into the walk's inputs.
+the boxes, and keep the narrower.  One reader (_graph) turns the port
+table a network sweeps into the walk's inputs.
 
 Where the box goes is the one choice a prediction makes.  colored_jones
 walks one network per arc that could carry each component's box
@@ -98,6 +102,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -226,34 +231,31 @@ def projector_node(n: int) -> CouponNode:
     return CouponNode(2 * n, form, label=f"f({n})", projector=True)
 
 
-Port = tuple  # (node_index, port_index)
-
-
 class DecoratedDiagram:
-    """Nodes plus a closed wiring: every port is paired with exactly one
-    other port (never itself)."""
+    """Nodes plus one flat port table `to`, their closed wiring: port i
+    of node u is the global port first[u] + i, where first holds the
+    prefix sums of the nodes' port counts (first[-1] the port count), and
+    it is wired to port to[first[u] + i].  `to` is its own inverse and
+    wires no port to itself; a table of the wrong length, an entry outside
+    0..first[-1]-1, a port wired to itself or a table that is not an
+    involution raises ValueError."""
 
-    __slots__ = ("nodes", "pairing")
+    __slots__ = ("nodes", "to", "first")
 
-    def __init__(self, nodes, pairing: dict):
+    def __init__(self, nodes, to):
         self.nodes = tuple(nodes)
-        full: dict[Port, Port] = {}
-        for a, b in pairing.items():
-            full[a] = b
-            full[b] = a
-        expected = {(ni, pi) for ni, node in enumerate(self.nodes)
-                    for pi in range(node.port_count)}
-        if set(full) != expected:
-            missing = expected - set(full)
-            extra = set(full) - expected
-            raise ValueError(f"wiring mismatch: missing {sorted(missing)[:4]}, "
-                             f"unknown {sorted(extra)[:4]}")
-        for a, b in full.items():
-            if a == b:
-                raise ValueError(f"port {a} wired to itself")
-            if full[b] != a:
-                raise ValueError("wiring is not an involution")
-        self.pairing = full
+        self.first = (0, *itertools.accumulate(node.port_count for node in self.nodes))
+        self.to = to = tuple(to)
+        ports = range(len(to))
+        if len(to) != self.first[-1]:
+            raise ValueError(f"wiring mismatch: {len(to)} wire ends for "
+                             f"{self.first[-1]} ports")
+        if to and not 0 <= min(to) <= max(to) < len(to):
+            raise ValueError(f"wiring mismatch: a port is wired outside 0..{len(to) - 1}")
+        if any(map(operator.eq, to, ports)):
+            raise ValueError(f"port {next(p for p in ports if to[p] == p)} wired to itself")
+        if any(map(operator.ne, map(to.__getitem__, to), ports)):
+            raise ValueError("wiring is not an involution")
 
     @property
     def node_count(self) -> int:
@@ -267,18 +269,14 @@ def from_link(link: LinkDiagram) -> DecoratedDiagram:
     return DecoratedDiagram(*_fuse_bigons(*cable_network(link, 1, [])))
 
 
-def _fuse_bigons(nodes: list, wiring: dict) -> tuple:
-    """(nodes, wiring) of a network of 4-point coupons with every bigon
-    fused: two nodes u != v whose ports a, a+1 are wired to v's ports b,
-    b-1 (mod 4), and whose other four ports lead to neither, become one
-    coupon (_fused) on u's ports a+2, a+3 and v's b+1, b+2 in that cyclic
-    order.  The composite takes u's place and is fused again, so a twist
-    region becomes one node; the survivors keep their order."""
-    to = [0] * (4 * len(nodes))  # port 4 * node + i -> the port it is wired to
-    for (u, a), (v, b) in wiring.items():
-        p, q = 4 * u + a, 4 * v + b
-        to[p], to[q] = q, p
-    nodes = list(nodes)
+def _fuse_bigons(nodes: list, to: list) -> tuple:
+    """(nodes, to) of a network of 4-point coupons with every bigon fused:
+    two nodes u != v whose ports a, a+1 are wired to v's ports b, b-1 (mod
+    4), and whose other four ports lead to neither, become one coupon
+    (_fused) on u's ports a+2, a+3 and v's b+1, b+2 in that cyclic order.
+    The composite takes u's place and is fused again, so a twist region
+    becomes one node.  Fusing rewires `to` and clears v in `nodes`, both
+    in place; the survivors keep their order and are renumbered once."""
     for u in range(len(nodes)):
         a = 0 if nodes[u] is not None else 4
         while a < 4:
@@ -297,18 +295,12 @@ def _fuse_bigons(nodes: list, wiring: dict) -> tuple:
                     a = 0  # the composite may close another bigon
                     continue
             a += 1
-    index, live = {}, []
+    base, live = [0] * len(nodes), []
     for u, node in enumerate(nodes):
         if node is not None:
-            index[u] = len(live)
+            base[u] = 4 * len(live)
             live.append(node)
-    fused = {}
-    for u, i in index.items():
-        for a in range(4):
-            q = to[4 * u + a]
-            if 4 * u + a < q:
-                fused[i, a] = index[q >> 2], q & 3
-    return live, fused
+    return live, [base[q >> 2] | q & 3 for p, q in enumerate(to) if nodes[p >> 2] is not None]
 
 
 # Composites kept by _fused and _composite, each: a pass over one seed's
@@ -367,7 +359,7 @@ def morse_decompose(dd: DecoratedDiagram, max_width=None) -> MorsePlan:
     the two kept (the deferring one on ties), for the sweep's cap check to
     name."""
     half = _halves(dd.nodes)
-    cross, degree, _ = _graph(half, ((p, q) for p, q in dd.pairing.items() if p < q))
+    cross, degree, _ = _graph(half, dd.first, dd.to, _owner(dd.first))
     plan = MorsePlan(*_walk(cross, degree, [h > 0 for h in half])[:2])
     if plan.peak_width > resolve_max_width(max_width):
         plain = MorsePlan(*_walk(cross, degree, [False] * dd.node_count)[:2])
@@ -381,34 +373,37 @@ def _halves(nodes) -> list:
     return [node.port_count // 2 if node.projector else 0 for node in nodes]
 
 
-def _side(half: list, port: Port) -> int:
-    """The side tag of a port of a projector box: twice the box, +1 on top."""
-    return 2 * port[0] + (port[1] >= half[port[0]])
+def _side(half: list, first) -> list:
+    """One side tag per flat port: at a port of a projector box twice the
+    box, +1 on top, and -1 at every other port; `first` as in
+    DecoratedDiagram."""
+    return [2 * u + (i >= h) if h else -1
+            for u, h in enumerate(half) for i in range(first[u + 1] - first[u])]
 
 
-def _graph(half: list, wires) -> tuple:
+def _graph(half: list, first, to, owner: list) -> tuple:
     """The one reader of wiring for planning: (cross, degree, sides) of the
-    nodes with box halves `half` (_halves) joined by `wires`, (port, port)
-    pairs each given once.  cross[u][v] counts the wires between distinct
-    nodes u and v, degree[u] the wires from u to other nodes, and sides[u]
-    lists the side tags (_side) of u's wires into boxes; sides is None when
-    there is no box."""
-    cross = [{} for _ in half]
-    degree = [0] * len(half)
-    sides = [[] for _ in half] if any(half) else None
-    for p, q in wires:
-        a, b = p[0], q[0]
-        if a != b:
-            cross[a][b] = cross[a].get(b, 0) + 1
-            cross[b][a] = cross[b].get(a, 0) + 1
-            degree[a] += 1
-            degree[b] += 1
-        if sides is not None:
-            if half[b]:
-                sides[a].append(_side(half, q))
-            if half[a]:
-                sides[b].append(_side(half, p))
+    nodes with box halves `half` (_halves) wired by the port table `to`,
+    `first` as in DecoratedDiagram and owner[p] the node of port p.
+    cross[u] lists the node at the far end of each of u's wires (u itself
+    for a wire inside u), degree[u] counts the wires from u to other
+    nodes, and sides[u] lists the side tags (_side) of u's wires into
+    boxes; sides is None when there is no box."""
+    far = list(map(owner.__getitem__, to))
+    cross = [far[first[u]:first[u + 1]] for u in range(len(half))]
+    degree = [len(row) - row.count(u) for u, row in enumerate(cross)]
+    sides = None
+    if any(half):
+        sides = [[] for _ in half]
+        for u, h in enumerate(half):
+            for i in range(2 * h):  # port i of box u, its tag as _side gives it
+                sides[far[first[u] + i]].append(2 * u + (i >= h))
     return cross, degree, sides
+
+
+def _owner(first) -> list:
+    """The node of each port, `first` as in DecoratedDiagram."""
+    return [u for u in range(len(first) - 1) for _ in range(first[u], first[u + 1])]
 
 
 def _walk(cross: list, degree: list, boxes: list, sides=None) -> tuple:
@@ -453,10 +448,10 @@ def _walk(cross: list, degree: list, boxes: list, sides=None) -> tuple:
         if width > peak:
             peak = width
         chosen.append(v)
-        for u, c in cross[v].items():
+        for u in cross[v]:
             if not done[u]:
-                into[u] += c
-                key[u] -= c * drop
+                into[u] += 1
+                key[u] -= drop
                 push(heap, key[u])
         if sides is not None:
             tags = sides[v]
@@ -587,18 +582,16 @@ def _contract(dd: DecoratedDiagram, plan: MorsePlan) -> dict:
     return the total's term dict, or raise ValueError on mixed residues."""
     # None when there is no box to prune against
     half = _halves(dd.nodes)
-    if not any(half):
-        half = None
+    side = _side(half, dd.first) if any(half) else None
     bits = plan.peak_width.bit_length()
-    processed = [False] * dd.node_count
-    frontier, holes, slot_of = [], [], {}  # see _EventStep
+    frontier, holes, slot_of = [], [], [None] * len(dd.to)  # see _EventStep
     # term bag: key -> packed coefficient [lo, v]; bound is at least the
     # bag's total L1 norm, so it bounds every digit
     terms: dict[int, list] = {0: [0, 1]}
     width, bound = 32, 1
 
     for ni in plan.order:
-        step = _EventStep(dd, ni, frontier, holes, slot_of, processed, half, bits)
+        step = _EventStep(dd, ni, frontier, holes, slot_of, side, bits)
         splices, closing = step.splices, step.closing
         # terms grouped by the partners of the closing slots, so that each
         # signature's splice is worked out once
@@ -659,7 +652,6 @@ def _contract(dd: DecoratedDiagram, plan: MorsePlan) -> dict:
         for key in zeros:  # cancelled, unless a later merge revived it
             if not terms[key][1]:
                 del terms[key]
-        processed[ni] = True
         if not terms:
             break
 
@@ -684,17 +676,20 @@ class _EventStep:
     becomes a hole, each fresh port in port order takes the lowest hole
     (the min-heap `holes`) or else a new slot at the end, and trailing
     holes are trimmed.  The step updates the sweep's `frontier` (the port
-    at each slot, None at a hole), `holes` and `slot_of` (each open port's
-    slot) in place; no slot is renumbered.
+    at each slot, None at a hole: port 0 is box 0's bottom in a cable, so
+    never test a slot by truth), `holes` and `slot_of` (by port, the slot
+    of each port on the frontier, else None) in place; no slot is
+    renumbered.
     """
 
     __slots__ = ("closing", "bits",
                  "_glued", "_back", "_end", "_closing_port", "_tags", "_keep")
 
     def __init__(self, dd: DecoratedDiagram, ni: int, frontier: list, holes: list,
-                 slot_of: dict, processed: list, half: list | None, bits: int):
+                 slot_of: list, side: list | None, bits: int):
         node = dd.nodes[ni]
         nports = node.port_count
+        at = dd.first[ni]  # the global number of the node's port 0
         # the outside wire of port p re-enters the node at _back[p], or
         # else ends at slot _end[p] (closing ports: per signature)
         self._back: list = [None] * nports
@@ -704,12 +699,12 @@ class _EventStep:
         field = (1 << bits) - 1
         closing = 0
         fresh = []
-        for pi in range(nports):
-            port = dd.pairing[(ni, pi)]
-            if port[0] == ni:
-                self._back[pi] = port[1]
-            elif processed[port[0]]:
-                s = slot_of.pop((ni, pi))
+        for pi, port in enumerate(dd.to[at:at + nports]):
+            if at <= port < at + nports:
+                self._back[pi] = port - at
+            elif (s := slot_of[at + pi]) is not None:
+                # a port has a slot exactly when its wire's far node is swept
+                slot_of[at + pi] = None
                 self._closing_port[s] = pi
                 closing |= field << bits * s
                 frontier[s] = None
@@ -731,12 +726,12 @@ class _EventStep:
         self._keep = ((1 << bits * len(frontier)) - 1) & ~closing
         self._glued = node.glued
         # every live slot holds a port of a node not yet swept; its tag is
-        # the side tag (_side) of a port of a projector box, else a negative
+        # its side tag (_side) at a port of a projector box, else a negative
         # number no other slot has.  None when no two slots share a tag,
         # so that no row can cap a box
         self._tags = None
-        if half is not None:
-            tags = [_side(half, port) if port and half[port[0]] else -1 - s
+        if side is not None:
+            tags = [side[port] if port is not None and side[port] >= 0 else -1 - s
                     for s, port in enumerate(frontier)]
             if len(set(tags)) < len(tags):
                 self._tags = tags
@@ -817,64 +812,69 @@ def bracket_bruteforce(link: LinkDiagram) -> LaurentPolynomial:
 
 @functools.cache
 def _grid_template(m: int):
-    """The m x m grid at base 0, node (u, o) at u*m + o counting from 0:
-    its internal wires as (node, port, node, port) rows, its stub table."""
-    wires = [(u * m + o, 2, u * m + o + 1, 0) for u in range(m) for o in range(m - 1)]
-    wires += [(u * m + o, 1, u * m + o + m, 3) for o in range(m) for u in range(m - 1)]
+    """The m x m grid at base 0, node (u, o) at u*m + o counting from 0 and
+    its port i at 4 (u*m + o) + i: its own port table, each stub wired to
+    itself until a band takes it, and its stubs' ports in stub order."""
+    to = list(range(4 * m * m))
+    for p in range(0, 4 * m * m, 4):  # port 0 of each node
+        if p // 4 % m < m - 1:  # port 2 to the next node's port 0
+            to[p + 2], to[p + 4] = p + 4, p + 2
+        if p < 4 * m * (m - 1):  # port 1 to port 3 of the node m further on
+            to[p + 1], to[p + 4 * m + 3] = p + 4 * m + 3, p + 1
     last = m * m - 1
-    stubs = [(i * m, 0) for i in range(m)] + [(last - m + 1 + i, 1) for i in range(m)]
-    stubs += [(last - i * m, 2) for i in range(m)] + [(m - 1 - i, 3) for i in range(m)]
-    return tuple(wires), tuple(stubs)
+    stubs = [4 * i * m for i in range(m)] + [4 * (last - m + 1 + i) + 1 for i in range(m)]
+    stubs += [4 * (last - i * m) + 2 for i in range(m)] + [4 * (m - 1 - i) + 3 for i in range(m)]
+    return tuple(to), tuple(stubs)
 
 
 def cable_network(link: LinkDiagram, n: int, boxes, local=None) -> tuple:
-    """The n-cable of `link` as (nodes, wiring), each wire once: the one
-    builder of every network.  Band i of an arc runs from stub i (stubs
-    count counterclockwise 1..n in a slot) at its first PD slot to stub
-    n+1-i at the other.  Per (arc, node) in `boxes` band i enters the
-    node's bottom at i-1 and leaves its top there; other bands tie their
-    ends.  local[ci] = (m, shift, chords) lays out crossing ci: an m x m
-    CROSSING grid (under-strand u from slot 0 to 2, over-strand o from 3
-    to 1) whose boundary index idx at a slot is on stub idx + shift[slot],
-    and chords ((slot, stub), (slot, stub)) between stubs of boxed bands;
-    None gives n x n grids.  Nodes: the boxes, then the grids in order."""
+    """The n-cable of `link` as (nodes, to), its port table (see
+    DecoratedDiagram): the one builder of every network.  Band i of an arc
+    runs from stub i (stubs count counterclockwise 1..n in a slot) at its
+    first PD slot to stub n+1-i at the other.  Per (arc, node) in `boxes`,
+    each node of 2n points, band i enters the node's bottom at i-1 and
+    leaves its top there; other bands tie their ends.  local[ci] = (m,
+    shift, chords) lays out crossing ci: an m x m CROSSING grid
+    (under-strand u from slot 0 to 2, over-strand o from 3 to 1) whose
+    boundary index idx at a slot is on stub idx + shift[slot], and chords
+    ((slot, stub), (slot, stub)) between stubs of boxed bands; None gives
+    n x n grids.  Nodes: the boxes, then the grids in order."""
     if n < 1:
         raise ValueError("cable width must be >= 1")
-    count, wiring, stubs = _grids(link, n, len(boxes), local)
-    wiring.update(_bands(link, n, [arc for arc, _ in boxes], stubs, local))
-    return [node for _, node in boxes] + [CROSSING] * count, wiring
+    base = 2 * n * len(boxes)
+    to, stubs = _grids(link, n, base, local)
+    _bands(link, n, [arc for arc, _ in boxes], stubs, local, to)
+    return [node for _, node in boxes] + [CROSSING] * ((len(to) - base) // 4), to
 
 
 def _grids(link: LinkDiagram, n: int, base: int, local) -> tuple:
-    """cable_network's grids, numbered from node `base`: (node count, their
-    own wires, stub tables), stubs[ci][slot*n + j-1] the grid port on stub
-    j at that slot of crossing ci, or None where a chord ends."""
-    wiring: dict[Port, Port] = {}
+    """cable_network's grids after `base` box ports: (the port table, box
+    ports and stubs wired to themselves for _bands to wire, and the stub
+    tables), stubs[ci][slot*n + j-1] the grid port on stub j at that slot
+    of crossing ci, or None where a chord ends."""
+    to = list(range(base))
     stubs = []
-    start = base
     for ci in range(link.crossing_count):
         m, shift, _ = local[ci] if local else (n, None, ())
-        wires, ends = _grid_template(m)
-        for a, pa, b, pb in wires:
-            wiring[(base + a, pa)] = (base + b, pb)
-        table = [(base + node, slot) for node, slot in ends]
+        inner, ends = _grid_template(m)
+        at = len(to)
+        to += [at + q for q in inner]
+        table = [at + p for p in ends]
         if m < n:
             grid, table = table, [None] * (4 * n)
             for slot, lead in enumerate(shift):
                 table[slot * n + lead:slot * n + lead + m] = grid[slot * m:slot * m + m]
         stubs.append(table)
-        base += m * m
-    return base - start, wiring, stubs
+    return to, stubs
 
 
-def _bands(link: LinkDiagram, n: int, arcs, stubs: list, local) -> dict:
-    """cable_network's bands onto the stub tables of _grids, box b on each
-    band of arcs[b], and its chords."""
+def _bands(link: LinkDiagram, n: int, arcs, stubs: list, local, to: list):
+    """Wire cable_network's bands into `to` onto the stub tables of
+    _grids, box b on each band of arcs[b], and its chords."""
     boxed: dict = {}
     for b, arc in enumerate(arcs):
         if boxed.setdefault(arc, b) != b:
             raise ValueError(f"arc {arc!r} boxed twice")
-    wiring: dict[Port, Port] = {}
     facing = {}  # 4n*crossing + n*slot + j-1 -> the box port facing a chord's end
     for arc in link.arcs:
         (c1, p1), (c2, p2) = link.arc_slots(arc)
@@ -883,22 +883,22 @@ def _bands(link: LinkDiagram, n: int, arcs, stubs: list, local) -> dict:
         for i in range(n):
             end1, end2 = first[p1 * n + i], second[p2 * n + n - 1 - i]
             if b is None:
-                wiring[end1] = end2
+                to[end1], to[end2] = end2, end1
                 continue
-            bottom, top = (b, i), (b, top_point(i, n))
-            if end1:
-                wiring[end1] = bottom
+            bottom, top = 2 * n * b + i, 2 * n * b + top_point(i, n)
+            if end1 is not None:
+                to[end1], to[bottom] = bottom, end1
             else:
                 facing[4 * n * c1 + p1 * n + i] = bottom
-            if end2:
-                wiring[top] = end2
+            if end2 is not None:
+                to[top], to[end2] = end2, top
             else:
                 facing[4 * n * c2 + p2 * n + n - 1 - i] = top
     for ci, (_, _, chords) in enumerate(local or ()):
         at = 4 * n * ci - 1
         for (s1, j1), (s2, j2) in chords:
-            wiring[facing[at + s1 * n + j1]] = facing[at + s2 * n + j2]
-    return wiring
+            p, q = facing[at + s1 * n + j1], facing[at + s2 * n + j2]
+            to[p], to[q] = q, p
 
 
 def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
@@ -907,7 +907,7 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
     (cable_network).  Free loops of `link` are *not* carried over; the
     caller decides what a closed cabled loop is worth.  Boxes with m >= 2
     need a planar `link` (see _require_planar).  The network is nodes
-    plus wiring; morse_decompose plans it when it is swept."""
+    plus a port table; morse_decompose plans it when it is swept."""
     if box_arcs:
         _require_planar(link, m)
     return DecoratedDiagram(*cable_network(
@@ -930,7 +930,7 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
-    cost does.  Each placement is read by _graph off the very wiring
+    cost does.  Each placement is read by _graph off the very port table
     (cable_network's, grids built once) that its sweep runs on and walked
     by the box-deferring greedy, and ranked by its predicted live
     matchings if its peak width is within the cap `max_width`, else after
@@ -940,14 +940,18 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     ties) with the other boxes where they are, so the walks number the
     arcs, not their product."""
     comps = [sorted(comp, key=repr) for comp in link.components()]
-    n_grid, grid, stubs = _grids(link, m, len(comps), None)
-    half = [m] * len(comps) + [0] * n_grid
+    base = 2 * m * len(comps)
+    grid, stubs = _grids(link, m, base, None)
+    half = [m] * len(comps) + [0] * ((len(grid) - base) // 4)
+    first = [*range(0, base, 2 * m), *range(base, len(grid) + 1, 4)]
+    owner = _owner(first)
     boxes = [h > 0 for h in half]
     cap = resolve_max_width(max_width)
 
     def rank(arcs) -> tuple:
-        bands = _bands(link, m, arcs, stubs, None)
-        cross, degree, sides = _graph(half, itertools.chain(grid.items(), bands.items()))
+        to = list(grid)
+        _bands(link, m, arcs, stubs, None, to)
+        cross, degree, sides = _graph(half, first, to, owner)
         _, peak, cost = _walk(cross, degree, boxes, sides)
         return (0, cost) if peak <= cap else (1, peak)
 

@@ -96,34 +96,35 @@ def sweep_events(dd, order=None):
     masks and row codes and its pruning without the coefficient
     arithmetic, so a matching whose coefficient cancels to 0 still counts
     here (an upper bound on the live matchings, equal to them when nothing
-    cancels).  The frontier (the port at each slot, None at a hole) is
-    updated in place, so it is current only until the next event is
-    drawn."""
+    cancels).  The frontier (the global port at each slot, None at a
+    hole) is updated in place, so it is current only until the next event
+    is drawn."""
     box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
+    side = [2 * u + (i >= h) if h else -1
+            for u, h in enumerate(box_half) for i in range(dd.nodes[u].port_count)]
     plan = morse_decompose(dd)
     if order is not None:
         plan = MorsePlan(tuple(order), max(cut_widths(dd, order), default=0))
     bits = plan.peak_width.bit_length()
-    processed = [False] * dd.node_count
-    frontier, holes, slot_of = [], [], {}
+    frontier, holes, slot_of = [], [], [None] * len(dd.to)
     keys = {0}
     for ni in plan.order:
-        step = _EventStep(dd, ni, frontier, holes, slot_of, processed,
-                          box_half if any(box_half) else None, bits)
+        step = _EventStep(dd, ni, frontier, holes, slot_of,
+                          side if any(box_half) else None, bits)
         new_keys = set()
         for key in keys:
             rows, _, keep = step.splices(key & step.closing, 32)
             new_keys.update((key & keep) | code for code, *_ in rows)
         yield dd.nodes[ni], step, frontier, keys, new_keys
         keys = new_keys
-        processed[ni] = True
 
 
 def cut_widths(dd, order) -> list:
     """The number of wires with exactly one end in each swept prefix of
-    `order`, read straight off the wiring; the oracle for the planner's
-    widths."""
-    wires = [(a[0], b[0]) for a, b in dd.pairing.items() if a < b]
+    `order`, read straight off the port table `to`; the oracle for the
+    planner's widths."""
+    owner = [u for u, node in enumerate(dd.nodes) for _ in range(node.port_count)]
+    wires = [(owner[p], owner[q]) for p, q in enumerate(dd.to) if p < q]
     swept, widths = set(), []
     for ni in order:
         swept.add(ni)

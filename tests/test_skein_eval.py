@@ -41,6 +41,7 @@ from skeinlab.skein_eval import (
     _graph,
     _halves,
     _matching_count,
+    _owner,
     _pack,
     _place_boxes,
     _unpack,
@@ -145,7 +146,8 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
         weight = LaurentPolynomial.one()
         chords = []
         for i, (pmap, coeff) in zip(coupons, choice):
-            chords += [((i, a), (i, b)) for a, b in enumerate(pmap) if a < b]
+            at = dd.first[i]
+            chords += [(at + a, at + b) for a, b in enumerate(pmap) if a < b]
             weight = weight * LaurentPolynomial(coeff)
         total = total + weight * crossing_state_sum(dd, chords)
     return total
@@ -153,17 +155,15 @@ def coupon_state_sum(dd: DecoratedDiagram) -> LaurentPolynomial:
 
 def crossing_state_sum(dd: DecoratedDiagram, fixed_chords) -> LaurentPolynomial:
     """The 2^k state sum over the crossings of dd, every other coupon
-    replaced by the given chords between its ports."""
+    replaced by the given chords between its ports (global port numbers)."""
     crossings = [i for i, nd in enumerate(dd.nodes) if nd is CROSSING]
-    wires = [(a, b) for a, b in dd.pairing.items() if a < b]
-    ports = [(i, p) for i, nd in enumerate(dd.nodes) for p in range(nd.port_count)]
     # the classes of the fixed part (wires and coupon chords); a state only
     # merges classes through the joins of its crossings
-    root = union_find(ports, wires + fixed_chords)
+    root = union_find(range(len(dd.to)), list(enumerate(dd.to)) + fixed_chords)
     index = {}
     cls = {x: index.setdefault(r, len(index)) for x, r in root.items()}
     joins = {1: ((1, 2), (3, 0)), -1: ((0, 1), (2, 3))}
-    local = [{s: [(cls[(ci, a)], cls[(ci, b)]) for a, b in js]
+    local = [{s: [(cls[dd.first[ci] + a], cls[dd.first[ci] + b]) for a, b in js]
               for s, js in joins.items()} for ci in crossings]
 
     counts = collections.Counter()
@@ -382,7 +382,7 @@ def without_boxes(dd: DecoratedDiagram) -> DecoratedDiagram:
             node = copy.copy(node)
             node.projector = False
         nodes.append(node)
-    return DecoratedDiagram(nodes, dd.pairing)
+    return DecoratedDiagram(nodes, dd.to)
 
 
 def run_order(monkeypatch, order):
@@ -411,7 +411,7 @@ def walks(dd: DecoratedDiagram) -> tuple:
 
 def wiring_graph(dd: DecoratedDiagram) -> tuple:
     """(cross, degree, sides) of dd as the planner reads them."""
-    return _graph(_halves(dd.nodes), ((p, q) for p, q in dd.pairing.items() if p < q))
+    return _graph(_halves(dd.nodes), dd.first, dd.to, _owner(dd.first))
 
 
 # 14 crossings whose 1-cable fuses to 10 nodes, four of them twists of two
@@ -671,8 +671,13 @@ def boxes_moved(dd: DecoratedDiagram, front: bool) -> tuple:
     rest = [u for u, node in enumerate(dd.nodes) if not node.projector]
     order = boxes + rest if front else rest + boxes
     new = {u: i for i, u in enumerate(order)}
+    # the new global port of each old node's port 0
+    start = dict(zip(order, itertools.accumulate(
+        (dd.nodes[u].port_count for u in order), initial=0)))
+    owner = _owner(dd.first)
     moved = DecoratedDiagram([dd.nodes[u] for u in order],
-                             {(new[a], p): (new[b], q) for (a, p), (b, q) in dd.pairing.items()})
+                             [start[owner[q]] + q - dd.first[owner[q]]
+                              for u in order for q in dd.to[dd.first[u]:dd.first[u + 1]]])
     return moved, new
 
 
@@ -759,7 +764,7 @@ class TestBoxPlacement:
         assert counted_matchings(chosen) == 12164
         assert predicted_matchings(default) == 55763
         assert predicted_matchings(chosen) == 12990
-        assert chosen.pairing == cabled_diagram(d, 4, [3]).pairing
+        assert chosen.to == cabled_diagram(d, 4, [3]).to
 
     @pytest.mark.parametrize("name", KNOTS)
     def test_chosen_arc_counts_no_more_than_the_default(self, name):
@@ -772,7 +777,7 @@ class TestBoxPlacement:
         assert predicted_matchings(chosen) == least
         assert counted_matchings(chosen) <= counted_matchings(default)
         if predicted_matchings(default) == least:
-            assert chosen.pairing == default.pairing
+            assert chosen.to == default.to
 
     @pytest.mark.parametrize("d,n", [(fixture("hopf").diagram, 2),
                                      (fixture("hopf").diagram, 3),
@@ -788,7 +793,7 @@ class TestBoxPlacement:
 
         a = min(first, key=lambda x: cost([x, second[0]]))
         b = min(second, key=lambda y: cost([a, y]))
-        assert placed(d, n).pairing == cabled_diagram(d, n, [a, b]).pairing
+        assert placed(d, n).to == cabled_diagram(d, n, [a, b]).to
 
     def test_ties_go_to_the_earlier_arc(self):
         # the trefoil's J~_2 predicts 59 matchings on arcs 4 and 5, the least
@@ -796,7 +801,7 @@ class TestBoxPlacement:
         predicted = {a: predicted_matchings(cabled_diagram(d, 2, [a])) for a in d.arcs}
         assert sorted(a for a in d.arcs if predicted[a] == 59) == [4, 5]
         assert min(predicted.values()) == 59
-        assert placed(d, 2).pairing == cabled_diagram(d, 2, [4]).pairing
+        assert placed(d, 2).to == cabled_diagram(d, 2, [4]).to
 
     def test_plain_walks_are_the_fallback(self, monkeypatch):
         # were every box-deferring walk too wide, the plain walk of the
@@ -838,7 +843,7 @@ class TestBoxPlacement:
             dd = placed(d, 2, cap)
             assert morse_decompose(dd, max_width=cap).peak_width <= cap
             if cap < wide:
-                assert dd.pairing == cabled_diagram(d, 2, [arc]).pairing
+                assert dd.to == cabled_diagram(d, 2, [arc]).to
             assert colored_jones(d, 2, max_width=cap) == expect
 
     @pytest.mark.parametrize("word,strands,arc,narrow,wide", NARROW_ARC_BRAIDS)
@@ -850,13 +855,12 @@ class TestBoxPlacement:
             colored_jones(d, 2, max_width=narrow - 1)
 
     def test_a_network_carries_no_plan(self):
-        # a network is nodes plus wiring, so the sweep runs only plans
-        # that morse_decompose makes, and the width cap holds on a placed
-        # cable too: the figure-eight's 3-cable needs width 12
+        # a network is nodes plus its port table (no plan, see
+        # TestWiring), so the sweep runs only plans that morse_decompose
+        # makes, and the width cap holds on a placed cable too: the
+        # figure-eight's 3-cable needs width 12
         d = fixture("figure_eight").diagram
         dd = placed(d, 3, 11)
-        with pytest.raises(TypeError):
-            DecoratedDiagram(dd.nodes, dd.pairing, MorsePlan(tuple(range(dd.node_count)), 0))
         for sweep in (lambda: evaluate(dd, max_width=11),
                       lambda: colored_jones(d, 3, max_width=11)):
             with pytest.raises(ResourceLimitError, match="needs width 12, budget is 11 "):
@@ -864,13 +868,22 @@ class TestBoxPlacement:
 
 
 class TestWiring:
-    def test_involution_required(self):
-        with pytest.raises(ValueError):
-            DecoratedDiagram([CROSSING], {(0, 0): (0, 0), (0, 1): (0, 2)})
-
-    def test_full_coverage_required(self):
-        with pytest.raises(ValueError):
-            DecoratedDiagram([CROSSING], {(0, 0): (0, 1)})
+    @pytest.mark.parametrize("extra, to, error, match", [
+        ((), [1, 0, 3], ValueError, "3 wire ends for 4 ports"),
+        ((), [1, 0, 3, 2, 5, 4], ValueError, "6 wire ends for 4 ports"),
+        # a negative entry would read the table from its end
+        ((), [1, 0, -1, 2], ValueError, "outside 0..3"),
+        ((), [1, 0, 3, 4], ValueError, "outside 0..3"),
+        ((), [1, 0, 2, 3], ValueError, "port 2 wired to itself"),
+        ((), [1, 2, 3, 0], ValueError, "not an involution"),
+        # a network carries no plan: the sweep runs only morse_decompose's
+        ((MorsePlan((0,), 0),), [1, 0, 3, 2], TypeError, None),
+    ], ids=["short", "long", "negative", "past-the-end", "fixed-point",
+            "not-an-involution", "a-plan"])
+    def test_the_port_table_fails_closed(self, extra, to, error, match):
+        with pytest.raises(error, match=match):
+            DecoratedDiagram([CROSSING], to, *extra)
+        DecoratedDiagram([CROSSING], [1, 0, 3, 2])
 
     def test_coupon_must_cover_points(self):
         with pytest.raises(ValueError):
@@ -897,7 +910,7 @@ class TestOneNodeType:
         assert all(nd is CROSSING or nd.projector for nd in dd.nodes)
         fresh = [CouponNode(4, ((A_JOINS, {1: 1}), (B_JOINS, {-1: 1})))
                  if nd is CROSSING else nd for nd in dd.nodes]
-        fresh = DecoratedDiagram(fresh, dd.pairing)
+        fresh = DecoratedDiagram(fresh, dd.to)
         assert morse_decompose(fresh) == morse_decompose(dd)
         assert evaluate(fresh) == evaluate(dd)
 
@@ -1295,8 +1308,9 @@ def spread_order(dd: DecoratedDiagram, k: int) -> list:
     earlier one, then every other node in the greedy's order: each of the
     k adds its whole degree to the width."""
     first = []
+    owner = _owner(dd.first)
     for u in range(dd.node_count):
-        near = {q[0] for (v, _), q in dd.pairing.items() if v == u}
+        near = {owner[q] for q in dd.to[dd.first[u]:dd.first[u + 1]]}
         if len(first) < k and not near & set(first):
             first.append(u)
     return first + [u for u in morse_decompose(dd).order if u not in first]
@@ -1602,9 +1616,8 @@ class TestRationalValues:
         # closed strand contributes Delta_2/Delta_1, the surviving circle
         # a Delta_1, so the value is Delta_2^2 / delta.
         box = projector_node(2)
-        return DecoratedDiagram(
-            [box, box],
-            {(0, 0): (0, 3), (0, 1): (1, 0), (0, 2): (1, 3), (1, 1): (1, 2)})
+        # ports 0-3 on box0, 4-7 on box1
+        return DecoratedDiagram([box, box], [3, 4, 7, 0, 1, 6, 5, 2])
 
     def test_partial_closure_is_a_strict_quotient(self):
         from skeinlab.laurent import RationalFunction

@@ -4,8 +4,9 @@ package, which declares no dependencies, imports only the standard
 library; no private helper in the package lives on for tests alone;
 every public name, and every option of a public function, has a user
 besides the unit tests; no parameter of a private function is a constant
-in disguise; every private name the docs mention exists; and
-the README's bracket examples print what their comments say."""
+in disguise; every private name the docs mention exists; importing the
+package and loading its fixtures fills no engine cache; and the
+README's bracket examples print what their comments say."""
 import ast
 import collections
 import contextlib
@@ -14,8 +15,11 @@ import importlib.util
 import inspect
 import io
 import itertools
+import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -40,6 +44,35 @@ def test_every_traced_name_resolves():
         if not callable(getattr(module, func_name, None)):
             missing.append(name)
     assert missing == []
+
+
+# Run in a fresh interpreter: `import skeinlab; skeinlab.load_fixtures()`,
+# the set-up that the benchmark's setup_s times, then every functools
+# cache of the engine modules by name with its size, and the size of
+# CROSSING's glued table.
+CACHES_AFTER_IMPORT = """
+import json, skeinlab
+skeinlab.load_fixtures()
+from skeinlab import colored_states, skein_eval, temperley_lieb
+sizes = {f"{m.__name__}.{name}": f.cache_info().currsize
+         for m in (skein_eval, temperley_lieb, colored_states)
+         for name, f in vars(m).items() if hasattr(f, "cache_info")}
+print(json.dumps([sizes, len(skein_eval.CROSSING._glued)]))
+"""
+
+
+def test_import_and_fixture_load_fill_no_engine_cache():
+    # import time is set-up time for every caller, so no table (grid
+    # templates, projectors, glued rows) is built before it is asked for
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", CACHES_AFTER_IMPORT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    sizes, glued = json.loads(out.stdout)
+    assert {"skeinlab.skein_eval._grid_template", "skeinlab.skein_eval.projector_node",
+            "skeinlab.temperley_lieb.jones_wenzl"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size} == {}
+    assert glued == 0
 
 
 def test_the_package_imports_only_the_standard_library():

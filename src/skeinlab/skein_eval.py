@@ -359,7 +359,7 @@ def morse_decompose(dd: DecoratedDiagram, max_width=None) -> MorsePlan:
     the two kept (the deferring one on ties), for the sweep's cap check to
     name."""
     half = _halves(dd.nodes)
-    cross, degree, _ = _graph(half, dd.first, dd.to, _owner(dd.first))
+    cross, degree, _ = _graph(half, dd.first, dd.to)
     plan = MorsePlan(*_walk(cross, degree, [h > 0 for h in half])[:2])
     if plan.peak_width > resolve_max_width(max_width):
         plain = MorsePlan(*_walk(cross, degree, [False] * dd.node_count)[:2])
@@ -381,15 +381,15 @@ def _side(half: list, first) -> list:
             for u, h in enumerate(half) for i in range(first[u + 1] - first[u])]
 
 
-def _graph(half: list, first, to, owner: list) -> tuple:
+def _graph(half: list, first, to) -> tuple:
     """The one reader of wiring for planning: (cross, degree, sides) of the
     nodes with box halves `half` (_halves) wired by the port table `to`,
-    `first` as in DecoratedDiagram and owner[p] the node of port p.
+    `first` as in DecoratedDiagram.
     cross[u] lists the node at the far end of each of u's wires (u itself
     for a wire inside u), degree[u] counts the wires from u to other
     nodes, and sides[u] lists the side tags (_side) of u's wires into
     boxes; sides is None when there is no box."""
-    far = list(map(owner.__getitem__, to))
+    far = list(map(_owner(first).__getitem__, to))
     cross = [far[first[u]:first[u + 1]] for u in range(len(half))]
     degree = [len(row) - row.count(u) for u, row in enumerate(cross)]
     sides = None
@@ -943,15 +943,14 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     base = 2 * m * len(comps)
     grid, stubs = _grids(link, m, base, None)
     half = [m] * len(comps) + [0] * ((len(grid) - base) // 4)
-    first = [*range(0, base, 2 * m), *range(base, len(grid) + 1, 4)]
-    owner = _owner(first)
+    first = (0, *itertools.accumulate(2 * h or 4 for h in half))
     boxes = [h > 0 for h in half]
     cap = resolve_max_width(max_width)
 
     def rank(arcs) -> tuple:
         to = list(grid)
         _bands(link, m, arcs, stubs, None, to)
-        cross, degree, sides = _graph(half, first, to, owner)
+        cross, degree, sides = _graph(half, first, to)
         _, peak, cost = _walk(cross, degree, boxes, sides)
         return (0, cost) if peak <= cap else (1, peak)
 

@@ -19,7 +19,7 @@ before nodes kept their glued tables, by gluing with the slots as labels;
 enumerate_matchings lists the basis diagrams of TL_n by brute force.
 """
 from skeinlab.diagram import LinkDiagram
-from skeinlab.skein_eval import MorsePlan, _EventStep, morse_decompose
+from skeinlab.skein_eval import MorsePlan, _EventStep, _halves, _side, morse_decompose
 from skeinlab.temperley_lieb import PlanarMatching, glue
 
 
@@ -99,9 +99,8 @@ def sweep_events(dd, order=None):
     cancels).  The frontier (the global port at each slot, None at a
     hole) is updated in place, so it is current only until the next event
     is drawn."""
-    box_half = [node.port_count // 2 if node.projector else 0 for node in dd.nodes]
-    side = [2 * u + (i >= h) if h else -1
-            for u, h in enumerate(box_half) for i in range(dd.nodes[u].port_count)]
+    box_half = _halves(dd.nodes)
+    side = _side(box_half, dd.first) if any(box_half) else None
     plan = morse_decompose(dd)
     if order is not None:
         plan = MorsePlan(tuple(order), max(cut_widths(dd, order), default=0))
@@ -109,8 +108,7 @@ def sweep_events(dd, order=None):
     frontier, holes, slot_of = [], [], [None] * len(dd.to)
     keys = {0}
     for ni in plan.order:
-        step = _EventStep(dd, ni, frontier, holes, slot_of,
-                          side if any(box_half) else None, bits)
+        step = _EventStep(dd, ni, frontier, holes, slot_of, side, bits)
         new_keys = set()
         for key in keys:
             rows, _, keep = step.splices(key & step.closing, 32)

@@ -6,7 +6,7 @@ holds one SHA-256 of the network (each node's label, with its terms
 unless it is a projector box, in node order, then every wire as a pair
 of global port numbers, sorted) in "networks" and one of its
 morse_decompose order and peak width in "plans", kept apart so that a
-planner change can re-pin the plans alone.
+re-pin's diff shows whether the networks or only the plans moved.
 
 The keys cover the corpus: from_link's network, the placed J~ cables at
 n = 2..4, Y(s+-) at n = 2..4 and the all-top Lambda of s+- at n = 2, 3;
@@ -14,13 +14,12 @@ and 20 of the seed-1 bench bracket braids, whose PD texts the file
 keeps under "braids".
 
 Re-pin from the repository root with
-    PYTHONPATH=src python3 tests/test_network_digests.py [--plans]
-which rewrites both maps, or with --plans only "plans".
+    PYTHONPATH=src python3 tests/test_network_digests.py
+which rewrites both maps.
 """
 import hashlib
 import json
 import pathlib
-import sys
 
 from skeinlab.colored_states import build_upsilon, lambda_diagram
 from skeinlab.diagram import all_a_state, all_b_state, parse_pd
@@ -78,7 +77,6 @@ def test_every_network_and_plan_is_pinned():
 
 if __name__ == "__main__":
     built = networks()
-    if "--plans" not in sys.argv[1:]:
-        PINNED["networks"] = {key: network_digest(dd) for key, dd in sorted(built.items())}
+    PINNED["networks"] = {key: network_digest(dd) for key, dd in sorted(built.items())}
     PINNED["plans"] = {key: plan_digest(dd) for key, dd in sorted(built.items())}
     PATH.write_text(json.dumps(PINNED, indent=1) + "\n")

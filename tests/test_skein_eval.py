@@ -411,7 +411,7 @@ def walks(dd: DecoratedDiagram) -> tuple:
 
 def wiring_graph(dd: DecoratedDiagram) -> tuple:
     """(cross, degree, sides) of dd as the planner reads them."""
-    return _graph(_halves(dd.nodes), dd.first, dd.to, _owner(dd.first))
+    return _graph(_halves(dd.nodes), dd.first, dd.to)
 
 
 # 14 crossings whose 1-cable fuses to 10 nodes, four of them twists of two

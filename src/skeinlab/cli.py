@@ -80,11 +80,7 @@ def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
             raise MalformedPDError(f"bad JSON diagram: missing key {exc.args[0]!r}") from exc
         except (json.JSONDecodeError, TypeError) as exc:
             raise MalformedPDError(f"bad JSON diagram: {exc}") from exc
-        loops = payload.get("loops", 0)
-        if type(loops) is not int:  # bool is an int subclass; refuse it too
-            raise MalformedPDError(
-                f"bad JSON diagram: loops must be an integer, got {loops!r}")
-        return LinkDiagram(rows, free_loops=loops,
+        return LinkDiagram(rows, free_loops=payload.get("loops", 0),
                            name=str(payload.get("name", default_name)))
     return parse_pd(text, name=default_name)
 

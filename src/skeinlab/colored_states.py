@@ -131,7 +131,7 @@ def build_upsilon(link: LinkDiagram, n: int, s: tuple) -> DecoratedDiagram:
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
     _check_color(n)
     _check_state(link, s)
-    _require_planar(link, n)
+    _require_planar(link)
     return _network(link, n, s)
 
 
@@ -145,7 +145,7 @@ def lambda_diagram(link: LinkDiagram, n: int, s: tuple,
         raise ValueError("one corner index per crossing")
     _check_color(n)
     _check_state(link, s)
-    _require_planar(link, n)
+    _require_planar(link)
     return _network(link, n, s, indices)
 
 
@@ -161,7 +161,7 @@ def lambda_expand(link: LinkDiagram, n: int, s: tuple):
     if (m + 1) ** k > MAX_LAMBDA_TERMS:
         raise ResourceLimitError(
             f"{(m + 1) ** k} expansion terms exceed the cap of {MAX_LAMBDA_TERMS}")
-    _require_planar(link, n)
+    _require_planar(link)
     out = []
     for indices in itertools.product(range(m + 1), repeat=k):
         coeff = LaurentPolynomial.one()

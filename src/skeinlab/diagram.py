@@ -14,6 +14,14 @@ its own there.
 Unoriented diagrams do not distinguish the two under-strand ends, so each
 stored tuple is canonicalized up to rotation by two positions; this makes
 mirror() a genuine involution.
+
+The wiring of a diagram is one flat slot table, the form a network's
+port table has in skein_eval: slot 4c + p is position p of crossing c,
+and to[4c + p] is the slot at the other end of its arc, so `to` is its
+own inverse.  An arc's lower slot is its first.  Slots 4c and 4c + 2 are
+under-passages and 4c + 1 and 4c + 3 over-passages, so a slot's parity
+says which strand it is on, and the next slot counterclockwise at its
+crossing is s & ~3 | (s + 1) & 3.
 """
 from __future__ import annotations
 
@@ -55,10 +63,12 @@ class LinkDiagram:
     """An unoriented link diagram given by its crossing tuples.
 
     Arc labels may be any hashable values; parse_pd produces consecutive
-    integers.  free_loops counts crossing-free circle components.
+    integers.  free_loops counts crossing-free circle components; it must
+    be an int (not a bool).  `to` is the slot table of the module
+    docstring.
     """
 
-    __slots__ = ("crossings", "free_loops", "name", "arcs", "_slots_of_arc")
+    __slots__ = ("crossings", "free_loops", "name", "arcs", "to")
 
     def __init__(self, crossings: Iterable[Sequence[Hashable]], free_loops: int = 0,
                  name: str = ""):
@@ -74,31 +84,31 @@ class LinkDiagram:
         except TypeError as exc:
             raise MalformedPDError(
                 f"crossings must be rows of 4 hashable arc labels: {exc}") from exc
+        if type(free_loops) is not int:  # bool is an int subclass; refuse it too
+            raise MalformedPDError(f"loops must be an integer, got {free_loops!r}")
         if free_loops < 0:
             raise MalformedPDError("negative loop count")
         self.crossings = tuple(rows)
         self.free_loops = free_loops
         self.name = name
-        slots: dict[Hashable, list[tuple[int, int]]] = {}
-        for ci, t in enumerate(self.crossings):
-            for pos, arc in enumerate(t):
-                slots.setdefault(arc, []).append((ci, pos))
-        for arc, occ in slots.items():
-            if len(occ) != 2:
-                raise MalformedPDError(
-                    f"arc {arc!r} appears {len(occ)} time(s); every arc must appear exactly twice")
+        slots: dict = {}
+        for p, arc in enumerate(arc for t in rows for arc in t):
+            slots.setdefault(arc, []).append(p)
+        to = [0] * (4 * len(rows))
+        for arc, ends in slots.items():
+            if len(ends) != 2:
+                raise MalformedPDError(f"arc {arc!r} appears {len(ends)} time(s); "
+                                       "every arc must appear exactly twice")
+            p, q = ends
+            to[p], to[q] = q, p
         self.arcs = frozenset(slots)
-        self._slots_of_arc = slots
+        self.to = tuple(to)
 
     # -- structure -----------------------------------------------------
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def arc_slots(self, arc) -> tuple[tuple[int, int], tuple[int, int]]:
-        a, b = self._slots_of_arc[arc]
-        return a, b
 
     def components(self) -> list[frozenset]:
         """Partition of the arcs into link components (strand-following:
@@ -189,14 +199,13 @@ def _check_state(diagram: LinkDiagram, state: Sequence[int]) -> None:
 def apply_state(diagram: LinkDiagram, state: Sequence[int]) -> StateGraph:
     """Smooth every crossing and collect the circles.
 
-    Slot ends are (crossing, position) points; each arc connects its two
-    occurrences and each smoothing joins slot pairs within a crossing.
+    Slot 4c + p is position p of crossing c; each arc joins its two slots
+    (`to`) and each smoothing joins slot pairs within a crossing.
     """
     _check_state(diagram, state)
     k = diagram.crossing_count
     smoothing = [A_JOINS if s == 1 else B_JOINS for s in state]
-    joins = [(4 * c1 + p1, 4 * c2 + p2)
-             for (c1, p1), (c2, p2) in map(diagram.arc_slots, diagram.arcs)]
+    joins = list(enumerate(diagram.to))
     joins += [(4 * ci + a, 4 * ci + b)
               for ci, pairs in enumerate(smoothing) for a, b in pairs]
     root = union_find(range(4 * k), joins)
@@ -231,56 +240,32 @@ def is_adequate(diagram: LinkDiagram) -> bool:
 
 def is_planar(diagram: LinkDiagram) -> bool:
     """Euler's check on the rotation system of the PD code.  Each face is
-    traced by running along an arc to its other end and turning to the
-    next slot counterclockwise there; the code describes a planar diagram
-    exactly when there are crossings + 2 faces per connected component of
-    the crossing graph."""
-    k = diagram.crossing_count
-    other_end = {}
-    for arc in diagram.arcs:
-        a, b = diagram.arc_slots(arc)
-        other_end[a] = b
-        other_end[b] = a
+    a cycle of slots p -> the slot after to[p] counterclockwise at its
+    crossing: run along the arc to its other end and turn there.  The code
+    describes a planar diagram exactly when there are crossings + 2 faces
+    per connected component of the crossing graph."""
+    to = diagram.to
+    seen = [False] * len(to)
     faces = 0
-    seen = set()
-    for start in other_end:
-        if start in seen:
-            continue
-        faces += 1
-        c, p = start
-        while (c, p) not in seen:
-            seen.add((c, p))
-            c, p = other_end[(c, p)]
-            p = (p + 1) % 4
-    root = union_find(range(k), ((a[0], b[0]) for a, b in other_end.items()))
-    return faces == k + 2 * len(set(root.values()))
+    for start in range(len(to)):
+        if not seen[start]:
+            faces += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                q = to[p]
+                p = q & ~3 | (q + 1) & 3
+    root = union_find(range(diagram.crossing_count),
+                      ((p >> 2, q >> 2) for p, q in enumerate(to) if p < q))
+    return faces == len(root) + 2 * len(set(root.values()))
 
 
 def is_alternating(diagram: LinkDiagram) -> bool:
-    """Walk every strand; passages must alternate over/under.
-
-    Positions 0 and 2 are under-passages, 1 and 3 over-passages.  A strand
-    entering at a slot leaves at the opposite slot of the same crossing.
-    """
-    seen: set[tuple[int, int]] = set()
-    for ci in range(diagram.crossing_count):
-        for start in range(4):
-            if (ci, start) in seen:
-                continue
-            walk = []
-            c, p = ci, start
-            while (c, p) not in seen:
-                seen.add((c, p))
-                opp = (p + 2) % 4
-                seen.add((c, opp))
-                walk.append(p % 2)  # 0: under, 1: over
-                arc = diagram.crossings[c][opp]
-                (c1, p1), (c2, p2) = diagram.arc_slots(arc)
-                c, p = (c2, p2) if (c1, p1) == (c, opp) else (c1, p1)
-            for i in range(len(walk)):
-                if walk[i] == walk[(i + 1) % len(walk)]:
-                    return False
-    return True
+    """Every arc joins an under-passage (positions 0, 2) to an
+    over-passage (1, 3).  A strand leaves a crossing at the position
+    opposite the one it entered by, of the same parity, so this is the
+    strands' alternation of over and under."""
+    return all((p ^ q) & 1 for p, q in enumerate(diagram.to))
 
 
 def mirror(diagram: LinkDiagram) -> LinkDiagram:

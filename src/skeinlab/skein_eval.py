@@ -54,25 +54,26 @@ is worth exactly 0.  The sweep never builds such a term: each event tags
 each new slot at a box port with its side tag, 2 * box + (1 on the top)
 (_side), and drops every splice whose new strand joins two equal tags.
 Only coupons built with projector=True (projector_node) are pruned; a
-generic coupon never is.  The argument needs a planar network, so
-cabled_diagram, build_upsilon and lambda_diagram raise ValueError on a
-PD code that is not planar whenever they place f(n) boxes with n >= 2.
+generic coupon never is.  The argument needs a planar network, so every
+builder of a network from a PD code (from_link, cabled_diagram,
+build_upsilon, lambda_diagram) raises ValueError on a PD code that is
+not planar (_require_planar).
 
-One builder, cable_network, writes every network's port table as an
-n-cable: n x n grids (J~), (n-1) x (n-1) grids and chords (Y(s)), or
-chords (Lambda).
+One builder, cable_network, writes the port table of every boxed
+network as an n-cable: n x n grids (J~), (n-1) x (n-1) grids and chords
+(Y(s)), or chords (Lambda).
 
-The bracket's network (from_link) is the 1-cable with its bigons fused
-(_fuse_bigons, in place on the port table): two 4-point nodes joined
-by two wires that sit next to each other at both ends become one
-coupon, the TL_2 element of the tangle they make.  By Kauffman's
-relation a twist region of any length is alpha 1 + beta e, so it ends
-as one node of at most two terms, and the sweep has fewer events for
-the same terms.  A composite's terms are glued by temperley_lieb.glue
+The bracket's network (from_link) is the PD code's own slot table
+(LinkDiagram.to, the 1-cable's port table: crossing c's port p is slot
+4c + p) with its bigons fused (_fuse_bigons, in place on the table): two
+4-point nodes joined by two wires that sit next to each other at both
+ends become one coupon, the TL_2 element of the tangle they make.  By
+Kauffman's relation a twist region of any length is alpha 1 + beta e,
+so it ends as one node of at most two terms, and the sweep has fewer
+events for the same terms.  A composite's terms are glued by temperley_lieb.glue
 and interned by value (_composite, the last _TANGLE_CACHE of them), so
 equal tangles share one node and its glued tables.  A bigon bounds a
-face of any surface a PD code draws on, so a composite is a disk and
-its matchings never cross, even on a code that is not planar.  J~, Y(s)
+face, so a composite is a disk and its matchings never cross.  J~, Y(s)
 and Lambda networks are never fused.
 
 Live matchings set the cost, and the peak width (dangling wire-ends)
@@ -263,10 +264,13 @@ class DecoratedDiagram:
 
 
 def from_link(link: LinkDiagram) -> DecoratedDiagram:
-    """The bracket's network: the 1-cable, one crossing node per PD
-    crossing and no free loops, with every bigon fused (_fuse_bigons), so
-    that a twist region of any length is one 4-point coupon."""
-    return DecoratedDiagram(*_fuse_bigons(*cable_network(link, 1, [])))
+    """The bracket's network: one crossing node per PD crossing wired by
+    the slot table link.to, which is the 1-cable's port table, and no free
+    loops, with every bigon fused (_fuse_bigons), so that a twist region
+    of any length is one 4-point coupon.  `link` must be planar
+    (_require_planar)."""
+    _require_planar(link)
+    return DecoratedDiagram(*_fuse_bigons([CROSSING] * link.crossing_count, list(link.to)))
 
 
 def _fuse_bigons(nodes: list, to: list) -> tuple:
@@ -785,11 +789,8 @@ class _EventStep:
 def bracket(link: LinkDiagram, max_width: int | None = None) -> LaurentPolynomial:
     """Kauffman bracket, normalized so the empty diagram gives 1 and a
     crossing-free circle gives delta, swept on from_link's network, twist
-    regions fused.  A `link` that is not planar may raise ValueError (see
-    evaluate), on this network where the plain 1-cable (cabled_diagram(
-    link, 1)) would not or the other way round, as residues collide at
-    other events; neither returns a wrong value.  A planar one always
-    evaluates."""
+    regions fused.  A `link` that is not planar raises ValueError before
+    any network is built."""
     value = evaluate(from_link(link), max_width=max_width)
     return value * _DELTA ** link.free_loops if link.free_loops else value
 
@@ -829,7 +830,8 @@ def _grid_template(m: int):
 
 def cable_network(link: LinkDiagram, n: int, boxes, local=None) -> tuple:
     """The n-cable of `link` as (nodes, to), its port table (see
-    DecoratedDiagram): the one builder of every network.  Band i of an arc
+    DecoratedDiagram): the one builder of the J~, Y(s) and Lambda
+    networks; at n = 1 with no box the table is link.to.  Band i of an arc
     runs from stub i (stubs count counterclockwise 1..n in a slot) at its
     first PD slot to stub n+1-i at the other.  Per (arc, node) in `boxes`,
     each node of 2n points, band i enters the node's bottom at i-1 and
@@ -850,8 +852,8 @@ def cable_network(link: LinkDiagram, n: int, boxes, local=None) -> tuple:
 def _grids(link: LinkDiagram, n: int, base: int, local) -> tuple:
     """cable_network's grids after `base` box ports: (the port table, box
     ports and stubs wired to themselves for _bands to wire, and the stub
-    tables), stubs[ci][slot*n + j-1] the grid port on stub j at that slot
-    of crossing ci, or None where a chord ends."""
+    table), stubs[n*slot + j-1] the grid port on stub j at that PD slot
+    (LinkDiagram.to), or None where a chord ends."""
     to = list(range(base))
     stubs = []
     for ci in range(link.crossing_count):
@@ -864,24 +866,26 @@ def _grids(link: LinkDiagram, n: int, base: int, local) -> tuple:
             grid, table = table, [None] * (4 * n)
             for slot, lead in enumerate(shift):
                 table[slot * n + lead:slot * n + lead + m] = grid[slot * m:slot * m + m]
-        stubs.append(table)
+        stubs += table
     return to, stubs
 
 
 def _bands(link: LinkDiagram, n: int, arcs, stubs: list, local, to: list):
-    """Wire cable_network's bands into `to` onto the stub tables of
-    _grids, box b on each band of arcs[b], and its chords."""
+    """Wire cable_network's bands into `to` onto the stub table of
+    _grids, box b on each band of arcs[b], and its chords.  An arc is the
+    slot pair p < link.to[p], p its first slot."""
     boxed: dict = {}
     for b, arc in enumerate(arcs):
         if boxed.setdefault(arc, b) != b:
             raise ValueError(f"arc {arc!r} boxed twice")
-    facing = {}  # 4n*crossing + n*slot + j-1 -> the box port facing a chord's end
-    for arc in link.arcs:
-        (c1, p1), (c2, p2) = link.arc_slots(arc)
-        first, second = stubs[c1], stubs[c2]
-        b = boxed.get(arc)
+    facing = {}  # n*slot + j-1 -> the box port facing a chord's end
+    for p, q in enumerate(link.to):
+        if q < p:
+            continue
+        b = boxed.get(link.crossings[p >> 2][p & 3])
         for i in range(n):
-            end1, end2 = first[p1 * n + i], second[p2 * n + n - 1 - i]
+            s1, s2 = n * p + i, n * q + n - 1 - i
+            end1, end2 = stubs[s1], stubs[s2]
             if b is None:
                 to[end1], to[end2] = end2, end1
                 continue
@@ -889,11 +893,11 @@ def _bands(link: LinkDiagram, n: int, arcs, stubs: list, local, to: list):
             if end1 is not None:
                 to[end1], to[bottom] = bottom, end1
             else:
-                facing[4 * n * c1 + p1 * n + i] = bottom
+                facing[s1] = bottom
             if end2 is not None:
                 to[top], to[end2] = end2, top
             else:
-                facing[4 * n * c2 + p2 * n + n - 1 - i] = top
+                facing[s2] = top
     for ci, (_, _, chords) in enumerate(local or ()):
         at = 4 * n * ci - 1
         for (s1, j1), (s2, j2) in chords:
@@ -905,22 +909,22 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
     """The blackboard m-cable of `link` with the Jones-Wenzl box f(m)
     spliced across the cable at each arc in `box_arcs`, the boxes first
     (cable_network).  Free loops of `link` are *not* carried over; the
-    caller decides what a closed cabled loop is worth.  Boxes with m >= 2
-    need a planar `link` (see _require_planar).  The network is nodes
-    plus a port table; morse_decompose plans it when it is swept."""
-    if box_arcs:
-        _require_planar(link, m)
+    caller decides what a closed cabled loop is worth.  `link` must be
+    planar (_require_planar).  The network is nodes plus a port table;
+    morse_decompose plans it when it is swept."""
+    _require_planar(link)
     return DecoratedDiagram(*cable_network(
         link, m, [(arc, projector_node(m)) for arc in box_arcs]))
 
 
-def _require_planar(link: LinkDiagram, n: int):
-    """Turnback pruning of f(n) boxes is exact only on a planar network, so
-    a builder placing them rejects a PD code that is not planar; at n = 1 a
-    box has one port per side and nothing can be pruned."""
-    if n > 1 and not is_planar(link):
-        raise ValueError(f"{link.name or 'the diagram'} is not planar; f({n}) "
-                         "boxes are evaluated only on planar diagrams")
+def _require_planar(link: LinkDiagram):
+    """The one planarity rule of every builder of a network from a PD
+    code: turnback pruning is exact only on a planar network, and a code
+    that is not planar draws no diagram in the plane, so it is refused
+    with ValueError before any network is built."""
+    if not is_planar(link):
+        raise ValueError(f"{link.name or 'the diagram'} is not planar; networks "
+                         "are built only for planar diagrams")
 
 
 def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
@@ -965,12 +969,15 @@ def colored_jones(link: LinkDiagram, n: int,
     """Unreduced n-colored Jones polynomial in the Kauffman variable,
     blackboard framing: the n-cable with one Jones-Wenzl box per
     component, each on the arc that _place_boxes predicts cheapest to
-    sweep.  The 0-crossing unknot gives the loop polynomial of f(n)."""
+    sweep; at n = 1 the bracket.  The 0-crossing unknot gives the loop
+    polynomial of f(n)."""
     if n < 0:
         raise ValueError("color must be >= 0")
     resolve_max_width(max_width)  # reject a bad cap even when no sweep runs
     if n == 0:
         return LaurentPolynomial.one()
-    arcs = _place_boxes(link, n, max_width) if n >= 2 else ()
+    if n == 1:  # J~_1 is the bracket, and f(1) is one strand
+        return bracket(link, max_width)
+    arcs = _place_boxes(link, n, max_width)
     value = evaluate(cabled_diagram(link, n, arcs), max_width=max_width)
     return value * quantum_dimension(n) ** link.free_loops if link.free_loops else value

@@ -17,6 +17,10 @@ most it holds at once; sweep_events replays the events themselves, and
 signature_splices works out one event's splice the way the sweep did
 before nodes kept their glued tables, by gluing with the slots as labels;
 enumerate_matchings lists the basis diagrams of TL_n by brute force.
+
+planar_by_faces and alternating_by_strands are the oracles of the slot
+table predicates diagram.is_planar and diagram.is_alternating: they walk
+(crossing, position) pairs that they pair up from the arc labels alone.
 """
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import MorsePlan, _EventStep, _halves, _side, morse_decompose
@@ -41,12 +45,13 @@ def cable(diagram: LinkDiagram, m: int) -> LinkDiagram:
     if m < 1:
         raise ValueError("cable width must be >= 1")
     band_at: dict[tuple[int, int, int], tuple] = {}
-    for arc in diagram.arcs:
-        (c1, p1), (c2, p2) = diagram.arc_slots(arc)
-        for i in range(1, m + 1):
-            label = ("band", arc, i)
-            band_at[(c1, p1, i)] = label
-            band_at[(c2, p2, m + 1 - i)] = label
+    for p, q in enumerate(diagram.to):
+        if p < q:  # p is the arc's first slot
+            arc = diagram.crossings[p >> 2][p & 3]
+            for i in range(1, m + 1):
+                label = ("band", arc, i)
+                band_at[(p >> 2, p & 3, i)] = label
+                band_at[(q >> 2, q & 3, m + 1 - i)] = label
 
     crossings = []
     for ci, t in enumerate(diagram.crossings):
@@ -176,3 +181,66 @@ def enumerate_matchings(n: int) -> list[PlanarMatching]:
         return results
 
     return [PlanarMatching(n, pairs) for pairs in split(tuple(range(2 * n)))]
+
+
+def _other_ends(diagram: LinkDiagram) -> dict:
+    """{(crossing, position): the (crossing, position) at the other end
+    of its arc}, read off the arc labels."""
+    at: dict = {}
+    for c, row in enumerate(diagram.crossings):
+        for p, arc in enumerate(row):
+            at.setdefault(arc, []).append((c, p))
+    other = {}
+    for a, b in at.values():
+        other[a], other[b] = b, a
+    return other
+
+
+def planar_by_faces(diagram: LinkDiagram) -> bool:
+    """Euler's count on (crossing, position) pairs: trace each face by
+    running along an arc and turning to the next position
+    counterclockwise; planar exactly when there are crossings + 2 faces
+    per connected piece of the crossing graph."""
+    other_end = _other_ends(diagram)
+    faces, seen = 0, set()
+    for start in other_end:
+        if start in seen:
+            continue
+        faces += 1
+        c, p = start
+        while (c, p) not in seen:
+            seen.add((c, p))
+            c, p = other_end[(c, p)]
+            p = (p + 1) % 4
+    pieces, reached = 0, set()
+    for c in range(diagram.crossing_count):
+        if c in reached:
+            continue
+        pieces += 1
+        stack = [c]
+        while stack:
+            u = stack.pop()
+            if u not in reached:
+                reached.add(u)
+                stack += [other_end[(u, p)][0] for p in range(4)]
+    return faces == diagram.crossing_count + 2 * pieces
+
+
+def alternating_by_strands(diagram: LinkDiagram) -> bool:
+    """Walk every strand (in at a position, out at the opposite one);
+    its passages must alternate over (positions 1, 3) and under (0, 2)."""
+    other_end = _other_ends(diagram)
+    seen = set()
+    for start in other_end:
+        if start in seen:
+            continue
+        walk = []
+        c, p = start
+        while (c, p) not in seen:
+            opp = (p + 2) % 4
+            seen.update(((c, p), (c, opp)))
+            walk.append(p % 2)
+            c, p = other_end[(c, opp)]
+        if any(walk[i] == walk[i - 1] for i in range(len(walk))):
+            return False
+    return True

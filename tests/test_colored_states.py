@@ -178,11 +178,20 @@ def test_upsilon_color_one_is_classical_state(pd):
 
 
 def test_upsilon_color_one_random_diagrams():
-    for seed in range(12):
+    # a planar draw's Y(s) is its state diagram; one that is not planar is
+    # refused, at color 1 as at every other (8 of these 64 draws are planar)
+    planar = 0
+    for seed in range(64):
         d = random_link(4, seed)
         rng = random.Random(100 + seed)
         s = tuple(rng.choice((1, -1)) for _ in range(d.crossing_count))
-        assert evaluate(build_upsilon(d, 1, s)) == DELTA ** apply_state(d, s).circle_count
+        if is_planar(d):
+            planar += 1
+            assert evaluate(build_upsilon(d, 1, s)) == DELTA ** apply_state(d, s).circle_count
+        else:
+            with pytest.raises(ValueError, match="built only for planar diagrams"):
+                build_upsilon(d, 1, s)
+    assert planar >= 6
 
 
 def test_upsilon_free_loops():
@@ -349,7 +358,7 @@ def test_lambda_expand_rejects_a_nonplanar_diagram_first(monkeypatch):
     def build(*args):
         raise AssertionError("a term was built")
     monkeypatch.setattr(colored_states, "DecoratedDiagram", build)
-    with pytest.raises(ValueError, match="not planar"):
+    with pytest.raises(ValueError, match="built only for planar diagrams"):
         lambda_expand(d, 3, all_b_state(d))
 
 

@@ -22,7 +22,9 @@ from skeinlab.diagram import (
     parse_pd,
 )
 
-from cable_oracle import cable
+from cable_oracle import alternating_by_strands, cable, planar_by_faces
+from skeinlab.fixtures import fixture, fixture_names
+from test_skein_eval import random_braid_closure, random_link
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -57,6 +59,14 @@ class TestParsing:
     def test_arc_must_appear_twice(self):
         with pytest.raises(MalformedPDError):
             parse_pd("X 1 2 3 4")
+        with pytest.raises(MalformedPDError, match="appears 3 time"):
+            LinkDiagram([(1, 1, 1, 2), (2, 2, 3, 3)])
+
+    @pytest.mark.parametrize("loops", [2.5, True, False, "2", None, -1])
+    def test_loop_count_must_be_a_nonnegative_int(self, loops):
+        # a bool is an int subclass, refused too: True would count one loop
+        with pytest.raises(MalformedPDError):
+            LinkDiagram([], free_loops=loops)
 
     def test_malformed_entries(self):
         with pytest.raises(MalformedPDError):
@@ -174,6 +184,36 @@ class TestPredicates:
         curl = parse_pd("X 1 1 2 2")
         assert apply_state(curl, (1,)).circle_count == 1
         assert apply_state(curl, (-1,)).circle_count == 2
+
+
+def table_cases():
+    """Fixtures and their mirrors, braid closures, and random 4-valent
+    codes with 0..11 crossings, most of them not planar."""
+    cases = [fixture(name).diagram for name in fixture_names()]
+    cases += [random_braid_closure(1 + seed % 12, seed) for seed in range(300)]
+    cases += [random_link(seed % 12, seed) for seed in range(1500)]
+    return cases + [mirror(d) for d in cases]
+
+
+class TestSlotTable:
+    """LinkDiagram.to pairs the two slots of each arc, and the predicates
+    that read it agree with the walks on (crossing, position) pairs."""
+
+    def test_to_pairs_the_two_slots_of_each_arc(self):
+        for d in table_cases():
+            labels = [arc for row in d.crossings for arc in row]
+            assert len(d.to) == 4 * d.crossing_count
+            for p, q in enumerate(d.to):
+                assert p != q and d.to[q] == p and labels[p] == labels[q]
+
+    def test_predicates_match_the_walk_oracles(self):
+        seen = set()
+        for d in table_cases():
+            planar, alternating = is_planar(d), is_alternating(d)
+            assert planar == planar_by_faces(d), d.crossings
+            assert alternating == alternating_by_strands(d), d.crossings
+            seen.add((planar, alternating))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestMirror:

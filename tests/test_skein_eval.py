@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab.colored_states import all_states, build_upsilon, lambda_diagram
+from skeinlab.colored_states import all_states, build_upsilon, lambda_diagram, lambda_expand
 from skeinlab.diagram import (
     A_JOINS,
     B_JOINS,
@@ -75,6 +75,9 @@ HOPF = "X 4 1 3 2 / X 2 3 1 4"
 FIG8 = "X 4 2 5 1 / X 8 6 1 5 / X 6 3 7 4 / X 2 7 3 8"
 # a PD code that is not planar, as in test_cli
 NONPLANAR = "X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"
+# what the builders' planarity ValueError says, and the sweep's residue
+# ValueError does not
+NOT_PLANAR = "is not planar; networks are built only for planar diagrams"
 
 DELTA = loop_value()
 
@@ -218,8 +221,9 @@ class TestBracket:
             assert bracket(d) == bracket_bruteforce(d)
 
     def test_engine_matches_bruteforce_on_random_diagrams(self):
-        # a planar draw gives the state sum; one that is not planar gives
-        # it too, or raises ValueError if its coefficients mix residues
+        # a planar draw gives the state sum; bracket refuses one that is not
+        # planar before it builds a network, and the sweep of its raw slot
+        # table gives the state sum too or fails closed on mixed residues
         planar = 0
         for seed in range(45):
             k = 2 + seed % 9
@@ -228,8 +232,11 @@ class TestBracket:
             if is_planar(d):
                 planar += 1
                 assert bracket(d, max_width=99) == expect, f"seed {seed}"
-            else:
-                assert fails_closed(lambda: bracket(d, max_width=99), expect), f"seed {seed}"
+                continue
+            with pytest.raises(ValueError, match=NOT_PLANAR):
+                bracket(d, max_width=99)
+            raw = DecoratedDiagram([CROSSING] * k, d.to)
+            assert fails_closed(lambda: evaluate(raw, max_width=99), expect), f"seed {seed}"
         assert 0 < planar < 45
 
     def test_engine_matches_bruteforce_on_braid_closures(self):
@@ -917,7 +924,8 @@ class TestOneNodeType:
 
 class TestPlanarity:
     """Turnback pruning is exact only on planar networks, so every builder
-    that places f(n) boxes with n >= 2 rejects a PD code that is not."""
+    of a network from a PD code rejects one that is not planar, boxes or
+    no boxes, at every color."""
 
     def test_builders_with_boxes_reject_a_nonplanar_diagram(self):
         d = random_link(6, 2)
@@ -928,22 +936,47 @@ class TestPlanarity:
                       lambda: cabled_diagram(d, 3, first_arcs),
                       lambda: build_upsilon(d, 3, s),
                       lambda: lambda_diagram(d, 3, s, (2,) * d.crossing_count)):
-            with pytest.raises(ValueError, match="not planar"):
+            with pytest.raises(ValueError, match=NOT_PLANAR):
                 build()
 
+    def test_every_builder_rejects_every_nonplanar_draw(self):
+        draws = [parse_pd(NONPLANAR)] + [d for d in (random_link(1 + seed % 6, seed)
+                                                     for seed in range(40))
+                                         if not is_planar(d)]
+        assert len(draws) > 30
+        for d in draws:
+            k, s = d.crossing_count, all_b_state(d)
+            arcs = [min(comp, key=repr) for comp in d.components()]
+            builds = [lambda: bracket(d), lambda: from_link(d),
+                      lambda: colored_jones(d, 1), lambda: colored_jones(d, 2),
+                      lambda: colored_jones(d, 3), lambda: cabled_diagram(d, 1),
+                      lambda: cabled_diagram(d, 2), lambda: cabled_diagram(d, 2, arcs),
+                      lambda: build_upsilon(d, 1, s), lambda: build_upsilon(d, 2, s),
+                      lambda: lambda_diagram(d, 2, s, (1,) * k),
+                      lambda: lambda_expand(d, 2, s)]
+            for i, build in enumerate(builds):
+                with pytest.raises(ValueError, match=NOT_PLANAR):
+                    build()
+                    pytest.fail(f"build {i} accepted {d.crossings}")
+
     def test_networks_without_pruning_raise_or_agree_on_a_nonplanar_diagram(self):
-        # no box, or one-strand boxes: nothing is pruned.  This diagram's
-        # coefficients mix residues mod 4, so its sweeps raise rather than
-        # return a value; its 2-cable's do not, and both cable builders give
-        # the same value (generic coupons on such diagrams are
-        # TestCouponOracle's)
+        # no box, or one-strand boxes: nothing would be pruned, and still
+        # the builders refuse the code.  Its raw slot table, swept without
+        # them, mixes residues mod 4 and fails closed; its 2-cable's do not,
+        # and both cable builders give the same value (generic coupons on
+        # such diagrams are TestCouponOracle's)
         d = random_link(6, 2)
         arcs = sorted(d.arcs, key=repr)[:2]
-        for sweep in (lambda: bracket(d), lambda: evaluate(cabled_diagram(d, 1, arcs))):
-            with pytest.raises(ValueError, match="residue class mod 4"):
-                sweep()
-        assert (evaluate(cabled_diagram(d, 2), max_width=99)
-                == bracket(cable(d, 2), max_width=99))
+        for build in (lambda: bracket(d), lambda: colored_jones(d, 1),
+                      lambda: cabled_diagram(d, 1), lambda: cabled_diagram(d, 1, arcs)):
+            with pytest.raises(ValueError, match=NOT_PLANAR):
+                build()
+        with pytest.raises(ValueError, match="residue class mod 4"):
+            evaluate(DecoratedDiagram([CROSSING] * d.crossing_count, d.to))
+        c = cable(d, 2)
+        assert (evaluate(DecoratedDiagram(*cable_network(d, 2, [])), max_width=99)
+                == evaluate(DecoratedDiagram([CROSSING] * c.crossing_count, c.to),
+                            max_width=99))
 
 
 class TestCabledEvaluation:
@@ -1116,12 +1149,15 @@ class TestPackedCoefficients:
             evaluate(coupon_cable(d, 2, [1], coupon))
 
     def test_a_nonplanar_bracket_fails_closed(self):
-        # every crossing factor keeps one residue, so here the merge check
+        # bracket refuses the code up front; swept as its raw slot table,
+        # every crossing factor keeps one residue, so there the merge check
         # raises, when two terms of different residues meet
         d = parse_pd(NONPLANAR)
         assert not is_planar(d)
-        with pytest.raises(ValueError, match="residue class mod 4"):
+        with pytest.raises(ValueError, match=NOT_PLANAR):
             bracket(d)
+        with pytest.raises(ValueError, match="residue class mod 4"):
+            evaluate(DecoratedDiagram([CROSSING] * d.crossing_count, d.to))
 
     def test_a_wide_coefficient_widens_the_digits(self, monkeypatch):
         # every repack goes from one width to a wider one, each step a
@@ -1535,9 +1571,10 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     joined to one half of d2's.  Either pairing of the halves is planar."""
     union = disjoint_union(d1, d2)
     a, b = (0, min(d1.arcs, key=repr)), (1, min(d2.arcs, key=repr))
-    (ca, pa), (cb, pb) = union.arc_slots(a)[1], union.arc_slots(b)[0]
+    labels = [arc for row in union.crossings for arc in row]
+    sa, sb = union.to[labels.index(a)], labels.index(b)  # a's second slot, b's first
     rows = [list(row) for row in union.crossings]
-    rows[ca][pa], rows[cb][pb] = b, a
+    rows[sa >> 2][sa & 3], rows[sb >> 2][sb & 3] = b, a
     return LinkDiagram(rows)
 
 
@@ -1600,6 +1637,34 @@ class TestMetamorphic:
         assert is_planar(total) and len(total.components()) == 1
         assert (colored_jones(total, n) * quantum_dimension(n)
                 == colored_jones(d1, n) * colored_jones(d2, n))
+
+
+class TestSlotTableNetwork:
+    """from_link sweeps the PD code's own slot table: cable_network's
+    1-cable without boxes, its oracle, is that table, and colored_jones
+    at n = 1 is the bracket."""
+
+    @staticmethod
+    def check(d):
+        assert cable_network(d, 1, []) == ([CROSSING] * d.crossing_count, list(d.to))
+        assert colored_jones(d, 1) == bracket(d)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures_and_mirrors(self, name):
+        d = fixture(name).diagram
+        self.check(d)
+        self.check(mirror(d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(braid_words())
+    def test_braid_closures(self, case):
+        self.check(braid_closure(*case))
+
+    def test_free_loops(self):
+        d = parse_pd(TREFOIL + " / O / O")
+        self.check(d)
+        assert colored_jones(d, 1) == bracket(parse_pd(TREFOIL)) * DELTA ** 2
+        assert colored_jones(parse_pd("O"), 1) == DELTA
 
 
 def _two_coupon_diagram(link, arc1, arc2, c1, c2):

@@ -31,7 +31,6 @@ from .diagram import (
     is_adequate,
     is_alternating,
     is_b_adequate,
-    is_planar,
     mirror,
     parse_pd,
 )
@@ -103,7 +102,7 @@ __all__ = [
     "quantum_binomial", "quantum_dimension",
     "LinkDiagram", "MalformedPDError", "StateGraph", "all_a_state",
     "all_b_state", "apply_state", "is_a_adequate", "is_adequate",
-    "is_alternating", "is_b_adequate", "is_planar", "mirror", "parse_pd",
+    "is_alternating", "is_b_adequate", "mirror", "parse_pd",
     "PlanarMatching", "TLElement", "closure", "jones_wenzl", "partial_trace",
     "tl_multiply", "tl_tensor",
     "CROSSING", "CouponNode", "DecoratedDiagram", "MorsePlan",

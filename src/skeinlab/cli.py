@@ -28,8 +28,7 @@ from pathlib import Path
 from .colored_states import all_states, alpha, build_upsilon
 from .diagram import (
     LinkDiagram, MalformedPDError, all_a_state, all_b_state, apply_state,
-    is_a_adequate, is_adequate, is_alternating, is_b_adequate, is_planar,
-    parse_pd,
+    is_a_adequate, is_adequate, is_alternating, is_b_adequate, parse_pd,
 )
 from .fixtures import fixture, fixture_names
 from .laurent import LaurentPolynomial, RationalFunction, loop_value
@@ -49,24 +48,20 @@ EXIT_PIPE = 141
 # input plumbing
 
 def _load_input(args) -> LinkDiagram:
-    """Resolve the single diagram named by --pd/--file; it must be planar,
-    as the engine's turnback pruning assumes."""
+    """Resolve the single diagram named by --pd/--file; LinkDiagram
+    refuses a code that is not planar."""
     if args.pd is not None and args.file is not None:
         raise MalformedPDError("give exactly one of --pd and --file")
     if args.pd is not None:
-        diagram = parse_pd(args.pd, name="input")
-    elif args.file is None:
+        return parse_pd(args.pd, name="input")
+    if args.file is None:
         raise MalformedPDError("no input: give --pd or --file")
-    else:
-        path = Path(args.file)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise MalformedPDError(f"cannot read {path}: {exc}") from exc
-        diagram = _parse_any(text, default_name=path.stem)
-    if not is_planar(diagram):
-        raise MalformedPDError("the PD code does not describe a planar diagram")
-    return diagram
+    path = Path(args.file)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise MalformedPDError(f"cannot read {path}: {exc}") from exc
+    return _parse_any(text, default_name=path.stem)
 
 
 def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:

@@ -36,7 +36,6 @@ from .laurent import (
 from .skein_eval import (
     DecoratedDiagram,
     ResourceLimitError,
-    _require_planar,
     cable_network,
     evaluate_rational,
     projector_node,
@@ -50,6 +49,8 @@ MAX_LAMBDA_TERMS = 65536
 
 
 def _check_color(n: int):
+    if type(n) is not int:  # bool is an int subclass; refuse it too
+        raise ValueError(f"color must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("color must be >= 1")
 
@@ -115,7 +116,7 @@ def _network(link: LinkDiagram, n: int, s: tuple, indices=None) -> DecoratedDiag
     """Y(s), or given one corner index per crossing its Lambda diagram:
     the n-cable of cable_network with an f(n) box on every arc (by repr)
     and each crossing laid out by _local, then a closed f(n) box per free
-    loop.  The caller has checked the color, the state and planarity."""
+    loop.  The caller has checked the color and the state."""
     box = projector_node(n)
     local = [_local(sign, n, k) for sign, k in zip(s, indices or itertools.repeat(None))]
     nodes, to = cable_network(
@@ -131,7 +132,6 @@ def build_upsilon(link: LinkDiagram, n: int, s: tuple) -> DecoratedDiagram:
     s with a residual (n-1)-cabled crossing, one f(n) box per arc."""
     _check_color(n)
     _check_state(link, s)
-    _require_planar(link)
     return _network(link, n, s)
 
 
@@ -145,7 +145,6 @@ def lambda_diagram(link: LinkDiagram, n: int, s: tuple,
         raise ValueError("one corner index per crossing")
     _check_color(n)
     _check_state(link, s)
-    _require_planar(link)
     return _network(link, n, s, indices)
 
 
@@ -161,7 +160,6 @@ def lambda_expand(link: LinkDiagram, n: int, s: tuple):
     if (m + 1) ** k > MAX_LAMBDA_TERMS:
         raise ResourceLimitError(
             f"{(m + 1) ** k} expansion terms exceed the cap of {MAX_LAMBDA_TERMS}")
-    _require_planar(link)
     out = []
     for indices in itertools.product(range(m + 1), repeat=k):
         coeff = LaurentPolynomial.one()

@@ -59,13 +59,35 @@ def _canonical_crossing(t: tuple) -> tuple:
     return min(t, r)
 
 
+def _planar(to: list) -> bool:
+    """Euler's check on the rotation system of the slot table `to`.  Each
+    face is a cycle of slots p -> the slot after to[p] counterclockwise at
+    its crossing: run along the arc to its other end and turn there.  The
+    code describes a planar diagram exactly when there are crossings + 2
+    faces per connected component of the crossing graph."""
+    seen = [False] * len(to)
+    faces = 0
+    for start in range(len(to)):
+        if not seen[start]:
+            faces += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                q = to[p]
+                p = q & ~3 | (q + 1) & 3
+    root = union_find(range(len(to) >> 2),
+                      ((p >> 2, q >> 2) for p, q in enumerate(to) if p < q))
+    return faces == len(root) + 2 * len(set(root.values()))
+
+
 class LinkDiagram:
     """An unoriented link diagram given by its crossing tuples.
 
     Arc labels may be any hashable values; parse_pd produces consecutive
     integers.  free_loops counts crossing-free circle components; it must
     be an int (not a bool).  `to` is the slot table of the module
-    docstring.
+    docstring.  Every arc must appear exactly twice and the code must be
+    planar (_planar): a diagram is drawn in the plane by construction.
     """
 
     __slots__ = ("crossings", "free_loops", "name", "arcs", "to")
@@ -101,6 +123,9 @@ class LinkDiagram:
                                        "every arc must appear exactly twice")
             p, q = ends
             to[p], to[q] = q, p
+        if not _planar(to):
+            raise MalformedPDError(f"{name or 'the PD code'} is not planar: "
+                                   "it draws no diagram in the plane")
         self.arcs = frozenset(slots)
         self.to = tuple(to)
 
@@ -223,41 +248,15 @@ def apply_state(diagram: LinkDiagram, state: Sequence[int]) -> StateGraph:
 
 def is_a_adequate(diagram: LinkDiagram) -> bool:
     """No crossing touches the same all-A circle twice."""
-    if diagram.crossing_count == 0:
-        return True
     return not apply_state(diagram, all_a_state(diagram)).has_loop_edge
 
 
 def is_b_adequate(diagram: LinkDiagram) -> bool:
-    if diagram.crossing_count == 0:
-        return True
     return not apply_state(diagram, all_b_state(diagram)).has_loop_edge
 
 
 def is_adequate(diagram: LinkDiagram) -> bool:
     return is_a_adequate(diagram) and is_b_adequate(diagram)
-
-
-def is_planar(diagram: LinkDiagram) -> bool:
-    """Euler's check on the rotation system of the PD code.  Each face is
-    a cycle of slots p -> the slot after to[p] counterclockwise at its
-    crossing: run along the arc to its other end and turn there.  The code
-    describes a planar diagram exactly when there are crossings + 2 faces
-    per connected component of the crossing graph."""
-    to = diagram.to
-    seen = [False] * len(to)
-    faces = 0
-    for start in range(len(to)):
-        if not seen[start]:
-            faces += 1
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                q = to[p]
-                p = q & ~3 | (q + 1) & 3
-    root = union_find(range(diagram.crossing_count),
-                      ((p >> 2, q >> 2) for p, q in enumerate(to) if p < q))
-    return faces == len(root) + 2 * len(set(root.values()))
 
 
 def is_alternating(diagram: LinkDiagram) -> bool:

@@ -34,7 +34,7 @@ Packed coefficients.  A coefficient is a pair (lo, v): the int v =
 sum c_i 2^(W i) of balanced digits |c_i| < 2^(W-1) stands for sum c_i
 A^(lo + 4i).  On a planar network of crossings and Jones-Wenzl boxes
 every coefficient keeps its exponents in one residue class mod 4.  A
-factor or a collision that mixes residues (a PD code that is not planar,
+factor or a collision that mixes residues (a network that is not planar,
 or a coupon whose terms mix them) raises ValueError: the sweep fails
 closed and never returns a value it cannot pack.  A row's factor, local
 coefficient times delta^loops, is packed once per node, outside-wire
@@ -54,10 +54,9 @@ is worth exactly 0.  The sweep never builds such a term: each event tags
 each new slot at a box port with its side tag, 2 * box + (1 on the top)
 (_side), and drops every splice whose new strand joins two equal tags.
 Only coupons built with projector=True (projector_node) are pruned; a
-generic coupon never is.  The argument needs a planar network, so every
-builder of a network from a PD code (from_link, cabled_diagram,
-build_upsilon, lambda_diagram) raises ValueError on a PD code that is
-not planar (_require_planar).
+generic coupon never is.  The argument needs a planar network, and a
+LinkDiagram is planar by construction, so every network built from one
+is planar.
 
 One builder, cable_network, writes the port table of every boxed
 network as an n-cable: n x n grids (J~), (n-1) x (n-1) grids and chords
@@ -107,7 +106,7 @@ import operator
 import os
 from dataclasses import dataclass
 
-from .diagram import A_JOINS, B_JOINS, LinkDiagram, apply_state, is_planar
+from .diagram import A_JOINS, B_JOINS, LinkDiagram, apply_state
 from .laurent import (
     LaurentPolynomial,
     ONE,
@@ -267,9 +266,7 @@ def from_link(link: LinkDiagram) -> DecoratedDiagram:
     """The bracket's network: one crossing node per PD crossing wired by
     the slot table link.to, which is the 1-cable's port table, and no free
     loops, with every bigon fused (_fuse_bigons), so that a twist region
-    of any length is one 4-point coupon.  `link` must be planar
-    (_require_planar)."""
-    _require_planar(link)
+    of any length is one 4-point coupon."""
     return DecoratedDiagram(*_fuse_bigons([CROSSING] * link.crossing_count, list(link.to)))
 
 
@@ -789,8 +786,7 @@ class _EventStep:
 def bracket(link: LinkDiagram, max_width: int | None = None) -> LaurentPolynomial:
     """Kauffman bracket, normalized so the empty diagram gives 1 and a
     crossing-free circle gives delta, swept on from_link's network, twist
-    regions fused.  A `link` that is not planar raises ValueError before
-    any network is built."""
+    regions fused."""
     value = evaluate(from_link(link), max_width=max_width)
     return value * _DELTA ** link.free_loops if link.free_loops else value
 
@@ -909,28 +905,16 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
     """The blackboard m-cable of `link` with the Jones-Wenzl box f(m)
     spliced across the cable at each arc in `box_arcs`, the boxes first
     (cable_network).  Free loops of `link` are *not* carried over; the
-    caller decides what a closed cabled loop is worth.  `link` must be
-    planar (_require_planar).  The network is nodes plus a port table;
-    morse_decompose plans it when it is swept."""
-    _require_planar(link)
+    caller decides what a closed cabled loop is worth.  The network is
+    nodes plus a port table; morse_decompose plans it when it is swept."""
     return DecoratedDiagram(*cable_network(
         link, m, [(arc, projector_node(m)) for arc in box_arcs]))
-
-
-def _require_planar(link: LinkDiagram):
-    """The one planarity rule of every builder of a network from a PD
-    code: turnback pruning is exact only on a planar network, and a code
-    that is not planar draws no diagram in the plane, so it is refused
-    with ValueError before any network is built."""
-    if not is_planar(link):
-        raise ValueError(f"{link.name or 'the diagram'} is not planar; networks "
-                         "are built only for planar diagrams")
 
 
 def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
     """The box arcs, one per component, of the m-cable of `link` with an
     f(m) box on each component, chosen by the prediction of the walk
-    morse_decompose would keep; cabled_diagram checks that `link` is planar.
+    morse_decompose would keep.
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
@@ -971,6 +955,8 @@ def colored_jones(link: LinkDiagram, n: int,
     component, each on the arc that _place_boxes predicts cheapest to
     sweep; at n = 1 the bracket.  The 0-crossing unknot gives the loop
     polynomial of f(n)."""
+    if type(n) is not int:  # bool is an int subclass; refuse it too
+        raise ValueError(f"color must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("color must be >= 0")
     resolve_max_width(max_width)  # reject a bad cap even when no sweep runs

@@ -18,10 +18,15 @@ signature_splices works out one event's splice the way the sweep did
 before nodes kept their glued tables, by gluing with the slots as labels;
 enumerate_matchings lists the basis diagrams of TL_n by brute force.
 
-planar_by_faces and alternating_by_strands are the oracles of the slot
-table predicates diagram.is_planar and diagram.is_alternating: they walk
-(crossing, position) pairs that they pair up from the arc labels alone.
+planar_by_faces and alternating_by_strands are the oracles of the
+LinkDiagram constructor's planarity check and of diagram.is_alternating:
+they walk (crossing, position) pairs that they pair up from the arc
+labels alone.  raw_code builds a code's slot table the same way, planar
+or not, for the sweep's fail-closed tests: no LinkDiagram holds a code
+that is not planar.
 """
+from types import SimpleNamespace
+
 from skeinlab.diagram import LinkDiagram
 from skeinlab.skein_eval import MorsePlan, _EventStep, _halves, _side, morse_decompose
 from skeinlab.temperley_lieb import PlanarMatching, glue
@@ -40,8 +45,18 @@ def _stub_index(slot: int, m: int, *, x: int = 0, y: int = 0) -> int:
 
 def cable(diagram: LinkDiagram, m: int) -> LinkDiagram:
     """Blackboard m-cable: k*m^2 crossings, every arc made into m parallel
-    copies.  Band arcs are labeled ("band", arc, i) with i = 1..m indexed
-    counterclockwise at the arc's first slot end."""
+    copies (cable_rows)."""
+    return LinkDiagram(
+        cable_rows(diagram, m),
+        free_loops=diagram.free_loops * m,
+        name=f"cable({diagram.name or '?'},{m})",
+    )
+
+
+def cable_rows(diagram, m: int) -> list:
+    """The crossings of the blackboard m-cable of `diagram` (a LinkDiagram
+    or a raw_code).  Band arcs are labeled ("band", arc, i) with i = 1..m
+    indexed counterclockwise at the arc's first slot end."""
     if m < 1:
         raise ValueError("cable width must be >= 1")
     band_at: dict[tuple[int, int, int], tuple] = {}
@@ -72,11 +87,7 @@ def cable(diagram: LinkDiagram, m: int) -> LinkDiagram:
         for u in range(1, m + 1):
             for o in range(1, m + 1):
                 crossings.append((vert(u, o - 1), horiz(o, u), vert(u, o), horiz(o, u - 1)))
-    return LinkDiagram(
-        crossings,
-        free_loops=diagram.free_loops * m,
-        name=f"cable({diagram.name or '?'},{m})",
-    )
+    return crossings
 
 
 def counted_matchings(dd, order=None) -> int:
@@ -183,11 +194,11 @@ def enumerate_matchings(n: int) -> list[PlanarMatching]:
     return [PlanarMatching(n, pairs) for pairs in split(tuple(range(2 * n)))]
 
 
-def _other_ends(diagram: LinkDiagram) -> dict:
+def _other_ends(rows) -> dict:
     """{(crossing, position): the (crossing, position) at the other end
-    of its arc}, read off the arc labels."""
+    of its arc}, read off the arc labels of the crossing rows."""
     at: dict = {}
-    for c, row in enumerate(diagram.crossings):
+    for c, row in enumerate(rows):
         for p, arc in enumerate(row):
             at.setdefault(arc, []).append((c, p))
     other = {}
@@ -196,12 +207,21 @@ def _other_ends(diagram: LinkDiagram) -> dict:
     return other
 
 
-def planar_by_faces(diagram: LinkDiagram) -> bool:
-    """Euler's count on (crossing, position) pairs: trace each face by
-    running along an arc and turning to the next position
-    counterclockwise; planar exactly when there are crossings + 2 faces
-    per connected piece of the crossing graph."""
-    other_end = _other_ends(diagram)
+def raw_code(rows) -> SimpleNamespace:
+    """What cable_network reads of a link (crossings, crossing_count and
+    the slot table `to` of LinkDiagram), for rows planar or not: slot
+    4c + p is position p of crossing c, paired up by arc label."""
+    other_end = _other_ends(rows)
+    to = tuple(4 * c + p for c, p in (other_end[divmod(s, 4)] for s in range(4 * len(rows))))
+    return SimpleNamespace(crossings=tuple(map(tuple, rows)), crossing_count=len(rows), to=to)
+
+
+def planar_by_faces(rows) -> bool:
+    """Euler's count on (crossing, position) pairs of the crossing rows:
+    trace each face by running along an arc and turning to the next
+    position counterclockwise; planar exactly when there are crossings +
+    2 faces per connected piece of the crossing graph."""
+    other_end = _other_ends(rows)
     faces, seen = 0, set()
     for start in other_end:
         if start in seen:
@@ -213,7 +233,7 @@ def planar_by_faces(diagram: LinkDiagram) -> bool:
             c, p = other_end[(c, p)]
             p = (p + 1) % 4
     pieces, reached = 0, set()
-    for c in range(diagram.crossing_count):
+    for c in range(len(rows)):
         if c in reached:
             continue
         pieces += 1
@@ -223,13 +243,13 @@ def planar_by_faces(diagram: LinkDiagram) -> bool:
             if u not in reached:
                 reached.add(u)
                 stack += [other_end[(u, p)][0] for p in range(4)]
-    return faces == diagram.crossing_count + 2 * pieces
+    return faces == len(rows) + 2 * pieces
 
 
 def alternating_by_strands(diagram: LinkDiagram) -> bool:
     """Walk every strand (in at a position, out at the opposite one);
     its passages must alternate over (positions 1, 3) and under (0, 2)."""
-    other_end = _other_ends(diagram)
+    other_end = _other_ends(diagram.crossings)
     seen = set()
     for start in other_end:
         if start in seen:

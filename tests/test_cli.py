@@ -73,14 +73,19 @@ def test_non_planar_pd_exits_2(capsys, argv):
     # states reads its input before it checks the color
     code, out, err = run(capsys, argv[0], "--pd", NONPLANAR, *argv[1:])
     assert code == EXIT_INPUT
-    assert out == "" and "planar" in err
+    assert out == "" and "input is not planar" in err
 
 
-def test_non_planar_json_file_exits_2(capsys, tmp_path):
-    path = tmp_path / "glued.json"
-    path.write_text(json.dumps({"pd": [[1, 3, 4, 3], [4, 2, 6, 5], [1, 2, 5, 6]]}))
-    code, _, err = run(capsys, "cjones", "--file", str(path), "-n", "3")
-    assert code == EXIT_INPUT and "planar" in err
+@pytest.mark.parametrize("name, text", [
+    ("glued.json", json.dumps({"pd": [[1, 3, 4, 3], [4, 2, 6, 5], [1, 2, 5, 6]]})),
+    ("glued.pd", NONPLANAR),
+])
+def test_non_planar_file_exits_2(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "cjones", "--file", str(path), "-n", "3")
+    assert code == EXIT_INPUT
+    assert out == "" and "glued is not planar" in err
 
 
 def checkout_env(**extra) -> dict:

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from skeinlab import colored_states, skein_eval
+from skeinlab import colored_states
 from skeinlab.colored_states import (
     MAX_LAMBDA_TERMS,
     D_degree,
@@ -24,12 +24,13 @@ from skeinlab.colored_states import (
     lambda_expand,
     verify_degree_lemmas,
 )
+from skeinlab import diagram
 from skeinlab.diagram import (
     LinkDiagram,
+    MalformedPDError,
     all_a_state,
     all_b_state,
     apply_state,
-    is_planar,
     parse_pd,
 )
 from skeinlab.fixtures import fixture
@@ -44,14 +45,17 @@ from skeinlab.skein_eval import (
     CROSSING,
     DecoratedDiagram,
     ResourceLimitError,
+    bracket,
+    cabled_diagram,
     colored_jones,
     evaluate,
     evaluate_rational,
     from_link,
     projector_node,
 )
+from skeinlab.tails import stability_report
 
-from cable_oracle import cable
+from cable_oracle import cable, planar_by_faces
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -156,16 +160,16 @@ def test_upsilon_structure_trefoil():
     assert dd3.node_count == 3 * 4 + 6
 
 
-def random_link(k: int, seed: int) -> LinkDiagram:
-    """Abstract 4-valent diagram: shuffle 4k slots into 2k arcs."""
+def random_rows(k: int, seed: int) -> list:
+    """The rows of an abstract 4-valent diagram: shuffle 4k slots into 2k
+    arcs."""
     rng = random.Random(seed)
     slots = list(range(4 * k))
     rng.shuffle(slots)
     labels = {}
     for a, i in enumerate(range(0, 4 * k, 2)):
         labels[slots[i]] = labels[slots[i + 1]] = a + 1
-    return LinkDiagram([tuple(labels[4 * c + p] for p in range(4))
-                        for c in range(k)])
+    return [tuple(labels[4 * c + p] for p in range(4)) for c in range(k)]
 
 
 @pytest.mark.parametrize("pd", [TREFOIL, HOPF, FIG8, KINK])
@@ -178,19 +182,20 @@ def test_upsilon_color_one_is_classical_state(pd):
 
 
 def test_upsilon_color_one_random_diagrams():
-    # a planar draw's Y(s) is its state diagram; one that is not planar is
-    # refused, at color 1 as at every other (8 of these 64 draws are planar)
+    # a planar draw's Y(s) is its state diagram; LinkDiagram refuses one
+    # that is not planar (8 of these 64 draws are planar)
     planar = 0
     for seed in range(64):
-        d = random_link(4, seed)
+        rows = random_rows(4, seed)
         rng = random.Random(100 + seed)
-        s = tuple(rng.choice((1, -1)) for _ in range(d.crossing_count))
-        if is_planar(d):
+        s = tuple(rng.choice((1, -1)) for _ in range(len(rows)))
+        if planar_by_faces(rows):
             planar += 1
+            d = LinkDiagram(rows)
             assert evaluate(build_upsilon(d, 1, s)) == DELTA ** apply_state(d, s).circle_count
         else:
-            with pytest.raises(ValueError, match="built only for planar diagrams"):
-                build_upsilon(d, 1, s)
+            with pytest.raises(MalformedPDError, match="not planar"):
+                LinkDiagram(rows)
     assert planar >= 6
 
 
@@ -222,6 +227,23 @@ def test_the_color_and_the_state_are_checked(build):
     for bad in ((1, -1, 0), ("B", "B", "B")):
         with pytest.raises(ValueError, match="must be \\+1 or -1"):
             build(d, 2, bad)
+
+
+@pytest.mark.parametrize("build", [
+    alpha, build_upsilon, lambda_expand,
+    lambda d, n, s: lambda_diagram(d, n, s, (1,) * d.crossing_count),
+    lambda d, n, s: all_states(d, n), lambda d, n, s: colored_state_sum(d, n)])
+@pytest.mark.parametrize("n", [2.0, True, False, "2"])
+def test_a_color_must_be_an_int(monkeypatch, build, n):
+    # 2.0 would give alpha a float exponent and True would pass as color
+    # 1: a color that is not an int, a bool included, is refused first
+    def work(*args, **kwargs):
+        raise AssertionError("work began")
+    monkeypatch.setattr(colored_states, "_network", work)
+    monkeypatch.setattr(colored_states, "itertools", types.SimpleNamespace(product=work))
+    d = parse_pd(TREFOIL)
+    with pytest.raises(ValueError, match="color must be an integer"):
+        build(d, n, all_b_state(d))
 
 
 PINNED_DIGESTS = json.loads(
@@ -334,16 +356,29 @@ def test_lambda_expand_guard():
         lambda_expand(d, 41, all_b_state(d))
 
 
-def test_lambda_expand_checks_planarity_once(monkeypatch):
+def test_no_engine_path_counts_faces(monkeypatch):
+    # planarity is a property of a LinkDiagram from its constructor on:
+    # nothing that takes one counts its faces again
+    d = fixture("figure_eight").diagram
+    s = all_b_state(d)
+    calls = []
+    monkeypatch.setattr(diagram, "_planar", lambda to: calls.append(to))
+    bracket(d)
+    for n in (1, 2, 3):
+        colored_jones(d, n)
+    cabled_diagram(d, 2, [min(d.arcs, key=repr)])
+    build_upsilon(d, 2, s)
+    lambda_expand(d, 2, s)
+    stability_report(d, 2)
+    assert calls == []
+
+
+def test_lambda_expand_builds_each_lambda_diagram():
     d = fixture("6_2").diagram
     s = all_b_state(d)
     indices = list(itertools.product(range(3), repeat=d.crossing_count))
     expected = [lambda_diagram(d, 3, s, ix) for ix in indices]
-    calls = []
-    monkeypatch.setattr(skein_eval, "is_planar",
-                        lambda link: calls.append(link) or is_planar(link))
     terms = lambda_expand(d, 3, s)
-    assert calls == [d]
     assert ([(lam.nodes, lam.to) for _, lam in terms]
             == [(lam.nodes, lam.to) for lam in expected])
     c = [crossing_expansion_coefficient(2, i) for i in range(3)]
@@ -351,15 +386,10 @@ def test_lambda_expand_checks_planarity_once(monkeypatch):
         c[i] * c[j] * c[k] * c[l] * c[m] * c[o] for i, j, k, l, m, o in indices]
 
 
-def test_lambda_expand_rejects_a_nonplanar_diagram_first(monkeypatch):
-    d = parse_pd(NONPLANAR)
-    assert not is_planar(d)
-
-    def build(*args):
-        raise AssertionError("a term was built")
-    monkeypatch.setattr(colored_states, "DecoratedDiagram", build)
-    with pytest.raises(ValueError, match="built only for planar diagrams"):
-        lambda_expand(d, 3, all_b_state(d))
+def test_a_nonplanar_code_never_reaches_lambda_expand():
+    # parse_pd refuses it, so there is no diagram to expand
+    with pytest.raises(MalformedPDError, match="not planar"):
+        parse_pd(NONPLANAR)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -17,14 +17,13 @@ from skeinlab.diagram import (
     is_adequate,
     is_alternating,
     is_b_adequate,
-    is_planar,
     mirror,
     parse_pd,
 )
 
 from cable_oracle import alternating_by_strands, cable, planar_by_faces
 from skeinlab.fixtures import fixture, fixture_names
-from test_skein_eval import random_braid_closure, random_link
+from test_skein_eval import random_braid_closure, random_rows
 
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
@@ -168,17 +167,20 @@ class TestPredicates:
 
     def test_planarity(self):
         # the faces of the PD rotation system number crossings + 2 per
-        # connected piece exactly for a diagram drawn in the plane
+        # connected piece exactly for a diagram drawn in the plane, and
+        # LinkDiagram (so parse_pd, mirror and the cable) refuses the rest
         split = TREFOIL + " / X 11 14 12 15 / X 13 16 14 11 / X 15 12 16 13 / O"
         for text in (TREFOIL, HOPF, FIG8, "X 1 2 2 1", "X 1 1 2 2", split, "", "O"):
             d = parse_pd(text)
-            assert is_planar(d) and is_planar(mirror(d)), text
-            assert is_planar(cable(d, 2)), text
-        assert not is_planar(parse_pd("X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"))
+            for built in (d, mirror(d), cable(d, 2)):
+                assert planar_by_faces(built.crossings), text
+        with pytest.raises(MalformedPDError, match="not planar"):
+            parse_pd("X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6")
         # two crossings joined by four arcs: planar only when the second
         # lists them in the reverse cyclic order of the first
-        assert not is_planar(LinkDiagram([(1, 2, 3, 4), (1, 3, 2, 4)]))
-        assert is_planar(LinkDiagram([(1, 2, 3, 4), (1, 4, 3, 2)]))
+        with pytest.raises(MalformedPDError, match="not planar"):
+            LinkDiagram([(1, 2, 3, 4), (1, 3, 2, 4)])
+        LinkDiagram([(1, 2, 3, 4), (1, 4, 3, 2)])
 
     def test_kink_states(self):
         curl = parse_pd("X 1 1 2 2")
@@ -186,18 +188,38 @@ class TestPredicates:
         assert apply_state(curl, (-1,)).circle_count == 2
 
 
+def table_rows():
+    """The rows of the fixtures, braid closures and random 4-valent codes
+    with 0..11 crossings, most of them not planar, each also mirrored
+    (every row turned once)."""
+    rows = [fixture(name).diagram.crossings for name in fixture_names()]
+    rows += [random_braid_closure(1 + seed % 12, seed).crossings for seed in range(300)]
+    rows += [random_rows(seed % 12, seed) for seed in range(1500)]
+    return rows + [[(b, c, d, a) for a, b, c, d in r] for r in rows]
+
+
 def table_cases():
-    """Fixtures and their mirrors, braid closures, and random 4-valent
-    codes with 0..11 crossings, most of them not planar."""
-    cases = [fixture(name).diagram for name in fixture_names()]
-    cases += [random_braid_closure(1 + seed % 12, seed) for seed in range(300)]
-    cases += [random_link(seed % 12, seed) for seed in range(1500)]
-    return cases + [mirror(d) for d in cases]
+    """The diagrams of the planar codes of table_rows."""
+    return [LinkDiagram(rows) for rows in table_rows() if planar_by_faces(rows)]
 
 
 class TestSlotTable:
-    """LinkDiagram.to pairs the two slots of each arc, and the predicates
-    that read it agree with the walks on (crossing, position) pairs."""
+    """LinkDiagram.to pairs the two slots of each arc, the constructor
+    accepts exactly the codes that the face walk on (crossing, position)
+    pairs finds planar, and is_alternating agrees with the strand walk."""
+
+    def test_the_constructor_accepts_exactly_the_planar_codes(self):
+        seen = set()
+        for rows in table_rows():
+            try:
+                LinkDiagram(rows)
+                accepted = True
+            except MalformedPDError as exc:
+                assert "not planar" in str(exc)
+                accepted = False
+            assert accepted == planar_by_faces(rows), rows
+            seen.add(accepted)
+        assert seen == {True, False}
 
     def test_to_pairs_the_two_slots_of_each_arc(self):
         for d in table_cases():
@@ -206,14 +228,13 @@ class TestSlotTable:
             for p, q in enumerate(d.to):
                 assert p != q and d.to[q] == p and labels[p] == labels[q]
 
-    def test_predicates_match_the_walk_oracles(self):
+    def test_alternation_matches_the_strand_walk(self):
         seen = set()
         for d in table_cases():
-            planar, alternating = is_planar(d), is_alternating(d)
-            assert planar == planar_by_faces(d), d.crossings
+            alternating = is_alternating(d)
             assert alternating == alternating_by_strands(d), d.crossings
-            seen.add((planar, alternating))
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+            seen.add(alternating)
+        assert seen == {True, False}
 
 
 class TestMirror:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from skeinlab import diagram, fixtures
 from skeinlab.diagram import (
     LinkDiagram,
     all_a_state,
@@ -241,6 +242,24 @@ def _entry(name="trefoil"):
     payload = json.loads(
         resources.files("skeinlab").joinpath("data/fixtures.json").read_text())
     return next(e for e in payload["fixtures"] if e["name"] == name).copy()
+
+
+def test_load_entry_smooths_each_state_once(monkeypatch):
+    # one all-A and one all-B graph give adequacy and |s_A| + |s_B|, and
+    # the determinant smooths all-A once more; one face count, in
+    # LinkDiagram
+    sizes = {fx.name: fx.diagram.crossing_count for fx in load_fixtures()}
+    smoothed, faces = [], []
+    smooth, planar = fixtures.apply_state, diagram._planar
+    monkeypatch.setattr(fixtures, "apply_state",
+                        lambda d, s: smoothed.append(s) or smooth(d, s))
+    monkeypatch.setattr(diagram, "_planar", lambda to: faces.append(to) or planar(to))
+    for name, k in sizes.items():
+        smoothed.clear()
+        faces.clear()
+        _load_entry(_entry(name))
+        assert sorted(smoothed) == [(-1,) * k, (1,) * k, (1,) * k], name
+        assert len(faces) == 1, name
 
 
 def test_load_entry_rejects_wrong_determinant():

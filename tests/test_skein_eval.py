@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab.colored_states import all_states, build_upsilon, lambda_diagram, lambda_expand
+from skeinlab.colored_states import all_states, build_upsilon
 from skeinlab.diagram import (
     A_JOINS,
     B_JOINS,
     LinkDiagram,
+    MalformedPDError,
     all_a_state,
     all_b_state,
-    is_planar,
     mirror,
     parse_pd,
     union_find,
@@ -61,10 +61,13 @@ from skeinlab.temperley_lieb import cleared_projector, identity_matching
 
 from cable_oracle import (
     cable,
+    cable_rows,
     counted_matchings,
     cut_widths,
     enumerate_matchings,
     peak_matchings,
+    planar_by_faces,
+    raw_code,
     signature_splices,
     slots,
     sweep_events,
@@ -73,11 +76,11 @@ from cable_oracle import (
 TREFOIL = "X 1 4 2 5 / X 3 6 4 1 / X 5 2 6 3"
 HOPF = "X 4 1 3 2 / X 2 3 1 4"
 FIG8 = "X 4 2 5 1 / X 8 6 1 5 / X 6 3 7 4 / X 2 7 3 8"
-# a PD code that is not planar, as in test_cli
+# a PD code that is not planar, as in test_cli, and its rows
 NONPLANAR = "X 1 3 4 3 / X 4 2 6 5 / X 1 2 5 6"
-# what the builders' planarity ValueError says, and the sweep's residue
-# ValueError does not
-NOT_PLANAR = "is not planar; networks are built only for planar diagrams"
+NONPLANAR_ROWS = [(1, 3, 4, 3), (4, 2, 6, 5), (1, 2, 5, 6)]
+# what LinkDiagram's planarity MalformedPDError says
+NOT_PLANAR = "is not planar: it draws no diagram in the plane"
 
 DELTA = loop_value()
 
@@ -86,9 +89,10 @@ def lp(terms):
     return LaurentPolynomial(dict(terms))
 
 
-def random_link(k, seed):
-    """A random abstract 4-valent diagram, most often not planar: the
-    sweep then gives its state sum or fails closed (fails_closed)."""
+def random_rows(k, seed):
+    """The rows of a random abstract 4-valent diagram, most often not
+    planar: LinkDiagram refuses those, and the sweep of their raw slot
+    table (raw_code) gives the state sum or fails closed (fails_closed)."""
     rng = random.Random(seed)
     slots = [(c, p) for c in range(k) for p in range(4)]
     rng.shuffle(slots)
@@ -96,7 +100,13 @@ def random_link(k, seed):
     for arc, (s1, s2) in enumerate(zip(slots[::2], slots[1::2])):
         rows[s1[0]][s1[1]] = arc
         rows[s2[0]][s2[1]] = arc
-    return LinkDiagram(rows)
+    return rows
+
+
+def raw_network(rows) -> DecoratedDiagram:
+    """The 1-cable of the rows, planar or not: one CROSSING per row wired
+    by their raw slot table, no bigon fused."""
+    return DecoratedDiagram([CROSSING] * len(rows), raw_code(rows).to)
 
 
 def fails_closed(compute, expect) -> bool:
@@ -221,21 +231,21 @@ class TestBracket:
             assert bracket(d) == bracket_bruteforce(d)
 
     def test_engine_matches_bruteforce_on_random_diagrams(self):
-        # a planar draw gives the state sum; bracket refuses one that is not
-        # planar before it builds a network, and the sweep of its raw slot
-        # table gives the state sum too or fails closed on mixed residues
+        # a planar draw gives the state sum; LinkDiagram refuses one that is
+        # not planar, and the sweep of its raw slot table gives the state
+        # sum too or fails closed on mixed residues
         planar = 0
         for seed in range(45):
-            k = 2 + seed % 9
-            d = random_link(k, seed)
-            expect = bracket_bruteforce(d)
-            if is_planar(d):
+            rows = random_rows(2 + seed % 9, seed)
+            raw = raw_network(rows)
+            expect = coupon_state_sum(raw)
+            if planar_by_faces(rows):
                 planar += 1
-                assert bracket(d, max_width=99) == expect, f"seed {seed}"
+                d = LinkDiagram(rows)
+                assert bracket(d, max_width=99) == bracket_bruteforce(d) == expect, seed
                 continue
-            with pytest.raises(ValueError, match=NOT_PLANAR):
-                bracket(d, max_width=99)
-            raw = DecoratedDiagram([CROSSING] * k, d.to)
+            with pytest.raises(MalformedPDError, match=NOT_PLANAR):
+                LinkDiagram(rows)
             assert fails_closed(lambda: evaluate(raw, max_width=99), expect), f"seed {seed}"
         assert 0 < planar < 45
 
@@ -270,8 +280,10 @@ class TestBracket:
         assert b == b.mirror()
 
     def test_bruteforce_guard(self):
+        d = random_braid_closure(21, 1)
+        assert d.crossing_count == 21
         with pytest.raises(ResourceLimitError):
-            bracket_bruteforce(random_link(21, 1))
+            bracket_bruteforce(d)
 
 
 # a composite of a braid closure's twist has its ports at (bottom left,
@@ -923,60 +935,49 @@ class TestOneNodeType:
 
 
 class TestPlanarity:
-    """Turnback pruning is exact only on planar networks, so every builder
-    of a network from a PD code rejects one that is not planar, boxes or
-    no boxes, at every color."""
+    """Turnback pruning is exact only on planar networks, and a LinkDiagram
+    is planar by construction: its constructor, and so parse_pd, refuses
+    a PD code that is not planar, so no builder ever sees one."""
 
-    def test_builders_with_boxes_reject_a_nonplanar_diagram(self):
-        d = random_link(6, 2)
-        assert not is_planar(d) and len(d.components()) == 2
-        first_arcs = [sorted(comp, key=repr)[0] for comp in d.components()]
-        s = all_b_state(d)
-        for build in (lambda: colored_jones(d, 3),
-                      lambda: cabled_diagram(d, 3, first_arcs),
-                      lambda: build_upsilon(d, 3, s),
-                      lambda: lambda_diagram(d, 3, s, (2,) * d.crossing_count)):
-            with pytest.raises(ValueError, match=NOT_PLANAR):
-                build()
+    def test_a_nonplanar_code_is_refused_with_its_name(self):
+        rows = random_rows(6, 2)
+        assert not planar_by_faces(rows) and not planar_by_faces(NONPLANAR_ROWS)
+        with pytest.raises(MalformedPDError, match="the PD code " + NOT_PLANAR):
+            LinkDiagram(rows, free_loops=1)
+        with pytest.raises(MalformedPDError, match="glued " + NOT_PLANAR):
+            LinkDiagram(NONPLANAR_ROWS, name="glued")
+        with pytest.raises(MalformedPDError, match="input " + NOT_PLANAR):
+            parse_pd(NONPLANAR + " / O", name="input")
 
-    def test_every_builder_rejects_every_nonplanar_draw(self):
-        draws = [parse_pd(NONPLANAR)] + [d for d in (random_link(1 + seed % 6, seed)
-                                                     for seed in range(40))
-                                         if not is_planar(d)]
+    def test_every_nonplanar_draw_is_refused(self):
+        draws = [NONPLANAR_ROWS] + [rows for rows in (random_rows(1 + seed % 6, seed)
+                                                      for seed in range(40))
+                                    if not planar_by_faces(rows)]
         assert len(draws) > 30
-        for d in draws:
-            k, s = d.crossing_count, all_b_state(d)
-            arcs = [min(comp, key=repr) for comp in d.components()]
-            builds = [lambda: bracket(d), lambda: from_link(d),
-                      lambda: colored_jones(d, 1), lambda: colored_jones(d, 2),
-                      lambda: colored_jones(d, 3), lambda: cabled_diagram(d, 1),
-                      lambda: cabled_diagram(d, 2), lambda: cabled_diagram(d, 2, arcs),
-                      lambda: build_upsilon(d, 1, s), lambda: build_upsilon(d, 2, s),
-                      lambda: lambda_diagram(d, 2, s, (1,) * k),
-                      lambda: lambda_expand(d, 2, s)]
-            for i, build in enumerate(builds):
-                with pytest.raises(ValueError, match=NOT_PLANAR):
+        for rows in draws:
+            mirrored = [(b, c, d, a) for a, b, c, d in rows]
+            text = " / ".join("X " + " ".join(map(str, row)) for row in rows)
+            for build in (lambda: LinkDiagram(rows), lambda: LinkDiagram(mirrored),
+                          lambda: parse_pd(text)):
+                with pytest.raises(MalformedPDError, match=NOT_PLANAR):
                     build()
-                    pytest.fail(f"build {i} accepted {d.crossings}")
+                    pytest.fail(f"accepted {rows}")
 
     def test_networks_without_pruning_raise_or_agree_on_a_nonplanar_diagram(self):
-        # no box, or one-strand boxes: nothing would be pruned, and still
-        # the builders refuse the code.  Its raw slot table, swept without
-        # them, mixes residues mod 4 and fails closed; its 2-cable's do not,
-        # and both cable builders give the same value (generic coupons on
-        # such diagrams are TestCouponOracle's)
-        d = random_link(6, 2)
-        arcs = sorted(d.arcs, key=repr)[:2]
-        for build in (lambda: bracket(d), lambda: colored_jones(d, 1),
-                      lambda: cabled_diagram(d, 1), lambda: cabled_diagram(d, 1, arcs)):
-            with pytest.raises(ValueError, match=NOT_PLANAR):
-                build()
+        # no box: nothing would be pruned, and still LinkDiagram refuses
+        # the code.  Its raw slot table, swept, mixes residues mod 4 and
+        # fails closed; its 2-cable's do not, and both cable builders give
+        # the same value (generic coupons on such diagrams are
+        # TestCouponOracle's)
+        rows = random_rows(6, 2)
+        with pytest.raises(MalformedPDError, match=NOT_PLANAR):
+            LinkDiagram(rows)
+        raw = raw_network(rows)
         with pytest.raises(ValueError, match="residue class mod 4"):
-            evaluate(DecoratedDiagram([CROSSING] * d.crossing_count, d.to))
-        c = cable(d, 2)
-        assert (evaluate(DecoratedDiagram(*cable_network(d, 2, [])), max_width=99)
-                == evaluate(DecoratedDiagram([CROSSING] * c.crossing_count, c.to),
-                            max_width=99))
+            evaluate(raw)
+        code = raw_code(rows)
+        assert (evaluate(DecoratedDiagram(*cable_network(code, 2, [])), max_width=99)
+                == evaluate(raw_network(cable_rows(code, 2)), max_width=99))
 
 
 class TestCabledEvaluation:
@@ -1005,17 +1006,19 @@ class TestCouponOracle:
         # 2-cables of random diagrams with plain-matching coupons on random
         # arcs, against the union-find state sum; a diagram that is not
         # planar may raise instead (fails_closed)
+        # (a raw_code stands in for a code no LinkDiagram holds)
         rng = random.Random(11)
         for trial in range(12):
             if trial % 2:
                 d = random_braid_closure(1 + trial % 3, trial)
             else:
-                d = random_link(1 + trial % 3, trial)
-            arcs = sorted(d.arcs, key=repr)
+                rows = random_rows(1 + trial % 3, trial)
+                d = LinkDiagram(rows) if planar_by_faces(rows) else raw_code(rows)
+            arcs = sorted({arc for row in d.crossings for arc in row}, key=repr)
             boxed = rng.sample(arcs, rng.randint(1, len(arcs)))
             coupon = rng.choice([identity_coupon(2), cup_coupon()])
             dd = coupon_cable(d, 2, boxed, coupon)
-            if is_planar(d):
+            if isinstance(d, LinkDiagram):
                 assert evaluate(dd, max_width=99) == coupon_state_sum(dd), trial
             else:
                 assert fails_closed(lambda: evaluate(dd, max_width=99),
@@ -1149,15 +1152,14 @@ class TestPackedCoefficients:
             evaluate(coupon_cable(d, 2, [1], coupon))
 
     def test_a_nonplanar_bracket_fails_closed(self):
-        # bracket refuses the code up front; swept as its raw slot table,
+        # parse_pd refuses the code up front; swept as its raw slot table,
         # every crossing factor keeps one residue, so there the merge check
         # raises, when two terms of different residues meet
-        d = parse_pd(NONPLANAR)
-        assert not is_planar(d)
-        with pytest.raises(ValueError, match=NOT_PLANAR):
-            bracket(d)
+        with pytest.raises(MalformedPDError, match=NOT_PLANAR):
+            parse_pd(NONPLANAR)
+        raw = raw_network(NONPLANAR_ROWS)
         with pytest.raises(ValueError, match="residue class mod 4"):
-            evaluate(DecoratedDiagram([CROSSING] * d.crossing_count, d.to))
+            evaluate(raw)
 
     def test_a_wide_coefficient_widens_the_digits(self, monkeypatch):
         # every repack goes from one width to a wider one, each step a
@@ -1408,10 +1410,10 @@ class TestGivenOrders:
             assert evaluate_rational(dd, max_width=99) == expect
 
 
-def coupon_cable(d: LinkDiagram, m: int, box_arcs, coupon: CouponNode) -> DecoratedDiagram:
-    """The m-cable of d with `coupon` spliced in at each arc of box_arcs,
-    wired as cabled_diagram wires its f(m) boxes; no planarity check,
-    since a generic coupon is never pruned."""
+def coupon_cable(d, m: int, box_arcs, coupon: CouponNode) -> DecoratedDiagram:
+    """The m-cable of d (a LinkDiagram or a raw_code) with `coupon`
+    spliced in at each arc of box_arcs, wired as cabled_diagram wires its
+    f(m) boxes; a generic coupon is never pruned."""
     return DecoratedDiagram(*cable_network(d, m, [(arc, coupon) for arc in box_arcs]))
 
 
@@ -1434,6 +1436,17 @@ class TestColoredJones:
         d = parse_pd(TREFOIL)
         assert colored_jones(d, 0) == LaurentPolynomial.one()
         assert colored_jones(d, 1) == bracket(d)
+
+    @pytest.mark.parametrize("n", [2.0, True, False, "2", None])
+    def test_color_must_be_an_int(self, monkeypatch, n):
+        # 2.0 would reach the grid builder and True would pass as color 1:
+        # refused before any work
+        def work(*args, **kwargs):
+            raise AssertionError("work began")
+        for name in ("resolve_max_width", "bracket", "_place_boxes"):
+            monkeypatch.setattr(skein_eval, name, work)
+        with pytest.raises(ValueError, match="color must be an integer"):
+            colored_jones(parse_pd(TREFOIL), n)
 
     def test_unknot_values(self):
         loop = LinkDiagram([], free_loops=1)
@@ -1625,7 +1638,6 @@ class TestMetamorphic:
     def test_disjoint_union(self, names, n):
         d1, d2 = (fixture(name).diagram for name in names)
         union = disjoint_union(d1, d2)
-        assert is_planar(union)
         assert colored_jones(union, n) == colored_jones(d1, n) * colored_jones(d2, n)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -1634,7 +1646,7 @@ class TestMetamorphic:
     def test_connected_sum(self, names, n):
         d1, d2 = (fixture(name).diagram for name in names)
         total = connected_sum(d1, d2)
-        assert is_planar(total) and len(total.components()) == 1
+        assert len(total.components()) == 1
         assert (colored_jones(total, n) * quantum_dimension(n)
                 == colored_jones(d1, n) * colored_jones(d2, n))
 

@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -242,6 +241,7 @@ def _cmd_verify(args) -> tuple:
 
     workers = args.jobs if args.jobs else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing  # here, not at the top: no other command pays for it
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             results = pool.map(_verify_job, jobs)
     else:

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .diagram import LinkDiagram, _check_state, all_b_state, union_find
+from .diagram import LinkDiagram, Record, _check_state, all_b_state, union_find
 from .laurent import (
     LaurentPolynomial,
     RationalFunction,
@@ -225,8 +224,7 @@ def is_adequate_skein(S: DecoratedDiagram) -> bool:
 # the degree ladder
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(Record):
     name: str
     lhs: int
     rhs: int
@@ -236,8 +234,7 @@ class LemmaCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class DegreeLemmaReport:
+class DegreeLemmaReport(Record):
     diagram: str
     n: int
     checks: tuple

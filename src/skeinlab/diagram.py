@@ -22,11 +22,16 @@ own inverse.  An arc's lower slot is its first.  Slots 4c and 4c + 2 are
 under-passages and 4c + 1 and 4c + 3 over-passages, so a slot's parity
 says which strand it is on, and the next slot counterclockwise at its
 crossing is s & ~3 | (s + 1) & 3.
+
+Record, the base of the package's eight result records (StateGraph here,
+MorsePlan, LemmaCheck, DegreeLemmaReport, CoefficientPrefix, ColorEntry,
+StabilityReport and Fixture), lives here as the lowest module that all
+of their modules import.  It stands in for a frozen dataclass because
+importing dataclasses costs more at start-up than the whole package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 A_JOINS = ((1, 2), (3, 0))
 B_JOINS = ((0, 1), (2, 3))
@@ -34,6 +39,54 @@ B_JOINS = ((0, 1), (2, 3))
 
 class MalformedPDError(ValueError):
     pass
+
+
+class Record:
+    """An immutable record whose fields are its class's annotations, in
+    order.  It is built from its fields by position or keyword and then
+    checked by __post_init__; it equals and hashes as its field values,
+    against records of its own class only; it prints as
+    Name(field=value, ...); assigning to it raises AttributeError.  The
+    fields live in the instance __dict__, so a record pickles as a plain
+    object and rebuilds from Name(**record.__dict__)."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        surplus = args[len(fields):] or [k for k in kwargs if k not in fields or k in values]
+        values.update(kwargs)
+        if surplus or len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}: "
+                            f"got {surplus or 'too few'}")
+        self.__dict__.update((f, values[f]) for f in fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a record with a rule overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def union_find(elements: Iterable[Hashable], joins) -> dict:
@@ -201,8 +254,7 @@ def all_b_state(diagram: LinkDiagram) -> tuple:
     return (-1,) * diagram.crossing_count
 
 
-@dataclass(frozen=True)
-class StateGraph:
+class StateGraph(Record):
     """Circles of a smoothed diagram with one edge per crossing."""
     circle_count: int
     edges: tuple  # (circle_i, circle_j) per crossing, in crossing order

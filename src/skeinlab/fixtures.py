@@ -18,25 +18,22 @@ graph.  Any mismatch raises FixtureValidationError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .diagram import (
-    LinkDiagram, MalformedPDError, all_a_state, all_b_state, apply_state,
+    LinkDiagram, MalformedPDError, Record, all_a_state, all_b_state, apply_state,
     is_alternating,
 )
 
-_DATA = "data/fixtures.json"
+_DATA = os.path.join(os.path.dirname(__file__), "data", "fixtures.json")
 
 
 class FixtureValidationError(ValueError):
     """A bundled fixture failed its load-time revalidation."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     name: str
     aliases: tuple
     diagram: LinkDiagram
@@ -51,15 +48,13 @@ class Fixture:
 # the number of spanning trees of either checkerboard graph; the all-A
 # state graph (one vertex per state circle, one edge per crossing) is one
 # of the two.  Kirchhoff's theorem turns the count into an integer
-# determinant of a Laplacian minor — our graphs have at most a handful of
-# vertices, so exact Fraction elimination is plenty.
+# determinant of a Laplacian minor, taken here by fraction-free (Bareiss)
+# elimination: every division is exact, so it stays in the integers.
 
 def _spanning_trees(vertex_count: int, edges) -> int:
     if vertex_count == 0:
         return 0
-    if vertex_count == 1:
-        return 1
-    lap = [[Fraction(0)] * vertex_count for _ in range(vertex_count)]
+    lap = [[0] * vertex_count for _ in range(vertex_count)]
     for i, j in edges:
         if i == j:
             continue  # loop edges never sit in a tree
@@ -69,23 +64,19 @@ def _spanning_trees(vertex_count: int, edges) -> int:
         lap[j][i] -= 1
     size = vertex_count - 1
     m = [row[1:] for row in lap[1:]]
-    det = Fraction(1)
+    prev = 1
     for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    assert det.denominator == 1
-    return abs(det.numerator)
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        for row in m[col + 1:]:
+            f = row[col]
+            for c in range(col + 1, size):
+                row[c] = (row[c] * top[col] - f * top[c]) // prev
+        prev = top[col]
+    return abs(prev)
 
 
 def determinant(diagram: LinkDiagram) -> int:
@@ -135,7 +126,8 @@ def _load_entry(entry: dict) -> Fixture:
 def load_fixtures() -> tuple:
     """All bundled fixtures, revalidated; order as shipped (by crossing
     count within the knot table, Hopf link last)."""
-    payload = json.loads(resources.files("skeinlab").joinpath(_DATA).read_text())
+    with open(_DATA, encoding="utf-8") as f:
+        payload = json.load(f)
     return tuple(_load_entry(e) for e in payload["fixtures"])
 
 

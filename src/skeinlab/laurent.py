@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 
 # ---------------------------------------------------------------------------

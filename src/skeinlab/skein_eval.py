@@ -104,9 +104,8 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 
-from .diagram import A_JOINS, B_JOINS, LinkDiagram, apply_state
+from .diagram import A_JOINS, B_JOINS, LinkDiagram, Record, apply_state
 from .laurent import (
     LaurentPolynomial,
     ONE,
@@ -344,8 +343,7 @@ def _composite(terms: tuple) -> CouponNode:
 # ordering
 
 
-@dataclass(frozen=True)
-class MorsePlan:
+class MorsePlan(Record):
     """An attachment order and the peak width (dangling wire-ends) it
     reaches."""
     order: tuple

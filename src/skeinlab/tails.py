@@ -16,10 +16,9 @@ denominators).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .colored_states import alpha, build_upsilon
-from .diagram import LinkDiagram, all_b_state, is_alternating
+from .diagram import LinkDiagram, Record, all_b_state, is_alternating
 from .laurent import LaurentPolynomial, RationalFunction
 from .skein_eval import colored_jones, evaluate_rational
 
@@ -75,8 +74,7 @@ def doteq(p, q, span: int, end: str = "lowest") -> bool:
 # certified prefixes
 
 
-@dataclass(frozen=True)
-class CoefficientPrefix:
+class CoefficientPrefix(Record):
     """Aligned coefficients of one polynomial with a certificate: the
     first `certified` entries are guaranteed stable under raising the
     color further."""
@@ -211,8 +209,7 @@ def verify_corollary(link: LinkDiagram, n: int) -> bool:
 # reports
 
 
-@dataclass(frozen=True)
-class ColorEntry:
+class ColorEntry(Record):
     """One color's row of a stability report.
 
     `next_jtilde_agrees` is the consecutive-color window check: True below
@@ -246,8 +243,7 @@ class ColorEntry:
         }
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     link: str
     colors: tuple
     tail: CoefficientPrefix

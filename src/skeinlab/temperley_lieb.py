@@ -29,8 +29,8 @@ with f(0) empty and f(1) a single strand.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .laurent import (
     LaurentPolynomial,

@@ -11,6 +11,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab import diagram, fixtures
 from skeinlab.diagram import (
@@ -182,6 +184,63 @@ def test_determinants_are_the_table_values():
     table = {"trefoil": 3, "figure_eight": 5, "5_1": 5, "5_2": 7,
              "6_1": 9, "6_2": 11, "6_3": 13, "hopf": 2}
     assert {fx.name: fx.determinant for fx in load_fixtures()} == table
+
+
+def fraction_spanning_trees(vertex_count: int, edges) -> int:
+    """Kirchhoff's count by exact Fraction elimination of the Laplacian
+    minor: the oracle for the loader's fraction-free _spanning_trees."""
+    if vertex_count == 0:
+        return 0
+    lap = [[Fraction(0)] * vertex_count for _ in range(vertex_count)]
+    for i, j in edges:
+        if i != j:
+            lap[i][i] += 1
+            lap[j][j] += 1
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+    size = vertex_count - 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, size):
+                m[r][c] -= factor * m[col][c]
+    assert det.denominator == 1
+    return abs(det.numerator)
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 7 vertices and 16 edges, loops and parallel edges allowed; a
+    sparse draw is often disconnected."""
+    vertices = draw(st.integers(0, 7))
+    if vertices == 0:
+        return 0, []
+    vertex = st.integers(0, vertices - 1)
+    return vertices, draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+
+
+@given(multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_spanning_trees_match_fraction_elimination(graph):
+    assert fixtures._spanning_trees(*graph) == fraction_spanning_trees(*graph)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_spanning_trees_of_complete_graphs(n):
+    # Cayley: K_n has n^(n-2) spanning trees; doubling every edge of a
+    # graph on n vertices multiplies the count by 2^(n-1)
+    edges = list(itertools.combinations(range(n), 2))
+    assert fixtures._spanning_trees(n, edges) == n ** (n - 2)
+    assert fixtures._spanning_trees(n, edges * 2) == 2 ** (n - 1) * n ** (n - 2)
 
 
 def test_hand_validated_anchors():

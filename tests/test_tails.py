@@ -1,5 +1,4 @@
 """Window comparisons, certified tail prefixes, and the stability suite."""
-import dataclasses
 import json
 
 import pytest
@@ -244,8 +243,8 @@ def test_head_from_mirrored_values_matches_mirror_diagram_route(name):
     d = fixture(name).diagram
     tail, head = tail_and_head(d, 3)
     via_mirror = tail_prefix(mirror(d), 3)
-    assert head == dataclasses.replace(via_mirror, source=f"{d.name} color 3",
-                                       end="highest")
+    assert head == CoefficientPrefix(f"{d.name} color 3", "highest",
+                                     via_mirror.coefficients, via_mirror.certified)
     assert head_prefix(d, 3) == head
     assert tail == tail_prefix(d, 3)
 

@@ -5,8 +5,9 @@ library; no private helper in the package lives on for tests alone;
 every public name, and every option of a public function, has a user
 besides the unit tests; no parameter of a private function is a constant
 in disguise; every private name the docs mention exists; importing the
-package and loading its fixtures fills no engine cache; and the
-README's bracket examples print what their comments say."""
+package and loading its fixtures fills no engine cache and loads no
+heavy standard module; and the README's bracket examples print what
+their comments say."""
 import ast
 import collections
 import contextlib
@@ -73,6 +74,38 @@ def test_import_and_fixture_load_fill_no_engine_cache():
             "skeinlab.temperley_lieb.jones_wenzl"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}
     assert glued == 0
+
+
+# Run in a fresh interpreter without `site` (whose .pth files may preload
+# modules): import what bench/child.py imports before its set-up clock,
+# then the package, its fixtures and the CLI, and print the modules that
+# were not loaded before.
+NEW_AFTER_IMPORT = """
+import json, resource, sys, time
+before = set(sys.modules)
+import skeinlab
+skeinlab.load_fixtures()
+import skeinlab.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# Standard modules that cost more to import than the package's own code:
+# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
+# decimal; multiprocessing pulls in pickle, socket and signal.
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
+                 "decimal", "typing", "importlib.resources", "multiprocessing"}
+
+
+def test_import_loads_no_heavy_standard_module():
+    # every process pays the import before it computes anything, so the
+    # start-up path stays off these modules; verify loads multiprocessing
+    # only where it opens its pool
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", NEW_AFTER_IMPORT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    new = set(json.loads(out.stdout))
+    assert "skeinlab.cli" in new
+    assert sorted(new & HEAVY_MODULES) == []
 
 
 def test_the_package_imports_only_the_standard_library():

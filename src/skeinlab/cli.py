@@ -10,9 +10,8 @@ human and CSV forms only.
 
 Each `_cmd_*` returns (exit code, JSON payload, CSV text, human lines)
 and prints nothing to stdout; `main` prints the one form that --format
-selects.  `main` also checks the width cap (--max-width, else
-SKEINLAB_MAX_WIDTH) before any command runs, so a bad cap exits 2 even
-where no sweep would read it.
+selects.  `main` also checks the width cap, --max-width, before any
+command runs, so a bad cap exits 2 even where no sweep would read it.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
 
 from .colored_states import all_states, alpha, build_upsilon
 from .diagram import (
@@ -32,7 +30,8 @@ from .diagram import (
 from .fixtures import fixture, fixture_names
 from .laurent import LaurentPolynomial, RationalFunction, loop_value
 from .skein_eval import (
-    ResourceLimitError, bracket, colored_jones, evaluate_rational, resolve_max_width,
+    DEFAULT_MAX_WIDTH, ResourceLimitError, _check_width, bracket, colored_jones,
+    evaluate_rational,
 )
 from .tails import StabilityReport, TailStabilityError, stability_report, tail_and_head
 
@@ -55,12 +54,14 @@ def _load_input(args) -> LinkDiagram:
         return parse_pd(args.pd, name="input")
     if args.file is None:
         raise MalformedPDError("no input: give --pd or --file")
-    path = Path(args.file)
     try:
-        text = path.read_text()
+        with open(args.file) as fh:
+            text = fh.read()
     except OSError as exc:
-        raise MalformedPDError(f"cannot read {path}: {exc}") from exc
-    return _parse_any(text, default_name=path.stem)
+        raise MalformedPDError(f"cannot read {args.file}: {exc}") from exc
+    name = os.path.basename(args.file)
+    i = name.rfind(".")  # the stem as pathlib names it, not as splitext does
+    return _parse_any(text, default_name=name[:i] if 0 < i < len(name) - 1 else name)
 
 
 def _parse_any(text: str, default_name: str = "input") -> LinkDiagram:
@@ -302,8 +303,8 @@ def _add_input_flags(sub, with_names: bool = False):
 def _add_common_flags(sub):
     sub.add_argument("--format", choices=("human", "json", "csv"),
                      default="human")
-    sub.add_argument("--max-width", type=int, default=None,
-                     help="peak open-strand cap (default: SKEINLAB_MAX_WIDTH or 24)")
+    sub.add_argument("--max-width", type=int, default=DEFAULT_MAX_WIDTH,
+                     help=f"peak open-strand cap (default {DEFAULT_MAX_WIDTH})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolve_max_width(args.max_width)
+        _check_width(args.max_width)
         code, payload, csv_text, lines = args.func(args)
         if args.format == "json":
             sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -35,6 +35,7 @@ from .laurent import (
 from .skein_eval import (
     DecoratedDiagram,
     ResourceLimitError,
+    _check_color,
     cable_network,
     evaluate_rational,
     projector_node,
@@ -45,13 +46,6 @@ from .temperley_lieb import top_point
 DEFAULT_MAX_STATES = 4096
 # the most terms a corner-pattern expansion builds (2^16)
 MAX_LAMBDA_TERMS = 65536
-
-
-def _check_color(n: int):
-    if type(n) is not int:  # bool is an int subclass; refuse it too
-        raise ValueError(f"color must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("color must be >= 1")
 
 
 def all_states(link: LinkDiagram, n: int) -> list:

@@ -88,10 +88,12 @@ table a network sweeps into the walk's inputs.
 
 Where the box goes is the one choice a prediction makes.  colored_jones
 walks one network per arc that could carry each component's box
-(_place_boxes) and sweeps the one whose walk predicts the fewest live
-matchings: at each event, the crossingless matchings of the frontier
-that join no two slots with one side tag, counted as if each box side
-held consecutive frontier slots (_matching_count).  The value does not
+(_place_boxes) and sweeps the one whose box-deferring walk predicts the
+fewest live matchings: at each event, the crossingless matchings of the
+frontier that join no two slots with one side tag, counted as if each
+box side held consecutive frontier slots (_matching_count).  A walk over
+the cap ranks after those within it, by its peak width, though
+morse_decompose may then keep the plain walk.  The value does not
 depend on that arc, but the cost does (the figure-eight's J~_4 cable
 holds 54,056 matchings in all with the box on the first arc and 12,164
 on the chosen one).
@@ -103,7 +105,6 @@ import heapq
 import itertools
 import math
 import operator
-import os
 
 from .diagram import A_JOINS, B_JOINS, LinkDiagram, Record, apply_state
 from .laurent import (
@@ -120,7 +121,6 @@ from .laurent import (
 from .temperley_lieb import PlanarMatching, cleared_projector, glue, top_point
 
 DEFAULT_MAX_WIDTH = 24
-_ENV_MAX_WIDTH = "SKEINLAB_MAX_WIDTH"
 
 _DELTA = loop_value()
 
@@ -129,18 +129,16 @@ class ResourceLimitError(RuntimeError):
     """The evaluation would exceed the configured width budget."""
 
 
-def resolve_max_width(max_width: int | None) -> int:
-    if max_width is None:
-        env = os.environ.get(_ENV_MAX_WIDTH)
-        if not env:
-            return DEFAULT_MAX_WIDTH
-        try:
-            max_width = int(env)
-        except ValueError:
-            raise ValueError(f"{_ENV_MAX_WIDTH} must be an integer, got {env!r}")
+def _check_width(max_width: int):
     if max_width < 0:
         raise ValueError(f"the width cap must be >= 0, got {max_width}")
-    return max_width
+
+
+def _check_color(n: int, least: int = 1):
+    if type(n) is not int:  # bool is an int subclass; refuse it too
+        raise ValueError(f"color must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"color must be >= {least}")
 
 
 class CouponNode:
@@ -350,17 +348,19 @@ class MorsePlan(Record):
     peak_width: int
 
 
-def morse_decompose(dd: DecoratedDiagram, max_width=None) -> MorsePlan:
+def morse_decompose(dd: DecoratedDiagram,
+                    max_width: int = DEFAULT_MAX_WIDTH) -> MorsePlan:
     """Walk the width greedy that defers the network's projector boxes, on
     the network as _graph reads it: every plan the sweep runs comes from
     here.  Only when that walk passes the width cap `max_width` is the
     plain greedy, which ignores the boxes, walked too, and the narrower of
     the two kept (the deferring one on ties), for the sweep's cap check to
     name."""
+    _check_width(max_width)
     half = _halves(dd.nodes)
     cross, degree, _ = _graph(half, dd.first, dd.to)
     plan = MorsePlan(*_walk(cross, degree, [h > 0 for h in half])[:2])
-    if plan.peak_width > resolve_max_width(max_width):
+    if plan.peak_width > max_width:
         plain = MorsePlan(*_walk(cross, degree, [False] * dd.node_count)[:2])
         if plain.peak_width < plan.peak_width:
             return plain
@@ -496,7 +496,7 @@ def _delta_power(k: int) -> dict:
     return (_DELTA ** k).terms
 
 
-def evaluate(dd: DecoratedDiagram, max_width: int | None = None) -> LaurentPolynomial:
+def evaluate(dd: DecoratedDiagram, max_width: int = DEFAULT_MAX_WIDTH) -> LaurentPolynomial:
     """Bracket value of a closed decorated diagram in Z[A, A^-1], swept
     along the plan morse_decompose makes.
 
@@ -514,21 +514,19 @@ def evaluate(dd: DecoratedDiagram, max_width: int | None = None) -> LaurentPolyn
 
 
 def evaluate_rational(dd: DecoratedDiagram,
-                      max_width: int | None = None) -> RationalFunction:
+                      max_width: int = DEFAULT_MAX_WIDTH) -> RationalFunction:
     """Exact value of a closed decorated diagram in Q(A), reduced."""
     value, denominator = _sweep(dd, max_width)
     return RationalFunction(value, denominator)
 
 
-def _sweep(dd: DecoratedDiagram, max_width: int | None):
+def _sweep(dd: DecoratedDiagram, max_width: int = DEFAULT_MAX_WIDTH):
     """Run the attachment sweep; return (integer Laurent total, accumulated
     coupon denominator) before the final division."""
-    cap = resolve_max_width(max_width)
-    plan = morse_decompose(dd, cap)
-    if plan.peak_width > cap:
-        raise ResourceLimitError(
-            f"plan needs width {plan.peak_width}, budget is {cap} "
-            f"(raise with --max-width or {_ENV_MAX_WIDTH})")
+    plan = morse_decompose(dd, max_width)
+    if plan.peak_width > max_width:
+        raise ResourceLimitError(f"plan needs width {plan.peak_width}, budget is "
+                                 f"{max_width} (raise with --max-width)")
     denominator = math.prod((q for ni in plan.order
                              if (q := dd.nodes[ni].denominator) != ONE), start=ONE)
     return LaurentPolynomial(_contract(dd, plan)), denominator
@@ -781,7 +779,7 @@ class _EventStep:
 # brackets and cables
 
 
-def bracket(link: LinkDiagram, max_width: int | None = None) -> LaurentPolynomial:
+def bracket(link: LinkDiagram, max_width: int = DEFAULT_MAX_WIDTH) -> LaurentPolynomial:
     """Kauffman bracket, normalized so the empty diagram gives 1 and a
     crossing-free circle gives delta, swept on from_link's network, twist
     regions fused."""
@@ -909,36 +907,35 @@ def cabled_diagram(link: LinkDiagram, m: int, box_arcs=()) -> DecoratedDiagram:
         link, m, [(arc, projector_node(m)) for arc in box_arcs]))
 
 
-def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
+def _place_boxes(link: LinkDiagram, m: int, max_width: int = DEFAULT_MAX_WIDTH) -> list:
     """The box arcs, one per component, of the m-cable of `link` with an
-    f(m) box on each component, chosen by the prediction of the walk
-    morse_decompose would keep.
+    f(m) box on each component, ranked by the box-deferring greedy's walk.
 
     A box slides along its band through the crossings of the cable, so
     the value does not depend on the arc that carries it, but the sweep's
     cost does.  Each placement is read by _graph off the very port table
     (cable_network's, grids built once) that its sweep runs on and walked
-    by the box-deferring greedy, and ranked by its predicted live
-    matchings if its peak width is within the cap `max_width`, else after
-    every placement that is, by that width.  Every box starts on the first
-    arc (by repr) of its component; then the components are taken one at
-    a time, each box moved to the least-ranked of its arcs (the earlier on
-    ties) with the other boxes where they are, so the walks number the
-    arcs, not their product."""
+    by the box-deferring greedy.  A walk within the cap `max_width`, the
+    one morse_decompose keeps, ranks by its predicted live matchings; one
+    over the cap ranks after every one within it, by its peak width,
+    though morse_decompose may keep the plain greedy's walk there.  Every
+    box starts on the first arc (by repr) of its component; then the
+    components are taken one at a time, each box moved to the least-ranked
+    of its arcs (the earlier on ties) with the other boxes where they are,
+    so the walks number the arcs, not their product."""
     comps = [sorted(comp, key=repr) for comp in link.components()]
     base = 2 * m * len(comps)
     grid, stubs = _grids(link, m, base, None)
     half = [m] * len(comps) + [0] * ((len(grid) - base) // 4)
     first = (0, *itertools.accumulate(2 * h or 4 for h in half))
     boxes = [h > 0 for h in half]
-    cap = resolve_max_width(max_width)
 
     def rank(arcs) -> tuple:
         to = list(grid)
         _bands(link, m, arcs, stubs, None, to)
         cross, degree, sides = _graph(half, first, to)
         _, peak, cost = _walk(cross, degree, boxes, sides)
-        return (0, cost) if peak <= cap else (1, peak)
+        return (0, cost) if peak <= max_width else (1, peak)
 
     arcs = [comp[0] for comp in comps]
     for c, comp in enumerate(comps):
@@ -947,21 +944,25 @@ def _place_boxes(link: LinkDiagram, m: int, max_width) -> list:
 
 
 def colored_jones(link: LinkDiagram, n: int,
-                  max_width: int | None = None) -> LaurentPolynomial:
+                  max_width: int = DEFAULT_MAX_WIDTH) -> LaurentPolynomial:
     """Unreduced n-colored Jones polynomial in the Kauffman variable,
     blackboard framing: the n-cable with one Jones-Wenzl box per
     component, each on the arc that _place_boxes predicts cheapest to
     sweep; at n = 1 the bracket.  The 0-crossing unknot gives the loop
-    polynomial of f(n)."""
-    if type(n) is not int:  # bool is an int subclass; refuse it too
-        raise ValueError(f"color must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError("color must be >= 0")
-    resolve_max_width(max_width)  # reject a bad cap even when no sweep runs
+    polynomial of f(n).
+
+    With a crossing, each box's 2n ports are wired to other nodes, so
+    every order peaks at width n or more: a color over the cap is
+    refused before any cable is built."""
+    _check_color(n, 0)
+    _check_width(max_width)  # even when no sweep runs
     if n == 0:
         return LaurentPolynomial.one()
     if n == 1:  # J~_1 is the bracket, and f(1) is one strand
         return bracket(link, max_width)
+    if link.crossing_count and n > max_width:
+        raise ResourceLimitError(f"color {n} needs width {n} or more, budget is "
+                                 f"{max_width} (raise with --max-width)")
     arcs = _place_boxes(link, n, max_width)
     value = evaluate(cabled_diagram(link, n, arcs), max_width=max_width)
     return value * quantum_dimension(n) ** link.free_loops if link.free_loops else value

@@ -20,7 +20,7 @@ import time
 from .colored_states import alpha, build_upsilon
 from .diagram import LinkDiagram, Record, all_b_state, is_alternating
 from .laurent import LaurentPolynomial, RationalFunction
-from .skein_eval import colored_jones, evaluate_rational
+from .skein_eval import DEFAULT_MAX_WIDTH, colored_jones, evaluate_rational
 
 
 def _series_prefix(num: LaurentPolynomial, den: LaurentPolynomial,
@@ -146,7 +146,7 @@ def _require_alternating(link: LinkDiagram):
 
 
 def _jtilde_values(link: LinkDiagram, n_max: int,
-                   max_width: int | None) -> list:
+                   max_width: int = DEFAULT_MAX_WIDTH) -> list:
     """J~_1..J~_{n_max}, the input of both certificates."""
     if n_max < 2:
         raise ValueError("need n_max >= 2 to certify anything")
@@ -159,17 +159,17 @@ def tail_prefix(link: LinkDiagram, n_max: int) -> CoefficientPrefix:
     """Stable low-end coefficients: compute J~_1..J~_{n_max}, check every
     consecutive window, return the aligned lowest coefficients of the last
     with certified length 4(n_max - 1)."""
-    return _certified_prefix(_display_name(link), _jtilde_values(link, n_max, None))
+    return _certified_prefix(_display_name(link), _jtilde_values(link, n_max))
 
 
 def head_prefix(link: LinkDiagram, n_max: int) -> CoefficientPrefix:
     """Stable high-end coefficients: tail_prefix at the highest end."""
     return _certified_prefix(_display_name(link),
-                             _jtilde_values(link, n_max, None), "highest")
+                             _jtilde_values(link, n_max), "highest")
 
 
 def tail_and_head(link: LinkDiagram, n_max: int,
-                  max_width: int | None = None) -> tuple:
+                  max_width: int = DEFAULT_MAX_WIDTH) -> tuple:
     """(tail_prefix, head_prefix) from one computation of each J~_n."""
     values = _jtilde_values(link, n_max, max_width)
     name = _display_name(link)
@@ -182,7 +182,7 @@ def tail_and_head(link: LinkDiagram, n_max: int,
 
 
 def _bstate_value(link: LinkDiagram, n: int,
-                  max_width: int | None) -> RationalFunction:
+                  max_width: int = DEFAULT_MAX_WIDTH) -> RationalFunction:
     """alpha(s-) * <Y(s-)>, the all-B colored state's term of J~_n."""
     s = all_b_state(link)
     value = evaluate_rational(build_upsilon(link, n, s), max_width=max_width)
@@ -191,13 +191,13 @@ def _bstate_value(link: LinkDiagram, n: int,
 
 def verify_theorem_1(link: LinkDiagram, n: int) -> bool:
     """The n-colored B-state carries the lowest 4n coefficients of J~_n."""
-    return doteq(colored_jones(link, n), _bstate_value(link, n, None), 4 * n)
+    return doteq(colored_jones(link, n), _bstate_value(link, n), 4 * n)
 
 
 def verify_theorem_2(link: LinkDiagram, n: int) -> bool:
     """The (n+1)-colored B-state already matches J~_n on its lowest 4n
     coefficients."""
-    return doteq(_bstate_value(link, n + 1, None), colored_jones(link, n), 4 * n)
+    return doteq(_bstate_value(link, n + 1), colored_jones(link, n), 4 * n)
 
 
 def verify_corollary(link: LinkDiagram, n: int) -> bool:
@@ -278,7 +278,7 @@ class StabilityReport(Record):
 
 
 def stability_report(link: LinkDiagram, n_max: int,
-                     max_width: int | None = None) -> StabilityReport:
+                     max_width: int = DEFAULT_MAX_WIDTH) -> StabilityReport:
     """Run the full window-comparison suite for colors 1..n_max.
 
     Each J~_n and each B-state term is computed once, in the order

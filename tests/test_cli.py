@@ -155,6 +155,18 @@ def test_file_inputs(tmp_path, capsys):
     assert code == EXIT_INPUT and "cannot read" in err
 
 
+@pytest.mark.parametrize("name", ["x.", "..pd", "x..pd", "a.b.pd", ".hidden", "dir/k.pd"])
+def test_file_names_the_diagram_by_its_stem(tmp_path, capsys, name):
+    # the name pathlib's stem gives, which os.path.splitext does not
+    # for x. and ..pd
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(TREFOIL)
+    code, out, _ = run(capsys, "bracket", "--file", str(path), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["name"] == Path(path).stem
+
+
 @pytest.mark.parametrize("text", ['{"pd": [1,2,3,4]}', '{"pd": 5}',
                                   '{"pd": [[[1],2,3,4]]}',
                                   '{"pd": [], "loops": null}',
@@ -217,7 +229,6 @@ def test_over_cap_colours_exit_3_before_any_box_is_built(capsys, monkeypatch, ar
     def no_projectors(n):
         raise AssertionError(f"f({n}) was built")
     monkeypatch.setattr(skein_eval, "cleared_projector", no_projectors)
-    monkeypatch.delenv("SKEINLAB_MAX_WIDTH", raising=False)
     code, _, err = run(capsys, *argv, "--pd", TREFOIL)
     assert code == EXIT_RESOURCE
     assert "budget is 24" in err
@@ -226,6 +237,12 @@ def test_over_cap_colours_exit_3_before_any_box_is_built(capsys, monkeypatch, ar
 # a 4-strand braid closure with two kinks: its J~_2 cable peaks at width 8
 # with the box on arc 4 and at 10 with it on any other arc
 NARROW_ARC = "X 2 5 4 1 / X 5 7 6 4 / X 0 0 6 9 / X 3 3 10 7 / X 1 9 10 2"
+
+
+def test_cjones_colour_over_the_cap_exits_3_before_its_cable(capsys):
+    code, out, err = run(capsys, "cjones", "--pd", TREFOIL, "-n", "25")
+    assert code == EXIT_RESOURCE and out == ""
+    assert "color 25 needs width 25 or more, budget is 24" in err
 
 
 def test_cjones_cap_names_the_narrowest_box_arc(capsys):
@@ -261,33 +278,37 @@ def test_negative_width_cap_without_a_sweep_exits_2(capsys, argv):
     assert code == EXIT_OK
 
 
-def test_negative_width_cap_from_env_exits_2(capsys, monkeypatch):
+def test_negative_width_cap_from_env_is_ignored(capsys, monkeypatch):
+    # --max-width is the one source of the cap; the variable that once
+    # set its default is read by nothing
     monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "-3")
-    code, _, err = run(capsys, "bracket", "--pd", "O")
-    assert code == EXIT_INPUT
-    assert "width cap" in err
+    code, _, err = run(capsys, "bracket", "--pd", TREFOIL)
+    assert code == EXIT_OK and err == ""
 
 
-@pytest.mark.parametrize("source", [("--max-width", "-1"),
-                                    ("SKEINLAB_MAX_WIDTH", "-3"),
-                                    ("SKEINLAB_MAX_WIDTH", "abc")],
-                         ids=["flag", "env-negative", "env-not-int"])
-@pytest.mark.parametrize("argv", [
+SUBCOMMANDS = [
     ("bracket", "--pd", "O"), ("cjones", "--pd", "O", "-n", "2"),
     ("tail", "--pd", "O", "--nmax", "2"), ("verify", "--pd", NONALT),
     ("adequacy", "--pd", "O"), ("states", "--pd", "O"),
-], ids=lambda argv: argv[0])
-def test_every_subcommand_rejects_a_bad_width_cap(capsys, monkeypatch, argv, source):
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_every_subcommand_rejects_a_bad_width_cap(capsys, argv):
     # adequacy, classical states and a verify that skips every link run no
     # sweep, and main checks the cap for them too
-    key, value = source
-    if key.startswith("--"):
-        argv += source
-    else:
-        monkeypatch.setenv(key, value)
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--max-width", "-1")
     assert code == EXIT_INPUT
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["-3", "abc"], ids=["env-negative", "env-not-int"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_every_subcommand_ignores_the_width_cap_variable(capsys, monkeypatch, argv, value):
+    expect = run(capsys, *argv)
+    monkeypatch.setenv("SKEINLAB_MAX_WIDTH", value)
+    assert run(capsys, *argv) == expect
+    assert expect[0] == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def networks() -> dict:
         d = fx.diagram
         out[f"{fx.name}/bracket"] = from_link(d)
         for n in (2, 3, 4):
-            out[f"{fx.name}/jtilde{n}"] = cabled_diagram(d, n, _place_boxes(d, n, None))
+            out[f"{fx.name}/jtilde{n}"] = cabled_diagram(d, n, _place_boxes(d, n))
         for label, state in STATES:
             for n in (2, 3, 4):
                 out[f"{fx.name}/upsilon{n}/{label}"] = build_upsilon(d, n, state(d))

@@ -33,6 +33,7 @@ from skeinlab.laurent import (
 from skeinlab import skein_eval
 from skeinlab.skein_eval import (
     CROSSING,
+    DEFAULT_MAX_WIDTH,
     CouponNode,
     DecoratedDiagram,
     MorsePlan,
@@ -638,7 +639,6 @@ class TestPlans:
         def no_projectors(n):
             raise AssertionError(f"f({n}) was built")
         monkeypatch.setattr(skein_eval, "cleared_projector", no_projectors)
-        monkeypatch.delenv("SKEINLAB_MAX_WIDTH", raising=False)
         d = parse_pd(TREFOIL)
         with pytest.raises(ResourceLimitError, match="needs width 32, budget is 24 "):
             colored_jones(d, 8)
@@ -646,12 +646,30 @@ class TestPlans:
             evaluate_rational(build_upsilon(d, 8, all_b_state(d)))
 
     def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "2")
-        with pytest.raises(ResourceLimitError):
-            bracket(parse_pd(TREFOIL))
-        monkeypatch.setenv("SKEINLAB_MAX_WIDTH", "junk")
-        with pytest.raises(ValueError):
-            bracket(parse_pd(TREFOIL))
+        # the cap is an argument only: the variable that once set the
+        # default cap, to a width too small or to no int, changes nothing
+        d = parse_pd(TREFOIL)
+        expect = bracket_bruteforce(d)
+        for value in ("2", "junk"):
+            monkeypatch.setenv("SKEINLAB_MAX_WIDTH", value)
+            assert bracket(d) == expect
+            assert colored_jones(d, 2) == colored_jones(d, 2, max_width=DEFAULT_MAX_WIDTH)
+
+    @pytest.mark.parametrize("n", [25, 100, 1000])
+    def test_a_colour_over_the_cap_is_refused_before_any_cable(self, monkeypatch, n):
+        # each box of a cable with a crossing wires all its 2n ports to
+        # other nodes, so every order peaks at width n or more
+        def no_placement(*args):
+            raise AssertionError("a cable was built")
+        monkeypatch.setattr(skein_eval, "_place_boxes", no_placement)
+        with pytest.raises(ResourceLimitError,
+                           match=f"color {n} needs width {n} or more, budget is 24 "):
+            colored_jones(parse_pd(TREFOIL), n)
+
+    def test_the_colour_guard_spares_crossing_free_links_and_the_cap_itself(self):
+        assert colored_jones(LinkDiagram([], free_loops=1), 30) == quantum_dimension(30)
+        with pytest.raises(ResourceLimitError, match="plan needs width 96, budget is 24 "):
+            colored_jones(parse_pd(TREFOIL), 24)
 
 
 def placements(d: LinkDiagram):
@@ -659,7 +677,7 @@ def placements(d: LinkDiagram):
     return itertools.product(*[sorted(c, key=repr) for c in d.components()])
 
 
-def placed(d: LinkDiagram, n: int, cap=None) -> DecoratedDiagram:
+def placed(d: LinkDiagram, n: int, cap=DEFAULT_MAX_WIDTH) -> DecoratedDiagram:
     """The n-cable that colored_jones sweeps: a box on each component, on
     the arc that _place_boxes keeps within the width cap."""
     return cabled_diagram(d, n, _place_boxes(d, n, cap))
@@ -1443,7 +1461,7 @@ class TestColoredJones:
         # refused before any work
         def work(*args, **kwargs):
             raise AssertionError("work began")
-        for name in ("resolve_max_width", "bracket", "_place_boxes"):
+        for name in ("_check_width", "bracket", "_place_boxes"):
             monkeypatch.setattr(skein_eval, name, work)
         with pytest.raises(ValueError, match="color must be an integer"):
             colored_jones(parse_pd(TREFOIL), n)

@@ -1,13 +1,13 @@
 """Tooling checks.  The benchmark's tracer wraps skeinlab functions by
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
-library; no private helper in the package lives on for tests alone;
-every public name, and every option of a public function, has a user
-besides the unit tests; no parameter of a private function is a constant
-in disguise; every private name the docs mention exists; importing the
-package and loading its fixtures fills no engine cache and loads no
-heavy standard module; and the README's bracket examples print what
-their comments say."""
+library and reads no environment variable; no private helper in the
+package lives on for tests alone; every public name, and every option of
+a public function, has a user besides the unit tests; no parameter of a
+private function is a constant in disguise; every private name the docs
+mention exists; importing the package and loading its fixtures fills no
+engine cache and loads no heavy standard module; and the README's
+bracket examples print what their comments say."""
 import ast
 import collections
 import contextlib
@@ -91,9 +91,11 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 # Standard modules that cost more to import than the package's own code:
 # dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
-# decimal; multiprocessing pulls in pickle, socket and signal.
+# decimal; multiprocessing pulls in pickle, socket and signal; pathlib
+# pulls in fnmatch, ipaddress and urllib.parse.
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
-                 "decimal", "typing", "importlib.resources", "multiprocessing"}
+                 "decimal", "typing", "importlib.resources", "multiprocessing",
+                 "pathlib"}
 
 
 def test_import_loads_no_heavy_standard_module():
@@ -123,6 +125,27 @@ def test_the_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_the_package_reads_no_environment():
+    # every setting is an argument or a CLI flag, so a run cannot change
+    # with a variable that nothing shows; os.environ, os.getenv and
+    # os.putenv, by attribute or by from-import, are refused in src/
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: os.{name}" for name in names
+                      if name in ENVIRONMENT_READERS]
+    assert found == []
 
 
 def test_every_private_helper_in_src_has_a_src_caller():

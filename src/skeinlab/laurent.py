@@ -55,6 +55,16 @@ def term_mul(p: dict, q: dict) -> dict:
     return out
 
 
+def term_mul_into(out: dict, p: dict, q: dict) -> None:
+    """out += p * q in place; a cancelled coefficient stays, as 0, for the caller to drop."""
+    if len(p) > len(q):
+        p, q = q, p
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+
+
 def term_shift(p: dict, k: int) -> dict:
     if k == 0:
         return dict(p)
@@ -453,6 +463,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        for u, x in ((o, self), (self, o)):  # a unit +-A^k keeps x reduced over x.den
+            if u.den == ONE and u.num.is_unit():
+                return RationalFunction(x.num * u.num, x.den, _trusted=True)
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -10,7 +10,9 @@ formed while stacking evaluate to delta = -A^2 - A^-2 each.
 glue is the package's one strand tracer: it joins a matching to its
 outside wires, follows every strand and counts the closed loops.
 Stacking, the partial trace and the sweep's splice in skein_eval only
-build its wire tables and call it.
+build its wire tables and call it.  PlanarMatching(n, pairs) checks its
+input; stacking, closing and juxtaposing, whose results are planar by
+construction, build theirs unchecked from a partner table.
 
 Arithmetic runs over Z[A, A^-1].  An element has one form,
 (q, {matching: integer numerator}) with x = (1/q) * sum num_m * m and q
@@ -19,8 +21,9 @@ denominator is (lowest degree 0, positive leading coefficient).  The
 form is unique, so == compares it directly.  The constructor clears the
 Q(A) coefficients it is given once; every operation (+, -, scale,
 products, tensors, traces, Wenzl's step) combines numerators and ends in
-_normalized, which divides out their gcd with q.  `terms` is a read-only
-view of reduced RationalFunction coefficients, computed on each read.
+_normalized, which divides out their gcd with q.  A product scales each
+left numerator by delta^k once per loop count k and sums in place.
+`terms` is a read-only view of reduced coefficients, computed per read.
 
 The n-th Jones-Wenzl projector is built by the two-box recursion
     f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
@@ -43,6 +46,7 @@ from .laurent import (
     quantum_dimension,
     term_add,
     term_mul,
+    term_mul_into,
     term_neg,
 )
 
@@ -81,6 +85,14 @@ class PlanarMatching:
         self.n = n
         self.partner = tuple(partner)
         self.pairs = tuple((i, j) for i, j in enumerate(partner) if i < j)
+
+    @classmethod
+    def _from_partner(cls, n: int, partner: tuple) -> "PlanarMatching":
+        # trusted: partner is a non-crossing perfect matching of 2n points
+        self = object.__new__(cls)
+        self.n, self.partner = n, partner
+        self.pairs = tuple((i, j) for i, j in enumerate(partner) if i < j)
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, PlanarMatching):
@@ -306,23 +318,27 @@ def _stack_pair(a: PlanarMatching, b: PlanarMatching) -> tuple[PlanarMatching, i
         else:
             end[top_point(p, n)] = q
     partners, loops = glue(a.partner, back, end)
-    chords = [(x, y) for x, y in partners.items() if x < y]
-    # b's top-to-top chords never meet a, so glue does not walk them
-    chords += [(x, y) for x, y in b.pairs if x >= n]
-    return PlanarMatching(n, chords), loops
+    # every label but the ends of b's top-to-top chords is a strand end;
+    # those chords never meet a, so glue does not walk them
+    partner = tuple([partners.get(p, q) for p, q in enumerate(b.partner)])
+    return PlanarMatching._from_partner(n, partner), loops
 
 
 def _product(nx: Mapping[PlanarMatching, dict], ny: Mapping[PlanarMatching, dict]) -> dict:
-    """Numerators of x*y over q_x*q_y, from the numerators of x and y."""
-    delta_powers = [{0: 1}]
-    out: dict[PlanarMatching, dict] = {}
+    """Numerators of x*y over q_x*q_y, from the numerators of x and y;
+    the sums are fresh dicts, added to in place, and no operand is written."""
+    sums: dict[PlanarMatching, dict] = {}
     for mx, cx in nx.items():
+        scaled = [cx]  # scaled[k] = cx * delta^k, grown as loop counts appear
         for my, cy in ny.items():
             m, loops = _stack_pair(mx, my)
-            while loops >= len(delta_powers):
-                delta_powers.append(term_mul(delta_powers[-1], _DELTA))
-            _add_into(out, m, term_mul(term_mul(cx, cy), delta_powers[loops]))
-    return out
+            while loops >= len(scaled):
+                scaled.append(term_mul(scaled[-1], _DELTA))
+            s = sums.get(m)
+            if s is None:
+                s = sums[m] = {}
+            term_mul_into(s, scaled[loops], cy)
+    return {m: num for m, s in sums.items() if (num := {e: c for e, c in s.items() if c})}
 
 
 def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
@@ -343,8 +359,11 @@ def _juxtapose(mx: PlanarMatching, my: PlanarMatching) -> PlanarMatching:
     def right(pt):
         return n + pt if pt < k else top_point(n + top_point(pt, k), total)
 
-    return PlanarMatching(total, [(left(a), left(b)) for a, b in mx.pairs]
-                          + [(right(a), right(b)) for a, b in my.pairs])
+    partner = [0] * (2 * total)
+    for place, m in ((left, mx), (right, my)):
+        for a, b in enumerate(m.partner):
+            partner[place(a)] = place(b)
+    return PlanarMatching._from_partner(total, tuple(partner))
 
 
 def tl_tensor(x: TLElement, y: TLElement) -> TLElement:
@@ -362,8 +381,9 @@ def _close_last(m: PlanarMatching) -> tuple[PlanarMatching, int]:
     back = [None] * (2 * n)
     back[b], back[t] = t, b
     end = [p if p < b else p - 2 for p in range(2 * n)]
-    partners, loops = glue(m.partner, back, end)
-    return PlanarMatching(n - 1, [(x, y) for x, y in partners.items() if x < y]), loops
+    partners, loops = glue(m.partner, back, end)  # every point left is a strand end
+    partner = tuple(map(partners.__getitem__, range(2 * n - 2)))
+    return PlanarMatching._from_partner(n - 1, partner), loops
 
 
 def partial_trace(x: TLElement, count: int = 1) -> TLElement:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinlab import laurent
 from skeinlab.laurent import (
     A,
     ONE,
@@ -278,6 +279,29 @@ class TestRationalFunction:
         assert laurent_gcd(xy.num, xy.den) == ONE
         assert xy.den.min_degree() == 0
         assert xy.den.coefficient(xy.den.max_degree()) > 0
+
+    @given(small_polys, nonzero_polys, st.integers(-20, 20), st.sampled_from([1, -1]))
+    @settings(max_examples=80, deadline=None)
+    def test_unit_product_skips_the_gcd_and_agrees(self, p, q, k, sign):
+        # x * (+-A^k) keeps x's denominator without a gcd; it must equal the
+        # full constructor's reduction, on either side and for x = 0
+        unit = L({k: sign})
+        for x in (RationalFunction(p, q), RationalFunction.zero()):
+            full = RationalFunction(x.num * unit, x.den)
+            for product in (x * unit, unit * x, x * RationalFunction(unit),
+                            RationalFunction(unit) * x):
+                assert (product.num, product.den) == (full.num, full.den)
+
+    def test_unit_product_makes_no_gcd(self, monkeypatch):
+        x = RationalFunction(A + 1, loop_value())
+        expected = RationalFunction(-(A + 1).shift(-3), loop_value())
+        calls = []
+        monkeypatch.setattr(laurent, "laurent_gcd",
+                            lambda *a: calls.append(a) or laurent_gcd(*a))
+        assert x * L({-3: -1}) == expected
+        assert calls == []
+        x * (A + 1)
+        assert len(calls) == 1
 
     def test_demotion(self):
         f = RationalFunction(loop_value() * (A + 1), loop_value())

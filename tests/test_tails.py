@@ -13,7 +13,7 @@ from skeinlab.laurent import (
     RationalFunction,
     quantum_dimension,
 )
-from skeinlab import tails
+from skeinlab import laurent, tails
 from skeinlab.skein_eval import colored_jones
 from skeinlab.tails import (
     CoefficientPrefix,
@@ -318,6 +318,18 @@ def test_stability_report_does_each_job_once(monkeypatch, n_max):
         order += [("B", n + 1)] + ([("J", n + 1)] if n < n_max else [])
     assert [c for c in calls if c != "doteq"] == order
     assert calls.count("doteq") == 3 * n_max - 1
+
+
+def test_bstate_value_makes_one_gcd(monkeypatch):
+    """alpha(s-) is a unit +-A^k, so alpha(s-) * <Y(s-)> keeps the one
+    reduction of the sweep's total and runs no second gcd."""
+    link = parse_pd(TREFOIL, name="trefoil")
+    warm = tails._bstate_value(link, 2)  # fills f(2)'s and the coupons' caches
+    calls = []
+    monkeypatch.setattr(laurent, "laurent_gcd",
+                        lambda *a, _real=laurent.laurent_gcd: calls.append(a) or _real(*a))
+    assert tails._bstate_value(link, 2) == warm
+    assert len(calls) == 1
 
 
 def test_stability_report_single_color():

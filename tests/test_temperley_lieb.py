@@ -17,6 +17,9 @@ from skeinlab.laurent import (
 from skeinlab.temperley_lieb import (
     PlanarMatching,
     TLElement,
+    _close_last,
+    _juxtapose,
+    _stack_pair,
     cleared_projector,
     closure,
     cup_cap_matching,
@@ -168,14 +171,16 @@ def rf(p) -> RationalFunction:
     return RationalFunction.from_laurent(p) if isinstance(p, LaurentPolynomial) else RationalFunction(p)
 
 
-matchings_by_n = {n: enumerate_matchings(n) for n in range(6)}
+matchings_by_n = {n: enumerate_matchings(n) for n in range(7)}
 
 # Frozen values from the Q(A) recursion that reduced every coefficient
 # after every pair of terms: f(4) as {pairs: (numerator, denominator)},
 # and cleared_projector(5) as its denominator plus a SHA-256 of
 # repr([(pairs, sorted numerator items)]) over its sorted rows.
 # cleared_projector(6) is pinned the same way, from the two-form elements
-# that kept reduced coefficients beside a cleared copy.
+# that kept reduced coefficients beside a cleared copy, and
+# cleared_projector(7) from the products that validated every stacked
+# matching and added each product term into a fresh copy of the sum.
 FROZEN_F4 = {
     ((0, 1), (2, 3), (4, 5), (6, 7)):
         ({4: 1, 8: 2, 12: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
@@ -211,6 +216,9 @@ FROZEN_F5_ROWS_SHA256 = "a418773cfc8dc134003708667ec0e288f3065669ed445920a3ae0d8
 FROZEN_F6_DENOMINATOR = {0: 1, 4: 2, 8: 4, 12: 6, 16: 8, 20: 9, 24: 9, 28: 8, 32: 6,
                          36: 4, 40: 2, 44: 1}
 FROZEN_F6_ROWS_SHA256 = "5b33d13e3d97937bde040aeee16e35cda13ccaf3085a2cbc1a47eb82f0cff086"
+FROZEN_F7_DENOMINATOR = {0: 1, 4: 2, 8: 4, 12: 6, 16: 9, 20: 11, 24: 13, 28: 13, 32: 13,
+                         36: 11, 40: 9, 44: 6, 48: 4, 52: 2, 56: 1}
+FROZEN_F7_ROWS_SHA256 = "379a418e1c5b0757998980dbe9cfa8a822913ab776dfcff6c9f3df30fca10e25"
 
 
 def matching_strategy(n):
@@ -331,6 +339,33 @@ class TestStacking:
     def test_strand_count_mismatch(self):
         with pytest.raises(ValueError):
             tl_multiply(TLElement.identity(2), TLElement.identity(3))
+
+
+class TestTrustedMatchings:
+    """Stacking, closing and juxtaposing build their matchings unchecked,
+    from a partner table; each must be the matching that the validating
+    constructor makes of the same chords, partner table included."""
+
+    @staticmethod
+    def assert_valid(m):
+        checked = PlanarMatching(m.n, m.pairs)
+        assert m == checked and m.partner == checked.partner
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(matching_strategy(n), matching_strategy(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked(self, pair):
+        self.assert_valid(_stack_pair(*pair)[0])
+
+    @given(st.integers(1, 6).flatmap(matching_strategy))
+    @settings(max_examples=100, deadline=None)
+    def test_closed(self, m):
+        self.assert_valid(_close_last(m)[0])
+
+    @given(st.integers(0, 6).flatmap(lambda total: st.integers(0, total).flatmap(
+        lambda n: st.tuples(matching_strategy(n), matching_strategy(total - n)))))
+    @settings(max_examples=100, deadline=None)
+    def test_juxtaposed(self, pair):
+        self.assert_valid(_juxtapose(*pair))
 
 
 class TestClearedArithmetic:
@@ -510,6 +545,12 @@ class TestClearedProjector:
         assert q.terms == FROZEN_F6_DENOMINATOR
         text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
         assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F6_ROWS_SHA256
+
+    def test_frozen_f7(self):
+        q, rows = cleared_projector(7)
+        assert q.terms == FROZEN_F7_DENOMINATOR
+        text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F7_ROWS_SHA256
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_each_term_keeps_one_residue_class_mod_4(self, n):

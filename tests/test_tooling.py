@@ -148,6 +148,27 @@ def test_the_package_reads_no_environment():
     assert found == []
 
 
+TRUSTED_MATCHING = "_from_partner"
+
+
+def test_only_temperley_lieb_builds_trusted_matchings():
+    # PlanarMatching._from_partner checks nothing, so only the TL layer's
+    # own stacking, closing and juxtaposing may build through it; coupon
+    # terms, parsed input and tests go through the validating constructor
+    here = Path(__file__).resolve()
+    assert TRUSTED_MATCHING in vars(skeinlab.PlanarMatching)
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]):
+        if path in (SRC / "temperley_lieb.py", here):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (getattr(node, "attr", None), getattr(node, "id", None),
+                     getattr(node, "name", None), getattr(node, "value", None))
+            if TRUSTED_MATCHING in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_private_helper_in_src_has_a_src_caller():
     # a module-level _name function or class that only tests call belongs
     # under tests/ as an oracle, or nowhere; a helper's own body does not

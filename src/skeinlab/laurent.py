@@ -266,26 +266,46 @@ def loop_value() -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 # exact division and gcd (used by RationalFunction normalization)
 
-def _dense(p: LaurentPolynomial) -> tuple[int, list[int]]:
-    lo, hi = p.min_degree(), p.max_degree()
-    return lo, [p.coefficient(e) for e in range(lo, hi + 1)]
+def _stride(*polys: LaurentPolynomial) -> int:
+    """The gcd of the exponent gaps within each of polys, or 1 if they
+    have none: each is A^lo times a polynomial in x = A^stride."""
+    s = 0
+    for p in polys:
+        lo = min(p._terms, default=0)
+        for e in p._terms:
+            s = math.gcd(s, e - lo)
+        if s == 1:
+            break
+    return s or 1
 
 
-def _from_dense(lo: int, cs: list[int]) -> LaurentPolynomial:
-    return LaurentPolynomial({lo + i: c for i, c in enumerate(cs) if c})
+def _dense(p: LaurentPolynomial, s: int) -> tuple[int, list[int]]:
+    """p as A^lo times the dense coefficients of a polynomial in A^s."""
+    lo = min(p._terms)
+    cs = [0] * ((max(p._terms) - lo) // s + 1)
+    for e, c in p._terms.items():
+        cs[(e - lo) // s] = c
+    return lo, cs
+
+
+def _from_dense(lo: int, cs: list[int], s: int) -> LaurentPolynomial:
+    return LaurentPolynomial._raw({lo + s * i: c for i, c in enumerate(cs) if c})
 
 
 def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    """Return p/q in Z[A, A^-1]; raises ValueError if q does not divide p."""
+    """Return p/q in Z[A, A^-1]; raises ValueError if q does not divide p.
+    Both are expanded over A^s, s their common exponent stride: q(A) = A^a Q(A^s)
+    divides p(A) = A^b P(A^s) in Z[A, A^-1] exactly when Q divides P in Z[x]."""
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return ZERO
-    plo, pc = _dense(p)
-    qlo, qc = _dense(q)
-    out = [0] * (len(pc) - len(qc) + 1)
+    s = _stride(p, q)
+    plo, pc = _dense(p, s)
+    qlo, qc = _dense(q, s)
     if len(pc) < len(qc):
         raise ValueError("not divisible")
+    out = [0] * (len(pc) - len(qc) + 1)
     rem = list(pc)
     for i in range(len(pc) - len(qc), -1, -1):
         lead = rem[i + len(qc) - 1]
@@ -298,7 +318,7 @@ def divide_exact(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
                 rem[i + j] -= f * c
     if any(rem):
         raise ValueError("not divisible")
-    return _from_dense(plo - qlo, out)
+    return _from_dense(plo - qlo, out, s)
 
 
 def _content(cs: list[int]) -> int:
@@ -347,11 +367,9 @@ def laurent_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial
         return ZERO
     if p.is_zero():
         p, q = q, p
-    _, f = _dense(p)
-    if q.is_zero():
-        g: list[int] = []
-    else:
-        _, g = _dense(q)
+    s = _stride(p, q)
+    f = _dense(p, s)[1]
+    g = _dense(q, s)[1] if q else []
     cf, cg = _content(f), _content(g)
     f, g = _primitive(f), _primitive(g)
     while g:
@@ -363,7 +381,7 @@ def laurent_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial
     c = math.gcd(cf, cg)
     if f[-1] < 0:
         f = [-x for x in f]
-    return _from_dense(0, [c * x for x in f])
+    return _from_dense(0, [c * x for x in f], s)
 
 
 def laurent_lcm(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:

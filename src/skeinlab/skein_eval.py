@@ -221,7 +221,7 @@ CROSSING = CouponNode(4, ((A_JOINS, {1: 1}), (B_JOINS, {-1: 1})), label="crossin
 @functools.cache
 def projector_node(n: int) -> CouponNode:
     """The Jones-Wenzl box f(n) as a coupon with cleared denominators,
-    which Wenzl's recursion fills in on their first read."""
+    which the single-clasp expansion fills in on their first read."""
     def form():
         q, rows = cleared_projector(n)
         return [(m.pairs, coeff) for coeff, m in rows], q

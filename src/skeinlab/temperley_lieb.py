@@ -12,7 +12,8 @@ outside wires, follows every strand and counts the closed loops.
 Stacking, the partial trace and the sweep's splice in skein_eval only
 build its wire tables and call it.  PlanarMatching(n, pairs) checks its
 input; stacking, closing and juxtaposing, whose results are planar by
-construction, build theirs unchecked from a partner table.
+construction, build theirs unchecked from a partner table.  A matching
+is its partner table: equality and hash read it, and pairs is derived.
 
 Arithmetic runs over Z[A, A^-1].  An element has one form,
 (q, {matching: integer numerator}) with x = (1/q) * sum num_m * m and q
@@ -20,14 +21,19 @@ the least common denominator, normalized as a RationalFunction
 denominator is (lowest degree 0, positive leading coefficient).  The
 form is unique, so == compares it directly.  The constructor clears the
 Q(A) coefficients it is given once; every operation (+, -, scale,
-products, tensors, traces, Wenzl's step) combines numerators and ends in
-_normalized, which divides out their gcd with q.  A product scales each
-left numerator by delta^k once per loop count k and sums in place.
+products, tensors, traces, a projector level) combines numerators and
+ends in _normalized, which divides out their gcd with q.  A product
+scales each left numerator by delta^k once per loop count k and sums in
+place.
 `terms` is a read-only view of reduced coefficients, computed per read.
 
-The n-th Jones-Wenzl projector is built by the two-box recursion
-    f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
-with f(0) empty and f(1) a single strand.
+The n-th Jones-Wenzl projector is built by the single-clasp expansion
+(Kauffman-Lins 1994; Frenkel-Khovanov 1997)
+    f(n) = f(n-1)x1 + sum_{k=n-1..1} ([k]/[n]) (f(n-1)x1) e_{n-1} ... e_k
+with [k] = (-1)^(k-1) Delta_{k-1}, f(0) empty and f(1) a single strand.
+Each term is the one before times one generator, so a level stacks
+(n-1) Catalan(n-1) pairs, where Wenzl's two-box recursion
+(f(n-1)x1) e_{n-1} (f(n-1)x1) stacks about Catalan(n-1)^2.
 """
 from __future__ import annotations
 
@@ -47,7 +53,6 @@ from .laurent import (
     term_add,
     term_mul,
     term_mul_into,
-    term_neg,
 )
 
 _DELTA = loop_value().terms  # term dict of one closed loop; never mutated
@@ -62,7 +67,7 @@ class PlanarMatching:
     """A non-crossing perfect matching of 2n circle points; partner[p] is
     the point that p is joined to."""
 
-    __slots__ = ("n", "pairs", "partner")
+    __slots__ = ("n", "partner")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         size = 2 * n
@@ -84,23 +89,27 @@ class PlanarMatching:
                 raise ValueError("chords cross")
         self.n = n
         self.partner = tuple(partner)
-        self.pairs = tuple((i, j) for i, j in enumerate(partner) if i < j)
 
     @classmethod
     def _from_partner(cls, n: int, partner: tuple) -> "PlanarMatching":
         # trusted: partner is a non-crossing perfect matching of 2n points
         self = object.__new__(cls)
         self.n, self.partner = n, partner
-        self.pairs = tuple((i, j) for i, j in enumerate(partner) if i < j)
         return self
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The chords (i, j), i < j, in order of i."""
+        return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
+
+    # the partner table fixes n (its length is 2n) and the chords
     def __eq__(self, other):
         if not isinstance(other, PlanarMatching):
             return NotImplemented
-        return self.n == other.n and self.pairs == other.pairs
+        return self.partner == other.partner
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        return hash(self.partner)
 
     def __lt__(self, other):
         return self.pairs < other.pairs
@@ -413,27 +422,31 @@ def closure(x: TLElement) -> RationalFunction:
 
 @functools.cache
 def jones_wenzl(n: int) -> TLElement:
-    """The n-th Jones-Wenzl projector in TL_n (Wenzl's recursion)."""
+    """The n-th Jones-Wenzl projector in TL_n (the single-clasp expansion)."""
     if n < 0:
         raise ValueError("projector index must be >= 0")
     if n == 0:
         return TLElement.basis(PlanarMatching(0, []))
     if n == 1:
         return TLElement.identity(1)
-    # With prev = f(n-1)x1 = (1/q) P and prev.e.prev = (1/q^2) S:
-    # f(n) = (Delta_{n-1} q P - Delta_{n-2} S) / (Delta_{n-1} q^2).
+    # With prev = f(n-1)x1 = (1/q) P and the quantum integers
+    # [k] = (-1)^(k-1) Delta_{k-1}, each term one generator longer:
+    # f(n) = ([n] P + sum_{k=n-1..1} [k] P e_{n-1} ... e_k) / ([n] q).
+    def qint(k):
+        return quantum_dimension(k - 1) * (-1) ** (k - 1)
+
     last = jones_wenzl(n - 1)
-    q, strand = last._q, identity_matching(1)
-    prev = {_juxtapose(m, strand): num for m, num in last._nums.items()}
-    e = {cup_cap_matching(n, n - 1): {0: 1}}
-    sandwich = _product(_product(prev, e), prev)
-    big, small = quantum_dimension(n - 1), quantum_dimension(n - 2)
-    scale = (big * q).terms
-    out = {m: term_mul(scale, num) for m, num in prev.items()}
-    minus_small = term_neg(small.terms)
-    for m, num in sandwich.items():
-        _add_into(out, m, term_mul(minus_small, num))
-    return _normalized(n, big * q * q, out)
+    strand = identity_matching(1)
+    term = {_juxtapose(m, strand): num for m, num in last._nums.items()}
+    top = qint(n)
+    out = {m: term_mul(top.terms, num) for m, num in term.items()}
+    for k in range(n - 1, 0, -1):
+        term = _product(term, {cup_cap_matching(n, k): {0: 1}})
+        scale = qint(k).terms
+        for m, num in term.items():
+            term_mul_into(out.setdefault(m, {}), scale, num)
+    return _normalized(n, top * last._q,
+                       {m: {e: c for e, c in s.items() if c} for m, s in out.items()})
 
 
 def cleared_projector(n: int) -> tuple[LaurentPolynomial, list[tuple[dict, PlanarMatching]]]:

@@ -2,9 +2,12 @@
 
 Oracles are independent of the implementation under test: the two-term
 recursion Delta_n = delta Delta_(n-1) - Delta_(n-2) for the closed form
-of Delta_n, and a Gaussian-binomial construction in q = A^4 for the
-quantum binomials.
+of Delta_n, a Gaussian-binomial construction in q = A^4 for the
+quantum binomials, and long division and gcd over every exponent from
+the lowest to the highest for the strided ones in laurent.
 """
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,10 +71,88 @@ def binomial_oracle(n, k):
     return L({4 * e - 2 * k * (n - k): c for e, c in qb.items()})
 
 
+def dense_oracle(p: LaurentPolynomial) -> tuple:
+    lo, hi = p.min_degree(), p.max_degree()
+    return lo, [p.coefficient(e) for e in range(lo, hi + 1)]
+
+
+def divide_exact_oracle(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
+    """Long division over Z on the dense coefficients at every exponent."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return ZERO
+    plo, rem = dense_oracle(p)
+    qlo, qc = dense_oracle(q)
+    if len(rem) < len(qc):
+        raise ValueError("not divisible")
+    out = [0] * (len(rem) - len(qc) + 1)
+    for i in reversed(range(len(out))):
+        lead = rem[i + len(qc) - 1]
+        if lead % qc[-1]:
+            raise ValueError("not divisible")
+        out[i] = lead // qc[-1]
+        for j, c in enumerate(qc):
+            rem[i + j] -= out[i] * c
+    if any(rem):
+        raise ValueError("not divisible")
+    return L({plo - qlo + i: c for i, c in enumerate(out)})
+
+
+def gcd_oracle(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
+    """Primitive Euclid over Z on the dense coefficients at every exponent,
+    both shifted to lowest degree 0; content times the primitive gcd, with
+    a positive leading coefficient."""
+    def primitive(cs):
+        g = math.gcd(*cs)
+        return [c // g for c in cs] if g > 1 else cs
+
+    def trim(cs):
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    f, g = (dense_oracle(x)[1] if x else [] for x in (p, q))
+    if not f and not g:
+        return ZERO
+    content = math.gcd(*f, *g)
+    f, g = primitive(f), primitive(g)
+    while g:
+        if len(f) < len(g):
+            f, g = g, f
+            continue
+        r = list(f)
+        while len(r) >= len(g) and trim(r):  # pseudo-remainder of f by g
+            lead, shift = r[-1], len(r) - len(g)
+            r = [c * g[-1] for c in r]
+            for j, c in enumerate(g):
+                r[shift + j] -= lead * c
+            trim(r)
+        f, g = g, primitive(r)
+    sign = 1 if f[-1] > 0 else -1
+    return L({i: sign * content * c for i, c in enumerate(f)})
+
+
 small_polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8), st.integers(min_value=-9, max_value=9), max_size=6
 ).map(L)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def strided_polys(draw, stride=None):
+    """A polynomial at one exponent stride and residue (stride 1 to 6 unless
+    given); at most five terms, possibly zero."""
+    stride = stride or draw(st.integers(1, 6))
+    shift = draw(st.integers(-12, 12))
+    coeffs = draw(st.lists(st.integers(-5, 5), max_size=5))
+    return L({shift + stride * i: c for i, c in enumerate(coeffs)})
+
+
+# a pair at one stride (both residues free) or at two unrelated strides
+strided_pairs = st.one_of(
+    st.integers(1, 6).flatmap(lambda s: st.tuples(strided_polys(s), strided_polys(s))),
+    st.tuples(strided_polys(), strided_polys()))
 
 
 class TestRing:
@@ -172,6 +253,38 @@ class TestDivisionGcd:
         assert divide_exact(q, g) * g == q
         if g.is_unit():
             assert g == ONE
+
+    @given(strided_pairs, strided_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_strided_division_matches_dense_oracle(self, pair, r):
+        # exact quotients p*r / p and arbitrary, mostly non-divisible, p / q
+        p, q = pair
+        for num, den in ((p * r, p), (p, q), (q, p), (p * r, q)):
+            try:
+                expect = divide_exact_oracle(num, den)
+            except (ValueError, ZeroDivisionError) as e:
+                with pytest.raises(type(e)):
+                    divide_exact(num, den)
+            else:
+                assert divide_exact(num, den) == expect
+
+    @given(strided_pairs, strided_polys())
+    @settings(max_examples=300, deadline=None)
+    def test_strided_gcd_matches_dense_oracle(self, pair, r):
+        p, q = pair
+        for x, y in ((p, q), (p * r, q * r), (p, ZERO), (ZERO, q)):
+            assert laurent_gcd(x, y) == gcd_oracle(x, y)
+
+    def test_stride_examples(self):
+        # residues differ, strides 4 and 4: x = A^4
+        p = L({1: 1, 5: -2, 9: 1}) * L({2: 3, 6: 1})
+        assert divide_exact(p, L({2: 3, 6: 1})) == L({1: 1, 5: -2, 9: 1})
+        with pytest.raises(ValueError):
+            divide_exact(L({0: 1, 4: 1}), L({0: 1, 8: 1}))
+        with pytest.raises(ValueError):
+            divide_exact(L({3: 1}), L({0: 1, 4: 1}))
+        assert laurent_gcd(L({0: 2, 8: -2}), L({3: 4, 7: 4})) == L({0: 2, 4: 2})
+        assert laurent_gcd(ZERO, L({-2: -6, 4: 3})) == L({0: -6, 6: 3})
 
 
 class TestQuantumScalars:

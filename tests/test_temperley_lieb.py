@@ -30,6 +30,7 @@ from skeinlab.temperley_lieb import (
     tl_tensor,
     top_point,
 )
+from skeinlab import temperley_lieb
 
 from cable_oracle import enumerate_matchings
 
@@ -160,6 +161,18 @@ def tl_tensor_oracle(x: TLElement, y: TLElement) -> TLElement:
     return TLElement(x.n + y.n, out)
 
 
+def wenzl_oracle(n: int) -> TLElement:
+    """Wenzl's two-box recursion, by the public element operations:
+    f(n) = prev - (Delta_{n-2}/Delta_{n-1}) prev e_{n-1} prev with
+    prev = f(n-1) x 1, f(0) empty and f(1) one strand."""
+    f = TLElement.identity(min(n, 1))
+    for k in range(2, n + 1):
+        prev = tl_tensor(f, TLElement.identity(1))
+        sandwich = prev * TLElement.generator(k, k - 1) * prev
+        f = prev - sandwich.scale(RationalFunction(quantum_dimension(k - 2), quantum_dimension(k - 1)))
+    return f
+
+
 def absorption_check(m: int, n: int) -> bool:
     """(f(n) x id_m) . f(m+n) == f(m+n)."""
     big = jones_wenzl(m + n)
@@ -180,7 +193,9 @@ matchings_by_n = {n: enumerate_matchings(n) for n in range(7)}
 # cleared_projector(6) is pinned the same way, from the two-form elements
 # that kept reduced coefficients beside a cleared copy, and
 # cleared_projector(7) from the products that validated every stacked
-# matching and added each product term into a fresh copy of the sum.
+# matching and added each product term into a fresh copy of the sum, and
+# cleared_projector(8) from Wenzl's two-box recursion with the cheaper
+# products.
 FROZEN_F4 = {
     ((0, 1), (2, 3), (4, 5), (6, 7)):
         ({4: 1, 8: 2, 12: 1}, {0: 1, 4: 1, 8: 2, 12: 1, 16: 1}),
@@ -219,6 +234,10 @@ FROZEN_F6_ROWS_SHA256 = "5b33d13e3d97937bde040aeee16e35cda13ccaf3085a2cbc1a47eb8
 FROZEN_F7_DENOMINATOR = {0: 1, 4: 2, 8: 4, 12: 6, 16: 9, 20: 11, 24: 13, 28: 13, 32: 13,
                          36: 11, 40: 9, 44: 6, 48: 4, 52: 2, 56: 1}
 FROZEN_F7_ROWS_SHA256 = "379a418e1c5b0757998980dbe9cfa8a822913ab776dfcff6c9f3df30fca10e25"
+FROZEN_F8_DENOMINATOR = {0: 1, 4: 2, 8: 4, 12: 7, 16: 11, 20: 15, 24: 20, 28: 24, 32: 27,
+                         36: 29, 40: 29, 44: 27, 48: 24, 52: 20, 56: 15, 60: 11, 64: 7,
+                         68: 4, 72: 2, 76: 1}
+FROZEN_F8_ROWS_SHA256 = "01cbc9d614084cbdcf341c1ad82f7885ed34aca4a180e20e52adb9e956dbd90d"
 
 
 def matching_strategy(n):
@@ -366,6 +385,47 @@ class TestTrustedMatchings:
     @settings(max_examples=100, deadline=None)
     def test_juxtaposed(self, pair):
         self.assert_valid(_juxtapose(*pair))
+
+
+def pairs_of(m):
+    """The chords of m from its partner table, i < j in order of i."""
+    return tuple((i, j) for i, j in enumerate(m.partner) if i < j)
+
+
+class TestMatchingIdentity:
+    """A matching is keyed by its partner table; pairs is derived from it,
+    and equality, hash, order and repr are those of the chord tuples."""
+
+    @given(st.one_of(
+        st.integers(0, 6).flatmap(lambda n: st.tuples(matching_strategy(n), matching_strategy(n))),
+        st.tuples(st.integers(0, 6).flatmap(matching_strategy),
+                  st.integers(0, 6).flatmap(matching_strategy))))
+    @settings(max_examples=300, deadline=None)
+    def test_equality_and_hash_follow_the_chords(self, pair):
+        a, b = pair
+        assert (a == b) == ((a.n, pairs_of(a)) == (b.n, pairs_of(b)))
+        assert (a == b) == (a.partner == b.partner)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(matching_strategy(n), matching_strategy(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_pairs_equal_the_validating_constructors(self, pair):
+        m = _stack_pair(*pair)[0]
+        checked = PlanarMatching(m.n, reversed([(j, i) for i, j in pairs_of(m)]))
+        assert m.pairs == checked.pairs == pairs_of(m)
+        assert hash(m) == hash(checked)
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(matching_strategy(n), max_size=12)))
+    @settings(max_examples=100, deadline=None)
+    def test_order_and_repr_are_unchanged(self, ms):
+        assert sorted(ms) == sorted(ms, key=pairs_of)
+        for m in ms:
+            assert repr(m) == f"PlanarMatching({m.n}, {m.to_parens()})"
+
+    def test_repr_is_pinned(self):
+        assert repr(cup_cap_matching(3, 2)) == "PlanarMatching(3, (()()))"
+        assert cup_cap_matching(3, 2).pairs == ((0, 5), (1, 2), (3, 4))
 
 
 class TestClearedArithmetic:
@@ -523,6 +583,24 @@ class TestJonesWenzl:
         f = jones_wenzl(4)
         assert {m.pairs: (c.num.terms, c.den.terms) for m, c in f.terms.items()} == FROZEN_F4
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_wenzl_two_box_recursion(self, n):
+        assert jones_wenzl(n) == wenzl_oracle(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_one_level_stacks_n_minus_1_times_catalan_n_minus_1(self, n, monkeypatch):
+        # the single-clasp expansion stacks one generator onto each of the
+        # Catalan(n-1) terms of f(n-1)x1, n-1 times over; Wenzl's sandwich
+        # stacks about Catalan(n-1)^2 pairs
+        jones_wenzl.cache_clear()
+        jones_wenzl(n - 1)
+        calls = []
+        monkeypatch.setattr(temperley_lieb, "_stack_pair",
+                            lambda *a, _real=_stack_pair: calls.append(a) or _real(*a))
+        f = jones_wenzl(n)
+        assert len(calls) == (n - 1) * catalan(n - 1)
+        assert len(f.terms) == catalan(n)
+
 
 class TestClearedProjector:
     def test_reconstructs_projector(self):
@@ -551,6 +629,12 @@ class TestClearedProjector:
         assert q.terms == FROZEN_F7_DENOMINATOR
         text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
         assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F7_ROWS_SHA256
+
+    def test_frozen_f8(self):
+        q, rows = cleared_projector(8)
+        assert q.terms == FROZEN_F8_DENOMINATOR
+        text = repr([(m.pairs, sorted(num.items())) for num, m in rows])
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_F8_ROWS_SHA256
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_each_term_keeps_one_residue_class_mod_4(self, n):

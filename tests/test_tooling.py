@@ -1,7 +1,7 @@
 """Tooling checks.  The benchmark's tracer wraps skeinlab functions by
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
-library and reads no environment variable; no private helper in the
+library, loads every name it imports and reads no environment variable; no private helper in the
 package lives on for tests alone; every public name, and every option of
 a public function, has a user besides the unit tests; no parameter of a
 private function is a constant in disguise; every private name the docs
@@ -125,6 +125,28 @@ def test_the_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_imported_name_is_used():
+    # a name that a module imports but never loads is left over from
+    # deleted code; __init__ imports the names of its __all__ to re-export
+    # them, and a __future__ import is a compiler directive
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            loaded |= set(skeinlab.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in loaded]
+    assert unused == []
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}

@@ -4,10 +4,18 @@ Everything downstream works in the ring Z[A, A^-1] of integer Laurent
 polynomials in a single variable A, or in its fraction field Q(A).  A
 polynomial is stored sparsely as a dict {exponent: coefficient} with no
 zero coefficients; Python ints keep all arithmetic exact at any size.
+Exponents and coefficients must be ints; anything else is a TypeError.
+
+Q(A) has one normal form, (1/q) * (numerators) with q at lowest degree 0
+and a positive leading coefficient and no factor of q shared by all the
+numerators, and one function that reduces to it, _reduce.  A
+RationalFunction is that form with one numerator; a Temperley-Lieb
+element (temperley_lieb) is it with one numerator per basis diagram.
 
 The module also owns the quantum scalars of the trade:
 
-* the loop value  delta = -A^2 - A^-2,
+* the loop value  delta = -A^2 - A^-2, and its powers delta^k, cached
+  once as term dicts for the sweep, the brackets and the TL products,
 * the colored unknot values  Delta_n  (Chebyshev-style recurrence
   Delta_{n+1} = delta*Delta_n - Delta_{n-1}),
 * the quantum binomials [n k]_A with
@@ -86,9 +94,11 @@ class LaurentPolynomial:
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         if terms is None:
-            self._terms = {}
-        else:
-            self._terms = {int(e): int(c) for e, c in terms.items() if c}
+            terms = {}
+        for e, c in terms.items():
+            if not (isinstance(e, int) and isinstance(c, int)):
+                raise TypeError(f"a term needs an int exponent and coefficient, got {e!r}: {c!r}")
+        self._terms = {int(e): int(c) for e, c in terms.items() if c}
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -264,7 +274,7 @@ def loop_value() -> LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact division and gcd (used by RationalFunction normalization)
+# exact division, gcd and the one normal form of Q(A)
 
 def _stride(*polys: LaurentPolynomial) -> int:
     """The gcd of the exponent gaps within each of polys, or 1 if they
@@ -390,65 +400,77 @@ def laurent_lcm(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial
     return divide_exact(p * q, laurent_gcd(p, q))
 
 
+def _reduce(q: LaurentPolynomial, nums: list) -> tuple[LaurentPolynomial, list]:
+    """(q, nums), for the fractions num/q of nonzero nums, in Q(A)'s one
+    normal form: q and every num divided by their common gcd, then by the
+    unit that puts q at lowest degree 0 with a positive leading
+    coefficient.  The gcd takes the numerators in turn and stops once it
+    is 1.  No numerators (the zero element) give (1, [])."""
+    if not nums:
+        return ONE, []
+    g = q
+    for num in nums:
+        g = laurent_gcd(g, num)
+        if g == ONE:
+            break
+    # the gcd has lowest degree 0 and a positive leading coefficient, so
+    # q/g takes the lowest degree and the leading sign of q
+    g = g * LaurentPolynomial.monomial(1 if q.coefficient(q.max_degree()) > 0 else -1,
+                                       q.min_degree())
+    if g == ONE:
+        return q, nums
+    return divide_exact(q, g), [divide_exact(num, g) for num in nums]
+
+
 class RationalFunction:
     """An element of Q(A), stored as a reduced fraction of Laurent polynomials.
 
-    Canonical form: the denominator has lowest degree 0 and positive leading
-    coefficient, and numerator/denominator share no factor in Z[A] (integer
-    content included), so equality is plain component comparison.
+    Canonical form (_reduce's): the denominator has lowest degree 0 and
+    positive leading coefficient, and numerator/denominator share no
+    factor in Z[A] (integer content included), so equality is plain
+    component comparison.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, *, _trusted: bool = False):
-        if isinstance(num, int):
-            num = LaurentPolynomial.monomial(num, 0)
-        if den is None:
-            den = ONE
-        elif isinstance(den, int):
-            den = LaurentPolynomial.monomial(den, 0)
-        if _trusted:
-            self.num, self.den = num, den
-            return
+    def __init__(self, num, den=1):
+        num, den = LaurentPolynomial._coerce(num), LaurentPolynomial._coerce(den)
+        if num is None or den is None:
+            raise TypeError("a RationalFunction is a quotient of Laurent polynomials or ints")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num, self.den = ZERO, ONE
             return
-        # clear the A-power unit ambiguity: put den at lowest degree 0
-        num = num.shift(-den.min_degree())
-        den = den.shift(-den.min_degree())
-        g = laurent_gcd(num, den)
-        if g != ONE:
-            num = divide_exact(num, g)
-            den = divide_exact(den, g)
-        if den.coefficient(den.max_degree()) < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
+        self.den, [self.num] = _reduce(den, [num])
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _raw(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
+        # trusted: num/den is already in the normal form of _reduce
+        self = object.__new__(cls)
+        self.num, self.den = num, den
+        return self
+
+    @classmethod
     def from_laurent(cls, p: LaurentPolynomial) -> "RationalFunction":
-        return cls(p, ONE, _trusted=True)
+        return cls._raw(p, ONE)
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(ZERO, ONE, _trusted=True)
+        return cls._raw(ZERO, ONE)
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls(ONE, ONE, _trusted=True)
+        return cls._raw(ONE, ONE)
 
     @staticmethod
     def _coerce(other) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, LaurentPolynomial):
-            return RationalFunction.from_laurent(other)
-        if isinstance(other, int):
-            return RationalFunction.from_laurent(LaurentPolynomial.monomial(other, 0))
-        return None
+        p = LaurentPolynomial._coerce(other)
+        return None if p is None else RationalFunction.from_laurent(p)
 
     # -- field operations ----------------------------------------------
 
@@ -475,7 +497,7 @@ class RationalFunction:
         return o + (-self)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _trusted=True)
+        return RationalFunction._raw(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -483,7 +505,7 @@ class RationalFunction:
             return NotImplemented
         for u, x in ((o, self), (self, o)):  # a unit +-A^k keeps x reduced over x.den
             if u.den == ONE and u.num.is_unit():
-                return RationalFunction(x.num * u.num, x.den, _trusted=True)
+                return RationalFunction._raw(x.num * u.num, x.den)
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -557,6 +579,12 @@ def quantum_dimension(n: int) -> LaurentPolynomial:
     if n < -1:
         raise ValueError("delta defined for n >= -1")
     return LaurentPolynomial({2 * n - 4 * k: (-1) ** n for k in range(n + 1)})
+
+
+@functools.cache
+def _delta_power(k: int) -> dict:
+    """delta^k as a term dict; shared, so callers must not mutate it."""
+    return (loop_value() ** k)._terms
 
 
 @functools.cache

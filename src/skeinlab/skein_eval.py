@@ -111,8 +111,8 @@ from .laurent import (
     LaurentPolynomial,
     ONE,
     RationalFunction,
+    _delta_power,
     divide_exact,
-    loop_value,
     quantum_dimension,
     term_add,
     term_mul,
@@ -121,8 +121,6 @@ from .laurent import (
 from .temperley_lieb import PlanarMatching, cleared_projector, glue, top_point
 
 DEFAULT_MAX_WIDTH = 24
-
-_DELTA = loop_value()
 
 
 class ResourceLimitError(RuntimeError):
@@ -490,12 +488,6 @@ def _matching_count(width: int, blocks: tuple) -> int:
 # the sweep
 
 
-@functools.cache
-def _delta_power(k: int) -> dict:
-    """delta^k as a term dict; shared, so callers must not mutate it."""
-    return (_DELTA ** k).terms
-
-
 def evaluate(dd: DecoratedDiagram, max_width: int = DEFAULT_MAX_WIDTH) -> LaurentPolynomial:
     """Bracket value of a closed decorated diagram in Z[A, A^-1], swept
     along the plan morse_decompose makes.
@@ -784,7 +776,7 @@ def bracket(link: LinkDiagram, max_width: int = DEFAULT_MAX_WIDTH) -> LaurentPol
     crossing-free circle gives delta, swept on from_link's network, twist
     regions fused."""
     value = evaluate(from_link(link), max_width=max_width)
-    return value * _DELTA ** link.free_loops if link.free_loops else value
+    return value * LaurentPolynomial(_delta_power(link.free_loops)) if link.free_loops else value
 
 
 BRUTE_FORCE_LIMIT = 20

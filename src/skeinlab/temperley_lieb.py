@@ -17,15 +17,16 @@ is its partner table: equality and hash read it, and pairs is derived.
 
 Arithmetic runs over Z[A, A^-1].  An element has one form,
 (q, {matching: integer numerator}) with x = (1/q) * sum num_m * m and q
-the least common denominator, normalized as a RationalFunction
-denominator is (lowest degree 0, positive leading coefficient).  The
-form is unique, so == compares it directly.  The constructor clears the
-Q(A) coefficients it is given once; every operation (+, -, scale,
-products, tensors, traces, a projector level) combines numerators and
-ends in _normalized, which divides out their gcd with q.  A product
-scales each left numerator by delta^k once per loop count k and sums in
-place.
-`terms` is a read-only view of reduced coefficients, computed per read.
+the least common denominator: Q(A)'s one normal form, that of
+laurent._reduce, with one numerator per matching.  The form is unique,
+so == compares it directly.  The constructor clears the Q(A)
+coefficients it is given once; every operation (+, -, scale, products,
+tensors, traces, a projector level) combines numerators and ends in
+_normalized, which drops the zero ones and reduces the rest with q
+through laurent._reduce.  A product scales each left numerator by
+delta^k once per loop count k and sums in place.  `terms` is a
+read-only view of reduced coefficients, computed per read; the closure
+of TL_0's one numerator over q is already a reduced RationalFunction.
 
 The n-th Jones-Wenzl projector is built by the single-clasp expansion
 (Kauffman-Lins 1994; Frenkel-Khovanov 1997)
@@ -45,17 +46,15 @@ from .laurent import (
     LaurentPolynomial,
     ONE,
     RationalFunction,
+    _delta_power,
+    _reduce,
     divide_exact,
-    laurent_gcd,
     laurent_lcm,
-    loop_value,
     quantum_dimension,
     term_add,
     term_mul,
     term_mul_into,
 )
-
-_DELTA = loop_value().terms  # term dict of one closed loop; never mutated
 
 
 def top_point(position: int, n: int) -> int:
@@ -136,16 +135,6 @@ def cup_cap_matching(n: int, i: int) -> PlanarMatching:
     return PlanarMatching(n, pairs)
 
 
-def _coerce_scalar(c) -> RationalFunction:
-    if isinstance(c, RationalFunction):
-        return c
-    if isinstance(c, LaurentPolynomial):
-        return RationalFunction.from_laurent(c)
-    if isinstance(c, int):
-        return RationalFunction(c)
-    raise TypeError(f"bad scalar {c!r}")
-
-
 class TLElement:
     """A Q(A)-linear combination of TL_n basis diagrams; immutable, and
     stored only in the one form (q, numerators) of the module docstring."""
@@ -157,9 +146,11 @@ class TLElement:
         for m, c in (terms or {}).items():
             if m.n != n:
                 raise ValueError("strand count mismatch")
-            c = _coerce_scalar(c)
-            if not c.is_zero():
-                coeffs[m] = c
+            r = RationalFunction._coerce(c)
+            if r is None:
+                raise TypeError(f"bad scalar {c!r}")
+            if not r.is_zero():
+                coeffs[m] = r
         # the lcm of reduced denominators is already the normalized q
         dens = {c.den for c in coeffs.values()}
         q = ONE
@@ -173,7 +164,7 @@ class TLElement:
     def terms(self) -> Mapping[PlanarMatching, RationalFunction]:
         """Read-only view of the nonzero coefficients, reduced afresh on
         each read."""
-        return MappingProxyType({m: RationalFunction(LaurentPolynomial(num), self._q)
+        return MappingProxyType({m: RationalFunction(LaurentPolynomial._raw(num), self._q)
                                  for m, num in self._nums.items()})
 
     @classmethod
@@ -187,10 +178,6 @@ class TLElement:
     @classmethod
     def generator(cls, n: int, i: int) -> "TLElement":
         return cls.basis(cup_cap_matching(n, i))
-
-    @classmethod
-    def zero(cls, n: int) -> "TLElement":
-        return cls(n)
 
     def __add__(self, other: "TLElement") -> "TLElement":
         if not isinstance(other, TLElement):
@@ -212,9 +199,11 @@ class TLElement:
         return self.scale(-1)
 
     def scale(self, c) -> "TLElement":
-        c = _coerce_scalar(c)
-        k = c.num.terms
-        return _normalized(self.n, self._q * c.den,
+        r = RationalFunction._coerce(c)
+        if r is None:
+            raise TypeError(f"bad scalar {c!r}")
+        k = r.num.terms
+        return _normalized(self.n, self._q * r.den,
                            {m: term_mul(num, k) for m, num in self._nums.items()})
 
     def __rmul__(self, other):
@@ -246,23 +235,11 @@ class TLElement:
 
 def _normalized(n: int, q: LaurentPolynomial, nums: Mapping[PlanarMatching, dict]) -> TLElement:
     """The element (1/q) * sum num_m * m in its one form: zero numerators
-    dropped, q and the numerators divided by their gcd, then by the unit
-    that puts q at lowest degree 0 with a positive leading coefficient."""
+    dropped, the rest reduced with q by laurent._reduce."""
     nums = {m: num for m, num in nums.items() if num}
-    g = q = q if nums else ONE  # zero is (1, {})
-    for num in nums.values():
-        g = laurent_gcd(g, LaurentPolynomial(num))
-        if g == ONE:
-            break
-    # the gcd has lowest degree 0 and a positive leading coefficient, so
-    # q/g takes the lowest degree and the leading sign of q
-    g = g * LaurentPolynomial.monomial(1 if q.coefficient(q.max_degree()) > 0 else -1,
-                                       q.min_degree())
-    if g != ONE:
-        q = divide_exact(q, g)
-        nums = {m: divide_exact(LaurentPolynomial(num), g).terms for m, num in nums.items()}
+    q, reduced = _reduce(q, [LaurentPolynomial._raw(num) for num in nums.values()])
     x = object.__new__(TLElement)
-    x.n, x._q, x._nums = n, q, nums
+    x.n, x._q, x._nums = n, q, dict(zip(nums, (num.terms for num in reduced)))
     return x
 
 
@@ -342,7 +319,7 @@ def _product(nx: Mapping[PlanarMatching, dict], ny: Mapping[PlanarMatching, dict
         for my, cy in ny.items():
             m, loops = _stack_pair(mx, my)
             while loops >= len(scaled):
-                scaled.append(term_mul(scaled[-1], _DELTA))
+                scaled.append(term_mul(scaled[-1], _delta_power(1)))
             s = sums.get(m)
             if s is None:
                 s = sums[m] = {}
@@ -404,7 +381,7 @@ def partial_trace(x: TLElement, count: int = 1) -> TLElement:
         out: dict[PlanarMatching, dict] = {}
         for m, num in nums.items():
             mm, loops = _close_last(m)
-            _add_into(out, mm, term_mul(num, _DELTA) if loops else num)
+            _add_into(out, mm, term_mul(num, _delta_power(1)) if loops else num)
         nums = out
     return _normalized(x.n - count, x._q, nums)
 
@@ -413,11 +390,10 @@ def closure(x: TLElement) -> RationalFunction:
     """Markov-style closure of all strands; the bracket value of the
     resulting closed diagram."""
     closed = partial_trace(x, x.n)
-    if closed.is_zero():
-        return RationalFunction.zero()
-    # TL_0 has the single empty matching
-    [(m, c)] = closed.terms.items()
-    return c
+    # TL_0 has the single empty matching, so its one form (q, {m: num}) is
+    # already the reduced fraction num/q; the zero element is (1, {})
+    num = next(iter(closed._nums.values()), {})
+    return RationalFunction._raw(LaurentPolynomial._raw(num), closed._q)
 
 
 @functools.cache

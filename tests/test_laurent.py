@@ -4,7 +4,11 @@ Oracles are independent of the implementation under test: the two-term
 recursion Delta_n = delta Delta_(n-1) - Delta_(n-2) for the closed form
 of Delta_n, a Gaussian-binomial construction in q = A^4 for the
 quantum binomials, and long division and gcd over every exponent from
-the lowest to the highest for the strided ones in laurent.
+the lowest to the highest for the strided ones in laurent.  The one
+normal form of Q(A), laurent._reduce, is checked against the two
+normalizers it replaced, kept here as oracles: RationalFunction's own
+shift, gcd, divide and sign, and temperley_lieb's gcd loop over the
+numerators of an element.
 """
 import math
 
@@ -19,6 +23,7 @@ from skeinlab.laurent import (
     ZERO,
     LaurentPolynomial,
     RationalFunction,
+    _reduce,
     crossing_expansion_coefficient,
     divide_exact,
     laurent_gcd,
@@ -131,6 +136,42 @@ def gcd_oracle(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
         f, g = g, primitive(r)
     sign = 1 if f[-1] > 0 else -1
     return L({i: sign * content * c for i, c in enumerate(f)})
+
+
+def rational_oracle(num: LaurentPolynomial, den: LaurentPolynomial) -> tuple:
+    """(num, den) reduced as RationalFunction's constructor once did it:
+    den shifted to lowest degree 0, both divided by their gcd, then both
+    negated if den leads with a negative coefficient."""
+    if num.is_zero():
+        return ZERO, ONE
+    num = num.shift(-den.min_degree())
+    den = den.shift(-den.min_degree())
+    g = laurent_gcd(num, den)
+    if g != ONE:
+        num = divide_exact(num, g)
+        den = divide_exact(den, g)
+    if den.coefficient(den.max_degree()) < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def numerators_oracle(q: LaurentPolynomial, nums: list) -> tuple:
+    """(q, numerators) reduced as temperley_lieb's element normalizer once
+    did it: zero numerators dropped, the gcd of q with each numerator in
+    turn, stopping at 1, times the unit that takes q's lowest degree and
+    leading sign; q and the numerators divided by it."""
+    nums = [num for num in nums if num]
+    g = q = q if nums else ONE
+    for num in nums:
+        g = laurent_gcd(g, num)
+        if g == ONE:
+            break
+    g = g * LaurentPolynomial.monomial(1 if q.coefficient(q.max_degree()) > 0 else -1,
+                                       q.min_degree())
+    if g != ONE:
+        q = divide_exact(q, g)
+        nums = [divide_exact(num, g) for num in nums]
+    return q, nums
 
 
 small_polys = st.dictionaries(
@@ -440,3 +481,80 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(ONE, ZERO)
+
+
+BAD_INPUT = {
+    "float exponent": lambda: L({2.5: 1}),
+    "float coefficient": lambda: L({0: 1.9}),
+    "str exponent and coefficient": lambda: L({"3": "2"}),
+    "float RationalFunction": lambda: RationalFunction(1.5),
+    "float denominator": lambda: RationalFunction(A, 0.5),
+    "str numerator": lambda: RationalFunction("A"),
+}
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize("make", BAD_INPUT.values(), ids=BAD_INPUT)
+    def test_non_integer_input_is_refused(self, make):
+        # int() would truncate 2.5 and 1.9 and parse "3"
+        with pytest.raises(TypeError):
+            make()
+
+
+def quantum_integer(k: int) -> LaurentPolynomial:
+    """[k] = (-1)^(k-1) Delta_(k-1), a Jones-Wenzl denominator factor."""
+    return quantum_dimension(k - 1) * (-1) ** (k - 1)
+
+
+# factors shared by q and the numerators: 1, [k] or Delta_k
+shared_factors = st.sampled_from(
+    [ONE] + [quantum_integer(k) for k in range(2, 6)] + [quantum_dimension(k) for k in range(1, 5)])
+units = st.tuples(st.sampled_from([1, -1]), st.integers(-9, 9)).map(lambda t: L({t[1]: t[0]}))
+
+
+@st.composite
+def fractions(draw, max_numerators=5):
+    """(q, numerators): q nonzero, one to max_numerators numerators at
+    mixed strides and residues, possibly zero; each polynomial times a
+    random sign and A-power, and all of them, often, times one factor."""
+    factor = draw(shared_factors)
+    q = draw(strided_polys().filter(bool)) * draw(units) * factor
+    nums = draw(st.lists(st.tuples(strided_polys(), units), min_size=1,
+                         max_size=max_numerators))
+    return q, [num * unit * factor for num, unit in nums]
+
+
+class TestReducer:
+    @given(fractions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_element_normalizer(self, case):
+        q, nums = case
+        assert _reduce(q, [num for num in nums if num]) == numerators_oracle(q, nums)
+
+    @given(fractions(max_numerators=1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rational_normalizer(self, case):
+        q, [num] = case
+        x = RationalFunction(num, q)
+        assert (x.num, x.den) == rational_oracle(num, q)
+        if num:
+            assert _reduce(q, [num]) == (x.den, [x.num])
+
+    @given(fractions())
+    @settings(max_examples=200, deadline=None)
+    def test_form_is_normal_and_keeps_the_value(self, case):
+        q, nums = case
+        nums = [num for num in nums if num]
+        r, reduced = _reduce(q, nums)
+        assert r.min_degree() == 0
+        assert r.coefficient(r.max_degree()) > 0
+        g = r
+        for num in reduced:
+            g = gcd_oracle(g, num)
+        assert g == ONE
+        assert all(a * q == b * r for a, b in zip(reduced, nums))
+
+    def test_no_numerators_is_zero(self):
+        assert _reduce(loop_value().shift(3), []) == (ONE, [])
+        x = RationalFunction(ZERO, -loop_value())
+        assert (x.num, x.den) == (ZERO, ONE)

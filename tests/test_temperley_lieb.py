@@ -30,7 +30,7 @@ from skeinlab.temperley_lieb import (
     tl_tensor,
     top_point,
 )
-from skeinlab import temperley_lieb
+from skeinlab import laurent, temperley_lieb
 
 from cable_oracle import enumerate_matchings
 
@@ -472,6 +472,21 @@ class TestClearedArithmetic:
                           for k, m in enumerate(matchings_by_n[3])})
         [(_, expect)] = partial_trace_oracle(x, 3).terms.items()
         assert closure(x) == expect
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_closure_takes_no_gcd_beyond_the_trace(self, n, monkeypatch):
+        # TL_0's one form is already a reduced fraction, so closure hands
+        # it on as it is instead of reducing it again
+        x = TLElement(n, {m: RationalFunction(A**k + 1, quantum_dimension(k % 4 + 1))
+                          for k, m in enumerate(matchings_by_n[n])})
+        calls = []
+        monkeypatch.setattr(laurent, "laurent_gcd",
+                            lambda *a, _real=laurent.laurent_gcd: calls.append(a) or _real(*a))
+        trace = partial_trace(x, x.n)
+        traced = len(calls)
+        value = closure(x)
+        assert traced and len(calls) == 2 * traced
+        assert trace.terms == {PlanarMatching(0, []): value}
 
 
 class TestTensor:

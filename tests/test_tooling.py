@@ -191,6 +191,24 @@ def test_only_temperley_lieb_builds_trusted_matchings():
     assert found == []
 
 
+def test_only_laurent_takes_gcds():
+    # Q(A) has one normal form and laurent._reduce is the one function
+    # that reduces to it; a module that imports, calls or names
+    # laurent_gcd would be a second normalizer (laurent_lcm stays the
+    # way to clear denominators)
+    assert callable(getattr(skeinlab.laurent, "_reduce", None))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (getattr(node, "attr", None), getattr(node, "id", None),
+                     getattr(node, "name", None), getattr(node, "value", None))
+            if "laurent_gcd" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_private_helper_in_src_has_a_src_caller():
     # a module-level _name function or class that only tests call belongs
     # under tests/ as an oracle, or nowhere; a helper's own body does not
@@ -232,11 +250,16 @@ def module_aliases(tree: ast.Module) -> set:
             for alias in node.names}
 
 
-def words_outside_unit_tests() -> set:
-    """Every word of the README, the acceptance tests and the benchmark."""
+def text_outside_unit_tests() -> str:
+    """The README, the acceptance tests and the benchmark, joined."""
     texts = [README.read_text(), ACCEPTANCE.read_text()]
     texts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
-    return set(re.findall(r"\w+", "\n".join(texts)))
+    return "\n".join(texts)
+
+
+def words_outside_unit_tests() -> set:
+    """Every word of the README, the acceptance tests and the benchmark."""
+    return set(re.findall(r"\w+", text_outside_unit_tests()))
 
 
 def test_every_public_name_has_a_user_besides_tests():
@@ -267,18 +290,30 @@ def test_every_public_method_has_a_user_besides_tests():
     # a public method or property of a class in skeinlab.__all__ whose
     # name no other src/ definition shares is used in src/ outside its
     # own body, by the benchmark, in the README or by the acceptance
-    # tests; one that only unit tests call belongs nowhere
+    # tests; one that only unit tests call belongs nowhere.  A public
+    # classmethod or staticmethod is called on its class, so it is used
+    # only as ClassName.method, whatever other definitions share its name
+    # (TLElement.zero beside LaurentPolynomial.zero)
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     defined = collections.Counter(
         node.name for tree in trees for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
     public = set(skeinlab.__all__)
-    methods = {item.name for tree in trees for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) and node.name in public
-               for item in node.body
-               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and not item.name.startswith("_") and defined[item.name] == 1}
-    assert methods
+    methods, class_methods = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and node.name in public):
+                continue
+            for item in node.body:
+                if (not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or item.name.startswith("_")):
+                    continue
+                if {getattr(d, "id", None) for d in item.decorator_list} & {
+                        "classmethod", "staticmethod"}:
+                    class_methods.add(f"{node.name}.{item.name}")
+                elif defined[item.name] == 1:
+                    methods.add(item.name)
+    assert methods and class_methods
 
     def uses(node, inside=()):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -286,11 +321,17 @@ def test_every_public_method_has_a_user_besides_tests():
         name = getattr(node, "attr", getattr(node, "id", None))
         if name is not None and name not in inside:
             yield name
+            if isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if owner is not None:
+                    yield f"{owner}.{name}"
         for child in ast.iter_child_nodes(node):
             yield from uses(child, inside)
 
     used = {name for tree in trees for name in uses(tree)}
-    assert sorted(methods - used - words_outside_unit_tests()) == []
+    used |= {".".join(pair)
+             for pair in re.findall(r"\b(?=(\w+)\.(\w+))", text_outside_unit_tests())}
+    assert sorted((methods | class_methods) - used - words_outside_unit_tests()) == []
 
 
 def test_every_public_option_has_a_caller_besides_tests():

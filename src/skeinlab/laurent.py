@@ -95,6 +95,8 @@ class LaurentPolynomial:
     def __init__(self, terms: Mapping[int, int] | None = None):
         if terms is None:
             terms = {}
+        elif not hasattr(terms, "items"):
+            raise TypeError(f"Laurent terms are an {{exponent: int}} mapping, got {terms!r}")
         for e, c in terms.items():
             if not (isinstance(e, int) and isinstance(c, int)):
                 raise TypeError(f"a term needs an int exponent and coefficient, got {e!r}: {c!r}")

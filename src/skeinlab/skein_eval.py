@@ -69,8 +69,9 @@ The bracket's network (from_link) is the PD code's own slot table
 ends become one coupon, the TL_2 element of the tangle they make.  By
 Kauffman's relation a twist region of any length is alpha 1 + beta e,
 so it ends as one node of at most two terms, and the sweep has fewer
-events for the same terms.  A composite's terms are glued by temperley_lieb.glue
-and interned by value (_composite, the last _TANGLE_CACHE of them), so
+events for the same terms.  A composite is the TL_2 product of the two
+(_fused: one temperley_lieb._product on their turned ports), interned
+by value (_composite, the last _TANGLE_CACHE of them), so
 equal tangles share one node and its glued tables.  A bigon bounds a
 face, so a composite is a disk and its matchings never cross.  J~, Y(s)
 and Lambda networks are never fused.
@@ -118,7 +119,7 @@ from .laurent import (
     term_mul,
     term_shift,
 )
-from .temperley_lieb import PlanarMatching, cleared_projector, glue, top_point
+from .temperley_lieb import PlanarMatching, _chords, _product, cleared_projector, glue, top_point
 
 DEFAULT_MAX_WIDTH = 24
 
@@ -147,7 +148,9 @@ class CouponNode:
     Ports use the circle convention of PlanarMatching: 0..n-1 across the
     bottom, then n..2n-1 across the top right to left; on CROSSING they
     are the PD slots 0..3.  Each term is held as the partner table of its
-    PlanarMatching.
+    PlanarMatching and its coefficient's LaurentPolynomial term dict:
+    every matching is checked, a coefficient that is not an int term dict
+    raises TypeError, and a term whose coefficient is 0 is dropped.
 
     `projector` declares that the element kills every turnback (e_i f = 0
     = f e_i), as a Jones-Wenzl box does; the sweep then drops each term
@@ -178,10 +181,9 @@ class CouponNode:
         the first read when the coupon was given a function."""
         if callable(self._form):
             terms, denominator = self._form()
-            self._form = denominator, tuple(
-                (PlanarMatching(self.port_count // 2, pairs).partner,
-                 dict(coeff.terms if isinstance(coeff, LaurentPolynomial) else coeff))
-                for pairs, coeff in terms)
+            rows = [(PlanarMatching(self.port_count // 2, pairs).partner,
+                     LaurentPolynomial(coeff).terms) for pairs, coeff in terms]
+            self._form = denominator, tuple(row for row in rows if row[1])
         return self._form[1]
 
     @property
@@ -309,23 +311,16 @@ _TANGLE_CACHE = 1024
 @functools.lru_cache(maxsize=_TANGLE_CACHE)
 def _fused(u: CouponNode, v: CouponNode, a: int, b: int) -> CouponNode:
     """The 4-point coupon of u and v joined by the bigon u a ~ v b, u a+1
-    ~ v b-1, its ports u a+2, u a+3, v b+1, v b+2: each pair of local
-    matchings glued, coefficient the product times delta^loops, merged by
-    matching.  Equal composites are one node (_composite)."""
-    back, end = [None] * 8, [None] * 8
-    for p, q in ((a, 4 + b), ((a + 1) % 4, 4 + (b - 1) % 4)):
-        back[p], back[q] = q, p
-    for i, p in enumerate(((a + 2) % 4, (a + 3) % 4, 4 + (b + 1) % 4, 4 + (b + 2) % 4)):
-        end[p] = i
-    terms: dict = {}
-    for mu, cu in u.local_terms():
-        for mv, cv in v.local_terms():
-            partners, loops = glue(mu + tuple(4 + p for p in mv), back, end)
-            pairs = tuple(sorted((p, q) for p, q in partners.items() if p < q))
-            terms[pairs] = term_add(terms.get(pairs, {}),
-                                    term_mul(term_mul(cu, cv), _delta_power(loops)))
-    return _composite(tuple(sorted((pairs, tuple(sorted(c.items())))
-                                   for pairs, c in terms.items() if c)))
+    ~ v b-1, its ports u a+2, u a+3, v b+1, v b+2: the TL_2 product of u
+    below v, u's ports turned by a+2 so that a+1 and a are its top points
+    and v's by b-1 so that b-1 and b are its bottom points.  Equal
+    composites are one node (_composite)."""
+    def turned(node, shift):
+        return {tuple((m[(shift + i) % 4] - shift) % 4 for i in range(4)): coeff
+                for m, coeff in node.local_terms()}
+    terms = _product(turned(u, a + 2), turned(v, b - 1))
+    return _composite(tuple(sorted((_chords(m), tuple(sorted(c.items())))
+                                   for m, c in terms.items())))
 
 
 @functools.lru_cache(maxsize=_TANGLE_CACHE)

@@ -10,10 +10,13 @@ formed while stacking evaluate to delta = -A^2 - A^-2 each.
 glue is the package's one strand tracer: it joins a matching to its
 outside wires, follows every strand and counts the closed loops.
 Stacking, the partial trace and the sweep's splice in skein_eval only
-build its wire tables and call it.  PlanarMatching(n, pairs) checks its
-input; stacking, closing and juxtaposing, whose results are planar by
-construction, build theirs unchecked from a partner table.  A matching
-is its partner table: equality and hash read it, and pairs is derived.
+build its wire tables and call it.  Inside this module a matching is its
+partner tuple, partner[p] the point joined to p, on len // 2 strands:
+elements key their numerators by it, and stacking, closing and
+juxtaposing, whose results are planar by construction, take and return
+it.  A PlanarMatching, checked by its constructor, is what a matching
+is outside: TLElement and basis accept one, and terms, cleared_projector
+and repr hand one out.
 
 Arithmetic runs over Z[A, A^-1].  An element has one form,
 (q, {matching: integer numerator}) with x = (1/q) * sum num_m * m and q
@@ -89,17 +92,10 @@ class PlanarMatching:
         self.n = n
         self.partner = tuple(partner)
 
-    @classmethod
-    def _from_partner(cls, n: int, partner: tuple) -> "PlanarMatching":
-        # trusted: partner is a non-crossing perfect matching of 2n points
-        self = object.__new__(cls)
-        self.n, self.partner = n, partner
-        return self
-
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The chords (i, j), i < j, in order of i."""
-        return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
+        return _chords(self.partner)
 
     # the partner table fixes n (its length is 2n) and the chords
     def __eq__(self, other):
@@ -119,6 +115,11 @@ class PlanarMatching:
 
     def __repr__(self):
         return f"PlanarMatching({self.n}, {self.to_parens()})"
+
+
+def _chords(partner: tuple) -> tuple[tuple[int, int], ...]:
+    """The chords (i, j), i < j, of a partner tuple, in order of i."""
+    return tuple((i, j) for i, j in enumerate(partner) if i < j)
 
 
 def identity_matching(n: int) -> PlanarMatching:
@@ -150,7 +151,7 @@ class TLElement:
             if r is None:
                 raise TypeError(f"bad scalar {c!r}")
             if not r.is_zero():
-                coeffs[m] = r
+                coeffs[m.partner] = r
         # the lcm of reduced denominators is already the normalized q
         dens = {c.den for c in coeffs.values()}
         q = ONE
@@ -164,7 +165,8 @@ class TLElement:
     def terms(self) -> Mapping[PlanarMatching, RationalFunction]:
         """Read-only view of the nonzero coefficients, reduced afresh on
         each read."""
-        return MappingProxyType({m: RationalFunction(LaurentPolynomial._raw(num), self._q)
+        return MappingProxyType({PlanarMatching(self.n, _chords(m)):
+                                 RationalFunction(LaurentPolynomial._raw(num), self._q)
                                  for m, num in self._nums.items()})
 
     @classmethod
@@ -185,7 +187,7 @@ class TLElement:
         if self.n != other.n:
             raise ValueError("strand count mismatch")
         q = laurent_lcm(self._q, other._q)
-        out: dict[PlanarMatching, dict] = {}
+        out: dict[tuple, dict] = {}
         for x in (self, other):
             k = divide_exact(q, x._q).terms
             for m, num in x._nums.items():
@@ -233,7 +235,7 @@ class TLElement:
         return f"TLElement(TL_{self.n}, " + " + ".join(bits) + ")"
 
 
-def _normalized(n: int, q: LaurentPolynomial, nums: Mapping[PlanarMatching, dict]) -> TLElement:
+def _normalized(n: int, q: LaurentPolynomial, nums: Mapping[tuple, dict]) -> TLElement:
     """The element (1/q) * sum num_m * m in its one form: zero numerators
     dropped, the rest reduced with q by laurent._reduce."""
     nums = {m: num for m, num in nums.items() if num}
@@ -243,7 +245,7 @@ def _normalized(n: int, q: LaurentPolynomial, nums: Mapping[PlanarMatching, dict
     return x
 
 
-def _add_into(out: dict, m: PlanarMatching, num: dict) -> None:
+def _add_into(out: dict, m: tuple, num: dict) -> None:
     """out[m] += num on numerator term-dicts; never mutates num."""
     s = out.get(m)
     out[m] = num if s is None else term_add(s, num)
@@ -289,31 +291,30 @@ def glue(local_map, back: list, end: list) -> tuple[dict, int]:
     return partner, loops
 
 
-def _stack_pair(a: PlanarMatching, b: PlanarMatching) -> tuple[PlanarMatching, int]:
-    """Glue b on top of a (a's top position p fuses with b's bottom point p);
-    return the resulting matching and the number of closed loops formed.
+def _stack_pair(a: tuple, b: tuple) -> tuple[tuple, int]:
+    """Glue partner tuple b on top of a (a's top position p fuses with b's
+    bottom point p): the resulting partner tuple and its closed loops.
     a's bottoms keep their labels 0..n-1 and b's tops theirs, n..2n-1."""
-    n = a.n
+    n = len(a) // 2
     back = [None] * (2 * n)
     end = list(range(n)) + [None] * n
     for p in range(n):
         # a's top point at position p runs on through b's bottom point p
-        q = b.partner[p]
+        q = b[p]
         if q < n:
             back[top_point(p, n)] = top_point(q, n)
         else:
             end[top_point(p, n)] = q
-    partners, loops = glue(a.partner, back, end)
+    partners, loops = glue(a, back, end)
     # every label but the ends of b's top-to-top chords is a strand end;
     # those chords never meet a, so glue does not walk them
-    partner = tuple([partners.get(p, q) for p, q in enumerate(b.partner)])
-    return PlanarMatching._from_partner(n, partner), loops
+    return tuple([partners.get(p, q) for p, q in enumerate(b)]), loops
 
 
-def _product(nx: Mapping[PlanarMatching, dict], ny: Mapping[PlanarMatching, dict]) -> dict:
-    """Numerators of x*y over q_x*q_y, from the numerators of x and y;
+def _product(nx: Mapping[tuple, dict], ny: Mapping[tuple, dict]) -> dict:
+    """Numerators of x*y over q_x*q_y, from those of x and y by partner tuple;
     the sums are fresh dicts, added to in place, and no operand is written."""
-    sums: dict[PlanarMatching, dict] = {}
+    sums: dict[tuple, dict] = {}
     for mx, cx in nx.items():
         scaled = [cx]  # scaled[k] = cx * delta^k, grown as loop counts appear
         for my, cy in ny.items():
@@ -334,9 +335,9 @@ def tl_multiply(x: TLElement, y: TLElement) -> TLElement:
     return _normalized(x.n, x._q * y._q, _product(x._nums, y._nums))
 
 
-def _juxtapose(mx: PlanarMatching, my: PlanarMatching) -> PlanarMatching:
-    """mx on the left of my, as one matching on mx.n + my.n strands."""
-    n, k = mx.n, my.n
+def _juxtapose(mx: tuple, my: tuple) -> tuple:
+    """Partner tuple mx on the left of my, as one on all their strands."""
+    n, k = len(mx) // 2, len(my) // 2
     total = n + k
 
     def left(pt):
@@ -347,9 +348,9 @@ def _juxtapose(mx: PlanarMatching, my: PlanarMatching) -> PlanarMatching:
 
     partner = [0] * (2 * total)
     for place, m in ((left, mx), (right, my)):
-        for a, b in enumerate(m.partner):
+        for a, b in enumerate(m):
             partner[place(a)] = place(b)
-    return PlanarMatching._from_partner(total, tuple(partner))
+    return tuple(partner)
 
 
 def tl_tensor(x: TLElement, y: TLElement) -> TLElement:
@@ -359,17 +360,16 @@ def tl_tensor(x: TLElement, y: TLElement) -> TLElement:
                                                 for my, cy in y._nums.items()})
 
 
-def _close_last(m: PlanarMatching) -> tuple[PlanarMatching, int]:
-    """Join the rightmost bottom point to the rightmost top point around
-    the side; returns the smaller matching and the loop count (0 or 1)."""
-    n = m.n
+def _close_last(m: tuple) -> tuple[tuple, int]:
+    """Join the rightmost bottom point of m to its rightmost top point around
+    the side; returns the smaller tuple and the loop count (0 or 1)."""
+    n = len(m) // 2
     b, t = n - 1, top_point(n - 1, n)  # adjacent on the circle
     back = [None] * (2 * n)
     back[b], back[t] = t, b
     end = [p if p < b else p - 2 for p in range(2 * n)]
-    partners, loops = glue(m.partner, back, end)  # every point left is a strand end
-    partner = tuple(map(partners.__getitem__, range(2 * n - 2)))
-    return PlanarMatching._from_partner(n - 1, partner), loops
+    partners, loops = glue(m, back, end)  # every point left is a strand end
+    return tuple(map(partners.__getitem__, range(2 * n - 2))), loops
 
 
 def partial_trace(x: TLElement, count: int = 1) -> TLElement:
@@ -378,7 +378,7 @@ def partial_trace(x: TLElement, count: int = 1) -> TLElement:
         raise ValueError("cannot close more strands than exist")
     nums = x._nums
     for _ in range(count):
-        out: dict[PlanarMatching, dict] = {}
+        out: dict[tuple, dict] = {}
         for m, num in nums.items():
             mm, loops = _close_last(m)
             _add_into(out, mm, term_mul(num, _delta_power(1)) if loops else num)
@@ -412,12 +412,11 @@ def jones_wenzl(n: int) -> TLElement:
         return quantum_dimension(k - 1) * (-1) ** (k - 1)
 
     last = jones_wenzl(n - 1)
-    strand = identity_matching(1)
-    term = {_juxtapose(m, strand): num for m, num in last._nums.items()}
+    term = {_juxtapose(m, (1, 0)): num for m, num in last._nums.items()}  # P: f(n-1) beside a strand
     top = qint(n)
     out = {m: term_mul(top.terms, num) for m, num in term.items()}
     for k in range(n - 1, 0, -1):
-        term = _product(term, {cup_cap_matching(n, k): {0: 1}})
+        term = _product(term, {cup_cap_matching(n, k).partner: {0: 1}})
         scale = qint(k).terms
         for m, num in term.items():
             term_mul_into(out.setdefault(m, {}), scale, num)
@@ -434,4 +433,5 @@ def cleared_projector(n: int) -> tuple[LaurentPolynomial, list[tuple[dict, Plana
     over Z[A, A^-1] with one checked exact division at the end.
     """
     f = jones_wenzl(n)
-    return f._q, [(dict(num), m) for m, num in sorted(f._nums.items(), key=lambda t: t[0].pairs)]
+    rows = sorted((_chords(m), num) for m, num in f._nums.items())
+    return f._q, [(dict(num), PlanarMatching(n, pairs)) for pairs, num in rows]

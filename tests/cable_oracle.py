@@ -16,7 +16,9 @@ that the box placement of colored_jones predicts, and peak_matchings the
 most it holds at once; sweep_events replays the events themselves, and
 signature_splices works out one event's splice the way the sweep did
 before nodes kept their glued tables, by gluing with the slots as labels;
-enumerate_matchings lists the basis diagrams of TL_n by brute force.
+enumerate_matchings lists the basis diagrams of TL_n by brute force, and
+glued_fusion fuses a bigon of two 4-point coupons by gluing them with the
+strand tracer, the oracle of skein_eval._fused's TL_2 product.
 
 planar_by_faces and alternating_by_strands are the oracles of the
 LinkDiagram constructor's planarity check and of diagram.is_alternating:
@@ -28,6 +30,7 @@ that is not planar.
 from types import SimpleNamespace
 
 from skeinlab.diagram import LinkDiagram
+from skeinlab.laurent import _delta_power, term_add, term_mul
 from skeinlab.skein_eval import MorsePlan, _EventStep, _halves, _side, morse_decompose
 from skeinlab.temperley_lieb import PlanarMatching, glue
 
@@ -192,6 +195,27 @@ def enumerate_matchings(n: int) -> list[PlanarMatching]:
         return results
 
     return [PlanarMatching(n, pairs) for pairs in split(tuple(range(2 * n)))]
+
+
+def glued_fusion(u, v, a: int, b: int) -> tuple:
+    """The terms, as sorted (pairs, sorted coefficient items), of the
+    4-point coupon of u and v joined by the bigon u a ~ v b, u a+1 ~ v
+    b-1, its ports u a+2, u a+3, v b+1, v b+2: each pair of local
+    matchings glued on 8 points, coefficient the product times
+    delta^loops, merged by matching."""
+    back, end = [None] * 8, [None] * 8
+    for p, q in ((a, 4 + b), ((a + 1) % 4, 4 + (b - 1) % 4)):
+        back[p], back[q] = q, p
+    for i, p in enumerate(((a + 2) % 4, (a + 3) % 4, 4 + (b + 1) % 4, 4 + (b + 2) % 4)):
+        end[p] = i
+    terms: dict = {}
+    for mu, cu in u.local_terms():
+        for mv, cv in v.local_terms():
+            partners, loops = glue(mu + tuple(4 + p for p in mv), back, end)
+            pairs = tuple(sorted((p, q) for p, q in partners.items() if p < q))
+            terms[pairs] = term_add(terms.get(pairs, {}),
+                                    term_mul(term_mul(cu, cv), _delta_power(loops)))
+    return tuple(sorted((pairs, tuple(sorted(c.items()))) for pairs, c in terms.items() if c))
 
 
 def _other_ends(rows) -> dict:

@@ -487,6 +487,8 @@ BAD_INPUT = {
     "float exponent": lambda: L({2.5: 1}),
     "float coefficient": lambda: L({0: 1.9}),
     "str exponent and coefficient": lambda: L({"3": "2"}),
+    "int terms": lambda: L(5),
+    "list of pairs": lambda: L([(0, 1)]),
     "float RationalFunction": lambda: RationalFunction(1.5),
     "float denominator": lambda: RationalFunction(A, 0.5),
     "str numerator": lambda: RationalFunction("A"),

@@ -66,6 +66,7 @@ from cable_oracle import (
     counted_matchings,
     cut_widths,
     enumerate_matchings,
+    glued_fusion,
     peak_matchings,
     planar_by_faces,
     raw_code,
@@ -363,6 +364,20 @@ class TestTwistFusion:
                 is from_link(braid_closure([1, 3, 2, 2, -3, -1], 4)).nodes[2]
                 is _fused(CROSSING, CROSSING, 2, 1))
 
+    def test_fused_is_the_glued_fusion(self):
+        # _fused is one TL_2 product on turned ports; gluing each pair of
+        # terms on 8 points with the strand tracer gives the same terms for
+        # every bigon position on a crossing and on twist regions
+        twists = [from_link(braid_closure([1, 3, *[2 * sign] * k, 1, 3], 4)).nodes[2]
+                  for k in (2, 3, 4) for sign in (1, -1)]
+        assert CROSSING not in twists and len(set(twists)) == 6
+        for u, v in itertools.product([CROSSING, *twists], repeat=2):
+            for a, b in itertools.product(range(4), repeat=2):
+                fused = coupon_terms(_fused(u, v, a, b))
+                got = tuple(sorted((pairs, tuple(sorted(c.terms.items())))
+                                   for pairs, c in fused.items()))
+                assert got == glued_fusion(u, v, a, b), (u, v, a, b)
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_twist_closures_match_the_state_sum(self, sign):
         for k in range(1, 21):
@@ -635,7 +650,8 @@ class TestPlans:
 
     def test_the_cap_is_checked_before_any_box_is_built(self, monkeypatch):
         # the planner reads only port counts, projector flags and wiring,
-        # so an over-cap colour exits before Wenzl's recursion builds f(8)
+        # so an over-cap colour exits before the single-clasp expansion
+        # builds f(8)
         def no_projectors(n):
             raise AssertionError(f"f({n}) was built")
         monkeypatch.setattr(skein_eval, "cleared_projector", no_projectors)
@@ -934,6 +950,28 @@ class TestWiring:
     def test_coupon_must_be_a_tl_diagram(self, points, pairs):
         with pytest.raises(ValueError):
             CouponNode(points, [(pairs, {0: 1})])
+
+    @pytest.mark.parametrize("coeff", [{0: 0}, {}, {4: 0, -8: 0}],
+                             ids=["zero-coefficient", "empty", "all-zero"])
+    def test_a_zero_coefficient_drops_its_term(self, coeff):
+        node = CouponNode(2, [(((0, 1),), coeff)])
+        assert node.local_terms() == ()
+        assert evaluate(DecoratedDiagram([node], [1, 0])) == LaurentPolynomial({})
+        kept = CouponNode(4, [(STRAIGHT, {1: 1}), (TURNED, coeff)])
+        assert kept.local_terms() == (((3, 2, 1, 0), {1: 1}),)
+
+    @pytest.mark.parametrize("coeff", [{4: 2, 8: 0}, LaurentPolynomial({4: 2})],
+                             ids=["term-dict", "laurent-polynomial"])
+    def test_a_coefficient_is_held_as_its_term_dict(self, coeff):
+        node = CouponNode(2, [(((0, 1),), coeff)])
+        assert node.local_terms() == (((1, 0), {4: 2}),)
+
+    @pytest.mark.parametrize("coeff", [{2.5: 1}, {0: 1.5}, {"3": 2}, {0: "1"}, 5, [(0, 1)]],
+                             ids=["float-exponent", "float-coefficient", "str-exponent",
+                                  "str-coefficient", "int", "list-of-pairs"])
+    def test_a_coefficient_that_is_not_an_int_term_dict_is_refused(self, coeff):
+        with pytest.raises(TypeError, match="int exponent and coefficient|mapping"):
+            CouponNode(2, [(((0, 1),), coeff)])
 
 
 class TestOneNodeType:

@@ -360,36 +360,64 @@ class TestStacking:
             tl_multiply(TLElement.identity(2), TLElement.identity(3))
 
 
+def chords_of(partner):
+    """The chords of a partner tuple, i < j in order of i."""
+    return tuple((i, j) for i, j in enumerate(partner) if i < j)
+
+
+def pairs_of(m):
+    """The chords of m from its partner table, i < j in order of i."""
+    return chords_of(m.partner)
+
+
 class TestTrustedMatchings:
-    """Stacking, closing and juxtaposing build their matchings unchecked,
-    from a partner table; each must be the matching that the validating
-    constructor makes of the same chords, partner table included."""
+    """Stacking, closing and juxtaposing take and return partner tuples,
+    built unchecked; each returned tuple must be the partner table that
+    the validating constructor makes of the same chords, on n strands."""
 
     @staticmethod
-    def assert_valid(m):
-        checked = PlanarMatching(m.n, m.pairs)
-        assert m == checked and m.partner == checked.partner
+    def assert_valid(partner, n):
+        assert type(partner) is tuple and len(partner) == 2 * n
+        assert partner == PlanarMatching(n, chords_of(partner)).partner
 
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(matching_strategy(n), matching_strategy(n))))
     @settings(max_examples=200, deadline=None)
     def test_stacked(self, pair):
-        self.assert_valid(_stack_pair(*pair)[0])
+        a, b = pair
+        self.assert_valid(_stack_pair(a.partner, b.partner)[0], a.n)
 
     @given(st.integers(1, 6).flatmap(matching_strategy))
     @settings(max_examples=100, deadline=None)
     def test_closed(self, m):
-        self.assert_valid(_close_last(m)[0])
+        self.assert_valid(_close_last(m.partner)[0], m.n - 1)
 
     @given(st.integers(0, 6).flatmap(lambda total: st.integers(0, total).flatmap(
         lambda n: st.tuples(matching_strategy(n), matching_strategy(total - n)))))
     @settings(max_examples=100, deadline=None)
     def test_juxtaposed(self, pair):
-        self.assert_valid(_juxtapose(*pair))
+        a, b = pair
+        self.assert_valid(_juxtapose(a.partner, b.partner), a.n + b.n)
 
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        element_strategy(n), element_strategy(n), st.integers(0, n),
+        st.integers(0, 3).flatmap(element_strategy))))
+    @settings(max_examples=100, deadline=None)
+    def test_elements_hand_out_checked_matchings(self, case):
+        # numerators are keyed by partner tuples; every matching that
+        # terms hands out is a PlanarMatching on the element's strands
+        x, y, count, z = case
+        for element in (x * y, partial_trace(x, count), tl_tensor(x, z)):
+            for m in element.terms:
+                assert type(m) is PlanarMatching and m.n == element.n
+                assert m == PlanarMatching(m.n, m.pairs)
+                assert m.partner == PlanarMatching(m.n, m.pairs).partner
 
-def pairs_of(m):
-    """The chords of m from its partner table, i < j in order of i."""
-    return tuple((i, j) for i, j in enumerate(m.partner) if i < j)
+    @pytest.mark.parametrize("n", range(7))
+    def test_cleared_projector_hands_out_checked_matchings(self, n):
+        for _, m in cleared_projector(n)[1]:
+            assert type(m) is PlanarMatching and m.n == n
+            assert m == PlanarMatching(m.n, m.pairs)
+            assert m.partner == PlanarMatching(m.n, m.pairs).partner
 
 
 class TestMatchingIdentity:
@@ -411,10 +439,12 @@ class TestMatchingIdentity:
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(matching_strategy(n), matching_strategy(n))))
     @settings(max_examples=200, deadline=None)
     def test_derived_pairs_equal_the_validating_constructors(self, pair):
-        m = _stack_pair(*pair)[0]
-        checked = PlanarMatching(m.n, reversed([(j, i) for i, j in pairs_of(m)]))
-        assert m.pairs == checked.pairs == pairs_of(m)
-        assert hash(m) == hash(checked)
+        a, b = pair
+        m = _stack_pair(a.partner, b.partner)[0]
+        checked = PlanarMatching(a.n, reversed([(j, i) for i, j in chords_of(m)]))
+        assert checked.partner == m
+        assert checked.pairs == pairs_of(checked) == chords_of(m)
+        assert hash(checked) == hash(m)
 
     @given(st.integers(0, 6).flatmap(lambda n: st.lists(matching_strategy(n), max_size=12)))
     @settings(max_examples=100, deadline=None)

@@ -1,7 +1,8 @@
 """Tooling checks.  The benchmark's tracer wraps skeinlab functions by
 name, so a rename under src/ breaks every traced bench pass; the
 package, which declares no dependencies, imports only the standard
-library, loads every name it imports and reads no environment variable; no private helper in the
+library, loads every name it imports and reads no environment variable; the
+one strand tracer, temperley_lieb.glue, has its three callers; no private helper in the
 package lives on for tests alone; every public name, and every option of
 a public function, has a user besides the unit tests; no parameter of a
 private function is a constant in disguise; every private name the docs
@@ -170,25 +171,30 @@ def test_the_package_reads_no_environment():
     assert found == []
 
 
-TRUSTED_MATCHING = "_from_partner"
+GLUE_CALLERS = ["skein_eval.CouponNode.glued", "temperley_lieb._close_last",
+                "temperley_lieb._stack_pair"]
 
 
-def test_only_temperley_lieb_builds_trusted_matchings():
-    # PlanarMatching._from_partner checks nothing, so only the TL layer's
-    # own stacking, closing and juxtaposing may build through it; coupon
-    # terms, parsed input and tests go through the validating constructor
-    here = Path(__file__).resolve()
-    assert TRUSTED_MATCHING in vars(skeinlab.PlanarMatching)
+def test_glue_has_three_callers():
+    # temperley_lieb.glue is the one strand tracer: TL stacking, the
+    # partial trace and the sweep's splice name it, and nothing else in
+    # src/ does (the bigon fusion is a TL_2 product, not a second gluing)
     found = []
-    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]):
-        if path in (SRC / "temperley_lieb.py", here):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = (getattr(node, "attr", None), getattr(node, "id", None),
-                     getattr(node, "name", None), getattr(node, "value", None))
-            if TRUSTED_MATCHING in names:
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if child.name != "glue":
+                    visit(child, f"{scope}.{child.name}")
+                continue
+            if getattr(child, "id", getattr(child, "attr", None)) == "glue":
+                found.append(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert callable(skeinlab.temperley_lieb.glue)
+    assert sorted(found) == GLUE_CALLERS
 
 
 def test_only_laurent_takes_gcds():
